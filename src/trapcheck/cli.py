@@ -248,11 +248,17 @@ def _diag_state_grid(N: int, n_points: int = 1024) -> np.ndarray:
     return np.unique(np.geomspace(1, N, min(n_points, N)).astype(np.int64))
 
 
-def _capture_plan(config: ExperimentConfig):
-    """Derive which states/increments the ensemble must retain."""
+def _capture_plan(config: ExperimentConfig, with_checks: bool):
+    """Derive which states/increments the ensemble must retain, and which
+    runs it must keep in full (for trajectory-based checks and the CSVs)."""
     N = config.N
     state_idx: set = set()
     inc_idx: set = set()
+    full_runs = set(range(min(int(config.output.get("trajectories", 0)), config.n_runs)))
+    if config.output.get("write_diagnostics") and config.diagnostics:
+        full_runs.add(0)
+    if not with_checks:
+        return engine.CaptureSpec(full_runs=tuple(sorted(full_runs)))
     if config.diagnostics:
         state_idx.update(_diag_state_grid(N).tolist())
     for c in config.checks:
@@ -269,8 +275,12 @@ def _capture_plan(config: ExperimentConfig):
         elif name == "tail_noise":
             lo = max(lo, hi - _MAX_CONTIGUOUS_WINDOW)
             inc_idx.update(range(lo, min(hi, N)))
+        elif name in ("remainder", "drift_sign"):
+            full_runs.add(0)
     return engine.CaptureSpec(
-        state_indices=tuple(sorted(state_idx)), increment_indices=tuple(sorted(inc_idx))
+        state_indices=tuple(sorted(state_idx)),
+        increment_indices=tuple(sorted(inc_idx)),
+        full_runs=tuple(sorted(full_runs)),
     )
 
 
@@ -304,17 +314,7 @@ def _resolve_split_and_constants(model: models.Model):
 
 def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
     conds = []
-    traj = None
     a_used, k_used = None, None
-
-    def _trajectory():
-        nonlocal traj
-        if traj is None:
-            traj = engine.run(
-                model, schedule, _x0_of(config, model), config.N, config.master_seed
-            )
-        return traj
-
     for c in config.checks:
         name = c["name"]
         window = tuple(c["window"]) if "window" in c else None
@@ -337,7 +337,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
         elif name == "remainder":
             conds.append(
                 hypotheses.check_remainder(
-                    _trajectory(),
+                    summary.trajectory(0),
                     mode=c.get("mode", "square_summable"),
                     nu=float(c.get("nu", nu_eff or 1.0)),
                     window=window,
@@ -357,7 +357,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                 project = split.P_inv[: split.delta_plus]
             conds.append(
                 hypotheses.check_drift_sign(
-                    _trajectory(),
+                    summary.trajectory(0),
                     x_star,
                     rho=float(c.get("rho", 1.0)),
                     mode=c.get("mode", "nonneg"),
@@ -408,7 +408,7 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
     return model.initial_state()
 
 
-def _run_diagnostics(config, model, schedule, summary):
+def _run_diagnostics(config, model, schedule, summary, split):
     out = {}
     for dg in config.diagnostics:
         name = dg["name"]
@@ -427,7 +427,6 @@ def _run_diagnostics(config, model, schedule, summary):
                 "n_excluded_restarts": res.n_excluded,
             }
         elif name == "manifold_rate":
-            split, mu, _ = _resolve_split_and_constants(model)
             use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
             K = model.manifold_K
             if use_split is None and K is None:
@@ -458,7 +457,7 @@ def run_experiment(
     model = _build_model(config.model)
     schedule = _build_schedule(config.schedule, model, config.N)
     x0 = _x0_of(config, model)
-    capture = _capture_plan(config) if with_checks else engine.CaptureSpec()
+    capture = _capture_plan(config, with_checks)
 
     summary = engine.monte_carlo(
         model,
@@ -515,7 +514,7 @@ def run_experiment(
             ),
         )
         doc["report"] = report.to_dict()
-        doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary)
+        doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary, split)
         if report.verdict == "fail":
             exit_code = 2
 
@@ -525,15 +524,13 @@ def run_experiment(
     for i in range(min(n_traj, config.n_runs)):
         tdir = out / "trajectories"
         tdir.mkdir(exist_ok=True)
-        traj = engine.run(
-            model, schedule, x0, config.N, engine._seed_for_run(config.master_seed, i)
-        )
-        traj.to_csv(tdir / f"run_{i}.csv")
+        summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
     if config.output.get("write_diagnostics") and config.diagnostics:
         ddir = out / "diagnostics"
         ddir.mkdir(exist_ok=True)
-        traj = engine.run(model, schedule, x0, config.N, config.master_seed)
-        path = flow.time_change(traj, schedule, indices=_diag_state_grid(config.N))
+        path = flow.time_change(
+            summary.trajectory(0), schedule, indices=_diag_state_grid(config.N)
+        )
         for dg in config.diagnostics:
             if dg["name"] == "apt":
                 flow.apt_deficit(

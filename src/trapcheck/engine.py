@@ -146,6 +146,10 @@ class Trajectory:
         np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def _default_thinning(N: int) -> int:
+    return 1 if N <= 100_000 else 16
+
+
 @dataclass(frozen=True)
 class CaptureSpec:
     """What an ensemble keeps besides its summary statistics.
@@ -155,26 +159,36 @@ class CaptureSpec:
     increment_indices:
         Step indices at which (g, eps, rem) are stored across runs (for
         hypothesis checks needing cross-run means at fixed n).
+    full_runs:
+        Run indices whose full record is kept, as :func:`run` returns it by
+        default: every state, and (g, eps, rem) every ``thinning`` steps (1
+        up to N=10^5, else 16).  Each kept run holds
+        ``(N+1 + 3*ceil(N/thinning)) * d`` doubles.
     """
 
     state_indices: tuple = ()
     increment_indices: tuple = ()
+    full_runs: tuple = ()
 
     @staticmethod
     def normalize(obj, N: int) -> "CaptureSpec":
         if obj is None:
-            return CaptureSpec()
-        if isinstance(obj, CaptureSpec):
-            spec = obj
-        else:
-            spec = CaptureSpec(state_indices=tuple(obj))
-        s = np.unique(np.asarray(spec.state_indices, dtype=np.int64)) if spec.state_indices else np.array([], np.int64)
-        i = np.unique(np.asarray(spec.increment_indices, dtype=np.int64)) if spec.increment_indices else np.array([], np.int64)
+            obj = CaptureSpec()
+        elif not isinstance(obj, CaptureSpec):
+            obj = CaptureSpec(state_indices=tuple(obj))
+        s, i, r = (
+            np.unique(np.asarray(v, dtype=np.int64))
+            for v in (obj.state_indices, obj.increment_indices, obj.full_runs)
+        )
         if len(s) and (s[0] < 0 or s[-1] > N):
             raise ValueError(f"state capture indices must lie in [0, {N}]")
         if len(i) and (i[0] < 0 or i[-1] > N - 1):
             raise ValueError(f"increment capture indices must lie in [0, {N - 1}]")
-        return CaptureSpec(state_indices=tuple(s), increment_indices=tuple(i))
+        if len(r) and r[0] < 0:
+            raise ValueError("full_runs must be nonnegative run indices")
+        return CaptureSpec(
+            state_indices=tuple(s), increment_indices=tuple(i), full_runs=tuple(r)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +216,20 @@ class EnsembleSummary:
     captured_g: Optional[np.ndarray]  # (n_runs, len(increment_indices), d)
     captured_eps: Optional[np.ndarray]
     captured_rem: Optional[np.ndarray]
+    blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
+    full_runs: dict = field(default_factory=dict)  # run index -> Trajectory
 
     @property
     def ok(self) -> np.ndarray:
         return ~self.blown_up
+
+    def trajectory(self, run_index: int) -> Trajectory:
+        """The full record of a kept run (see ``CaptureSpec.full_runs``),
+        bitwise equal to ``run(..., seed=_seed_for_run(master_seed, i))``;
+        raises :class:`BlowUpError` if that run left the admissible region."""
+        if run_index not in self.full_runs:
+            raise InsufficientRecordsError(f"run {run_index} was not kept in full")
+        return _checked(self.full_runs[run_index], int(self.blowup_step[run_index]))
 
     @property
     def blowup_count(self) -> int:
@@ -293,13 +317,16 @@ def _drive(
     trap_point: np.ndarray,
     capture: CaptureSpec,
     blowup_bound: float,
-    store_states: bool = False,
-    store_parts_stride: int = 0,
-    raise_on_blowup: bool = False,
+    keep=(),
+    thinning: int = 1,
 ):
     """Advance a batch of runs in lockstep; the single workhorse behind both
     ``run`` and ``monte_carlo`` (so a lone run and an ensemble row share every
     floating-point operation).
+
+    ``keep`` lists batch rows whose full record is stored: every state, and
+    the step pieces every ``thinning`` steps.  A row's states are
+    stored before a blow-up parks it, so they are exact up to that step.
     """
     if N > schedule.horizon:
         raise InsufficientHorizonError(f"N={N} exceeds schedule horizon {schedule.horizon}")
@@ -319,20 +346,22 @@ def _drive(
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
     inc_pos = {int(t): k for k, t in enumerate(inc_idx)}
 
-    states = np.empty((N + 1, B, d)) if store_states else None
-    if store_states:
-        states[0] = x
-    if store_parts_stride:
-        part_ns = np.arange(0, N, store_parts_stride, dtype=np.int64)
+    keep = np.asarray(keep, dtype=np.int64)
+    K = len(keep)
+    if K and keep[-1] - keep[0] == K - 1:
+        keep = slice(keep[0], keep[-1] + 1)  # a view per step, not a gather
+    if K:
+        states = np.empty((K, N + 1, d))
+        states[:, 0] = x[keep]
+        part_ns = np.arange(0, N, thinning, dtype=np.int64)
         parts_pos = {int(t): k for k, t in enumerate(part_ns)}
-        parts_g = np.empty((len(part_ns), B, d))
-        parts_eps = np.empty_like(parts_g)
-        parts_rem = np.empty_like(parts_g)
+        parts = np.empty((3, K, len(part_ns), d))  # g, eps, rem
     else:
-        part_ns = np.array([], dtype=np.int64)
+        parts_pos = {}
 
     sup_tail = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
+    blowup_step = np.zeros(B, dtype=np.int64)
     if 0 in state_pos:
         cap_states[:, state_pos[0]] = x
 
@@ -343,32 +372,22 @@ def _drive(
         for j in range(block):
             g, eps, rem, aux = model.step_parts(x, n, raws[:, j], aux)
             x = x + combine_increment(gam[n + 1], g, cs[n + 1], eps, rem)
-            if store_states:
-                states[n + 1] = x
+            if K:
+                states[:, n + 1] = x[keep]
 
             bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > blowup_bound)
             if bad.any():
                 new = bad & ~blown
-                if new.any():
-                    if raise_on_blowup:
-                        r = int(np.nonzero(new)[0][0])
-                        err = BlowUpError(
-                            f"state left the admissible region at step {n + 1}",
-                            step=n + 1,
-                            state=x[r].copy(),
-                        )
-                        if store_states:
-                            err.prefix = states[: n + 2, r, :].copy()
-                        raise err
-                    blown |= new
+                blowup_step[new] = n + 1
+                blown |= new
                 x[blown] = trap_point  # park blown rows somewhere benign
 
             if n in inc_pos:
                 k = inc_pos[n]
                 cap_g[:, k], cap_eps[:, k], cap_rem[:, k] = g, eps, rem
-            if store_parts_stride and n in parts_pos:
+            if n in parts_pos:
                 k = parts_pos[n]
-                parts_g[k], parts_eps[k], parts_rem[k] = g, eps, rem
+                parts[0, :, k], parts[1, :, k], parts[2, :, k] = g[keep], eps[keep], rem[keep]
             if (n + 1) in state_pos:
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
@@ -380,17 +399,47 @@ def _drive(
         "x": x,
         "sup_tail": sup_tail,
         "blown": blown,
+        "blowup_step": blowup_step,
         "cap_states": cap_states,
         "cap_g": cap_g,
         "cap_eps": cap_eps,
         "cap_rem": cap_rem,
     }
-    if store_states:
-        out["states"] = states
-    if store_parts_stride:
-        out["part_ns"] = part_ns
-        out["parts"] = (parts_g, parts_eps, parts_rem)
+    if K:
+        out["kept"] = (states, part_ns, parts)
     return out
+
+
+def _kept_trajectories(model, schedule, kept, seeds, thinning) -> list:
+    """Trajectory objects for the rows ``_drive`` kept in full."""
+    states, part_ns, parts = kept
+    return [
+        Trajectory(
+            model_id=model.id,
+            seed=seed,
+            thinning=int(thinning),
+            schedule=schedule,
+            states=states[k],
+            part_indices=part_ns,
+            g=parts[0, k],
+            eps=parts[1, k],
+            rem=parts[2, k],
+        )
+        for k, seed in enumerate(seeds)
+    ]
+
+
+def _checked(traj: Trajectory, blowup_step: int) -> Trajectory:
+    """``traj`` itself, or the BlowUpError of a run that left the region."""
+    if blowup_step:
+        err = BlowUpError(
+            f"state left the admissible region at step {blowup_step}",
+            step=blowup_step,
+            state=traj.states[blowup_step].copy(),
+        )
+        err.prefix = traj.states[: blowup_step + 1].copy()
+        raise err
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +482,11 @@ def run(
     ``seed`` is an integer master seed (the run is then identical to run 0 of
     ``monte_carlo`` with that master seed) or a ``numpy.random.SeedSequence``.
     States are stored at every step; full pieces every ``thinning`` steps
-    (default 1 up to N=10^5, else 16).
+    (default 1 up to N=10^5, else 16).  Raises :class:`BlowUpError` (with
+    the states up to that step as ``prefix``) if the run leaves the region.
     """
     if thinning is None:
-        thinning = 1 if N <= 100_000 else 16
+        thinning = _default_thinning(N)
     if isinstance(seed, np.random.SeedSequence):
         ss, seed_label = seed, seed
     else:
@@ -454,22 +504,11 @@ def run(
         trap_point=np.asarray(trap, dtype=np.float64),
         capture=CaptureSpec(),
         blowup_bound=blowup_bound,
-        store_states=True,
-        store_parts_stride=thinning,
-        raise_on_blowup=True,
+        keep=(0,),
+        thinning=thinning,
     )
-    parts_g, parts_eps, parts_rem = res["parts"]
-    return Trajectory(
-        model_id=model.id,
-        seed=seed_label,
-        thinning=int(thinning),
-        schedule=schedule,
-        states=res["states"][:, 0, :],
-        part_indices=res["part_ns"],
-        g=parts_g[:, 0, :],
-        eps=parts_eps[:, 0, :],
-        rem=parts_rem[:, 0, :],
-    )
+    (traj,) = _kept_trajectories(model, schedule, res["kept"], [seed_label], thinning)
+    return _checked(traj, int(res["blowup_step"][0]))
 
 
 def _chunk_worker(
@@ -483,8 +522,10 @@ def _chunk_worker(
     trap_point,
     capture,
     blowup_bound,
+    thinning,
 ):
     gens = _generators(master_seed, run_indices)
+    keep = np.nonzero(np.isin(run_indices, capture.full_runs))[0]
     res = _drive(
         model,
         schedule,
@@ -495,9 +536,10 @@ def _chunk_worker(
         trap_point=trap_point,
         capture=capture,
         blowup_bound=blowup_bound,
+        keep=keep,
+        thinning=thinning,
     )
-    res = {k: v for k, v in res.items()}
-    res["run_indices"] = np.asarray(run_indices, dtype=np.int64)
+    res["kept_runs"] = [int(run_indices[k]) for k in keep]
     return res
 
 
@@ -519,15 +561,20 @@ def monte_carlo(
     all model arithmetic is row-independent, so the summary is bit-identical
     for every ``workers`` value and chunking.  ``tail_fraction`` sets the
     tail window for the sup-distance statistic (last quarter by default).
+    Runs named in ``captures.full_runs`` come back whole, through
+    :meth:`EnsembleSummary.trajectory`.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     capture = CaptureSpec.normalize(captures, N)
+    if capture.full_runs and capture.full_runs[-1] >= n_runs:
+        raise ValueError(f"full_runs must lie in [0, {n_runs - 1}]")
     trap = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
     trap = np.asarray(trap, dtype=np.float64)
     tail_from = max(0, N - int(np.ceil(tail_fraction * N)))
+    thinning = _default_thinning(N)
     x0 = np.asarray(x0, dtype=np.float64)
 
     all_indices = np.arange(n_runs)
@@ -538,7 +585,8 @@ def monte_carlo(
         chunks = [c for c in np.array_split(all_indices, n_chunks) if len(c)]
 
     args = [
-        (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound)
+        (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound,
+         thinning)
         for chunk in chunks
     ]
     if workers == 1:
@@ -548,15 +596,20 @@ def monte_carlo(
             futures = [pool.submit(_chunk_worker, *a) for a in args]
             results = [f.result() for f in futures]
 
-    # merge sorted by run index so reduction order never depends on scheduling
-    results.sort(key=lambda r: int(r["run_indices"][0]))
-    order = np.argsort(np.concatenate([r["run_indices"] for r in results]))
-
+    # chunks are consecutive slices of the run range, in submission order, so
+    # concatenation is in run order and never depends on scheduling
     def _merge(key):
         vals = [r[key] for r in results]
         if vals[0] is None:
             return None
-        return np.concatenate(vals, axis=0)[order]
+        return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=0)
+
+    full_runs = {}
+    for r in results:
+        if r["kept_runs"]:
+            seeds = [_seed_for_run(master_seed, i) for i in r["kept_runs"]]
+            trajs = _kept_trajectories(model, schedule, r["kept"], seeds, thinning)
+            full_runs.update(zip(r["kept_runs"], trajs))
 
     return EnsembleSummary(
         model_id=model.id,
@@ -574,6 +627,8 @@ def monte_carlo(
         captured_g=_merge("cap_g"),
         captured_eps=_merge("cap_eps"),
         captured_rem=_merge("cap_rem"),
+        blowup_step=_merge("blowup_step"),
+        full_runs=full_runs,
     )
 
 

@@ -92,11 +92,12 @@ class TimeChangedPath:
 # ---------------------------------------------------------------------------
 
 
-def _eval_field(f: Callable, x: np.ndarray, t_now: float) -> np.ndarray:
+def _eval_field(f: Callable, x: np.ndarray, t_now) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
             v = np.asarray(f(x), dtype=np.float64)
     except ArithmeticError as exc:
+        t_now = float(np.max(t_now))
         raise DomainExitError(
             f"field evaluation failed at flow time {t_now:g}: {exc}", exit_time=t_now
         ) from exc
@@ -105,20 +106,48 @@ def _eval_field(f: Callable, x: np.ndarray, t_now: float) -> np.ndarray:
     return v
 
 
-def _rk4_segment(f: Callable, x: np.ndarray, t0: float, dt: float, h: float) -> np.ndarray:
-    """Advance states (..., d) by duration dt with classical 4th-order steps."""
-    if dt == 0.0:
+def _rk4_step(f: Callable, x: np.ndarray, hh, t) -> np.ndarray:
+    """One classical 4th-order step of size ``hh`` (a scalar, or one size per
+    element of x); the only place the RK4 formula is written."""
+    k1 = _eval_field(f, x, t)
+    k2 = _eval_field(f, x + (0.5 * hh) * k1, t)
+    k3 = _eval_field(f, x + (0.5 * hh) * k2, t)
+    k4 = _eval_field(f, x + hh * k3, t)
+    return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
+    """Advance states by duration ``dt`` in ``ceil(dt/h)`` equal RK4 steps.
+
+    ``t0`` (the flow time, for error reports) and ``dt`` are scalars for
+    states (..., d), or one value per row of states (rows, d) with ``dt``
+    non-increasing.  Each row then takes its own number of steps of its own
+    size, bitwise as if advanced alone, and the rows still stepping are
+    always a prefix, which one field call covers.
+    """
+    if np.ndim(dt) == 0:
+        if dt == 0.0:
+            return x
+        n = max(1, int(np.ceil(dt / h - 1e-12)))
+        hh = dt / n
+        t = t0
+        for _ in range(n):
+            x = _rk4_step(f, x, hh, t)
+            t += hh
         return x
-    n = max(1, int(np.ceil(dt / h - 1e-12)))
-    hh = dt / n
-    t = t0
-    for _ in range(n):
-        k1 = _eval_field(f, x, t)
-        k2 = _eval_field(f, x + (0.5 * hh) * k1, t)
-        k3 = _eval_field(f, x + (0.5 * hh) * k2, t)
-        k4 = _eval_field(f, x + hh * k3, t)
-        x = x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += hh
+    n = np.maximum(1, np.ceil(dt / h - 1e-12)).astype(np.int64)
+    step = dt / n
+    # full-shape step sizes: numpy multiplies by a (rows, 1) column over
+    # short rows several times slower than elementwise
+    hh = np.repeat(step[:, None], x.shape[1], axis=1)
+    t = np.array(t0, dtype=np.float64)
+    for m in range(int(n[0])):
+        live = int(np.count_nonzero(n > m))
+        if live == len(x):  # always so at m == 0, which makes x our own
+            x = _rk4_step(f, x, hh, t)
+        else:
+            x[:live] = _rk4_step(f, x[:live], hh[:live], t[:live])
+        t[:live] += step[:live]
     return x
 
 
@@ -230,34 +259,55 @@ def _batch_deficits(
     h: float,
     normalization: str,
 ):
-    B = X.shape[0]
-    deficits = np.full((B, len(pos)), np.inf)
-    hard_excluded = np.zeros(len(pos), dtype=bool)
-    for r, i in enumerate(pos):
-        cur = X[:, i, :].copy()
-        if normalization == "scale":
-            denom = 1.0 + np.linalg.norm(X[:, i, :], axis=1)
-        else:
-            denom = np.ones(B)
-        best = np.zeros(B)
-        compared = False
-        j = i + 1
+    """Deficits (B, restarts) and the restarts excluded as a whole.
+
+    Every restart advances at once, as one (restarts*B, d) RK4 state moved
+    one grid segment at a time: restart i's k-th segment runs from s[i+k] to
+    s[i+k+1].  The field is row-wise, so each row's result is bitwise what
+    integrating its restart alone gives.  A restart is excluded when no grid
+    point falls in its window or the field fails on one of its rows; a
+    failing stacked segment is redone restart by restart to find which.
+    """
+    B, _, d = X.shape
+    # restart i compares grid points i+1 .. end-1
+    end = np.searchsorted(s, s[pos] + T + 1e-12, side="right")
+    n_seg = end - pos - 1
+    excluded = n_seg < 1
+    cur = X[:, pos, :].transpose(1, 0, 2).copy()  # (restarts, B, d)
+    if normalization == "scale":
+        denom = 1.0 + np.linalg.norm(cur, axis=2)
+    else:
+        denom = np.ones(cur.shape[:2])
+    best = np.zeros(cur.shape[:2])
+    for k in range(int(n_seg.max(initial=0))):
+        act = np.nonzero(~excluded & (n_seg > k))[0]
+        if not len(act):
+            break
+        j = pos[act] + k + 1
+        # longest segment first: _rk4_segment needs dt non-increasing
+        order = np.argsort(s[j - 1] - s[j], kind="stable")
+        act, j = act[order], j[order]
+        t0 = s[j - 1] - s[pos[act]]
+        dt = s[j] - s[j - 1]
         try:
-            while j < len(s) and s[j] <= s[i] + T + 1e-12:
-                cur = _rk4_segment(f, cur, float(s[j - 1] - s[i]), float(s[j] - s[j - 1]), h)
-                diff = np.linalg.norm(X[:, j, :] - cur, axis=1) / denom
-                diff = np.where(np.isfinite(diff), diff, np.inf)
-                best = np.maximum(best, diff)
-                compared = True
-                j += 1
+            x = _rk4_segment(
+                f, cur[act].reshape(-1, d), np.repeat(t0, B), np.repeat(dt, B), h
+            ).reshape(len(act), B, d)
         except DomainExitError:
-            hard_excluded[r] = True
-            continue
-        if compared:
-            deficits[:, r] = best
-        else:
-            hard_excluded[r] = True
-    return deficits, hard_excluded
+            x = np.empty((len(act), B, d))
+            for a, r in enumerate(act):
+                try:
+                    x[a] = _rk4_segment(f, cur[r], float(t0[a]), float(dt[a]), h)
+                except DomainExitError:
+                    excluded[r] = True
+            ok = ~excluded[act]
+            act, j, x = act[ok], j[ok], x[ok]
+        cur[act] = x
+        diff = np.linalg.norm(X[:, j, :].transpose(1, 0, 2) - x, axis=2) / denom[act]
+        diff = np.where(np.isfinite(diff), diff, np.inf)
+        best[act] = np.maximum(best[act], diff)
+    deficits = np.where(excluded[:, None], np.inf, best).T
+    return deficits, excluded
 
 
 def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float = 1.0 / 3.0):

@@ -453,11 +453,12 @@ def vrrw_walk_step(current: int, counts, cfg: VrrwConfig, rng) -> tuple[int, np.
         raise ValueError("counts must be >= 1 everywhere")
     w = cfg.A[current] * counts**cfg.alpha
     w[current] = 0.0
-    tot = w.sum()
-    if tot <= 0:
+    if w.sum() <= 0:
         raise StuckWalkError(f"no admissible transition out of vertex {current}")
-    u = rng.random()
-    nxt = int((u * tot >= np.cumsum(w)).sum())
+    # select against the cumsum's own total: u*c[-1] < c[-1] for u < 1, so
+    # the pick is a positive-weight vertex even where pairwise sum > c[-1]
+    c = np.cumsum(w)
+    nxt = int((rng.random() * c[-1] >= c).sum())
     counts[nxt] += 1.0
     return nxt, counts
 
@@ -530,7 +531,8 @@ class VrrwWalkModel(Model):
         if np.any(tot <= 0):
             raise StuckWalkError("no admissible transition for some run")
         u = raw[:, 0]
-        nxt = (u[:, None] * tot[:, None] >= np.cumsum(w, axis=1)).sum(axis=1)
+        c = np.cumsum(w, axis=1)  # see vrrw_walk_step for why c[:, -1]
+        nxt = (u[:, None] * c[:, -1:] >= c).sum(axis=1)
         p = w / tot[:, None]
 
         v_alpha, S, H = _vrrw_pieces(x, self.cfg)

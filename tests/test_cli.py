@@ -5,14 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from trapcheck import engine
 from trapcheck.cli import (
     ExperimentConfig,
+    _build_model,
+    _build_schedule,
+    _diag_state_grid,
     canonical_json,
     config_hash,
     main,
     run_experiment,
 )
 from trapcheck.errors import ConfigError
+from trapcheck.flow import apt_deficit, time_change
 
 
 def base_config(**overrides):
@@ -294,6 +299,38 @@ class TestRunExperiment:
         assert np.isfinite(doc["diagnostics"]["manifold_rate"]["median_rate"])
         assert (tmp_path / "diagnostics" / "apt.csv").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csvs_equal_single_run_resimulation(self, tmp_path, workers):
+        cfg = ExperimentConfig.from_dict(
+            base_config(
+                model={"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]},
+                x0=[0.1, 0.1],
+                N=300,
+                n_runs=6,
+                checks=[{"name": "remainder"}],
+                diagnostics=[{"name": "apt", "T": 0.5}],
+                output={"trajectories": 2, "write_diagnostics": True},
+            )
+        )
+        run_experiment(cfg, workers=workers, out_dir=tmp_path / "out")
+        model = _build_model(cfg.model)
+        schedule = _build_schedule(cfg.schedule, model, cfg.N)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for i in range(2):
+            traj = engine.run(
+                model, schedule, np.array(cfg.x0), cfg.N,
+                engine._seed_for_run(cfg.master_seed, i),
+            )
+            traj.to_csv(ref / f"run_{i}.csv")
+            got = (tmp_path / "out" / "trajectories" / f"run_{i}.csv").read_bytes()
+            assert got == (ref / f"run_{i}.csv").read_bytes()
+            if i == 0:
+                path = time_change(traj, schedule, indices=_diag_state_grid(cfg.N))
+                apt_deficit(path, model.field, T=0.5).to_csv(ref / "apt.csv")
+        got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
+        assert got == (ref / "apt.csv").read_bytes()
+
     def test_vrrw_natural_schedule_runs(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -418,6 +455,33 @@ class TestExperimentCommands:
         )
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         assert "blew up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("simulate", {"output": {"trajectories": 1}}),
+            ("simulate", {"diagnostics": [{"name": "apt"}], "output": {"write_diagnostics": True}}),
+            ("check", {"checks": [{"name": "remainder"}]}),
+        ],
+    )
+    def test_blown_up_run_zero_exits_one(self, tmp_path, capsys, command, extra):
+        # seed 8 blows up runs 0, 3 and 5 of 8: under the ensemble limit,
+        # but the command needs run 0 in full, and run 0 left the region
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[4.0]]},
+                N=100,
+                n_runs=8,
+                master_seed=8,
+                x0=[0.0],
+                **extra,
+            ),
+        )
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "left the admissible region at step" in err
+        assert "Traceback" not in err
 
     def test_report_command_renders_summary(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict(

@@ -178,6 +178,44 @@ class TestMonteCarlo:
         alt = monte_carlo(m, s, np.zeros(1), 2500, 4, master_seed=2)
         assert np.array_equal(ref.terminal_states, alt.terminal_states)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_runs_equal_single_runs(self, workers):
+        m = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
+        s = m.natural_schedule(700)
+        cap = CaptureSpec(state_indices=(5, 700), full_runs=(4, 0, 2))
+        summary = monte_carlo(
+            m, s, m.initial_state(), 700, 6, master_seed=13, workers=workers, captures=cap
+        )
+        assert sorted(summary.full_runs) == [0, 2, 4]
+        for i in (0, 2, 4):
+            got = summary.trajectory(i)
+            ref = run(m, s, m.initial_state(), 700, seed=engine._seed_for_run(13, i))
+            for name in ("states", "part_indices", "g", "eps", "rem"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert got.thinning == 1
+        with pytest.raises(InsufficientRecordsError):
+            summary.trajectory(1)
+
+    def test_blown_full_run_raises_like_run(self):
+        m = LinearModel([[5.0]], noise_kind="none", id="explode")
+        s = harmonic(1000)
+        summary = monte_carlo(m, s, np.ones(1), 1000, 2, master_seed=0,
+                              captures=CaptureSpec(full_runs=(1,)))
+        with pytest.raises(BlowUpError) as from_ensemble:
+            summary.trajectory(1)
+        with pytest.raises(BlowUpError) as from_run:
+            run(m, s, np.ones(1), 1000, seed=engine._seed_for_run(0, 1))
+        a, b = from_ensemble.value, from_run.value
+        assert str(a) == str(b) and a.step == b.step
+        assert np.array_equal(a.prefix, b.prefix)
+        assert np.array_equal(a.state, b.state)
+
+    def test_full_runs_must_exist(self):
+        m = LinearModel([[1.0]])
+        with pytest.raises(ValueError, match="full_runs"):
+            monte_carlo(m, harmonic(10), np.zeros(1), 10, 2, master_seed=0,
+                        captures=CaptureSpec(full_runs=(2,)))
+
     def test_degenerate_control_traps(self):
         m = control_models()["degenerate_noise"]
         s = harmonic(500)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from trapcheck import flow
 from trapcheck.engine import CaptureSpec, monte_carlo, run
-from trapcheck.errors import DegenerateTimeChangeError, DomainExitError
+from trapcheck.errors import (
+    DegenerateTimeChangeError,
+    DomainExitError,
+    SingularDenominatorError,
+)
 from trapcheck.flow import (
     TimeChangedPath,
     apt_deficit,
@@ -16,7 +21,7 @@ from trapcheck.flow import (
     manifold_rate,
     time_change,
 )
-from trapcheck.models import LinearModel, ManifoldK
+from trapcheck.models import LinearModel, ManifoldK, MeanFieldVrrwModel, VrrwConfig
 from trapcheck.sequences import Schedule, SequenceSpec
 from trapcheck.spectral import split_jacobian
 
@@ -240,6 +245,73 @@ class TestAptDeficit:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], res.t_values)
         assert np.array_equal(data[:, 1], res.deficits)
+
+
+def _rowwise_saddle(x):
+    # elementwise, so every row is computed alone whatever the batch shape
+    return x * np.array([1.0, -1.0])
+
+
+def _sample_path(kind):
+    if kind == "linear":
+        model, sched = LinearModel([[1.0, 0.5], [0.2, -1.0]]), harmonic(3000)
+        x0 = [0.05, 0.05]
+    else:
+        model = MeanFieldVrrwModel(VrrwConfig.complete(3, 2.0))
+        sched, x0 = model.natural_schedule(3000), model.initial_state()
+    traj = run(model, sched, x0, 3000, seed=5)
+    idx = np.unique(np.geomspace(1, 3000, 300).astype(np.int64))
+    return model, time_change(traj, indices=idx)
+
+
+class TestStackedRestarts:
+    """All restarts advance as one RK4 batch; each must equal its lone run."""
+
+    @pytest.mark.parametrize("kind", ["linear", "vrrw"])
+    def test_equals_one_restart_at_a_time(self, kind):
+        model, path = _sample_path(kind)
+        s = path.s_grid
+        ts = s[np.unique(np.geomspace(1, np.searchsorted(s, s[-1] - 1.0) - 1, 30).astype(int))]
+        full = apt_deficit(path, model.field, T=1.0, t_grid=ts)
+        singles = [apt_deficit(path, model.field, T=1.0, t_grid=[t]) for t in ts]
+        assert len(full.deficits) == len(ts) > 10
+        assert np.array_equal(full.deficits, np.concatenate([r.deficits for r in singles]))
+        assert np.array_equal(full.t_values, np.concatenate([r.t_values for r in singles]))
+
+    def test_ensemble_rows_equal_one_restart_at_a_time(self):
+        model, path = _sample_path("vrrw")
+        s = path.s_grid
+        # three "runs": the path and two vertex relabellings of it
+        X = np.stack([path.states] + [np.roll(path.states, k, axis=1) for k in (1, 2)])
+        pos = flow._restart_positions(s, 1.0, None, 48)
+        stacked, excluded = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
+        for r in range(len(pos)):
+            alone, _ = flow._batch_deficits(
+                s, X, model.field, 1.0, pos[r : r + 1], 5e-3, "scale"
+            )
+            assert np.array_equal(stacked[:, r], alone[:, 0])
+        assert not excluded.any()
+
+    def test_field_error_excludes_only_its_restart(self):
+        def raising(x):
+            if np.any(x[..., 0] > 2.5):
+                raise SingularDenominatorError("left the field's domain")
+            return _rowwise_saddle(x)
+
+        # a coarse grid, then a fine one: the restart at s = 1 has the
+        # longest window, and the flow from its state passes 2.5 at once
+        s = np.concatenate([np.arange(0.0, 1.0, 0.25), 1.0 + np.arange(0.0, 2.0, 0.1)])
+        states = np.full((len(s), 2), 0.1)
+        states[4, 0] = 2.4
+        path = TimeChangedPath(s, states)
+        ts = s[:5]
+        ok = apt_deficit(path, _rowwise_saddle, T=1.0, t_grid=ts, h=0.05)
+        res = apt_deficit(path, raising, T=1.0, t_grid=ts, h=0.05)
+        assert ok.n_excluded == 0
+        assert res.n_excluded == 1
+        assert np.isinf(res.deficits[4])
+        others = np.arange(len(ts)) != 4
+        assert np.array_equal(res.deficits[others], ok.deficits[others])
 
 
 # ---------------------------------------------------------------------------

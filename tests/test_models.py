@@ -177,6 +177,44 @@ class TestWalk:
             assert_allclose(expected, (p - v) / (tot + 1), atol=1e-15)
 
 
+class TestWalkSamplingBoundary:
+    """u just below 1 on rows whose pairwise sum exceeds the cumsum total
+    (common for d >= 8) must still pick a positive-weight vertex."""
+
+    U_TOP = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def _overshooting_rows(cfg, n=400):
+        rng = np.random.default_rng(3)
+        counts = rng.integers(1, 50, size=(n, cfg.d)).astype(np.float64)
+        cur = rng.integers(0, cfg.d, size=n)
+        w = cfg.A[cur] * counts**cfg.alpha
+        w[np.arange(n), cur] = 0.0
+        over = np.sum(w, axis=1) > np.cumsum(w, axis=1)[:, -1]
+        assert over.any()
+        return counts[over], cur[over], w[over]
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_walk_model_step(self, d):
+        cfg = VrrwConfig.complete(d, 1.5)
+        counts, cur, w = self._overshooting_rows(cfg)
+        m = VrrwWalkModel(cfg)
+        B = len(cur)
+        aux = {"counts": counts.copy(), "cur": cur.copy()}
+        x = counts / counts.sum(axis=1, keepdims=True)
+        m.step_parts(x, 0, np.full((B, 1), self.U_TOP), aux)
+        nxt = aux["cur"]
+        assert np.all(nxt < d)
+        assert np.all(w[np.arange(B), nxt] > 0)
+
+    def test_walk_step_function(self):
+        cfg = VrrwConfig.complete(8, 1.5)
+        counts, cur, w = self._overshooting_rows(cfg)
+        for row, c, wr in zip(counts, cur, w):
+            nxt, _ = vrrw_walk_step(int(c), row, cfg, FixedRng(self.U_TOP))
+            assert nxt < cfg.d and wr[nxt] > 0
+
+
 class TestVrrwModels:
     def test_walk_model_initial_state_and_schedule(self):
         m = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
