@@ -56,6 +56,46 @@ _DIAGNOSTIC_NAMES = ("apt", "manifold_rate")
 _MAX_CONTIGUOUS_WINDOW = 20_000
 
 
+_ARRAY = (list, tuple)  # a JSON array, or a tuple from a programmatic caller
+_JSON_TYPE_NAMES = {dict: "an object", _ARRAY: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, path: str):
+    """``value`` if it has JSON type ``kind``, else a ConfigError at ``path``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"must be {_JSON_TYPE_NAMES[kind]}, got {value!r}", path)
+    return value
+
+
+def _number(value, path: str) -> float:
+    """A JSON number (booleans are not numbers) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"must be a number, got {value!r}", path)
+    return float(value)
+
+
+def _integer(value, path: str, lo: Optional[int] = None) -> int:
+    """A JSON integer (>= ``lo`` if given); integral floats such as ``2e4``
+    count."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"must be an integer, got {value!r}", path)
+    if lo is not None and value < lo:
+        raise ConfigError(f"must be >= {lo}, got {value}", path)
+    return value
+
+
+def _window(value, lo: int, N: int, path: str) -> tuple:
+    """An integer pair ``(a, b)`` with ``lo <= a < b <= N``."""
+    if not isinstance(value, _ARRAY) or len(value) != 2:
+        raise ConfigError(f"must be a pair [start, end], got {value!r}", path)
+    a, b = (_integer(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not lo <= a < b <= N:
+        raise ConfigError(f"window {list(value)} not within [{lo}, {N}]", path)
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 # ---------------------------------------------------------------------------
@@ -114,6 +154,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
+        if not isinstance(cfg, dict):
+            raise ConfigError("must be a JSON object", "config")
         for key in ("model", "schedule", "N", "n_runs"):
             if key not in cfg:
                 raise ConfigError("missing required field", key)
@@ -122,45 +164,58 @@ class ExperimentConfig:
                 "missing required field (wall-clock seeding is not allowed)",
                 "master_seed",
             )
-        N = int(cfg["N"])
-        checks = tuple(cfg.get("checks", ()))
+        model = _typed(cfg["model"], dict, "model")
+        schedule = _typed(cfg["schedule"], dict, "schedule")
+        N = _integer(cfg["N"], "N", lo=1)
+        n_runs = _integer(cfg["n_runs"], "n_runs", lo=1)
+        master_seed = _integer(cfg["master_seed"], "master_seed", lo=0)
+        x0 = cfg.get("x0")
+        if x0 is not None:
+            for i, v in enumerate(_typed(x0, _ARRAY, "x0")):
+                _number(v, f"x0[{i}]")
+        checks = tuple(_typed(cfg.get("checks", []), _ARRAY, "checks"))
         for i, c in enumerate(checks):
-            name = c.get("name")
+            name = _typed(c, dict, f"checks[{i}]").get("name")
             if name not in _CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}", f"checks[{i}].name")
-            w = c.get("window")
-            if w is not None and not (0 <= int(w[0]) < int(w[1]) <= N):
-                raise ConfigError(
-                    f"window {w} not within [0, {N}]", f"checks[{i}].window"
-                )
-        diags = tuple(cfg.get("diagnostics", ()))
+            if c.get("window") is not None:
+                _window(c["window"], 0, N, f"checks[{i}].window")
+        diags = tuple(_typed(cfg.get("diagnostics", []), _ARRAY, "diagnostics"))
         for i, dg in enumerate(diags):
-            if dg.get("name") not in _DIAGNOSTIC_NAMES:
-                raise ConfigError(
-                    f"unknown diagnostic {dg.get('name')!r}", f"diagnostics[{i}].name"
-                )
+            name = _typed(dg, dict, f"diagnostics[{i}]").get("name")
+            if name not in _DIAGNOSTIC_NAMES:
+                raise ConfigError(f"unknown diagnostic {name!r}", f"diagnostics[{i}].name")
         theorem = cfg.get("theorem")
         if theorem is not None and theorem not in hypotheses.THEOREM_IDS:
             raise ConfigError(f"unknown theorem id {theorem!r}", "theorem")
         rw = cfg.get("rate_window")
         if rw is not None:
-            rw = (int(rw[0]), int(rw[1]))
-            if not (1 <= rw[0] < rw[1] <= N):
-                raise ConfigError(f"rate_window {rw} not within [1, {N}]", "rate_window")
+            rw = _window(rw, 1, N, "rate_window")
+        radius = _number(cfg.get("near_trap_radius", 1e-2), "near_trap_radius")
+        if not 0 < radius < np.inf:
+            raise ConfigError(f"must be positive and finite, got {radius!r}", "near_trap_radius")
+        max_blowup = _number(cfg.get("max_blowup_fraction", 0.5), "max_blowup_fraction")
+        if not 0 <= max_blowup <= 1:
+            raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
+        output = _typed(cfg.get("output", {}), dict, "output")
+        if "trajectories" in output:
+            _integer(output["trajectories"], "output.trajectories", lo=0)
+        if "dir" in output:
+            _typed(output["dir"], str, "output.dir")
         return ExperimentConfig(
-            model=dict(cfg["model"]),
-            schedule=dict(cfg["schedule"]),
+            model=dict(model),
+            schedule=dict(schedule),
             N=N,
-            n_runs=int(cfg["n_runs"]),
-            master_seed=int(cfg["master_seed"]),
-            x0=cfg.get("x0"),
+            n_runs=n_runs,
+            master_seed=master_seed,
+            x0=x0,
             checks=checks,
             diagnostics=diags,
             theorem=theorem,
             rate_window=rw,
-            near_trap_radius=float(cfg.get("near_trap_radius", 1e-2)),
-            max_blowup_fraction=float(cfg.get("max_blowup_fraction", 0.5)),
-            output=dict(cfg.get("output", {})),
+            near_trap_radius=radius,
+            max_blowup_fraction=max_blowup,
+            output=dict(output),
             raw=dict(cfg),
         )
 
@@ -490,6 +545,11 @@ def run_experiment(
     if with_checks:
         lo = config.rate_window[0] if config.rate_window else max(10, config.N // 100)
         hi = config.rate_window[1] if config.rate_window else config.N
+        if not lo < hi:
+            raise ConfigError(
+                f"default rate window ({lo}, {hi}) is empty; set rate_window or N > {lo}",
+                "N",
+            )
         rates = sequences.rate_constants(schedule, (lo, hi))
         split, mu_eff, nu_eff = _resolve_split_and_constants(model)
         doc["rates"] = rates.to_dict()
@@ -558,6 +618,8 @@ def run_experiment(
 
 def _cmd_experiment(args, with_checks: bool) -> int:
     try:
+        if args.workers < 1:
+            raise ConfigError(f"must be >= 1, got {args.workers}", "workers")
         config = ExperimentConfig.load(args.config)
         if args.seed is not None:
             raw = dict(config.raw)

@@ -258,13 +258,18 @@ def synthetic_field(
     """
     xb, lead = _as_batch(x)
     k = int(delta_plus)
-    y = xb.copy()
-    y[:, k:] = np.abs(xb[:, k:]) ** (1.0 + nu)
-    head = y[:, :k] if f_plus is None else np.asarray(f_plus(y), dtype=np.float64)
-    if head.shape != (xb.shape[0], k):
-        raise ValueError(f"f_plus must return shape (B, {k}), got {head.shape}")
-    tail = mu * xb[:, k:]
-    return np.concatenate([head, tail], axis=1).reshape(*lead, xb.shape[1])
+    out = np.empty_like(xb)
+    if f_plus is None:
+        out[:, :k] = xb[:, :k]  # the identity head never reads the rectified tail
+    else:
+        y = xb.copy()
+        y[:, k:] = np.abs(xb[:, k:]) ** (1.0 + nu)
+        head = np.asarray(f_plus(y), dtype=np.float64)
+        if head.shape != (xb.shape[0], k):
+            raise ValueError(f"f_plus must return shape (B, {k}), got {head.shape}")
+        out[:, :k] = head
+    np.multiply(mu, xb[:, k:], out=out[:, k:])
+    return out.reshape(*lead, xb.shape[1])
 
 
 class SyntheticModel(Model):

@@ -1,9 +1,19 @@
 """Tests for the config layer, canonical JSON output, and the CLI commands."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapcheck import engine
 from trapcheck.cli import (
@@ -496,3 +506,80 @@ class TestExperimentCommands:
 
     def test_report_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1
+
+
+class TestConfigErrors:
+    """Malformed configs end in one ``error: <path>: ...`` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "override, argv, path",
+        [
+            ({"N": "abc"}, [], "N"),
+            ({"N": 0}, [], "N"),
+            ({"n_runs": 0}, [], "n_runs"),
+            ({"checks": ["remainder"]}, [], "checks[0]"),
+            ({"master_seed": -1}, [], "master_seed"),
+            ({}, ["--workers", "0"], "workers"),
+        ],
+    )
+    def test_bad_field_exits_one_with_dotted_path(self, tmp_path, capsys, override, argv, path):
+        p = write_config(tmp_path, base_config(**override))
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    _FIELDS = (
+        "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
+        "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
+    )
+    _VALUES = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(-3, 3),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=4),
+        st.lists(st.integers(-3, 3), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate", "check"]),
+        key=st.sampled_from(_FIELDS),
+        value=_VALUES,
+    )
+    def test_swapped_field_never_gives_a_traceback(self, command, key, value):
+        cfg = base_config(
+            N=60,
+            n_runs=4,
+            checks=[{"name": "remainder"}, {"name": "noise_excitation"}],
+            diagnostics=[{"name": "apt"}],
+        )
+        cfg[key] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            p = write_config(Path(tmp), cfg)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(p), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapcheck", "spectral", "[[1,0],[0,-2]]"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "classification=unstable_hyperbolic" in proc.stdout
+    assert proc.stderr == ""

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import trapcheck.engine as engine
@@ -8,9 +12,11 @@ from trapcheck import (
     CaptureSpec,
     InsufficientRecordsError,
     LinearModel,
+    MeanFieldVrrwModel,
     Model,
     Schedule,
     SequenceSpec,
+    SyntheticModel,
     VrrwConfig,
     VrrwWalkModel,
     combine_increment,
@@ -255,6 +261,117 @@ class TestMonteCarlo:
         sums = traj.states.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         assert traj.states.min() >= -1e-12
+
+
+def _ensemble_case(kind, d, alpha, seed, N):
+    """(model, schedule, x0) for one model kind of dimension ``d``."""
+    if kind == "linear":
+        H = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(d, d))
+        m = LinearModel(H, id="lin")
+        return m, harmonic(N), np.full(d, 0.1)
+    if kind == "synthetic":
+        m = SyntheticModel(dim=d, delta_plus=1 + seed % (d - 1))
+        return m, harmonic(N), np.zeros(d)
+    cls = VrrwWalkModel if kind == "vrrw_walk" else MeanFieldVrrwModel
+    m = cls(VrrwConfig.complete(d, alpha))
+    return m, m.natural_schedule(N), m.initial_state()
+
+
+_DIMS = {"linear": (1, 3), "synthetic": (2, 4), "vrrw_walk": (2, 12), "vrrw_meanfield": (2, 12)}
+
+
+class TestDeterminismProperty:
+    """Run i alone equals row i of the ensemble under every chunking, with
+    blocks small enough that every run crosses block edges, and draw tiles
+    small enough that batches span several, the last one partly filled."""
+
+    @pytest.mark.parametrize("kind", sorted(_DIMS))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_lone_runs_for_any_worker_count(self, kind, data):
+        d = data.draw(st.integers(*_DIMS[kind]), label="d")
+        alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="alpha")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n_runs = data.draw(st.integers(3, 7), label="n_runs")
+        N = 300
+        m, s, x0 = _ensemble_case(kind, d, alpha, seed, N)
+        with (
+            mock.patch.object(engine, "_RAW_BLOCK", 64),
+            mock.patch.object(engine, "_DRAW_TILE", 2),
+        ):
+            outs = [
+                monte_carlo(m, s, x0, N, n_runs, master_seed=seed, workers=w)
+                for w in (1, 2, 3)
+            ]
+            lone = [
+                run(m, s, x0, N, seed=engine._seed_for_run(seed, i)).states[-1]
+                for i in range(n_runs)
+                if not outs[0].blown_up[i]
+            ]
+        for other in outs[1:]:
+            assert np.array_equal(outs[0].terminal_states, other.terminal_states)
+            assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
+            assert np.array_equal(outs[0].blown_up, other.blown_up)
+        assert np.array_equal(outs[0].terminal_states[outs[0].ok], np.array(lone).reshape(-1, d))
+
+
+class JumpModel(Model):
+    """x stays 0 until step ``k``, where the step's draw sends it to NaN,
+    +inf, exactly ``bound``, the next double above ``bound``, or 1; after
+    that it drifts down by the draw each step (unit schedule, so
+    ``X_{k+1}`` is the target exactly)."""
+
+    id = "jump"
+    dim = 1
+    n_raw = 1
+    k = 40
+    bound = 1e6
+    targets = (np.nan, np.inf, bound, np.nextafter(bound, np.inf), 1.0)
+
+    def field(self, x):
+        return np.zeros_like(x)
+
+    def noise(self, x, n, raw):
+        if n < self.k:
+            return np.zeros_like(raw)
+        if n > self.k:
+            return -raw
+        return np.asarray(self.targets)[(raw * len(self.targets)).astype(np.int64)]
+
+
+class TestBlowupGuard:
+    def test_rows_blow_up_exactly_by_the_rule(self):
+        m = JumpModel()
+        N, n_runs, seed = 100, 24, 3
+        s = Schedule(
+            gamma=SequenceSpec("const", value=1.0),
+            c=SequenceSpec("const", value=1.0),
+            horizon=N,
+        )
+        summary = monte_carlo(m, s, np.zeros(1), N, n_runs, master_seed=seed,
+                              blowup_bound=m.bound)
+        # which target each row hits: its stream's draw at step k
+        which = np.array([
+            int(np.random.Generator(np.random.Philox(engine._seed_for_run(seed, i)))
+                .random((N, 1))[m.k, 0] * len(m.targets))
+            for i in range(n_runs)
+        ])
+        assert set(which) == set(range(len(m.targets)))  # every case is exercised
+        blown = which < 2  # NaN and +inf
+        blown |= which == 3  # one ulp above the bound; exactly the bound is not out
+        assert np.array_equal(summary.blown_up, blown)
+        assert np.array_equal(summary.blowup_step, np.where(blown, m.k + 1, 0))
+        for i in range(n_runs):
+            if blown[i]:
+                with pytest.raises(BlowUpError) as ei:
+                    run(m, s, np.zeros(1), N, seed=engine._seed_for_run(seed, i),
+                        blowup_bound=m.bound)
+                assert ei.value.step == m.k + 1
+            else:
+                traj = run(m, s, np.zeros(1), N, seed=engine._seed_for_run(seed, i),
+                           blowup_bound=m.bound)
+                assert np.array_equal(traj.states[-1], summary.terminal_states[i])
+                assert traj.states[m.k + 1, 0] == m.targets[which[i]]
 
 
 class TestDecomposition:
