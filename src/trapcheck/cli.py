@@ -23,6 +23,7 @@ import datetime
 import hashlib
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -41,16 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_CHECK_NAMES = (
-    "noise_excitation",
-    "remainder",
-    "drift_sign",
-    "rate_condition",
-    "jump_moments",
-    "tail_noise",
-)
-_DIAGNOSTIC_NAMES = ("apt", "manifold_rate")
 
 #: Hard cap on contiguous increment-capture windows (memory guard).
 _MAX_CONTIGUOUS_WINDOW = 20_000
@@ -84,6 +75,80 @@ def _integer(value, path: str, lo: Optional[int] = None) -> int:
     if lo is not None and value < lo:
         raise ConfigError(f"must be >= {lo}, got {value}", path)
     return value
+
+
+def _positive(value, path: str) -> float:
+    """A positive finite JSON number."""
+    x = _number(value, path)
+    if not 0 < x < np.inf:
+        raise ConfigError(f"must be positive and finite, got {value!r}", path)
+    return x
+
+
+def _nonnegative(value, path: str) -> float:
+    """A non-negative finite JSON number."""
+    x = _number(value, path)
+    if not 0 <= x < np.inf:
+        raise ConfigError(f"must be non-negative and finite, got {value!r}", path)
+    return x
+
+
+def _finite(value, path: str) -> float:
+    """A finite JSON number."""
+    x = _number(value, path)
+    if not np.isfinite(x):
+        raise ConfigError(f"must be finite, got {value!r}", path)
+    return x
+
+
+def _moment_exponent(value, path: str) -> float:
+    """A finite JSON number above 2 (the moment conditions need a > 2)."""
+    x = _number(value, path)
+    if not 2 < x < np.inf:
+        raise ConfigError(f"moment exponent must exceed 2 and be finite, got {value!r}", path)
+    return x
+
+
+def _count(value, path: str) -> int:
+    return _integer(value, path, lo=1)
+
+
+def _one_of(*options):
+    def parse(value, path: str):
+        if isinstance(value, bool) or value not in options:
+            raise ConfigError(f"must be one of {', '.join(options)}, got {value!r}", path)
+        return value
+
+    return parse
+
+
+#: Each check's optional parameters and the parser that checks one; the
+#: pipeline reads the parsed values.
+_CHECK_PARAMS = {
+    "noise_excitation": {"k": _count, "a": _moment_exponent, "threshold": _nonnegative},
+    "remainder": {"mode": _one_of("square_summable", "split_r"), "nu": _positive},
+    "drift_sign": {"rho": _positive, "mode": _one_of("nonneg", "coercive"), "beta": _finite},
+    "rate_condition": {"nu": _positive},
+    "jump_moments": {"a": _moment_exponent, "k": _count},
+    "tail_noise": {"nu": _positive},
+}
+_DIAGNOSTIC_PARAMS = {
+    "apt": {"T": _positive, "n_restarts": _count, "normalization": _one_of("scale", "absolute")},
+    "manifold_rate": {},
+}
+
+
+def _entry(value, path: str, params: dict, kind: str) -> dict:
+    """A check or diagnostic object with a known name and its parameters
+    parsed (the others are kept as given)."""
+    name = _typed(value, dict, path).get("name")
+    if not isinstance(name, str) or name not in params:
+        raise ConfigError(f"unknown {kind} {name!r}", f"{path}.name")
+    out = dict(value)
+    for key, parse in params[name].items():
+        if key in value:
+            out[key] = parse(value[key], f"{path}.{key}")
+    return out
 
 
 def _window(value, lo: int, N: int, path: str) -> tuple:
@@ -165,7 +230,9 @@ class ExperimentConfig:
                 "master_seed",
             )
         model = _typed(cfg["model"], dict, "model")
-        schedule = _typed(cfg["schedule"], dict, "schedule")
+        schedule = dict(_typed(cfg["schedule"], dict, "schedule"))
+        if "horizon" in schedule:
+            schedule["horizon"] = _integer(schedule["horizon"], "schedule.horizon", lo=1)
         N = _integer(cfg["N"], "N", lo=1)
         n_runs = _integer(cfg["n_runs"], "n_runs", lo=1)
         master_seed = _integer(cfg["master_seed"], "master_seed", lo=0)
@@ -173,27 +240,23 @@ class ExperimentConfig:
         if x0 is not None:
             for i, v in enumerate(_typed(x0, _ARRAY, "x0")):
                 _number(v, f"x0[{i}]")
-        checks = tuple(_typed(cfg.get("checks", []), _ARRAY, "checks"))
-        for i, c in enumerate(checks):
-            name = _typed(c, dict, f"checks[{i}]").get("name")
-            if name not in _CHECK_NAMES:
-                raise ConfigError(f"unknown check {name!r}", f"checks[{i}].name")
+        checks = []
+        for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
+            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check")
             if c.get("window") is not None:
-                _window(c["window"], 0, N, f"checks[{i}].window")
-        diags = tuple(_typed(cfg.get("diagnostics", []), _ARRAY, "diagnostics"))
-        for i, dg in enumerate(diags):
-            name = _typed(dg, dict, f"diagnostics[{i}]").get("name")
-            if name not in _DIAGNOSTIC_NAMES:
-                raise ConfigError(f"unknown diagnostic {name!r}", f"diagnostics[{i}].name")
+                c["window"] = _window(c["window"], 0, N, f"checks[{i}].window")
+            checks.append(c)
+        diags = tuple(
+            _entry(dg, f"diagnostics[{i}]", _DIAGNOSTIC_PARAMS, "diagnostic")
+            for i, dg in enumerate(_typed(cfg.get("diagnostics", []), _ARRAY, "diagnostics"))
+        )
         theorem = cfg.get("theorem")
         if theorem is not None and theorem not in hypotheses.THEOREM_IDS:
             raise ConfigError(f"unknown theorem id {theorem!r}", "theorem")
         rw = cfg.get("rate_window")
         if rw is not None:
             rw = _window(rw, 1, N, "rate_window")
-        radius = _number(cfg.get("near_trap_radius", 1e-2), "near_trap_radius")
-        if not 0 < radius < np.inf:
-            raise ConfigError(f"must be positive and finite, got {radius!r}", "near_trap_radius")
+        radius = _positive(cfg.get("near_trap_radius", 1e-2), "near_trap_radius")
         max_blowup = _number(cfg.get("max_blowup_fraction", 0.5), "max_blowup_fraction")
         if not 0 <= max_blowup <= 1:
             raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
@@ -204,12 +267,12 @@ class ExperimentConfig:
             _typed(output["dir"], str, "output.dir")
         return ExperimentConfig(
             model=dict(model),
-            schedule=dict(schedule),
+            schedule=schedule,
             N=N,
             n_runs=n_runs,
             master_seed=master_seed,
             x0=x0,
-            checks=checks,
+            checks=tuple(checks),
             diagnostics=diags,
             theorem=theorem,
             rate_window=rw,
@@ -283,14 +346,14 @@ def _build_model(spec: dict) -> models.Model:
 def _build_schedule(spec: dict, model: models.Model, N: int) -> sequences.Schedule:
     spec = dict(spec)
     spec.setdefault("horizon", N)
-    if int(spec["horizon"]) < N:
+    if spec["horizon"] < N:
         raise ConfigError(f"horizon {spec['horizon']} < N={N}", "schedule.horizon")
     if spec.get("kind") == "natural":
         if not hasattr(model, "natural_schedule"):
             raise ConfigError(
                 f"model {model.id} has no natural schedule", "schedule.kind"
             )
-        return model.natural_schedule(int(spec["horizon"]))
+        return model.natural_schedule(spec["horizon"])
     return sequences.Schedule.from_config(spec)
 
 
@@ -318,10 +381,9 @@ def _capture_plan(config: ExperimentConfig, with_checks: bool):
         state_idx.update(_diag_state_grid(N).tolist())
     for c in config.checks:
         name = c["name"]
-        lo, hi = c.get("window", (max(1, N // 10), N))
-        lo, hi = int(lo), int(hi)
+        lo, hi = c.get("window") or (max(1, N // 10), N)
         if name in ("noise_excitation", "jump_moments"):
-            k = int(c.get("k", 1))
+            k = c.get("k", 1)
             base = np.unique(
                 np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64)
             )
@@ -372,10 +434,10 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
     a_used, k_used = None, None
     for c in config.checks:
         name = c["name"]
-        window = tuple(c["window"]) if "window" in c else None
+        window = c.get("window")
         if name == "noise_excitation":
-            k = int(c.get("k", 1))
-            a = float(c.get("a", 4.0))
+            k = c.get("k", 1)
+            a = c.get("a", 4.0)
             k_used = max(k_used or 0, k)
             a_used = a
             use_split = split if (split is not None and split.delta_plus >= 1) else None
@@ -386,7 +448,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                     k=k,
                     a=a,
                     window=window,
-                    threshold=float(c.get("threshold", hypotheses.DEFAULT_EXCITATION_THRESHOLD)),
+                    threshold=c.get("threshold", hypotheses.DEFAULT_EXCITATION_THRESHOLD),
                 )
             )
         elif name == "remainder":
@@ -394,7 +456,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                 hypotheses.check_remainder(
                     summary.trajectory(0),
                     mode=c.get("mode", "square_summable"),
-                    nu=float(c.get("nu", nu_eff or 1.0)),
+                    nu=c.get("nu", nu_eff or 1.0),
                     window=window,
                     schedule=schedule,
                 )
@@ -414,9 +476,9 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                 hypotheses.check_drift_sign(
                     summary.trajectory(0),
                     x_star,
-                    rho=float(c.get("rho", 1.0)),
+                    rho=c.get("rho", 1.0),
                     mode=c.get("mode", "nonneg"),
-                    beta=float(c.get("beta", 0.0)),
+                    beta=c.get("beta", 0.0),
                     window=window,
                     adapted=adapted,
                     project=project,
@@ -429,7 +491,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
             ref = split if (split is not None and mu_eff is None) else float(mu_eff)
             conds.append(hypotheses.check_rate_condition(rates, ref, float(nu)))
         elif name == "jump_moments":
-            a = float(c.get("a", 4.0))
+            a = c.get("a", 4.0)
             a_used = a
             conds.append(
                 hypotheses.check_jump_moments(summary, a=a, schedule=schedule, window=window)
@@ -445,7 +507,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                     )
                 )
             else:
-                nu = float(c.get("nu", nu_eff or 1.0))
+                nu = c.get("nu", nu_eff or 1.0)
                 conds.append(
                     hypotheses.check_tail_noise_condition(
                         summary, split, nu, schedule, window=window
@@ -472,9 +534,9 @@ def _run_diagnostics(config, model, schedule, summary, split):
                 summary,
                 schedule,
                 model.field,
-                T=float(dg.get("T", 1.0)),
+                T=dg.get("T", 1.0),
                 normalization=dg.get("normalization", "scale"),
-                n_restarts=int(dg.get("n_restarts", 48)),
+                n_restarts=dg.get("n_restarts", 48),
             )
             out["apt"] = {
                 "median_rate": res.median,
@@ -508,7 +570,22 @@ def run_experiment(
     with_checks: bool = True,
 ) -> tuple[int, dict]:
     """Execute a config end to end; returns (exit_code, summary dict) and
-    writes ``summary.json`` (plus optional trajectory/diagnostic CSVs)."""
+    writes ``summary.json`` (plus optional trajectory/diagnostic CSVs).
+
+    ``meta.timings_s`` holds the wall seconds of each stage that ran:
+    ``simulate`` (building the model and the ensemble), ``checks`` and
+    ``diagnostics`` (the ensemble ones; ``check`` only), and ``io`` (the
+    CSVs, with the kept run's diagnostic paths; ``summary.json`` is written
+    after it).
+    """
+    marks = [time.perf_counter()]
+
+    def lap() -> float:
+        """Seconds since the previous lap, or since the start."""
+        marks.append(time.perf_counter())
+        return marks[-1] - marks[-2]
+
+    timings = {}
     model = _build_model(config.model)
     schedule = _build_schedule(config.schedule, model, config.N)
     x0 = _x0_of(config, model)
@@ -529,6 +606,7 @@ def run_experiment(
             f"{summary.blowup_count}/{config.n_runs} runs blew up "
             f"(limit {config.max_blowup_fraction:.0%})"
         )
+    timings["simulate"] = lap()
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -574,7 +652,9 @@ def run_experiment(
             ),
         )
         doc["report"] = report.to_dict()
+        timings["checks"] = lap()
         doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary, split)
+        timings["diagnostics"] = lap()
         if report.verdict == "fail":
             exit_code = 2
 
@@ -594,7 +674,7 @@ def run_experiment(
         for dg in config.diagnostics:
             if dg["name"] == "apt":
                 flow.apt_deficit(
-                    path, model.field, T=float(dg.get("T", 1.0)),
+                    path, model.field, T=dg.get("T", 1.0),
                     normalization=dg.get("normalization", "scale"),
                 ).to_csv(ddir / "apt.csv")
             elif dg["name"] == "manifold_rate" and model.manifold_K is not None:
@@ -602,10 +682,12 @@ def run_experiment(
                     ddir / "manifold_rate.csv"
                 )
 
+    timings["io"] = lap()
     doc_meta = dict(doc)
     doc_meta["meta"] = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "workers": int(workers),
+        "timings_s": timings,
     }
     (out / "summary.json").write_text(canonical_json(doc_meta))
     return exit_code, doc_meta
@@ -730,6 +812,9 @@ def _cmd_report(args) -> int:
         print(_report_text(doc["report"]))
     for name, vals in (doc.get("diagnostics") or {}).items():
         print(f"diagnostic {name}: {vals}")
+    timings = (doc.get("meta") or {}).get("timings_s")
+    if timings:
+        print("timings: " + ", ".join(f"{k} {v:.3f} s" for k, v in timings.items()))
     return 0
 
 

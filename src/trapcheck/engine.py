@@ -160,10 +160,15 @@ class CaptureSpec:
     """What an ensemble keeps besides its summary statistics.
 
     state_indices:
-        Times n at which every run's state is stored (for diagnostics).
+        Times n at which every run's state is stored (for diagnostics),
+        runs first: ``(n_runs, len(state_indices), d)``.
     increment_indices:
         Step indices at which (g, eps, rem) are stored across runs (for
-        hypothesis checks needing cross-run means at fixed n).
+        hypothesis checks needing cross-run means at fixed n).  They are
+        stored step-major, ``(len(increment_indices), n_runs, d)``, so a
+        captured step is one contiguous write and the checkers' per-step
+        means over runs reduce along a contiguous axis;
+        :class:`EnsembleSummary` shows them runs-first.
     full_runs:
         Run indices whose full record is kept, as :func:`run` returns it by
         default: every state, and (g, eps, rem) every ``thinning`` steps (1
@@ -200,6 +205,11 @@ class CaptureSpec:
 class EnsembleSummary:
     """Order-insensitive reduction of an ensemble (arrays indexed by run).
 
+    ``captured_g``/``captured_eps``/``captured_rem`` have shape
+    ``(n_runs, len(increment_indices), d)`` but are transposed views of
+    step-major storage (see :class:`CaptureSpec`); ``captured_states`` is
+    stored runs-first.
+
     ``sup_tail_distance[r]`` is run r's sup of ``||X_n - x*||`` over
     ``n in [tail_from, N]`` — the finite-horizon stand-in for "the run
     converges to the trap" (limits are unobservable at finite N).  Blown-up
@@ -218,7 +228,7 @@ class EnsembleSummary:
     capture_times: np.ndarray
     captured_states: Optional[np.ndarray]  # (n_runs, len(capture_times), d)
     increment_indices: np.ndarray
-    captured_g: Optional[np.ndarray]  # (n_runs, len(increment_indices), d)
+    captured_g: Optional[np.ndarray]  # (n_runs, len(increment_indices), d) view
     captured_eps: Optional[np.ndarray]
     captured_rem: Optional[np.ndarray]
     blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
@@ -355,7 +365,7 @@ def _drive(
     state_idx = np.asarray(capture.state_indices, dtype=np.int64)
     inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
-    cap_g = np.empty((B, len(inc_idx), d)) if len(inc_idx) else None
+    cap_g = np.empty((len(inc_idx), B, d)) if len(inc_idx) else None  # step-major
     cap_eps = np.empty_like(cap_g) if cap_g is not None else None
     cap_rem = np.empty_like(cap_g) if cap_g is not None else None
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
@@ -401,7 +411,7 @@ def _drive(
 
             if n in inc_pos:
                 k = inc_pos[n]
-                cap_g[:, k], cap_eps[:, k], cap_rem[:, k] = g, eps, rem
+                cap_g[k], cap_eps[k], cap_rem[k] = g, eps, rem
             if n in parts_pos:
                 k = parts_pos[n]
                 parts[0, :, k], parts[1, :, k], parts[2, :, k] = g[keep], eps[keep], rem[keep]
@@ -613,11 +623,15 @@ def monte_carlo(
 
     # chunks are consecutive slices of the run range, in submission order, so
     # concatenation is in run order and never depends on scheduling
-    def _merge(key):
+    def _merge(key, axis=0):
         vals = [r[key] for r in results]
         if vals[0] is None:
             return None
-        return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=0)
+        return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=axis)
+
+    def _runs_first(key):
+        steps = _merge(key, axis=1)
+        return None if steps is None else steps.transpose(1, 0, 2)
 
     full_runs = {}
     for r in results:
@@ -639,9 +653,9 @@ def monte_carlo(
         capture_times=np.asarray(capture.state_indices, dtype=np.int64),
         captured_states=_merge("cap_states"),
         increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
-        captured_g=_merge("cap_g"),
-        captured_eps=_merge("cap_eps"),
-        captured_rem=_merge("cap_rem"),
+        captured_g=_runs_first("cap_g"),
+        captured_eps=_runs_first("cap_eps"),
+        captured_rem=_runs_first("cap_rem"),
         blowup_step=_merge("blowup_step"),
         full_runs=full_runs,
     )

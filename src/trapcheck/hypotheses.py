@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
@@ -160,14 +161,30 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _captured_window(summary: EnsembleSummary, captured, window):
+    """(ns, pieces) of one increment capture over the window and the
+    non-blown runs, ``pieces`` of shape (runs, len(ns), d).
+
+    ``pieces`` is always a runs-first view of step-major memory, the layout
+    the checkers' reductions were written against (the per-step means over
+    runs then reduce along a contiguous axis, and their bits depend on it).
+    The engine stores captures that way, so this is a slice, not a copy,
+    unless some run blew up; captures held runs-first are copied into it.
+    """
+    if captured is None:
+        raise InsufficientRecordsError("ensemble was run without increment captures")
+    ns = summary.increment_indices  # sorted and unique
+    lo, hi = (ns[0], ns[-1] + 1) if window is None else (window[0], window[1])
+    a, b = np.searchsorted(ns, [lo, hi])
+    steps = captured.transpose(1, 0, 2)[a:b]
+    if summary.blown_up.any():
+        steps = np.compress(summary.ok, steps, axis=1)  # C order: no second copy
+    return ns[a:b], np.ascontiguousarray(steps).transpose(1, 0, 2)
+
+
 def _ensemble_eps(summary: EnsembleSummary, window):
     """(ns, eps) restricted to the window and to non-blown runs."""
-    if summary.captured_eps is None:
-        raise InsufficientRecordsError("ensemble was run without increment captures")
-    ns = summary.increment_indices
-    lo, hi = (ns[0], ns[-1] + 1) if window is None else (window[0], window[1])
-    mask = (ns >= lo) & (ns < hi)
-    return ns[mask], summary.captured_eps[summary.ok][:, mask, :]
+    return _captured_window(summary, summary.captured_eps, window)
 
 
 def _window_of(ns, window):
@@ -214,17 +231,16 @@ def check_noise_excitation(
     ma = np.mean(np.sum(eps**2, axis=-1) ** (a / 2.0), axis=0)
 
     # k-windows need k consecutive captured indices
-    sums = []
-    for i in range(len(ns) - k + 1):
-        if ns[i + k - 1] == ns[i] + k - 1:
-            sums.append(float(np.sum(m2[i : i + k])))
-    if not sums:
+    n_starts = max(len(ns) - k + 1, 0)
+    starts = np.flatnonzero(ns[k - 1 : k - 1 + n_starts] == ns[:n_starts] + (k - 1))
+    if not len(starts):
         return ConditionResult(
             "noise_excitation",
             "inconclusive",
             {"reason": f"no {k} consecutive captured steps in window"},
             threshold,
         )
+    sums = sliding_window_view(m2, k)[starts].sum(axis=1)  # np.sum(m2[i:i+k]) bits
     liminf_proxy = float(np.min(sums))
     limsup_proxy = float(np.max(ma))
     ok = liminf_proxy > threshold and np.isfinite(limsup_proxy)
@@ -252,12 +268,7 @@ def _remainder_series(obj: Union[Trajectory, EnsembleSummary], window):
         rem = obj.rem[mask][None, :, :]
         ns = ns[mask]
     else:
-        if obj.captured_rem is None:
-            raise InsufficientRecordsError("ensemble was run without increment captures")
-        ns = obj.increment_indices
-        mask = _window_of(ns, window)
-        rem = obj.captured_rem[obj.ok][:, mask, :]
-        ns = ns[mask]
+        ns, rem = _captured_window(obj, obj.captured_rem, window)
     if len(ns) and np.any(np.diff(ns) != 1):
         raise InsufficientRecordsError("remainder check needs a contiguous step window")
     sq = np.mean(np.sum(rem**2, axis=-1), axis=0)

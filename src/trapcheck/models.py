@@ -383,16 +383,75 @@ class VrrwConfig:
         return np.full(self.d, 1.0 / self.d)
 
 
-def _vrrw_pieces(vb: np.ndarray, cfg: VrrwConfig):
-    """(v^alpha, S, H) with S_i = sum_j A_ij v_j^alpha and H = sum_i v_i^a S_i,
-    accumulated column-by-column for batch-size independence."""
-    v_alpha = vb**cfg.alpha
-    S = np.zeros_like(vb)
-    A = cfg.A
-    for j in range(cfg.d):
-        S += v_alpha[:, j : j + 1] * A[:, j][None, :]
-    H = np.sum(v_alpha * S, axis=1)
-    return v_alpha, S, H
+def _pairwise_sum(cols: np.ndarray) -> np.ndarray:
+    """numpy's pairwise summation of ``cols[0], ..., cols[n-1]``, one column
+    per term: in order up to 7 terms, eight interleaved accumulators up to
+    128, and halves cut at a multiple of 8 above that."""
+    n = len(cols)
+    if n < 8:
+        out = cols[0] + 0.0  # the running sum starts from +0.0
+        for c in cols[1:]:
+            out += c
+        return out
+    if n <= 128:
+        r = cols[:8].copy()
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r += cols[i : i + 8]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in cols[stop:]:
+            out += c
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+
+
+def _row_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of ``cols`` (shape (n, B)), with the bits of
+    ``np.sum(cols.T, axis=1)`` on C-contiguous rows.
+
+    That reduction starts from +0.0 and adds each row's pairwise sum (see
+    :func:`_pairwise_sum`); this helper adds the same terms in the same order,
+    one whole column per operation, so a run's sums do not depend on the
+    layout the batch is kept in.  A plain left fold differs from ``np.sum``
+    from n = 8 on.  Below 8 terms the running sum starts at +0.0 and can
+    never be -0.0, so the outer ``0.0 +`` is skipped.  Non-NaN results are
+    bitwise equal; which NaN survives when two meet follows the operand
+    order numpy's compiler chose, and is not reproduced.
+    """
+    if len(cols) < 8:
+        return _pairwise_sum(cols)
+    return 0.0 + _pairwise_sum(cols)
+
+
+def _cumsum_cols(cols: np.ndarray) -> np.ndarray:
+    """Running sums over the leading axis of ``cols`` (shape (n, B)), bitwise
+    ``np.cumsum`` along it, with one operation per column instead of one
+    inner loop per run."""
+    out = np.empty_like(cols)
+    out[0] = cols[0]
+    for j in range(1, len(cols)):
+        np.add(out[j - 1], cols[j], out=out[j])
+    return out
+
+
+def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig):
+    """(P, H) at states given as columns ``vt`` (shape (d, B), one column per
+    run): ``P_i = v_i^alpha S_i`` with ``S_i = sum_j A_ij v_j^alpha``, and
+    ``H = sum_i P_i``, so ``pi = P / H`` is the walker's stationary law.
+
+    The column form does each step as one operation over all runs (a
+    ``(B, 1)`` broadcast or an ``axis=1`` reduction costs one inner loop per
+    run).  S accumulates ``A_ij v_j^alpha`` in order j = 0..d-1 from zero and
+    H adds as ``np.sum(..., axis=1)`` does (:func:`_row_sum`), so each run's
+    bits equal the row-wise formulas and do not depend on the batch.
+    """
+    v_alpha = vt**cfg.alpha
+    S = np.zeros(vt.shape)
+    for j, A_j in enumerate(cfg.A.T[:, :, None]):
+        S += A_j * v_alpha[j]
+    P = v_alpha * S
+    return P, _row_sum(P)
 
 
 def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndarray:
@@ -409,12 +468,12 @@ def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndar
     if validate:
         if np.abs(vb.sum(axis=1) - 1.0).max() > 1e-9 or vb.min() < -1e-12:
             raise ValueError("points must lie on the probability simplex")
-    v_alpha, S, H = _vrrw_pieces(vb, cfg)
-    if np.any(H <= 0.0) or not np.all(np.isfinite(H)):
+    P, H = _vrrw_pieces(vb.T, cfg)
+    if (H <= 0.0).any() or not np.isfinite(H).all():
         raise SingularDenominatorError(
             "interaction normalization H(v) is not positive at some point"
         )
-    f = v_alpha * S / H[:, None] - vb
+    f = (P / H).T - vb  # row-major again, like the input
     return f.reshape(*lead, cfg.d)
 
 
@@ -505,6 +564,8 @@ class VrrwWalkModel(Model):
         self.start_vertex = int(start_vertex)
         self.id = id or f"vrrw_walk_d{cfg.d}_a{cfg.alpha:g}"
         self.trap = _vrrw_trap(cfg)
+        self._A_T = np.ascontiguousarray(cfg.A.T)
+        self._vertices = np.arange(cfg.d)[:, None]
 
     def field(self, x):
         return vrrw_field(x, self.cfg, validate=False)
@@ -527,26 +588,24 @@ class VrrwWalkModel(Model):
         return {"counts": counts, "cur": cur}
 
     def step_parts(self, x, n, raw, aux):
+        # column form, (d, B): see _vrrw_pieces
         counts, cur = aux["counts"], aux["cur"]
-        B = x.shape[0]
-        rows = np.arange(B)
-        w = self.cfg.A[cur] * counts**self.cfg.alpha
-        w[rows, cur] = 0.0
-        tot = np.sum(w, axis=1)
-        if np.any(tot <= 0):
+        rows = np.arange(x.shape[0])
+        w = self._A_T.take(cur, axis=1) * counts.T**self.cfg.alpha  # A[cur_b, j] c_bj^a
+        w[cur, rows] = 0.0
+        tot = _row_sum(w)
+        if (tot <= 0).any():
             raise StuckWalkError("no admissible transition for some run")
-        u = raw[:, 0]
-        c = np.cumsum(w, axis=1)  # see vrrw_walk_step for why c[:, -1]
-        nxt = (u[:, None] * c[:, -1:] >= c).sum(axis=1)
-        p = w / tot[:, None]
+        c = _cumsum_cols(w)  # see vrrw_walk_step for why c[-1]
+        nxt = (raw[:, 0] * c[-1] >= c).sum(axis=0)
+        p = w / tot
 
-        v_alpha, S, H = _vrrw_pieces(x, self.cfg)
-        g = v_alpha * S / H[:, None] - x
-
-        e = np.zeros_like(x)
-        e[rows, nxt] = 1.0
-        eps = e - p
-        rem = p - x - g
+        P, H = _vrrw_pieces(x.T, self.cfg)
+        # the pieces go back to row-major (B, d) in their last operation
+        g = (P / H).T - x
+        eps = np.empty(x.shape)
+        np.subtract(self._vertices == nxt, p, out=eps.T)  # the one-hot e_J is boolean
+        rem = (p.T - x) - g
 
         counts[rows, nxt] += 1.0
         aux["cur"] = nxt
@@ -570,6 +629,7 @@ class MeanFieldVrrwModel(Model):
         self.n_raw = 1
         self.id = id or f"vrrw_meanfield_d{cfg.d}_a{cfg.alpha:g}"
         self.trap = _vrrw_trap(cfg)
+        self._vertices = np.arange(cfg.d)[:, None]
 
     def field(self, x):
         return vrrw_field(x, self.cfg, validate=False)
@@ -585,19 +645,18 @@ class MeanFieldVrrwModel(Model):
         return Schedule(gamma=spec, c=spec, horizon=horizon)
 
     def step_parts(self, x, n, raw, aux):
-        v_alpha, S, H = _vrrw_pieces(x, self.cfg)
-        if np.any(H <= 0):
+        # column form, (d, B): see _vrrw_pieces
+        P, H = _vrrw_pieces(x.T, self.cfg)
+        if (H <= 0).any():
             raise SingularDenominatorError("H(v) vanished along some run")
-        pi = v_alpha * S / H[:, None]
-        g = pi - x
-        u = raw[:, 0]
-        nxt = np.minimum(
-            (u[:, None] >= np.cumsum(pi, axis=1)).sum(axis=1), self.dim - 1
-        )
-        e = np.zeros_like(x)
-        e[np.arange(x.shape[0]), nxt] = 1.0
-        eps = e - pi
-        return g, eps, np.zeros_like(x), aux
+        pi = P / H
+        # J = #{i : u >= pi_0 + ... + pi_i}, clamped where rounding leaves
+        # the last running sum below u
+        J = np.minimum((raw[:, 0] >= _cumsum_cols(pi)).sum(axis=0), self.dim - 1)
+        # the pieces go back to row-major (B, d) in their last operation
+        eps = np.empty(x.shape)
+        np.subtract(self._vertices == J, pi, out=eps.T)  # the one-hot e_J is boolean
+        return pi.T - x, eps, np.zeros(x.shape), aux
 
 
 # ---------------------------------------------------------------------------

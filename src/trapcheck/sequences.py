@@ -15,9 +15,8 @@ untagged custom sequences fall back to truncated sums with a crude error proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -264,8 +263,6 @@ class Schedule:
 
         if "horizon" not in cfg:
             raise ConfigError("missing required field", "schedule.horizon")
-        if "horizon" not in cfg:
-            raise ConfigError("missing required field", "schedule.horizon")
         horizon = int(cfg["horizon"])
         if "gamma" in cfg or "c" in cfg:
             try:
@@ -318,8 +315,6 @@ class RateConstants:
     ratio_sup: float
     ratio_inf: float
     n_points: int
-    alpha_of: Callable[[float], float] = field(repr=False)
-    m_of: Callable[[float], float] = field(repr=False)
     #: slope refits on the first/second halves of the window (NaN when the
     #: half has no usable variation).  A tail slope much smaller in magnitude
     #: than the head slope exposes a rate drifting to zero (log alpha concave
@@ -422,8 +417,6 @@ def rate_constants(
         ratio_sup=float(np.max(ratios)),
         ratio_inf=float(np.min(ratios)),
         n_points=len(ts),
-        alpha_of=schedule.tail_l2,
-        m_of=schedule.partial_drift_sum,
         lambda_hat_head=lam_head,
         lambda_hat_tail=lam_tail,
     )

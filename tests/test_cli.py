@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from trapcheck import engine
 from trapcheck.cli import (
+    _CHECK_PARAMS,
+    _DIAGNOSTIC_PARAMS,
     ExperimentConfig,
     _build_model,
     _build_schedule,
@@ -507,6 +509,24 @@ class TestExperimentCommands:
     def test_report_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1
 
+    def test_stage_timings_in_meta_leave_the_body_stable(self, tmp_path, capsys):
+        cfg = base_config(
+            n_runs=4, checks=[{"name": "remainder"}], diagnostics=[{"name": "apt", "T": 0.5}]
+        )
+        p = write_config(tmp_path, cfg)
+        bodies = []
+        for sub in ("a", "b"):
+            assert main(["check", "--config", str(p), "--out", str(tmp_path / sub)]) == 0
+            doc = json.loads((tmp_path / sub / "summary.json").read_text())
+            timings = doc.pop("meta")["timings_s"]
+            assert set(timings) == {"simulate", "checks", "diagnostics", "io"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+            bodies.append(canonical_json(doc))
+        assert bodies[0] == bodies[1]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "a")]) == 0
+        assert "timings: " in capsys.readouterr().out
+
 
 class TestConfigErrors:
     """Malformed configs end in one ``error: <path>: ...`` line and exit 1."""
@@ -530,6 +550,54 @@ class TestConfigErrors:
         assert err.startswith(f"error: {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"checks": [{"name": "noise_excitation", "k": "x"}]}, "checks[0].k"),
+            ({"checks": [{"name": "noise_excitation", "k": 0}]}, "checks[0].k"),
+            ({"checks": [{"name": "noise_excitation", "a": 2.0}]}, "checks[0].a"),
+            ({"checks": [{"name": "noise_excitation", "threshold": -1.0}]}, "checks[0].threshold"),
+            ({"checks": [{"name": "jump_moments", "a": 2.0}]}, "checks[0].a"),
+            ({"checks": [{"name": "remainder", "mode": "bogus"}]}, "checks[0].mode"),
+            ({"checks": [{"name": "remainder", "nu": 0}]}, "checks[0].nu"),
+            ({"checks": [{"name": "drift_sign", "rho": -1}]}, "checks[0].rho"),
+            ({"checks": [{"name": "drift_sign", "beta": "x"}]}, "checks[0].beta"),
+            ({"checks": [{"name": "rate_condition", "nu": "x"}]}, "checks[0].nu"),
+            ({"checks": [{"name": "tail_noise", "nu": -2.0}]}, "checks[0].nu"),
+            ({"diagnostics": [{"name": "apt", "T": "abc"}]}, "diagnostics[0].T"),
+            ({"diagnostics": [{"name": "apt", "n_restarts": 0}]}, "diagnostics[0].n_restarts"),
+            ({"diagnostics": [{"name": "apt", "normalization": "x"}]}, "diagnostics[0].normalization"),
+            ({"schedule": {"kind": "harmonic", "horizon": "x"}}, "schedule.horizon"),
+            ({"schedule": {"kind": "harmonic", "horizon": 1.5}}, "schedule.horizon"),
+        ],
+    )
+    def test_bad_nested_parameter_exits_one(self, tmp_path, capsys, override, path):
+        p = write_config(tmp_path, base_config(n_runs=4, **override))
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    _PARAMS = [("checks", name, key) for name, keys in _CHECK_PARAMS.items() for key in keys]
+    _PARAMS += [("diagnostics", name, key) for name, keys in _DIAGNOSTIC_PARAMS.items() for key in keys]
+
+    @settings(max_examples=60, deadline=None)
+    @given(param=st.sampled_from(_PARAMS), value=st.deferred(lambda: TestConfigErrors._VALUES))
+    def test_swapped_parameter_never_gives_a_traceback(self, param, value):
+        where, name, key = param
+        cfg = base_config(N=60, n_runs=4, **{where: [{"name": name, key: value}]})
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            p = write_config(Path(tmp), cfg)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["check", "--config", str(p), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
 
     _FIELDS = (
         "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",

@@ -1,9 +1,12 @@
 """Tests for the finite-sample condition checkers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import trapcheck.hypotheses as hyp
 from trapcheck.engine import CaptureSpec, Trajectory, monte_carlo, run
 from trapcheck.errors import InsufficientRecordsError
 from trapcheck.hypotheses import (
@@ -18,7 +21,7 @@ from trapcheck.hypotheses import (
     check_tail_noise_condition,
     make_constants,
 )
-from trapcheck.models import LinearModel, control_models
+from trapcheck.models import LinearModel, VrrwConfig, VrrwWalkModel, control_models
 from trapcheck.sequences import Schedule, SequenceSpec, rate_constants
 from trapcheck.spectral import adapted_inner_product, split_jacobian
 
@@ -505,3 +508,110 @@ class TestHypothesisReport:
         assert "rate_condition" in text
         assert "jump_moments" in text
         assert "overall: fail" in text
+
+
+# ---------------------------------------------------------------------------
+# capture layout
+# ---------------------------------------------------------------------------
+
+
+def _runs_first_window(summary, captured, window):
+    # the runs-first fancy indexing the checkers used to read captures with,
+    # kept as the reference: its result is physically step-major
+    ns = summary.increment_indices
+    lo, hi = (ns[0], ns[-1] + 1) if window is None else window
+    mask = (ns >= lo) & (ns < hi)
+    return ns[mask], captured[summary.ok][:, mask, :]
+
+
+@pytest.fixture(scope="module")
+def walk_captures():
+    """A VRRW walk ensemble with a gapped head and a contiguous tail of
+    increment captures, and three runs marked blown up."""
+    model = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
+    N = 600
+    sched = model.natural_schedule(N)
+    head = np.unique(np.geomspace(1, 39, 20).astype(int))
+    caps = CaptureSpec(increment_indices=tuple(head) + tuple(range(40, N)))
+    summary = monte_carlo(model, sched, model.initial_state(), N, 48, 11, captures=caps)
+    blown = summary.blown_up.copy()
+    blown[[3, 17, 40]] = True
+    split = split_jacobian(np.diag([1.0, -1.0, -2.0]))  # a repulsive block to project on
+    return dataclasses.replace(summary, blown_up=blown), sched, split
+
+
+def _all_checks(summary, sched, split):
+    out = []
+    for window in (None, (100, 500)):
+        out.append(check_noise_excitation(summary, split=split, window=window))
+        out.append(check_noise_excitation(summary, window=window))
+        out.append(check_jump_moments(summary, a=4.0, window=window))
+    for window in ((40, 600), (200, 400)):
+        out.append(check_remainder(summary, window=window))
+        out.append(check_remainder(summary, mode="split_r", window=window, schedule=sched))
+    out.append(check_tail_noise_condition(summary, split, 1.0, sched, window=(40, 600)))
+    return [repr(r.to_dict()) for r in out]
+
+
+class TestCaptureLayout:
+    def test_captures_are_step_major_views(self, walk_captures):
+        summary, _, _ = walk_captures
+        for arr in (summary.captured_g, summary.captured_eps, summary.captured_rem):
+            assert arr.shape == (48, len(summary.increment_indices), 3)
+            assert arr.transpose(1, 0, 2).flags.c_contiguous
+
+    def test_checkers_ignore_capture_layout(self, walk_captures):
+        summary, sched, split = walk_captures
+        runs_first = dataclasses.replace(
+            summary,
+            captured_eps=np.ascontiguousarray(summary.captured_eps),
+            captured_rem=np.ascontiguousarray(summary.captured_rem),
+        )
+        assert _all_checks(summary, sched, split) == _all_checks(runs_first, sched, split)
+
+    def test_checkers_equal_runs_first_fancy_indexing(self, walk_captures, monkeypatch):
+        summary, sched, split = walk_captures
+        got = _all_checks(summary, sched, split)
+        monkeypatch.setattr(hyp, "_captured_window", _runs_first_window)
+        assert got == _all_checks(summary, sched, split)
+
+    @pytest.mark.parametrize("blown", [True, False])
+    @pytest.mark.parametrize("window", [None, (100, 500)])
+    def test_window_has_the_reference_layout(self, walk_captures, blown, window):
+        # the per-step means over runs round differently unless the runs
+        # axis is laid out as the reference lays it out
+        summary, _, _ = walk_captures
+        if not blown:
+            summary = dataclasses.replace(summary, blown_up=np.zeros(48, dtype=bool))
+        runs_first = dataclasses.replace(
+            summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
+        )
+        ref_ns, ref = _runs_first_window(summary, summary.captured_eps, window)
+        ref_m2 = np.mean(np.sum(ref**2, axis=-1), axis=0)
+        for s in (summary, runs_first):
+            ns, eps = hyp._ensemble_eps(s, window)
+            assert np.array_equal(ns, ref_ns)
+            assert eps.shape == ref.shape and eps.strides == ref.strides
+            assert np.array_equal(eps, ref)
+            assert np.array_equal(np.mean(np.sum(eps**2, axis=-1), axis=0), ref_m2)
+
+    def test_no_blown_runs_gives_a_slice(self, walk_captures):
+        summary, _, _ = walk_captures
+        clean = dataclasses.replace(summary, blown_up=np.zeros(48, dtype=bool))
+        ns, eps = hyp._ensemble_eps(clean, (100, 500))
+        assert np.array_equal(ns, np.arange(100, 500))
+        assert np.shares_memory(eps, clean.captured_eps)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_k_window_sums_equal_the_loop(self, walk_captures, k):
+        summary, _, _ = walk_captures
+        ns, eps = hyp._ensemble_eps(summary, None)
+        m2 = np.mean(np.sum(eps**2, axis=-1), axis=0)
+        sums = [
+            float(np.sum(m2[i : i + k]))
+            for i in range(len(ns) - k + 1)
+            if ns[i + k - 1] == ns[i] + k - 1
+        ]
+        res = check_noise_excitation(summary, k=k)
+        assert res.estimates["n_windows"] == len(sums)
+        assert res.estimates["excitation_liminf"] == min(sums)

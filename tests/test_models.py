@@ -18,6 +18,7 @@ from trapcheck import (
     vrrw_jacobian,
     vrrw_walk_step,
 )
+from trapcheck.models import _row_sum
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -330,3 +331,134 @@ class TestControls:
         m = control_models()["bad_remainder"]
         r = m.remainder(np.zeros((1, 1)), 3)  # produces r_{n+1} with n=3
         assert r[0, 0] == pytest.approx(1.0 / 2.0, abs=1e-15)  # 1/sqrt(4)
+
+
+# ---------------------------------------------------------------------------
+# column-form VRRW arithmetic against the row-major formulas
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    """An array's float64 bit patterns (so -0.0 != 0.0 and NaN == NaN)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _row_major_pieces(vb, cfg):
+    # the row-wise formulas the column form replaced, kept as the reference
+    v_alpha = vb**cfg.alpha
+    S = np.zeros_like(vb)
+    for j in range(cfg.d):
+        S += v_alpha[:, j : j + 1] * cfg.A[:, j][None, :]
+    return v_alpha, S, np.sum(v_alpha * S, axis=1)
+
+
+def _row_major_field(vb, cfg):
+    v_alpha, S, H = _row_major_pieces(vb, cfg)
+    return v_alpha * S / H[:, None] - vb
+
+
+def _row_major_meanfield_step(model, x, raw):
+    v_alpha, S, H = _row_major_pieces(x, model.cfg)
+    pi = v_alpha * S / H[:, None]
+    nxt = np.minimum(
+        (raw[:, 0][:, None] >= np.cumsum(pi, axis=1)).sum(axis=1), model.dim - 1
+    )
+    e = np.zeros_like(x)
+    e[np.arange(x.shape[0]), nxt] = 1.0
+    return pi - x, e - pi, np.zeros_like(x)
+
+
+def _row_major_walk_step(model, x, raw, aux):
+    counts, cur = aux["counts"], aux["cur"]
+    rows = np.arange(x.shape[0])
+    w = model.cfg.A[cur] * counts**model.cfg.alpha
+    w[rows, cur] = 0.0
+    tot = np.sum(w, axis=1)
+    c = np.cumsum(w, axis=1)
+    nxt = (raw[:, 0][:, None] * c[:, -1:] >= c).sum(axis=1)
+    p = w / tot[:, None]
+    v_alpha, S, H = _row_major_pieces(x, model.cfg)
+    g = v_alpha * S / H[:, None] - x
+    e = np.zeros_like(x)
+    e[rows, nxt] = 1.0
+    counts[rows, nxt] += 1.0
+    aux["cur"] = nxt
+    return g, e - p, p - x - g
+
+
+def _configs(d):
+    """The complete graph and a nearly symmetric A (A[0, 1] != A[1, 0] in the
+    last bits, within VrrwConfig's tolerance), for each alpha."""
+    A = np.ones((d, d)) - np.eye(d)
+    A[0, 1] += 1e-14
+    for alpha in (1, 2.0, 2.5):
+        yield VrrwConfig.complete(d, alpha)
+        yield VrrwConfig(d=d, alpha=alpha, A=A)
+
+
+def _states(rng, d, B):
+    """Simplex points with a zero coordinate in some rows (from d = 3 on: at
+    d = 2 it makes H(v) = 0), and raw draws with ``u = nextafter(1, 0)`` in
+    every third row."""
+    x = rng.dirichlet(np.ones(d), size=B)
+    if d >= 3:
+        x[1::5, 0] = 0.0
+    raw = rng.random((B, 1))
+    raw[::3] = np.nextafter(1.0, 0.0)
+    return x, raw
+
+
+class TestColumnForm:
+    DIMS = list(range(2, 13)) + [130]
+
+    def test_row_sum_equals_np_sum(self):
+        rng = np.random.default_rng(1)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+        for n in range(1, 301):
+            rows = rng.standard_normal((64, n)) * rng.choice([1e-8, 1.0, 1e8], size=(64, n))
+            hit = rng.random((64, n)) < 0.1
+            rows[hit] = rng.choice(special, size=hit.sum())
+            rows[:8] = rng.choice([0.0, -0.0], size=(8, n))  # signed-zero rows
+            rows[8, :] = 1e308  # overflows to inf from n = 2
+            with np.errstate(all="ignore"):
+                ref = np.sum(rows, axis=1)
+                got = _row_sum(np.ascontiguousarray(rows.T))
+            # non-NaN sums are bitwise equal; which NaN survives when two meet
+            # follows the operand order of numpy's build and is not reproduced
+            nan = np.isnan(ref)
+            assert np.array_equal(nan, np.isnan(got)), n
+            assert np.array_equal(_bits(ref[~nan]), _bits(got[~nan])), n
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_field_and_meanfield_step_equal_row_major_bits(self, d):
+        rng = np.random.default_rng(d)
+        for cfg in _configs(d):
+            model = MeanFieldVrrwModel(cfg)
+            for B in (1, 7, 200):
+                x, raw = _states(rng, d, B)
+                assert np.array_equal(
+                    _bits(vrrw_field(x, cfg, validate=False)), _bits(_row_major_field(x, cfg))
+                )
+                got = model.step_parts(x, 0, raw, None)[:3]
+                for a, b in zip(got, _row_major_meanfield_step(model, x, raw)):
+                    assert a.shape == b.shape
+                    assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_walk_steps_equal_row_major_bits(self, d):
+        rng = np.random.default_rng(100 + d)
+        for cfg in _configs(d):
+            model = VrrwWalkModel(cfg, start_vertex=d - 1)
+            for B in (1, 7, 200):
+                aux, ref_aux = model.init_aux(B), model.init_aux(B)
+                aux["counts"] += rng.integers(0, 40, size=(B, d))
+                ref_aux["counts"][:] = aux["counts"]
+                for n in range(6):
+                    x, raw = _states(rng, d, B)
+                    got = model.step_parts(x, n, raw, aux)[:3]
+                    ref = _row_major_walk_step(model, x, raw, ref_aux)
+                    for a, b in zip(got, ref):
+                        assert a.shape == b.shape
+                        assert np.array_equal(_bits(a), _bits(b))
+                    assert np.array_equal(aux["cur"], ref_aux["cur"])
+                    assert np.array_equal(aux["counts"], ref_aux["counts"])
