@@ -336,7 +336,7 @@ def _build_model(spec: dict) -> models.Model:
                     f"unknown control {which!r}; options: {sorted(table)}", "model.which"
                 )
             return table[which]
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), "model") from exc
@@ -354,7 +354,12 @@ def _build_schedule(spec: dict, model: models.Model, N: int) -> sequences.Schedu
                 f"model {model.id} has no natural schedule", "schedule.kind"
             )
         return model.natural_schedule(spec["horizon"])
-    return sequences.Schedule.from_config(spec)
+    try:
+        return sequences.Schedule.from_config(spec)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc), "schedule") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from .models import Model
 from .sequences import Schedule
 
 __all__ = [
-    "StepRecord",
     "Trajectory",
     "EnsembleSummary",
     "CaptureSpec",
-    "step",
     "run",
     "monte_carlo",
     "empirical_increment_decomposition",
@@ -67,33 +65,20 @@ def combine_increment(gamma: float, g, c: float, eps, rem):
 
 
 @dataclass(frozen=True, eq=False)
-class StepRecord:
-    """One recorded step: state and the three increment pieces at index n."""
-
-    n: int
-    x: np.ndarray
-    g: np.ndarray
-    eps: np.ndarray
-    rem: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A single run: every state, plus step pieces at a retention stride.
+    """A single run's full record: every state and every step's pieces.
 
-    ``states[n]`` is X_n for n = 0..N.  The pieces (g, eps, rem) are kept at
-    step indices ``part_indices`` (every step when ``thinning == 1``).  At any
-    retained step the canonical reconstruction holds bitwise:
+    ``states[n]`` is X_n for n = 0..N, and ``g[n]``, ``eps[n]``, ``rem[n]``
+    are the pieces of step n for n = 0..N-1: ``(4N+1)*d`` doubles in all.
+    At every step the canonical reconstruction holds bitwise:
 
-        states[n+1] == states[n] + combine_increment(gamma_{n+1}, g, c_{n+1}, eps, rem)
+        states[n+1] == states[n] + combine_increment(gamma_{n+1}, g[n], c_{n+1}, eps[n], rem[n])
     """
 
     model_id: str
     seed: object
-    thinning: int
     schedule: Schedule
     states: np.ndarray
-    part_indices: np.ndarray
     g: np.ndarray
     eps: np.ndarray
     rem: np.ndarray
@@ -106,38 +91,16 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def record(self, n: int) -> StepRecord:
-        """The full StepRecord at step n (must be retained)."""
-        pos = np.searchsorted(self.part_indices, n)
-        if pos >= len(self.part_indices) or self.part_indices[pos] != n:
-            raise InsufficientRecordsError(
-                f"step {n} not retained (thinning={self.thinning})"
-            )
-        return StepRecord(
-            n=n, x=self.states[n], g=self.g[pos], eps=self.eps[pos], rem=self.rem[pos]
-        )
-
-    def iter_records(self) -> Iterable[StepRecord]:
-        for pos, n in enumerate(self.part_indices):
-            yield StepRecord(
-                n=int(n),
-                x=self.states[n],
-                g=self.g[pos],
-                eps=self.eps[pos],
-                rem=self.rem[pos],
-            )
-
     def reconstruction_residual(self) -> float:
-        """Max abs deviation of the canonical reconstruction over retained
-        steps; exactly 0.0 for trajectories produced by this engine."""
-        ns = self.part_indices
-        gam = self.schedule.gamma_values[ns + 1][:, None]
-        c = self.schedule.c_values[ns + 1][:, None]
-        rebuilt = self.states[ns] + combine_increment(gam, self.g, c, self.eps, self.rem)
-        return float(np.max(np.abs(rebuilt - self.states[ns + 1]), initial=0.0))
+        """Max abs deviation of the canonical reconstruction over all steps;
+        exactly 0.0 for trajectories produced by this engine."""
+        gam = self.schedule.gamma_values[1 : self.N + 1][:, None]
+        c = self.schedule.c_values[1 : self.N + 1][:, None]
+        rebuilt = self.states[:-1] + combine_increment(gam, self.g, c, self.eps, self.rem)
+        return float(np.max(np.abs(rebuilt - self.states[1:]), initial=0.0))
 
     def to_csv(self, path) -> None:
-        """Retained full records as CSV: n, x_*, g_*, eps_*, rem_*."""
+        """One CSV row per step n = 0..N-1: n, x_*, g_*, eps_*, rem_*."""
         d = self.dim
         header = ",".join(
             ["n"]
@@ -146,13 +109,9 @@ class Trajectory:
             + [f"eps_{i}" for i in range(d)]
             + [f"rem_{i}" for i in range(d)]
         )
-        ns = self.part_indices
-        table = np.column_stack([ns.astype(np.float64), self.states[ns], self.g, self.eps, self.rem])
+        ns = np.arange(self.N, dtype=np.float64)
+        table = np.column_stack([ns, self.states[:-1], self.g, self.eps, self.rem])
         np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def _default_thinning(N: int) -> int:
-    return 1 if N <= 100_000 else 16
 
 
 @dataclass(frozen=True)
@@ -170,10 +129,9 @@ class CaptureSpec:
         means over runs reduce along a contiguous axis;
         :class:`EnsembleSummary` shows them runs-first.
     full_runs:
-        Run indices whose full record is kept, as :func:`run` returns it by
-        default: every state, and (g, eps, rem) every ``thinning`` steps (1
-        up to N=10^5, else 16).  Each kept run holds
-        ``(N+1 + 3*ceil(N/thinning)) * d`` doubles.
+        Run indices whose full record is kept, as :func:`run` returns it:
+        every state and every step's (g, eps, rem), ``(4N+1) * d`` doubles
+        (``(4N+1) * d * 8`` bytes) per kept run.
     """
 
     state_indices: tuple = ()
@@ -343,15 +301,14 @@ def _drive(
     capture: CaptureSpec,
     blowup_bound: float,
     keep=(),
-    thinning: int = 1,
 ):
     """Advance a batch of runs in lockstep; the single workhorse behind both
     ``run`` and ``monte_carlo`` (so a lone run and an ensemble row share every
     floating-point operation).
 
-    ``keep`` lists batch rows whose full record is stored: every state, and
-    the step pieces every ``thinning`` steps.  A row's states are
-    stored before a blow-up parks it, so they are exact up to that step.
+    ``keep`` lists batch rows whose full record is stored: every state and
+    every step's pieces.  A row's states are stored before a blow-up parks
+    it, so they are exact up to that step.
     """
     if N > schedule.horizon:
         raise InsufficientHorizonError(f"N={N} exceeds schedule horizon {schedule.horizon}")
@@ -378,11 +335,7 @@ def _drive(
     if K:
         states = np.empty((K, N + 1, d))
         states[:, 0] = x[keep]
-        part_ns = np.arange(0, N, thinning, dtype=np.int64)
-        parts_pos = {int(t): k for k, t in enumerate(part_ns)}
-        parts = np.empty((3, K, len(part_ns), d))  # g, eps, rem
-    else:
-        parts_pos = {}
+        parts = np.empty((3, K, N, d))  # g, eps, rem
 
     sup_tail = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
@@ -399,6 +352,7 @@ def _drive(
             x = x + combine_increment(gam[n + 1], g, cs[n + 1], eps, rem)
             if K:
                 states[:, n + 1] = x[keep]
+                parts[0, :, n], parts[1, :, n], parts[2, :, n] = g[keep], eps[keep], rem[keep]
 
             # one whole-batch reduction per step; NaN and inf fail the test,
             # so the row-wise rule below runs only when some row may be out
@@ -412,9 +366,6 @@ def _drive(
             if n in inc_pos:
                 k = inc_pos[n]
                 cap_g[k], cap_eps[k], cap_rem[k] = g, eps, rem
-            if n in parts_pos:
-                k = parts_pos[n]
-                parts[0, :, k], parts[1, :, k], parts[2, :, k] = g[keep], eps[keep], rem[keep]
             if (n + 1) in state_pos:
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
@@ -433,21 +384,19 @@ def _drive(
         "cap_rem": cap_rem,
     }
     if K:
-        out["kept"] = (states, part_ns, parts)
+        out["kept"] = (states, parts)
     return out
 
 
-def _kept_trajectories(model, schedule, kept, seeds, thinning) -> list:
+def _kept_trajectories(model, schedule, kept, seeds) -> list:
     """Trajectory objects for the rows ``_drive`` kept in full."""
-    states, part_ns, parts = kept
+    states, parts = kept
     return [
         Trajectory(
             model_id=model.id,
             seed=seed,
-            thinning=int(thinning),
             schedule=schedule,
             states=states[k],
-            part_indices=part_ns,
             g=parts[0, k],
             eps=parts[1, k],
             rem=parts[2, k],
@@ -474,46 +423,22 @@ def _checked(traj: Trajectory, blowup_step: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def step(x, n: int, model: Model, schedule: Schedule, rng, aux=None):
-    """One step of the recursion at state x and step index n (0-based).
-
-    Returns ``(record, next_state)``; pass ``aux`` through between calls for
-    models with internal walk state (created via ``model.init_aux(1)``).
-    """
-    if n + 1 > schedule.horizon:
-        raise InsufficientHorizonError(f"step {n + 1} beyond horizon {schedule.horizon}")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if aux is None:
-        aux = model.init_aux(1)
-    raw = rng.random((1, model.n_raw)) if model.n_raw else np.zeros((1, 0))
-    g, eps, rem, aux = model.step_parts(x, n, raw, aux)
-    gamma, c = schedule.gamma_values[n + 1], schedule.c_values[n + 1]
-    nxt = (x + combine_increment(gamma, g, c, eps, rem))[0]
-    if not np.all(np.isfinite(nxt)):
-        raise BlowUpError(f"non-finite state at step {n + 1}", step=n + 1, state=nxt)
-    record = StepRecord(n=n, x=x[0], g=g[0], eps=eps[0], rem=rem[0])
-    return record, nxt
-
-
 def run(
     model: Model,
     schedule: Schedule,
     x0,
     N: int,
     seed,
-    thinning: Optional[int] = None,
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> Trajectory:
     """Execute one trajectory; deterministic in (model, schedule, x0, N, seed).
 
     ``seed`` is an integer master seed (the run is then identical to run 0 of
     ``monte_carlo`` with that master seed) or a ``numpy.random.SeedSequence``.
-    States are stored at every step; full pieces every ``thinning`` steps
-    (default 1 up to N=10^5, else 16).  Raises :class:`BlowUpError` (with
-    the states up to that step as ``prefix``) if the run leaves the region.
+    Every state and every step's pieces are stored, ``(4N+1) * d * 8`` bytes.
+    Raises :class:`BlowUpError` (with the states up to that step as
+    ``prefix``) if the run leaves the region.
     """
-    if thinning is None:
-        thinning = _default_thinning(N)
     if isinstance(seed, np.random.SeedSequence):
         ss, seed_label = seed, seed
     else:
@@ -532,9 +457,8 @@ def run(
         capture=CaptureSpec(),
         blowup_bound=blowup_bound,
         keep=(0,),
-        thinning=thinning,
     )
-    (traj,) = _kept_trajectories(model, schedule, res["kept"], [seed_label], thinning)
+    (traj,) = _kept_trajectories(model, schedule, res["kept"], [seed_label])
     return _checked(traj, int(res["blowup_step"][0]))
 
 
@@ -549,7 +473,6 @@ def _chunk_worker(
     trap_point,
     capture,
     blowup_bound,
-    thinning,
 ):
     gens = _generators(master_seed, run_indices)
     keep = np.nonzero(np.isin(run_indices, capture.full_runs))[0]
@@ -564,7 +487,6 @@ def _chunk_worker(
         capture=capture,
         blowup_bound=blowup_bound,
         keep=keep,
-        thinning=thinning,
     )
     res["kept_runs"] = [int(run_indices[k]) for k in keep]
     return res
@@ -602,7 +524,6 @@ def monte_carlo(
     trap = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
     trap = np.asarray(trap, dtype=np.float64)
     tail_from = max(0, N - int(np.ceil(tail_fraction * N)))
-    thinning = _default_thinning(N)
     x0 = np.asarray(x0, dtype=np.float64)
 
     # one contiguous chunk per worker: the lockstep batch is as large as it
@@ -610,8 +531,7 @@ def monte_carlo(
     chunks = np.array_split(np.arange(n_runs), min(workers, n_runs))
 
     args = [
-        (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound,
-         thinning)
+        (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound)
         for chunk in chunks
     ]
     if len(chunks) == 1:
@@ -637,7 +557,7 @@ def monte_carlo(
     for r in results:
         if r["kept_runs"]:
             seeds = [_seed_for_run(master_seed, i) for i in r["kept_runs"]]
-            trajs = _kept_trajectories(model, schedule, r["kept"], seeds, thinning)
+            trajs = _kept_trajectories(model, schedule, r["kept"], seeds)
             full_runs.update(zip(r["kept_runs"], trajs))
 
     return EnsembleSummary(
@@ -684,19 +604,14 @@ class DecomposedIncrements:
 def empirical_increment_decomposition(
     traj: Trajectory, window: Optional[tuple] = None
 ) -> DecomposedIncrements:
-    """Split each retained increment into its three scaled parts.
+    """Split each increment of the window into its three scaled parts.
 
-    Requires full retention (``thinning == 1``) over the queried window.  The
-    ``combined`` array reconstructs the trajectory bitwise:
+    The ``combined`` array reconstructs the trajectory bitwise:
     ``states[n+1] == states[n] + combined[i]`` for every row.
     """
     lo, hi = (0, traj.N) if window is None else (int(window[0]), int(window[1]))
     if not (0 <= lo < hi <= traj.N):
         raise ValueError(f"window must satisfy 0 <= lo < hi <= N, got {(lo, hi)}")
-    if traj.thinning != 1:
-        raise InsufficientRecordsError(
-            f"decomposition needs thinning=1, trajectory has {traj.thinning}"
-        )
     ns = np.arange(lo, hi, dtype=np.int64)
     g, eps, rem = traj.g[lo:hi], traj.eps[lo:hi], traj.rem[lo:hi]
     gam = traj.schedule.gamma_values[ns + 1][:, None]

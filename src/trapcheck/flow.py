@@ -357,7 +357,7 @@ def apt_deficit(
     s = path.s_grid
     X = path.states[None, :, :]
     pos = _restart_positions(s, T, t_grid, n_restarts)
-    deficits, hard = _batch_deficits(s, X, f, T, pos, h, normalization)
+    deficits, _ = _batch_deficits(s, X, f, T, pos, h, normalization)
     row = deficits[0]
     keep = np.isfinite(row)
     slopes, n_fit = _tail_slopes(s[pos[keep]], row[None, keep], tail_fraction)

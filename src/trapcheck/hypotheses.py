@@ -136,25 +136,6 @@ class HypothesisReport:
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
-    def to_text(self) -> str:
-        lines = [
-            f"theorem: {self.theorem_id}    overall: {self.verdict}",
-            "constants: "
-            + ", ".join(f"{k}={v}" for k, v in self.constants.items() if v is not None),
-            f"{'condition':<28} {'verdict':<14} estimates",
-            "-" * 76,
-        ]
-        for c in self.conditions:
-            est = ", ".join(f"{k}={_fmt(v)}" for k, v in c.estimates.items())
-            lines.append(f"{c.name:<28} {c.verdict:<14} {est}")
-        return "\n".join(lines)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
-
 
 # ---------------------------------------------------------------------------
 # shared extraction helpers
@@ -261,9 +242,7 @@ def check_noise_excitation(
 def _remainder_series(obj: Union[Trajectory, EnsembleSummary], window):
     """(ns, mean squared remainder norms, mean norms) over the window."""
     if isinstance(obj, Trajectory):
-        if obj.thinning != 1:
-            raise InsufficientRecordsError("remainder check needs thinning=1 records")
-        ns = obj.part_indices
+        ns = np.arange(obj.N)
         mask = _window_of(ns, window)
         rem = obj.rem[mask][None, :, :]
         ns = ns[mask]
@@ -350,15 +329,15 @@ def check_drift_sign(
     """Drift points outward (or at least beta-coercively) near the trap.
 
     Evaluates ``<x - x*, G>`` (mode ``nonneg``) or
-    ``<x - x*, G> - beta * ||x - x*||^2`` (mode ``coercive``) at every retained
-    step inside the ball of radius ``rho``, in the adapted inner product when
+    ``<x - x*, G> - beta * ||x - x*||^2`` (mode ``coercive``) at every step
+    inside the ball of radius ``rho``, in the adapted inner product when
     one is supplied (Euclidean otherwise).  ``project`` (rows of a linear map)
     restricts both vectors to a subspace first, e.g. the repulsive block.
     """
     if mode not in ("nonneg", "coercive"):
         raise ValueError(f"unknown mode {mode!r}")
     x_star = np.asarray(x_star, dtype=np.float64)
-    ns = traj.part_indices
+    ns = np.arange(traj.N)
     mask = _window_of(ns, window)
     u = traj.states[ns[mask]] - x_star
     g = traj.g[mask]

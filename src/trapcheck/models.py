@@ -39,8 +39,6 @@ __all__ = [
     "VrrwConfig",
     "vrrw_field",
     "vrrw_jacobian",
-    "transition_distribution",
-    "vrrw_walk_step",
     "VrrwWalkModel",
     "MeanFieldVrrwModel",
     "control_models",
@@ -217,17 +215,6 @@ class LinearModel(Model):
         if self.remainder_kind == "inv_sqrt":
             return np.full_like(x, 1.0 / np.sqrt(n + 1.0))
         return np.zeros_like(x)
-
-    def unstable_manifold(self) -> ManifoldK:
-        """Affine span of the repulsive invariant subspace through 0."""
-        from .spectral import split_jacobian
-
-        split = split_jacobian(self.H)
-        if split.delta_plus == 0:
-            raise ValueError("model has no repulsive directions")
-        return ManifoldK(
-            basepoint=np.zeros(self.dim), directions=split.P[:, : split.delta_plus]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -496,37 +483,6 @@ def vrrw_jacobian(v: np.ndarray, cfg: VrrwConfig) -> np.ndarray:
     return -np.eye(cfg.d) + term1 + term2 - term3
 
 
-def transition_distribution(
-    current: int, counts: np.ndarray, cfg: VrrwConfig
-) -> np.ndarray:
-    """Law of the next vertex: proportional to ``A[current, j] * counts_j^alpha``
-    over ``j != current``."""
-    counts = np.asarray(counts, dtype=np.float64).reshape(-1)
-    w = cfg.A[current] * counts**cfg.alpha
-    w[current] = 0.0
-    tot = w.sum()
-    if tot <= 0:
-        raise StuckWalkError(f"no admissible transition out of vertex {current}")
-    return w / tot
-
-
-def vrrw_walk_step(current: int, counts, cfg: VrrwConfig, rng) -> tuple[int, np.ndarray]:
-    """One reinforced-walk transition; returns (next_vertex, updated counts)."""
-    counts = np.asarray(counts, dtype=np.float64).copy().reshape(-1)
-    if counts.min() < 1:
-        raise ValueError("counts must be >= 1 everywhere")
-    w = cfg.A[current] * counts**cfg.alpha
-    w[current] = 0.0
-    if w.sum() <= 0:
-        raise StuckWalkError(f"no admissible transition out of vertex {current}")
-    # select against the cumsum's own total: u*c[-1] < c[-1] for u < 1, so
-    # the pick is a positive-weight vertex even where pairwise sum > c[-1]
-    c = np.cumsum(w)
-    nxt = int((rng.random() * c[-1] >= c).sum())
-    counts[nxt] += 1.0
-    return nxt, counts
-
-
 def _vrrw_trap(cfg: VrrwConfig) -> TrapInfo:
     """The uniform occupation point, its analytic Jacobian, and the exact trap
     constants: radial contraction rate -1 (the drift is -v plus a
@@ -538,7 +494,35 @@ def _vrrw_trap(cfg: VrrwConfig) -> TrapInfo:
     return TrapInfo(x_star=u, jacobian=jac, mu=-1.0, nu=nu)
 
 
-class VrrwWalkModel(Model):
+class _VrrwModel(Model):
+    """What the two VRRW models share: the walk parameters ``cfg``, the
+    declared trap at the uniform point, the mean-field drift, the initial
+    occupation measure and the natural schedule."""
+
+    def __init__(self, cfg: VrrwConfig, id: str):
+        self.cfg = cfg
+        self.dim = cfg.d
+        self.n_raw = 1
+        self.id = id
+        self.trap = _vrrw_trap(cfg)
+        self._vertices = np.arange(cfg.d)[:, None]
+
+    def field(self, x):
+        return vrrw_field(x, self.cfg, validate=False)
+
+    def initial_state(self):
+        c = np.asarray(self.cfg.initial_counts, dtype=np.float64)
+        return c / c.sum()
+
+    def natural_schedule(self, horizon: int):
+        """``gamma_n = c_n = 1/(n + total initial count)``."""
+        from .sequences import Schedule, SequenceSpec
+
+        spec = SequenceSpec("power", exponent=1.0, offset=float(self.cfg.total0))
+        return Schedule(gamma=spec, c=spec, horizon=horizon)
+
+
+class VrrwWalkModel(_VrrwModel):
     """The reinforced walk itself, recorded as an SA recursion on the
     occupation measure.
 
@@ -558,27 +542,9 @@ class VrrwWalkModel(Model):
     def __init__(self, cfg: VrrwConfig, start_vertex: int = 0, id: Optional[str] = None):
         if not (0 <= start_vertex < cfg.d):
             raise ValueError("start_vertex out of range")
-        self.cfg = cfg
-        self.dim = cfg.d
-        self.n_raw = 1
+        super().__init__(cfg, id or f"vrrw_walk_d{cfg.d}_a{cfg.alpha:g}")
         self.start_vertex = int(start_vertex)
-        self.id = id or f"vrrw_walk_d{cfg.d}_a{cfg.alpha:g}"
-        self.trap = _vrrw_trap(cfg)
         self._A_T = np.ascontiguousarray(cfg.A.T)
-        self._vertices = np.arange(cfg.d)[:, None]
-
-    def field(self, x):
-        return vrrw_field(x, self.cfg, validate=False)
-
-    def initial_state(self):
-        c = np.asarray(self.cfg.initial_counts, dtype=np.float64)
-        return c / c.sum()
-
-    def natural_schedule(self, horizon: int):
-        from .sequences import Schedule, SequenceSpec
-
-        spec = SequenceSpec("power", exponent=1.0, offset=float(self.cfg.total0))
-        return Schedule(gamma=spec, c=spec, horizon=horizon)
 
     def init_aux(self, n_runs: int):
         counts = np.tile(
@@ -596,7 +562,9 @@ class VrrwWalkModel(Model):
         tot = _row_sum(w)
         if (tot <= 0).any():
             raise StuckWalkError("no admissible transition for some run")
-        c = _cumsum_cols(w)  # see vrrw_walk_step for why c[-1]
+        # select against the cumsum's own total: u*c[-1] < c[-1] for u < 1, so
+        # the pick is a positive-weight vertex even where tot > c[-1]
+        c = _cumsum_cols(w)
         nxt = (raw[:, 0] * c[-1] >= c).sum(axis=0)
         p = w / tot
 
@@ -612,7 +580,7 @@ class VrrwWalkModel(Model):
         return g, eps, rem, aux
 
 
-class MeanFieldVrrwModel(Model):
+class MeanFieldVrrwModel(_VrrwModel):
     """Occupation-measure recursion with the walker position resampled each
     step from the stationary law of the position-given-occupation chain,
     ``pi_i(v) = v_i^alpha (A v^alpha)_i / H(v)``.
@@ -624,25 +592,7 @@ class MeanFieldVrrwModel(Model):
     """
 
     def __init__(self, cfg: VrrwConfig, id: Optional[str] = None):
-        self.cfg = cfg
-        self.dim = cfg.d
-        self.n_raw = 1
-        self.id = id or f"vrrw_meanfield_d{cfg.d}_a{cfg.alpha:g}"
-        self.trap = _vrrw_trap(cfg)
-        self._vertices = np.arange(cfg.d)[:, None]
-
-    def field(self, x):
-        return vrrw_field(x, self.cfg, validate=False)
-
-    def initial_state(self):
-        c = np.asarray(self.cfg.initial_counts, dtype=np.float64)
-        return c / c.sum()
-
-    def natural_schedule(self, horizon: int):
-        from .sequences import Schedule, SequenceSpec
-
-        spec = SequenceSpec("power", exponent=1.0, offset=float(self.cfg.total0))
-        return Schedule(gamma=spec, c=spec, horizon=horizon)
+        super().__init__(cfg, id or f"vrrw_meanfield_d{cfg.d}_a{cfg.alpha:g}")
 
     def step_parts(self, x, n, raw, aux):
         # column form, (d, B): see _vrrw_pieces

@@ -10,7 +10,7 @@ quantities drive every diagnostic downstream:
 * ``lambda_hat`` — the decay rate of ``log alpha(t)`` measured against ``m(t)``.
 
 Tagged closed forms (power / geometric / constant) get exact analytic tails;
-untagged custom sequences fall back to truncated sums with a crude error proxy.
+untagged custom sequences fall back to truncated sums up to the horizon.
 """
 
 from __future__ import annotations
@@ -166,15 +166,6 @@ class Schedule:
         self.gamma_values, self.c_values, self._gamma_prefix, self._c_sq_prefix
         return self
 
-    # -- point access ---------------------------------------------------------
-
-    def gamma_at(self, n):
-        """``gamma_n`` for integer ``1 <= n <= horizon`` (scalar or array)."""
-        return self.gamma_values[n]
-
-    def c_at(self, n):
-        return self.c_values[n]
-
     # -- derived quantities ---------------------------------------------------
 
     def partial_drift_sum(self, t) -> float | np.ndarray:
@@ -194,8 +185,7 @@ class Schedule:
 
         Tagged kinds use the exact analytic tail (valid for any ``t >= 0``,
         including beyond the horizon).  Custom sequences use the truncated sum
-        up to the horizon and raise beyond it; the truncation quality proxy is
-        :meth:`tail_l2_error_bound`.
+        up to the horizon and raise beyond it.
         """
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -214,13 +204,6 @@ class Schedule:
             out = total - self._c_sq_prefix[idx]
         out = np.sqrt(np.maximum(out, 0.0))
         return float(out[0]) if scalar else out
-
-    def tail_l2_error_bound(self) -> float:
-        """Truncation-error proxy for the tail: 0 for closed forms, else
-        ``c_horizon**2 * horizon`` (a crude scale for the ignored tail)."""
-        if self.c.kind != "custom":
-            return 0.0
-        return float(self.c_values[self.horizon] ** 2 * self.horizon)
 
     # -- validation ------------------------------------------------------------
 

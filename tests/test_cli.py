@@ -506,6 +506,21 @@ class TestExperimentCommands:
         assert "config hash" in out
         assert "remainder_square_summable" in out
 
+    def test_remainder_check_above_one_hundred_thousand_steps(self, tmp_path, capsys):
+        # the remainder sum runs over every step, so a kept run past
+        # N = 10^5 must still hold every step's pieces
+        N = 100_001
+        cfg = base_config(
+            N=N, n_runs=1, checks=[{"name": "remainder"}], output={"trajectories": 1}
+        )
+        p = write_config(tmp_path, cfg)
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["report"]["conditions"][0]["verdict"] == "pass"
+        with open(tmp_path / "out" / "trajectories" / "run_0.csv") as fh:
+            assert sum(1 for _ in fh) == N + 1  # header and one row per step
+
     def test_report_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1
 
@@ -578,6 +593,34 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where, spec",
+        [
+            ("model", {"kind": "synthetic", "mu": None}),
+            ("model", {"kind": "vrrw_meanfield", "d": None, "alpha": 2.0}),
+            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "initial_counts": 5}),
+            ("model", {"kind": "linear", "H": [[1.0]], "unstable_dims": [1]}),
+            ("model", {"kind": "vrrw_walk", "d": 3, "alpha": 2.0, "start_vertex": None}),
+            ("model", {"kind": "linear", "H": {"a": 1}}),
+            ("schedule", {"kind": "power", "gamma_exp": None}),
+            ("schedule", {"kind": "harmonic", "offset": "x"}),
+            ("schedule", {"kind": "geometric", "c_ratio": -1}),
+        ],
+        ids=[
+            "mu-null", "d-null", "initial_counts-int", "unstable_dims-list",
+            "start_vertex-null", "H-object", "gamma_exp-null", "offset-string",
+            "c_ratio-negative",
+        ],
+    )
+    def test_bad_model_or_schedule_parameter_exits_one(self, tmp_path, capsys, where, spec):
+        p = write_config(tmp_path, base_config(n_runs=4, **{where: spec}))
+        code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {where}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 

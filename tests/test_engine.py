@@ -10,6 +10,7 @@ import trapcheck.engine as engine
 from trapcheck import (
     BlowUpError,
     CaptureSpec,
+    InsufficientHorizonError,
     InsufficientRecordsError,
     LinearModel,
     MeanFieldVrrwModel,
@@ -24,7 +25,6 @@ from trapcheck import (
     empirical_increment_decomposition,
     monte_carlo,
     run,
-    step,
 )
 
 
@@ -61,14 +61,16 @@ class SilentModel(Model):
 
 
 class TestStep:
+    """One step of the recursion, taken as a one-step run."""
+
     def test_frozen_schedule_is_identity(self):
         s = Schedule(
             gamma=SequenceSpec("const", value=0.0),
             c=SequenceSpec("const", value=0.0),
             horizon=10,
         )
-        rec, x1 = step(np.array([0.7]), 0, UnitNoiseModel(), s, np.random.default_rng(0))
-        assert np.array_equal(x1, [0.7])
+        traj = run(UnitNoiseModel(), s, np.array([0.7]), 1, seed=0)
+        assert np.array_equal(traj.states[1], [0.7])
 
     def test_hand_arithmetic(self):
         s = Schedule(
@@ -76,14 +78,13 @@ class TestStep:
             c=SequenceSpec("const", value=0.1),
             horizon=10,
         )
-        rec, x1 = step(np.array([0.5]), 0, UnitNoiseModel(), s, np.random.default_rng(0))
-        assert x1[0] == pytest.approx(0.65, abs=1e-16)
-        assert rec.g[0] == 0.5 and rec.eps[0] == 1.0 and rec.rem[0] == 0.0
+        traj = run(UnitNoiseModel(), s, np.array([0.5]), 1, seed=0)
+        assert traj.states[1, 0] == pytest.approx(0.65, abs=1e-16)
+        assert traj.g[0, 0] == 0.5 and traj.eps[0, 0] == 1.0 and traj.rem[0, 0] == 0.0
 
     def test_beyond_horizon(self):
-        s = harmonic(5)
-        with pytest.raises(Exception):
-            step(np.zeros(1), 5, UnitNoiseModel(), s, np.random.default_rng(0))
+        with pytest.raises(InsufficientHorizonError):
+            run(UnitNoiseModel(), harmonic(5), np.zeros(1), 6, seed=0)
 
 
 class TestRun:
@@ -104,19 +105,12 @@ class TestRun:
         traj = run(m, harmonic(300), np.array([0.1, 0.2]), 300, seed=9)
         assert traj.reconstruction_residual() == 0.0
 
-    def test_default_thinning(self):
-        m = LinearModel([[1.0]])
-        traj = run(m, harmonic(128), np.zeros(1), 128, seed=0)
-        assert traj.thinning == 1
-        assert len(traj.part_indices) == 128
-
-    def test_record_and_thinned_access(self):
-        m = LinearModel([[1.0]])
-        traj = run(m, harmonic(64), np.zeros(1), 64, seed=0, thinning=8)
-        rec = traj.record(8)
-        assert rec.n == 8
-        with pytest.raises(InsufficientRecordsError):
-            traj.record(9)
+    def test_pieces_recorded_at_every_step(self):
+        m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
+        traj = run(m, harmonic(128), np.zeros(2), 128, seed=0)
+        assert traj.states.shape == (129, 2)
+        for piece in (traj.g, traj.eps, traj.rem):
+            assert piece.shape == (128, 2)
 
     def test_blowup_raises_with_prefix(self):
         m = LinearModel([[5.0]], noise_kind="none", id="explode")
@@ -138,6 +132,7 @@ class TestRun:
         assert header == "n,x_0,x_1,g_0,g_1,eps_0,eps_1,rem_0,rem_1"
         table = np.loadtxt(p, delimiter=",", skiprows=1)
         ns = table[:, 0].astype(int)
+        assert np.array_equal(ns, np.arange(50))
         assert np.array_equal(table[:, 1:3], traj.states[ns])
         assert np.array_equal(table[:, 3:5], traj.g)
 
@@ -196,9 +191,8 @@ class TestMonteCarlo:
         for i in (0, 2, 4):
             got = summary.trajectory(i)
             ref = run(m, s, m.initial_state(), 700, seed=engine._seed_for_run(13, i))
-            for name in ("states", "part_indices", "g", "eps", "rem"):
+            for name in ("states", "g", "eps", "rem"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
-            assert got.thinning == 1
         with pytest.raises(InsufficientRecordsError):
             summary.trajectory(1)
 
@@ -406,12 +400,6 @@ class TestDecomposition:
         assert dec.martingale_cumsum.shape == (51, 1)
         assert np.all(dec.martingale_cumsum[0] == 0.0)
         assert_allclose(dec.martingale_cumsum[-1], dec.martingale.sum(axis=0), rtol=1e-12)
-
-    def test_thinned_trajectory_rejected(self):
-        m = LinearModel([[1.0]])
-        traj = run(m, harmonic(64), np.zeros(1), 64, seed=0, thinning=8)
-        with pytest.raises(InsufficientRecordsError):
-            empirical_increment_decomposition(traj)
 
 
 def test_combine_increment_is_the_canonical_expression():

@@ -1,12 +1,14 @@
 """Tests for the finite-sample condition checkers."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import trapcheck.hypotheses as hyp
+from trapcheck.cli import main
 from trapcheck.engine import CaptureSpec, Trajectory, monte_carlo, run
 from trapcheck.errors import InsufficientRecordsError
 from trapcheck.hypotheses import (
@@ -84,7 +86,7 @@ class GrowingNoise2D(LinearModel):
 
 
 def manual_circle_trajectory(H, radius=0.5, n_pts=64):
-    """Deterministic trajectory whose retained states sweep a circle."""
+    """Deterministic trajectory whose states sweep a circle."""
     th = np.linspace(0.0, 2.0 * np.pi, n_pts, endpoint=False)
     pts = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
     states = np.vstack([pts, pts[:1]])
@@ -93,10 +95,8 @@ def manual_circle_trajectory(H, radius=0.5, n_pts=64):
     return Trajectory(
         model_id="manual",
         seed=0,
-        thinning=1,
         schedule=harmonic(n_pts),
         states=states,
-        part_indices=np.arange(n_pts),
         g=g,
         eps=z,
         rem=z,
@@ -187,23 +187,6 @@ class TestRemainder:
     def test_short_window_inconclusive(self):
         traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
         assert check_remainder(traj, window=(10, 15)).verdict == "inconclusive"
-
-    def test_thinned_trajectory_rejected(self):
-        ns = np.arange(0, 10, 2)
-        z = np.zeros((len(ns), 1))
-        traj = Trajectory(
-            model_id="manual",
-            seed=0,
-            thinning=2,
-            schedule=harmonic(10),
-            states=np.zeros((11, 1)),
-            part_indices=ns,
-            g=z,
-            eps=z,
-            rem=z,
-        )
-        with pytest.raises(InsufficientRecordsError):
-            check_remainder(traj)
 
     def test_noncontiguous_ensemble_window_rejected(self):
         caps = CaptureSpec(increment_indices=tuple(range(0, 100, 2)))
@@ -495,7 +478,7 @@ class TestHypothesisReport:
         assert d["constants"]["beta"] == -0.5
         assert d["conditions"][0]["name"] == "noise_excitation"
 
-    def test_to_text_mentions_conditions(self):
+    def test_to_text_mentions_conditions(self, tmp_path, capsys):
         rep = HypothesisReport(
             "th5d",
             (
@@ -503,7 +486,9 @@ class TestHypothesisReport:
                 ConditionResult("jump_moments", "fail", {"k": 1.0}),
             ),
         )
-        text = rep.to_text()
+        (tmp_path / "summary.json").write_text(json.dumps({"report": rep.to_dict()}))
+        assert main(["report", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
         assert "th5d" in text
         assert "rate_condition" in text
         assert "jump_moments" in text

@@ -13,10 +13,8 @@ from trapcheck import (
     VrrwWalkModel,
     control_models,
     synthetic_field,
-    transition_distribution,
     vrrw_field,
     vrrw_jacobian,
-    vrrw_walk_step,
 )
 from trapcheck.models import _row_sum
 
@@ -31,14 +29,20 @@ def fd_jacobian(f, x, h=1e-6):
     return J
 
 
-class FixedRng:
-    """Deterministic stand-in exposing the .random() protocol."""
-
-    def __init__(self, u):
-        self.u = float(u)
-
-    def random(self):
-        return self.u
+def walk_step(cfg, counts, cur, u):
+    """One ``VrrwWalkModel.step_parts`` call on runs at counts ``counts``
+    (one row per run, or one row for all), walker positions ``cur`` and
+    draws ``u``: (next vertices, updated counts, transition laws), with the
+    law of each run recovered from its noise as ``p = e_J - eps``."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
+    B = len(u)
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.float64), (B, cfg.d)).copy()
+    aux = {"counts": counts, "cur": np.broadcast_to(cur, (B,)).astype(np.int64)}
+    x = counts / counts.sum(axis=1, keepdims=True)
+    _, eps, _, aux = VrrwWalkModel(cfg).step_parts(x, 0, u, aux)
+    nxt = aux["cur"]
+    p = (np.arange(cfg.d) == nxt[:, None]) - eps
+    return nxt, aux["counts"], p
 
 
 class TestVrrwField:
@@ -122,41 +126,44 @@ class TestWalk:
     def test_transition_example(self):
         # at vertex 0, counts (1,2,1), alpha=2: weights (-, 4, 1) -> (0, .8, .2)
         cfg = VrrwConfig(d=3, alpha=2.0, A=np.ones((3, 3)) - np.eye(3))
-        p = transition_distribution(0, np.array([1.0, 2.0, 1.0]), cfg)
-        assert_allclose(p, [0.0, 0.8, 0.2], atol=1e-15)
+        _, _, p = walk_step(cfg, [1.0, 2.0, 1.0], 0, 0.5)
+        assert_allclose(p[0], [0.0, 0.8, 0.2], atol=1e-15)
 
     def test_walk_step_count_update(self):
         cfg = VrrwConfig.complete(3, 2.0)
-        nxt, counts = vrrw_walk_step(0, np.array([1.0, 1.0, 1.0]), cfg, FixedRng(0.1))
-        assert nxt == 1
-        assert_allclose(counts, [1.0, 2.0, 1.0])
-        assert_allclose(counts / counts.sum(), [0.25, 0.5, 0.25])
+        nxt, counts, _ = walk_step(cfg, [1.0, 1.0, 1.0], 0, 0.1)
+        assert nxt[0] == 1
+        assert_allclose(counts[0], [1.0, 2.0, 1.0])
+        assert_allclose(counts[0] / counts[0].sum(), [0.25, 0.5, 0.25])
 
     def test_two_vertices_alternate(self):
         cfg = VrrwConfig.complete(2, 2.0)
+        m = VrrwWalkModel(cfg)
         rng = np.random.default_rng(0)
-        cur, counts = 0, np.array([1.0, 1.0])
+        aux = m.init_aux(1)
+        x = m.initial_state()[None, :]
         for i in range(100):
-            prev = cur
-            cur, counts = vrrw_walk_step(cur, counts, cfg, rng)
-            assert cur != prev
+            prev = aux["cur"][0]
+            _, _, _, aux = m.step_parts(x, i, rng.random((1, 1)), aux)
+            assert aux["cur"][0] != prev
+        counts = aux["counts"][0]
         assert_allclose(counts / counts.sum(), [0.5, 0.5], atol=0.01)
 
     def test_stuck_walk(self):
+        # from vertex 0 the only other vertex has count 0: no weight left
         cfg = VrrwConfig.complete(2, 2.0)
         with pytest.raises(StuckWalkError):
-            transition_distribution(0, np.array([1.0, 0.0]), cfg)
+            walk_step(cfg, [1.0, 0.0], 0, 0.5)
 
     def test_transition_goodness_of_fit(self):
+        # one batch of n runs, all at the same counts and position
         cfg = VrrwConfig.complete(3, 2.0)
-        counts = np.array([1.0, 2.0, 3.0])
-        p = transition_distribution(0, counts, cfg)
-        rng = np.random.default_rng(7)
         n = 100_000
-        hits = np.zeros(3)
-        for _ in range(n):
-            nxt, _ = vrrw_walk_step(0, counts, cfg, rng)
-            hits[nxt] += 1
+        u = np.random.default_rng(7).random(n)
+        nxt, _, laws = walk_step(cfg, [1.0, 2.0, 3.0], 0, u)
+        p = laws[0]
+        assert_allclose(laws, np.broadcast_to(p, laws.shape), atol=1e-15)
+        hits = np.bincount(nxt, minlength=3)
         live = p > 0
         chi2 = np.sum((hits[live] - n * p[live]) ** 2 / (n * p[live]))
         dof = live.sum() - 1
@@ -169,7 +176,7 @@ class TestWalk:
         tot = counts.sum()
         v = counts / tot
         for cur in range(3):
-            p = transition_distribution(cur, counts, cfg)
+            p = walk_step(cfg, counts, cur, 0.5)[2][0]
             expected = np.zeros(3)
             for j in range(3):
                 nc = counts.copy()
@@ -208,13 +215,6 @@ class TestWalkSamplingBoundary:
         assert np.all(nxt < d)
         assert np.all(w[np.arange(B), nxt] > 0)
 
-    def test_walk_step_function(self):
-        cfg = VrrwConfig.complete(8, 1.5)
-        counts, cur, w = self._overshooting_rows(cfg)
-        for row, c, wr in zip(counts, cur, w):
-            nxt, _ = vrrw_walk_step(int(c), row, cfg, FixedRng(self.U_TOP))
-            assert nxt < cfg.d and wr[nxt] > 0
-
 
 class TestVrrwModels:
     def test_walk_model_initial_state_and_schedule(self):
@@ -222,8 +222,8 @@ class TestVrrwModels:
         assert_allclose(m.initial_state(), np.full(3, 1.0 / 3.0))
         s = m.natural_schedule(100)
         # gamma_n = c_n = 1/(n + total initial count)
-        assert_allclose(s.gamma_at(1), 1.0 / 4.0, rtol=1e-15)
-        assert_allclose(s.c_at(7), 1.0 / 10.0, rtol=1e-15)
+        assert_allclose(s.gamma_values[1], 1.0 / 4.0, rtol=1e-15)
+        assert_allclose(s.c_values[7], 1.0 / 10.0, rtol=1e-15)
 
     def test_declared_trap_constants(self):
         m = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
