@@ -296,25 +296,34 @@ class ExperimentConfig:
 
 def _build_model(spec: dict) -> models.Model:
     kind = spec.get("kind")
+
+    def required(key):
+        if key not in spec:
+            raise ConfigError("required field is missing", f"model.{key}")
+        return spec[key]
+
+    def integer(key, default):
+        return _integer(spec.get(key, default), f"model.{key}")
+
     try:
         if kind == "linear":
             return models.LinearModel(
                 spec.get("H", [[1.0]]),
                 noise_kind=spec.get("noise", "rademacher"),
                 remainder_kind=spec.get("remainder", "none"),
-                unstable_dims=int(spec.get("unstable_dims", 1)),
+                unstable_dims=integer("unstable_dims", 1),
                 id=spec.get("id"),
             )
         if kind == "synthetic":
             return models.SyntheticModel(
                 mu=float(spec.get("mu", -1.0)),
                 nu=float(spec.get("nu", 1.0)),
-                dim=int(spec.get("dim", 2)),
-                delta_plus=int(spec.get("delta_plus", 1)),
+                dim=integer("dim", 2),
+                delta_plus=integer("delta_plus", 1),
             )
         if kind in ("vrrw_walk", "vrrw_meanfield"):
-            d = int(spec["d"])
-            alpha = float(spec["alpha"])
+            d = _integer(required("d"), "model.d")
+            alpha = float(required("alpha"))
             counts = spec.get("initial_counts")
             if spec.get("graph", "complete") == "complete":
                 cfg = models.VrrwConfig.complete(d, alpha, counts)
@@ -322,11 +331,11 @@ def _build_model(spec: dict) -> models.Model:
                 cfg = models.VrrwConfig(
                     d=d,
                     alpha=alpha,
-                    A=np.asarray(spec["A"], dtype=np.float64),
+                    A=np.asarray(required("A"), dtype=np.float64),
                     initial_counts=tuple(counts or (1,) * d),
                 )
             if kind == "vrrw_walk":
-                return models.VrrwWalkModel(cfg, start_vertex=int(spec.get("start_vertex", 0)))
+                return models.VrrwWalkModel(cfg, start_vertex=integer("start_vertex", 0))
             return models.MeanFieldVrrwModel(cfg)
         if kind == "control":
             which = spec.get("which")
@@ -336,7 +345,7 @@ def _build_model(spec: dict) -> models.Model:
                     f"unknown control {which!r}; options: {sorted(table)}", "model.which"
                 )
             return table[which]
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), "model") from exc

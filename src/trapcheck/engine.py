@@ -122,12 +122,13 @@ class CaptureSpec:
         Times n at which every run's state is stored (for diagnostics),
         runs first: ``(n_runs, len(state_indices), d)``.
     increment_indices:
-        Step indices at which (g, eps, rem) are stored across runs (for
-        hypothesis checks needing cross-run means at fixed n).  They are
-        stored step-major, ``(len(increment_indices), n_runs, d)``, so a
-        captured step is one contiguous write and the checkers' per-step
-        means over runs reduce along a contiguous axis;
-        :class:`EnsembleSummary` shows them runs-first.
+        Step indices at which every run's martingale noise ``eps`` is stored
+        (for hypothesis checks needing cross-run means at fixed n; ``g`` and
+        ``rem`` are not kept).  It is stored step-major,
+        ``(len(increment_indices), n_runs, d)``, so a captured step is one
+        contiguous write and the checkers, which reduce it a chunk of steps
+        at a time, take per-step means over runs along a contiguous axis;
+        :class:`EnsembleSummary` shows it runs-first.
     full_runs:
         Run indices whose full record is kept, as :func:`run` returns it:
         every state and every step's (g, eps, rem), ``(4N+1) * d`` doubles
@@ -163,10 +164,9 @@ class CaptureSpec:
 class EnsembleSummary:
     """Order-insensitive reduction of an ensemble (arrays indexed by run).
 
-    ``captured_g``/``captured_eps``/``captured_rem`` have shape
-    ``(n_runs, len(increment_indices), d)`` but are transposed views of
-    step-major storage (see :class:`CaptureSpec`); ``captured_states`` is
-    stored runs-first.
+    ``captured_eps`` has shape ``(n_runs, len(increment_indices), d)`` but
+    is a transposed view of step-major storage (see :class:`CaptureSpec`);
+    ``captured_states`` is stored runs-first.
 
     ``sup_tail_distance[r]`` is run r's sup of ``||X_n - x*||`` over
     ``n in [tail_from, N]`` — the finite-horizon stand-in for "the run
@@ -186,11 +186,12 @@ class EnsembleSummary:
     capture_times: np.ndarray
     captured_states: Optional[np.ndarray]  # (n_runs, len(capture_times), d)
     increment_indices: np.ndarray
-    captured_g: Optional[np.ndarray]  # (n_runs, len(increment_indices), d) view
-    captured_eps: Optional[np.ndarray]
-    captured_rem: Optional[np.ndarray]
+    captured_eps: Optional[np.ndarray]  # (n_runs, len(increment_indices), d) view
     blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
     full_runs: dict = field(default_factory=dict)  # run index -> Trajectory
+
+    # never captured; kept readable because perfbench/invoke.py sums their sizes
+    captured_g = captured_rem = None
 
     @property
     def ok(self) -> np.ndarray:
@@ -322,9 +323,7 @@ def _drive(
     state_idx = np.asarray(capture.state_indices, dtype=np.int64)
     inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
-    cap_g = np.empty((len(inc_idx), B, d)) if len(inc_idx) else None  # step-major
-    cap_eps = np.empty_like(cap_g) if cap_g is not None else None
-    cap_rem = np.empty_like(cap_g) if cap_g is not None else None
+    cap_eps = np.empty((len(inc_idx), B, d)) if len(inc_idx) else None  # step-major
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
     inc_pos = {int(t): k for k, t in enumerate(inc_idx)}
 
@@ -364,8 +363,7 @@ def _drive(
                 x[blown] = trap_point  # park blown rows somewhere benign
 
             if n in inc_pos:
-                k = inc_pos[n]
-                cap_g[k], cap_eps[k], cap_rem[k] = g, eps, rem
+                cap_eps[inc_pos[n]] = eps
             if (n + 1) in state_pos:
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
@@ -379,9 +377,7 @@ def _drive(
         "blown": blown,
         "blowup_step": blowup_step,
         "cap_states": cap_states,
-        "cap_g": cap_g,
         "cap_eps": cap_eps,
-        "cap_rem": cap_rem,
     }
     if K:
         out["kept"] = (states, parts)
@@ -573,9 +569,7 @@ def monte_carlo(
         capture_times=np.asarray(capture.state_indices, dtype=np.int64),
         captured_states=_merge("cap_states"),
         increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
-        captured_g=_runs_first("cap_g"),
         captured_eps=_runs_first("cap_eps"),
-        captured_rem=_runs_first("cap_rem"),
         blowup_step=_merge("blowup_step"),
         full_runs=full_runs,
     )

@@ -56,7 +56,6 @@ class TimeChangedPath:
     """A trajectory re-indexed by the drift timescale.
 
     ``states[k]`` is the exact process state at clock value ``s_grid[k]``;
-    between grid points the path is understood piecewise-linearly, but all
     diagnostics sample at grid points only.
     """
 
@@ -73,18 +72,6 @@ class TimeChangedPath:
     @property
     def duration(self) -> float:
         return float(self.s_grid[-1] - self.s_grid[0])
-
-    def state_at(self, s: float) -> np.ndarray:
-        """State at clock s: exact at grid points, linear in between."""
-        grid = self.s_grid
-        if s < grid[0] or s > grid[-1]:
-            raise ValueError(f"s={s} outside the path range [{grid[0]}, {grid[-1]}]")
-        j = int(np.searchsorted(grid, s))
-        if j < len(grid) and grid[j] == s:
-            return self.states[j].copy()
-        lo, hi = j - 1, j
-        w = (s - grid[lo]) / (grid[hi] - grid[lo])
-        return (1.0 - w) * self.states[lo] + w * self.states[hi]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ _LAMBDA_TREND_RATIO = 0.8
 #: Minimum ensemble size for cross-run conditional-mean estimates.
 MIN_RUNS = 30
 
+#: Captured steps the ensemble checkers reduce per pass (a last chunk may
+#: hold one more): it bounds their temporaries to a few
+#: ``_STEP_CHUNK * n_runs * d`` arrays.  At least 2.
+_STEP_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class ConditionResult:
@@ -142,30 +147,54 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 
 
-def _captured_window(summary: EnsembleSummary, captured, window):
-    """(ns, pieces) of one increment capture over the window and the
-    non-blown runs, ``pieces`` of shape (runs, len(ns), d).
-
-    ``pieces`` is always a runs-first view of step-major memory, the layout
-    the checkers' reductions were written against (the per-step means over
-    runs then reduce along a contiguous axis, and their bits depend on it).
-    The engine stores captures that way, so this is a slice, not a copy,
-    unless some run blew up; captures held runs-first are copied into it.
-    """
-    if captured is None:
+def _eps_window(summary: EnsembleSummary, window):
+    """(ns, steps): the captured steps inside the window and the slice of
+    ``summary.increment_indices`` (and of the eps capture) that holds them."""
+    if summary.captured_eps is None:
         raise InsufficientRecordsError("ensemble was run without increment captures")
     ns = summary.increment_indices  # sorted and unique
     lo, hi = (ns[0], ns[-1] + 1) if window is None else (window[0], window[1])
     a, b = np.searchsorted(ns, [lo, hi])
-    steps = captured.transpose(1, 0, 2)[a:b]
-    if summary.blown_up.any():
-        steps = np.compress(summary.ok, steps, axis=1)  # C order: no second copy
-    return ns[a:b], np.ascontiguousarray(steps).transpose(1, 0, 2)
+    return ns[a:b], slice(a, b)
 
 
-def _ensemble_eps(summary: EnsembleSummary, window):
-    """(ns, eps) restricted to the window and to non-blown runs."""
-    return _captured_window(summary, summary.captured_eps, window)
+def _eps_chunks(summary: EnsembleSummary, steps: slice):
+    """The eps capture at ``steps`` and the non-blown runs, ``_STEP_CHUNK``
+    steps at a time, each chunk of shape (runs, steps in chunk, d).
+
+    Each chunk is a runs-first view of step-major memory, the layout the
+    checkers' reductions were written against (the per-step means over runs
+    then reduce along a contiguous axis, and their bits depend on it; every
+    step's mean sees the same layout whichever chunk holds it).  The engine
+    stores captures that way, so a chunk is a slice, not a copy, unless some
+    run blew up; captures held runs-first are copied into it.
+    """
+    by_step = summary.captured_eps.transpose(1, 0, 2)
+    ok = summary.ok if summary.blown_up.any() else None
+    j = steps.start
+    while j < steps.stop:
+        # a lone last step joins the chunk before it: matmul takes another
+        # path, with other bits, for a one-step chunk than for a longer one
+        end = j + _STEP_CHUNK if steps.stop - j > _STEP_CHUNK + 1 else steps.stop
+        chunk = by_step[j:end]
+        if ok is not None:
+            chunk = np.compress(ok, chunk, axis=1)  # C order: no second copy
+        yield np.ascontiguousarray(chunk).transpose(1, 0, 2)
+        j = end
+
+
+def _step_means(summary: EnsembleSummary, steps: slice, *stats):
+    """Per function in ``stats``, the cross-run mean of ``stat(eps)`` at each
+    captured step of ``steps``: row i of the result is
+    ``np.mean(stats[i](eps), axis=0)`` over the window, reduced one chunk of
+    steps at a time so no window-sized temporary is built."""
+    out = np.empty((len(stats), steps.stop - steps.start))
+    j = 0
+    for eps in _eps_chunks(summary, steps):
+        for row, stat in zip(out, stats):
+            row[j : j + eps.shape[1]] = np.mean(stat(eps), axis=0)
+        j += eps.shape[1]
+    return out
 
 
 def _window_of(ns, window):
@@ -196,21 +225,15 @@ def check_noise_excitation(
     ``||eps_n||^a`` is the moment limsup proxy.  Pass needs the liminf proxy
     above the threshold and the moment proxy finite.
     """
-    ns, eps = _ensemble_eps(summary, window)
-    if eps.shape[0] < min_runs:
+    ns, steps = _eps_window(summary, window)
+    n_runs = int(summary.ok.sum())
+    if n_runs < min_runs:
         return ConditionResult(
             "noise_excitation",
             "inconclusive",
-            {"n_runs": int(eps.shape[0]), "reason": "too few runs"},
+            {"n_runs": n_runs, "reason": "too few runs"},
             threshold,
         )
-    if split is not None:
-        eps_plus = eps @ split.P_inv[: split.delta_plus].T
-    else:
-        eps_plus = eps
-    m2 = np.mean(np.sum(eps_plus**2, axis=-1), axis=0)  # per-n mean over runs
-    ma = np.mean(np.sum(eps**2, axis=-1) ** (a / 2.0), axis=0)
-
     # k-windows need k consecutive captured indices
     n_starts = max(len(ns) - k + 1, 0)
     starts = np.flatnonzero(ns[k - 1 : k - 1 + n_starts] == ns[:n_starts] + (k - 1))
@@ -221,6 +244,14 @@ def check_noise_excitation(
             {"reason": f"no {k} consecutive captured steps in window"},
             threshold,
         )
+
+    plus = None if split is None else split.P_inv[: split.delta_plus].T
+    m2, ma = _step_means(  # per-n means over runs
+        summary,
+        steps,
+        lambda eps: np.sum((eps if plus is None else eps @ plus) ** 2, axis=-1),
+        lambda eps: np.sum(eps**2, axis=-1) ** (a / 2.0),
+    )
     sums = sliding_window_view(m2, k)[starts].sum(axis=1)  # np.sum(m2[i:i+k]) bits
     liminf_proxy = float(np.min(sums))
     limsup_proxy = float(np.max(ma))
@@ -239,24 +270,16 @@ def check_noise_excitation(
     )
 
 
-def _remainder_series(obj: Union[Trajectory, EnsembleSummary], window):
-    """(ns, mean squared remainder norms, mean norms) over the window."""
-    if isinstance(obj, Trajectory):
-        ns = np.arange(obj.N)
-        mask = _window_of(ns, window)
-        rem = obj.rem[mask][None, :, :]
-        ns = ns[mask]
-    else:
-        ns, rem = _captured_window(obj, obj.captured_rem, window)
-    if len(ns) and np.any(np.diff(ns) != 1):
-        raise InsufficientRecordsError("remainder check needs a contiguous step window")
-    sq = np.mean(np.sum(rem**2, axis=-1), axis=0)
-    nrm = np.mean(np.linalg.norm(rem, axis=-1), axis=0)
-    return ns, sq, nrm
+def _remainder_series(traj: Trajectory, window):
+    """(ns, squared remainder norms, norms) over the window."""
+    ns = np.arange(traj.N)
+    mask = _window_of(ns, window)
+    rem = traj.rem[mask]
+    return ns[mask], np.sum(rem**2, axis=-1), np.linalg.norm(rem, axis=-1)
 
 
 def check_remainder(
-    obj: Union[Trajectory, EnsembleSummary],
+    traj: Trajectory,
     mode: str = "square_summable",
     nu: float = 1.0,
     window=None,
@@ -264,17 +287,19 @@ def check_remainder(
     cauchy_ratio: float = 1e-3,
     growth_factor: float = 2.0,
 ) -> ConditionResult:
-    """Remainder smallness.
+    """Remainder smallness along one trajectory (``trapcheck check`` passes
+    the kept run 0; ensembles capture no remainders).
 
     ``square_summable``: the partial sums of ``||r_n||^2`` must have gone
     Cauchy over the window — the second-half increase may be at most
     ``cauchy_ratio`` of the total.  ``split_r``: the rescaled magnitudes
     ``c_n ||r_n|| / gamma_n^(1+nu)`` must stay bounded — the second-half sup
-    may exceed the first-half sup by at most ``growth_factor``.
+    may exceed the first-half sup by at most ``growth_factor``; ``schedule``
+    defaults to the trajectory's own.
     """
     if mode not in ("square_summable", "split_r"):
         raise ValueError(f"unknown mode {mode!r}")
-    ns, sq, nrm = _remainder_series(obj, window)
+    ns, sq, nrm = _remainder_series(traj, window)
     if len(ns) < 8:
         return ConditionResult(
             f"remainder_{mode}", "inconclusive", {"reason": "window too short"}, None
@@ -298,9 +323,7 @@ def check_remainder(
             cauchy_ratio,
         )
     # split_r
-    sched = schedule if schedule is not None else getattr(obj, "schedule", None)
-    if sched is None:
-        raise ValueError("split_r mode needs the schedule")
+    sched = schedule if schedule is not None else traj.schedule
     gam = sched.gamma_values[ns + 1]
     c = sched.c_values[ns + 1]
     s = c * nrm / gam ** (1.0 + nu)
@@ -424,8 +447,8 @@ def check_jump_moments(
     """
     if a <= 2:
         raise ValueError("moment exponent a must exceed 2")
-    ns, eps = _ensemble_eps(summary, window)
-    if eps.shape[0] < min_runs:
+    ns, steps = _eps_window(summary, window)
+    if summary.ok.sum() < min_runs:
         return ConditionResult(
             "jump_moments", "inconclusive", {"reason": "too few runs"}, None
         )
@@ -433,7 +456,8 @@ def check_jump_moments(
         return ConditionResult(
             "jump_moments", "inconclusive", {"reason": "window too short"}, None
         )
-    m = np.mean(np.sum(eps**2, axis=-1) ** (a / 2.0), axis=0) ** (2.0 / a)
+    (ma,) = _step_means(summary, steps, lambda eps: np.sum(eps**2, axis=-1) ** (a / 2.0))
+    m = ma ** (2.0 / a)
     half = len(ns) // 2
     sup1, sup2 = float(np.max(m[:half])), float(np.max(m[half:]))
     sup = max(sup1, sup2)
@@ -470,7 +494,7 @@ def check_tail_noise_condition(
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    ns, eps = _ensemble_eps(summary, window)
+    ns, steps = _eps_window(summary, window)
     if len(ns) < 16 or np.any(np.diff(ns) != 1):
         return ConditionResult(
             "tail_noise_smallness",
@@ -478,13 +502,6 @@ def check_tail_noise_condition(
             {"reason": "needs a contiguous window of captured steps"},
             None,
         )
-    eps_minus = eps @ split.P_inv[split.delta_plus :].T
-    mean_pow = np.mean(
-        np.sum(eps_minus**2, axis=-1) ** ((1.0 + nu) / 2.0), axis=0
-    )
-    c = schedule.c_values[ns + 1]
-    terms = c ** (1.0 + nu) * mean_pow
-    suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
     lo, hi = int(ns[0]), int(ns[-1])
     if hi < 10 * max(lo, 1):
         return ConditionResult(
@@ -493,6 +510,13 @@ def check_tail_noise_condition(
             {"reason": "window shorter than one decade"},
             None,
         )
+    minus = split.P_inv[split.delta_plus :].T
+    (mean_pow,) = _step_means(
+        summary, steps, lambda eps: np.sum((eps @ minus) ** 2, axis=-1) ** ((1.0 + nu) / 2.0)
+    )
+    c = schedule.c_values[ns + 1]
+    terms = c ** (1.0 + nu) * mean_pow
+    suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
     ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, n_points).astype(int))
     alphas = np.asarray(schedule.tail_l2(ts.astype(float)))
     ratios = suffix[ts - lo] / alphas

@@ -109,12 +109,6 @@ class AdaptedNorm:
     S: np.ndarray
     lam: float
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.S @ y)
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(x @ self.S @ x, 0.0)))
-
     def to_dict(self) -> dict:
         return {"S": self.S.tolist(), "lambda": float(self.lam)}
 

@@ -597,17 +597,18 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "where, spec",
+        "where, spec, path",
         [
-            ("model", {"kind": "synthetic", "mu": None}),
-            ("model", {"kind": "vrrw_meanfield", "d": None, "alpha": 2.0}),
-            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "initial_counts": 5}),
-            ("model", {"kind": "linear", "H": [[1.0]], "unstable_dims": [1]}),
-            ("model", {"kind": "vrrw_walk", "d": 3, "alpha": 2.0, "start_vertex": None}),
-            ("model", {"kind": "linear", "H": {"a": 1}}),
-            ("schedule", {"kind": "power", "gamma_exp": None}),
-            ("schedule", {"kind": "harmonic", "offset": "x"}),
-            ("schedule", {"kind": "geometric", "c_ratio": -1}),
+            ("model", {"kind": "synthetic", "mu": None}, "model"),
+            ("model", {"kind": "vrrw_meanfield", "d": None, "alpha": 2.0}, "model.d"),
+            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "initial_counts": 5}, "model"),
+            ("model", {"kind": "linear", "H": [[1.0]], "unstable_dims": [1]}, "model.unstable_dims"),
+            ("model", {"kind": "vrrw_walk", "d": 3, "alpha": 2.0, "start_vertex": None},
+             "model.start_vertex"),
+            ("model", {"kind": "linear", "H": {"a": 1}}, "model"),
+            ("schedule", {"kind": "power", "gamma_exp": None}, "schedule"),
+            ("schedule", {"kind": "harmonic", "offset": "x"}, "schedule"),
+            ("schedule", {"kind": "geometric", "c_ratio": -1}, "schedule"),
         ],
         ids=[
             "mu-null", "d-null", "initial_counts-int", "unstable_dims-list",
@@ -615,14 +616,45 @@ class TestConfigErrors:
             "c_ratio-negative",
         ],
     )
-    def test_bad_model_or_schedule_parameter_exits_one(self, tmp_path, capsys, where, spec):
+    def test_bad_model_or_schedule_parameter_exits_one(
+        self, tmp_path, capsys, where, spec, path
+    ):
         p = write_config(tmp_path, base_config(n_runs=4, **{where: spec}))
         code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {where}: ")
+        assert err.startswith(f"error: {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (
+                {"kind": "vrrw_meanfield", "d": 3.7, "alpha": 2.0},
+                "error: model.d: must be an integer, got 3.7\n",
+            ),
+            (
+                {"kind": "linear", "H": [[1.0]], "unstable_dims": 1.9},
+                "error: model.unstable_dims: must be an integer, got 1.9\n",
+            ),
+            (
+                {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "graph": "custom"},
+                "error: model.A: required field is missing\n",
+            ),
+            (
+                {"kind": "vrrw_walk", "d": 3},
+                "error: model.alpha: required field is missing\n",
+            ),
+        ],
+        ids=["d-fractional", "unstable_dims-fractional", "A-missing", "alpha-missing"],
+    )
+    def test_model_field_error_names_the_field(self, tmp_path, capsys, spec, expected):
+        p = write_config(tmp_path, base_config(n_runs=4, model=spec))
+        code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
 
     _PARAMS = [("checks", name, key) for name, keys in _CHECK_PARAMS.items() for key in keys]
     _PARAMS += [("diagnostics", name, key) for name, keys in _DIAGNOSTIC_PARAMS.items() for key in keys]

@@ -161,7 +161,6 @@ class TestMonteCarlo:
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
             assert np.array_equal(outs[0].captured_eps, other.captured_eps)
-            assert np.array_equal(outs[0].captured_g, other.captured_g)
 
     def test_sequential_equals_batch(self):
         m = LinearModel([[1.0]])

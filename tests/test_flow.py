@@ -160,16 +160,11 @@ class TestTimeChangedPath:
         with pytest.raises(DegenerateTimeChangeError):
             TimeChangedPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)))
 
-    def test_state_at_interpolates(self):
+    def test_duration_spans_the_grid(self):
         path = TimeChangedPath(
-            np.array([0.0, 1.0]), np.array([[0.0, 0.0], [2.0, -4.0]])
+            np.array([0.5, 1.0, 2.5]), np.array([[0.0, 0.0], [2.0, -4.0], [1.0, 1.0]])
         )
-        assert_allclose(path.state_at(0.0), [0.0, 0.0])
-        assert_allclose(path.state_at(0.5), [1.0, -2.0])
-        assert_allclose(path.state_at(1.0), [2.0, -4.0])
-        assert path.duration == 1.0
-        with pytest.raises(ValueError, match="outside"):
-            path.state_at(1.5)
+        assert path.duration == 2.0
 
 
 # ---------------------------------------------------------------------------

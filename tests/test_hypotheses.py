@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,12 +189,6 @@ class TestRemainder:
         traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
         assert check_remainder(traj, window=(10, 15)).verdict == "inconclusive"
 
-    def test_noncontiguous_ensemble_window_rejected(self):
-        caps = CaptureSpec(increment_indices=tuple(range(0, 100, 2)))
-        summary, _ = ensemble(LinearModel([[-1.0]]), N=100, n_runs=4, captures=caps)
-        with pytest.raises(InsufficientRecordsError):
-            check_remainder(summary)
-
     def test_split_r_rescaled_bound_passes(self):
         # c_n ||r_n|| / gamma_n^2 = 1 exactly for r_n = 1/n on the 1/n schedule
         traj = run(InvNRemainder(), harmonic(200), [0.2], 200, seed=3)
@@ -210,13 +205,6 @@ class TestRemainder:
             check_remainder(traj, mode="split_r", nu=2.0, growth_factor=5.0).verdict
             == "pass"
         )
-
-    def test_split_r_needs_schedule_for_ensembles(self):
-        summary, sched = ensemble(ConstRemainder(), N=100, n_runs=4)
-        with pytest.raises(ValueError, match="schedule"):
-            check_remainder(summary, mode="split_r", nu=2.0)
-        res = check_remainder(summary, mode="split_r", nu=2.0, schedule=sched)
-        assert res.verdict == "fail"
 
     def test_unknown_mode(self):
         traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
@@ -424,6 +412,85 @@ class TestTailNoise:
 
 
 # ---------------------------------------------------------------------------
+# inconclusive results on too-small data
+# ---------------------------------------------------------------------------
+
+
+def _too_small(case):
+    """A checker call on data too small for a verdict, by case name."""
+    one = LinearModel([[1.0]])
+    two = LinearModel(np.diag([1.0, -1.0]))
+    split = split_jacobian(two.H)
+    gapped = CaptureSpec(increment_indices=tuple(range(0, 400, 2)))
+    if case == "noise_excitation-few_runs":
+        return check_noise_excitation(ensemble(one, N=50, n_runs=10)[0])
+    if case == "noise_excitation-short_window":
+        return check_noise_excitation(ensemble(one, N=50)[0], k=3, window=(10, 12))
+    if case == "noise_excitation-gapped_k_window":
+        return check_noise_excitation(ensemble(one, N=400, captures=gapped)[0], k=2)
+    if case == "jump_moments-few_runs":
+        return check_jump_moments(ensemble(one, N=50, n_runs=10)[0], a=4.0)
+    if case == "jump_moments-short_window":
+        return check_jump_moments(ensemble(one, N=50)[0], a=4.0, window=(10, 15))
+    summary, sched = ensemble(two, N=400)
+    if case == "tail_noise-short_window":
+        return check_tail_noise_condition(summary, split, 1.0, sched, window=(10, 20))
+    if case == "tail_noise-gapped_window":
+        gapped_summary, _ = ensemble(two, N=400, captures=gapped)
+        return check_tail_noise_condition(gapped_summary, split, 1.0, sched)
+    if case == "tail_noise-under_a_decade":
+        return check_tail_noise_condition(summary, split, 1.0, sched, window=(200, 400))
+    traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
+    if case == "remainder-short_window":
+        return check_remainder(traj, window=(10, 15))
+    if case == "remainder_split_r-short_window":
+        return check_remainder(traj, mode="split_r", window=(10, 15))
+    if case == "drift_sign-empty_ball":
+        return check_drift_sign(traj, [5.0], rho=0.1)
+    raise ValueError(case)
+
+
+class TestInconclusiveReasons:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "noise_excitation-few_runs",
+            "noise_excitation-short_window",
+            "noise_excitation-gapped_k_window",
+            "jump_moments-few_runs",
+            "jump_moments-short_window",
+            "tail_noise-short_window",
+            "tail_noise-gapped_window",
+            "tail_noise-under_a_decade",
+            "remainder-short_window",
+            "remainder_split_r-short_window",
+            "drift_sign-empty_ball",
+        ],
+    )
+    def test_every_inconclusive_result_gives_a_reason(self, case):
+        res = _too_small(case)
+        assert res.verdict == "inconclusive"
+        assert isinstance(res.estimates["reason"], str) and res.estimates["reason"]
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_noise_excitation,
+            lambda s: check_jump_moments(s, a=4.0),
+            lambda s: check_tail_noise_condition(
+                s, split_jacobian(np.diag([1.0, -1.0])), 1.0, harmonic(50)
+            ),
+        ],
+        ids=["noise_excitation", "jump_moments", "tail_noise"],
+    )
+    def test_no_capture_raises(self, check):
+        summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=50, captures=CaptureSpec())
+        assert summary.captured_eps is None
+        with pytest.raises(InsufficientRecordsError):
+            check(summary)
+
+
+# ---------------------------------------------------------------------------
 # constants and report assembly
 # ---------------------------------------------------------------------------
 
@@ -496,17 +563,21 @@ class TestHypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# capture layout
+# capture layout and step chunks
 # ---------------------------------------------------------------------------
 
 
-def _runs_first_window(summary, captured, window):
-    # the runs-first fancy indexing the checkers used to read captures with,
-    # kept as the reference: its result is physically step-major
-    ns = summary.increment_indices
-    lo, hi = (ns[0], ns[-1] + 1) if window is None else window
-    mask = (ns >= lo) & (ns < hi)
-    return ns[mask], captured[summary.ok][:, mask, :]
+def _runs_first_window(summary, steps):
+    # the runs-first fancy indexing the checkers once read whole windows
+    # with, kept as the reference: its result is physically step-major
+    mask = np.zeros(len(summary.increment_indices), dtype=bool)
+    mask[steps] = True
+    return summary.captured_eps[summary.ok][:, mask, :]
+
+
+def _reference_step_means(summary, steps, *stats):
+    eps = _runs_first_window(summary, steps)
+    return np.array([np.mean(stat(eps), axis=0) for stat in stats])
 
 
 @pytest.fixture(scope="module")
@@ -525,72 +596,95 @@ def walk_captures():
     return dataclasses.replace(summary, blown_up=blown), sched, split
 
 
-def _all_checks(summary, sched, split):
+def _eps_checks(summary, sched, split):
     out = []
     for window in (None, (100, 500)):
         out.append(check_noise_excitation(summary, split=split, window=window))
         out.append(check_noise_excitation(summary, window=window))
+        out.append(check_noise_excitation(summary, split=split, k=3, window=window))
         out.append(check_jump_moments(summary, a=4.0, window=window))
-    for window in ((40, 600), (200, 400)):
-        out.append(check_remainder(summary, window=window))
-        out.append(check_remainder(summary, mode="split_r", window=window, schedule=sched))
-    out.append(check_tail_noise_condition(summary, split, 1.0, sched, window=(40, 600)))
-    return [repr(r.to_dict()) for r in out]
+    for window in ((40, 600), (100, 500)):
+        out.append(check_tail_noise_condition(summary, split, 1.0, sched, window=window))
+    return [r.to_dict() for r in out]
+
+
+def _with_blown(summary, blown):
+    if blown:
+        return summary
+    return dataclasses.replace(summary, blown_up=np.zeros(summary.n_runs, dtype=bool))
 
 
 class TestCaptureLayout:
     def test_captures_are_step_major_views(self, walk_captures):
         summary, _, _ = walk_captures
-        for arr in (summary.captured_g, summary.captured_eps, summary.captured_rem):
-            assert arr.shape == (48, len(summary.increment_indices), 3)
-            assert arr.transpose(1, 0, 2).flags.c_contiguous
+        arr = summary.captured_eps
+        assert arr.shape == (48, len(summary.increment_indices), 3)
+        assert arr.transpose(1, 0, 2).flags.c_contiguous
 
     def test_checkers_ignore_capture_layout(self, walk_captures):
         summary, sched, split = walk_captures
         runs_first = dataclasses.replace(
-            summary,
-            captured_eps=np.ascontiguousarray(summary.captured_eps),
-            captured_rem=np.ascontiguousarray(summary.captured_rem),
+            summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
         )
-        assert _all_checks(summary, sched, split) == _all_checks(runs_first, sched, split)
+        assert _eps_checks(summary, sched, split) == _eps_checks(runs_first, sched, split)
 
     def test_checkers_equal_runs_first_fancy_indexing(self, walk_captures, monkeypatch):
         summary, sched, split = walk_captures
-        got = _all_checks(summary, sched, split)
-        monkeypatch.setattr(hyp, "_captured_window", _runs_first_window)
-        assert got == _all_checks(summary, sched, split)
+        got = _eps_checks(summary, sched, split)
+        monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
+        assert got == _eps_checks(summary, sched, split)
+
+    @pytest.mark.parametrize("chunk", [7, 10_000])
+    @pytest.mark.parametrize("blown", [True, False])
+    def test_chunk_boundaries_keep_every_bit(self, walk_captures, monkeypatch, blown, chunk):
+        # at 7 steps a chunk boundary falls inside every window, and the
+        # 400-step window (100, 500) ends in a lone step (400 = 57 * 7 + 1);
+        # at 10,000 each window is one chunk
+        summary, sched, split = walk_captures
+        summary = _with_blown(summary, blown)
+        monkeypatch.setattr(hyp, "_STEP_CHUNK", chunk)
+        got = _eps_checks(summary, sched, split)
+        monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
+        assert got == _eps_checks(summary, sched, split)
 
     @pytest.mark.parametrize("blown", [True, False])
     @pytest.mark.parametrize("window", [None, (100, 500)])
-    def test_window_has_the_reference_layout(self, walk_captures, blown, window):
+    def test_window_has_the_reference_layout(self, walk_captures, monkeypatch, blown, window):
         # the per-step means over runs round differently unless the runs
-        # axis is laid out as the reference lays it out
-        summary, _, _ = walk_captures
-        if not blown:
-            summary = dataclasses.replace(summary, blown_up=np.zeros(48, dtype=bool))
+        # axis of every chunk is laid out as the reference lays it out
+        summary = _with_blown(walk_captures[0], blown)
         runs_first = dataclasses.replace(
             summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
         )
-        ref_ns, ref = _runs_first_window(summary, summary.captured_eps, window)
-        ref_m2 = np.mean(np.sum(ref**2, axis=-1), axis=0)
+        monkeypatch.setattr(hyp, "_STEP_CHUNK", 7)
+        ns, steps = hyp._eps_window(summary, window)
+        if window is not None:
+            assert np.array_equal(ns, np.arange(*window))
+        ref = _runs_first_window(summary, steps)
         for s in (summary, runs_first):
-            ns, eps = hyp._ensemble_eps(s, window)
-            assert np.array_equal(ns, ref_ns)
-            assert eps.shape == ref.shape and eps.strides == ref.strides
-            assert np.array_equal(eps, ref)
-            assert np.array_equal(np.mean(np.sum(eps**2, axis=-1), axis=0), ref_m2)
+            j = 0
+            for eps in hyp._eps_chunks(s, steps):
+                assert 2 <= eps.shape[1] <= 8
+                part = ref[:, j : j + eps.shape[1]]
+                assert eps.strides == part.strides
+                assert np.array_equal(eps, part)
+                j += eps.shape[1]
+            assert j == len(ns)
+        ref_m2 = np.mean(np.sum(ref**2, axis=-1), axis=0)
+        m2 = hyp._step_means(summary, steps, lambda eps: np.sum(eps**2, axis=-1))[0]
+        assert np.array_equal(m2, ref_m2)
 
     def test_no_blown_runs_gives_a_slice(self, walk_captures):
-        summary, _, _ = walk_captures
-        clean = dataclasses.replace(summary, blown_up=np.zeros(48, dtype=bool))
-        ns, eps = hyp._ensemble_eps(clean, (100, 500))
-        assert np.array_equal(ns, np.arange(100, 500))
-        assert np.shares_memory(eps, clean.captured_eps)
+        clean = _with_blown(walk_captures[0], False)
+        _, steps = hyp._eps_window(clean, (100, 500))
+        for eps in hyp._eps_chunks(clean, steps):
+            assert np.shares_memory(eps, clean.captured_eps)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_k_window_sums_equal_the_loop(self, walk_captures, k):
         summary, _, _ = walk_captures
-        ns, eps = hyp._ensemble_eps(summary, None)
+        ns = summary.increment_indices
+        eps = _runs_first_window(summary, slice(None))
         m2 = np.mean(np.sum(eps**2, axis=-1), axis=0)
         sums = [
             float(np.sum(m2[i : i + k]))
@@ -600,3 +694,50 @@ class TestCaptureLayout:
         res = check_noise_excitation(summary, k=k)
         assert res.estimates["n_windows"] == len(sums)
         assert res.estimates["excitation_liminf"] == min(sums)
+
+
+@pytest.fixture(scope="module")
+def long_capture():
+    """An ensemble whose eps capture spans more than four step chunks."""
+    model = LinearModel(np.diag([1.0, -1.0, -2.0]))
+    N = 4 * hyp._STEP_CHUNK + 200
+    caps = CaptureSpec(increment_indices=tuple(range(100, N)))
+    summary, sched = ensemble(model, N=N, captures=caps)
+    return summary, sched, split_jacobian(model.H)
+
+
+def _traced_peak(fn):
+    """Peak bytes ``fn()`` allocates above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestCaptureMemory:
+    def test_only_eps_is_captured(self, long_capture):
+        summary, _, _ = long_capture
+        assert summary.captured_eps is not None
+        assert summary.captured_g is None
+        assert summary.captured_rem is None
+
+    @pytest.mark.parametrize("blown", [False, True])
+    def test_checkers_build_no_window_sized_temporary(self, long_capture, blown):
+        summary, sched, split = long_capture
+        if blown:
+            summary = dataclasses.replace(summary, blown_up=np.arange(summary.n_runs) == 5)
+        window = (100, summary.N)
+        _, steps = hyp._eps_window(summary, window)
+        assert steps.stop - steps.start >= 4 * hyp._STEP_CHUNK
+        window_bytes = summary.captured_eps[:, steps].nbytes
+        checks = [
+            lambda: check_tail_noise_condition(summary, split, 1.0, sched, window=window),
+            lambda: check_noise_excitation(summary, split=split, window=window),
+            lambda: check_noise_excitation(summary, window=window),
+        ]
+        for check in checks:
+            assert check().verdict != "inconclusive"
+            assert _traced_peak(check) < window_bytes
