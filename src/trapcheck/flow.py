@@ -50,6 +50,11 @@ __all__ = [
 
 _DISTANCE_FLOOR = 1e-300
 
+#: Runs whose distances to K the ensemble manifold rate computes per pass:
+#: it bounds that computation's temporaries to a few
+#: ``_RUN_CHUNK * len(capture_times) * d`` arrays.
+_RUN_CHUNK = 32
+
 
 @dataclass(frozen=True, eq=False)
 class TimeChangedPath:
@@ -128,7 +133,7 @@ def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
     # short rows several times slower than elementwise
     hh = np.repeat(step[:, None], x.shape[1], axis=1)
     t = np.array(t0, dtype=np.float64)
-    for m in range(int(n[0])):
+    for m in range(int(n.max(initial=0))):  # n[0], or 0 for no rows
         live = int(np.count_nonzero(n > m))
         if live == len(x):  # always so at m == 0, which makes x our own
             x = _rk4_step(f, x, hh, t)
@@ -237,16 +242,27 @@ def _restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.n
     return pos[s[pos] + T <= s[-1] + 1e-12]
 
 
+def _kept_rows(a: np.ndarray, ok: Optional[np.ndarray]) -> np.ndarray:
+    """The rows of ``a`` that the mask ``ok`` keeps: ``a`` itself when it
+    keeps every row (or is None), else a C-order copy from ``np.compress``,
+    the layout the reductions over these rows are written against (their
+    bits depend on it)."""
+    return a if ok is None or ok.all() else np.compress(ok, a, axis=0)
+
+
 def _batch_deficits(
     s: np.ndarray,
-    X: np.ndarray,  # (B, K, d)
+    X: np.ndarray,  # (runs, K, d)
     f: Callable,
     T: float,
     pos: np.ndarray,
     h: float,
     normalization: str,
+    ok: Optional[np.ndarray] = None,
 ):
-    """Deficits (B, restarts) and the restarts excluded as a whole.
+    """Deficits (B, restarts) of the B runs the mask ``ok`` keeps (every run
+    when it is None) and the restarts excluded as a whole.  X is read in place: only
+    the grid points in use are gathered, restarts by runs.
 
     Every restart advances at once, as one (restarts*B, d) RK4 state moved
     one grid segment at a time: restart i's k-th segment runs from s[i+k] to
@@ -255,12 +271,12 @@ def _batch_deficits(
     point falls in its window or the field fails on one of its rows; a
     failing stacked segment is redone restart by restart to find which.
     """
-    B, _, d = X.shape
     # restart i compares grid points i+1 .. end-1
     end = np.searchsorted(s, s[pos] + T + 1e-12, side="right")
     n_seg = end - pos - 1
     excluded = n_seg < 1
-    cur = X[:, pos, :].transpose(1, 0, 2).copy()  # (restarts, B, d)
+    cur = _kept_rows(X[:, pos, :], ok).transpose(1, 0, 2).copy()  # (restarts, B, d)
+    _, B, d = cur.shape
     if normalization == "scale":
         denom = 1.0 + np.linalg.norm(cur, axis=2)
     else:
@@ -287,37 +303,47 @@ def _batch_deficits(
                     x[a] = _rk4_segment(f, cur[r], float(t0[a]), float(dt[a]), h)
                 except DomainExitError:
                     excluded[r] = True
-            ok = ~excluded[act]
-            act, j, x = act[ok], j[ok], x[ok]
+            done = ~excluded[act]
+            act, j, x = act[done], j[done], x[done]
         cur[act] = x
-        diff = np.linalg.norm(X[:, j, :].transpose(1, 0, 2) - x, axis=2) / denom[act]
+        at_j = _kept_rows(X[:, j, :], ok).transpose(1, 0, 2)
+        diff = np.linalg.norm(at_j - x, axis=2) / denom[act]
         diff = np.where(np.isfinite(diff), diff, np.inf)
         best[act] = np.maximum(best[act], diff)
     deficits = np.where(excluded[:, None], np.inf, best).T
     return deficits, excluded
 
 
+def _tail_count(R: int, tail_fraction: float) -> int:
+    """Points in the tail fit of R: the last ``tail_fraction`` of them, at
+    least 2, and none when R < 2."""
+    return 0 if R < 2 else min(R, max(2, int(np.ceil(R * tail_fraction))))
+
+
 def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float = 1.0 / 3.0):
     """Least-squares slope of log(ys) vs ts over the tail third, per row.
 
     Rows with any non-finite log value in the tail get slope NaN.
-    Returns (slopes, n_fit).
+    Returns (slopes, n_fit).  Builds one (rows, n_fit) array and works in
+    it in place, so ys may be large.  That array is C-ordered whatever the
+    layout of ys: the mean and the product over it round by layout.
     """
     R = len(ts)
-    if R < 2:
+    k = _tail_count(R, tail_fraction)
+    if k == 0:
         return np.full(ys.shape[0], np.nan), 0
-    k = min(R, max(2, int(np.ceil(R * tail_fraction))))
-    sel = slice(R - k, R)
-    t = ts[sel]
+    t = ts[R - k :]
+    L = np.maximum(ys[:, R - k :], _DISTANCE_FLOOR, order="C")
     with np.errstate(divide="ignore"):
-        L = np.log(np.maximum(ys[:, sel], _DISTANCE_FLOOR))
+        np.log(L, out=L)
     tc = t - t.mean()
     denom = float(np.sum(tc**2))
     good = np.all(np.isfinite(L), axis=1)
     slopes = np.full(ys.shape[0], np.nan)
     if denom > 0 and good.any():
-        Lg = L[good]
-        slopes[good] = (Lg - Lg.mean(axis=1, keepdims=True)) @ tc / denom
+        Lg = L if good.all() else L[good]
+        Lg -= Lg.mean(axis=1, keepdims=True)
+        slopes[good] = Lg @ tc / denom
     return slopes, k
 
 
@@ -459,12 +485,15 @@ class EnsembleRates:
 
 
 def _ensemble_paths(summary: EnsembleSummary, schedule: Schedule):
+    """(s, X, ok): the clock at the capture times, the state capture itself
+    (every run, read in place, never copied whole) and the mask of the runs
+    that did not blow up."""
     if summary.captured_states is None or not len(summary.capture_times):
         raise ValueError("ensemble has no captured states for diagnostics")
     s = np.asarray(schedule.partial_drift_sum(summary.capture_times.astype(np.float64)))
     if np.any(np.diff(s) <= 0):
         raise DegenerateTimeChangeError("capture times give a flat clock segment")
-    return s, summary.captured_states[summary.ok]
+    return s, summary.captured_states, summary.ok
 
 
 def ensemble_apt_deficit(
@@ -478,9 +507,9 @@ def ensemble_apt_deficit(
     tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
     """Per-run shadow-deficit tail rates over the captured state grid."""
-    s, X = _ensemble_paths(summary, schedule)
+    s, X, ok = _ensemble_paths(summary, schedule)
     pos = _restart_positions(s, T, None, n_restarts)
-    deficits, hard = _batch_deficits(s, X, f, T, pos, h, normalization)
+    deficits, hard = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
     keep = ~hard
     slopes, _ = _tail_slopes(s[pos[keep]], deficits[:, keep], tail_fraction)
     return EnsembleRates(
@@ -496,8 +525,21 @@ def ensemble_manifold_rate(
     x_star=None,
     tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
-    """Per-run manifold-attraction tail slopes over the captured state grid."""
-    s, X = _ensemble_paths(summary, schedule)
-    dist = _distances_to_K(X, K, split, x_star)
-    slopes, _ = _tail_slopes(s, dist, tail_fraction)
+    """Per-run manifold-attraction tail slopes over the captured state grid.
+
+    The distances are computed ``_RUN_CHUNK`` runs at a time, and only the
+    tail the fit reads is kept.  Each run's distances are bitwise what the
+    whole capture at once gives: the matmul makes one product per run.
+    """
+    s, X, ok = _ensemble_paths(summary, schedule)
+    R = len(s)
+    k = _tail_count(R, tail_fraction)
+    tail = np.empty((int(ok.sum()), k))
+    j = 0
+    for r in range(0, len(X), _RUN_CHUNK):
+        rows = slice(r, r + _RUN_CHUNK)
+        chunk = _kept_rows(X[rows], ok[rows])
+        tail[j : j + len(chunk)] = _distances_to_K(chunk, K, split, x_star)[:, R - k :]
+        j += len(chunk)
+    slopes, _ = _tail_slopes(s[R - k :], tail, 1.0)
     return EnsembleRates(rates=slopes, t_values=s, n_excluded=0)

@@ -1,5 +1,7 @@
 """Shared fixtures and deterministic random-matrix generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ def random_split_matrix(rng, dim, min_gap=1e-2):
     T = Q @ np.diag(rng.uniform(0.5, 2.0, size=dim))
     H = T @ B @ np.linalg.inv(T)
     return H
+
+
+def traced_peak(fn):
+    """Peak bytes ``fn()`` allocates above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -495,6 +495,28 @@ class TestExperimentCommands:
         assert "left the admissible region at step" in err
         assert "Traceback" not in err
 
+    def test_every_run_blown_up_reports_no_rate(self, tmp_path, capsys):
+        # H = 5 drives every run out of the region, and the limit allows it:
+        # the diagnostics then see no run, which is no finite rate
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[5.0]]},
+                N=2000,
+                max_blowup_fraction=1.0,
+                diagnostics=[{"name": "apt"}],
+            ),
+        )
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0, err
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["ensemble"]["blowup_count"] == 40
+        apt = doc["diagnostics"]["apt"]
+        assert apt["n_rates"] == 0
+        assert apt["median_rate"] == "nan"  # canonical JSON spells NaN so
+
     def test_report_command_renders_summary(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict(
             base_config(n_runs=4, checks=[{"name": "remainder"}])

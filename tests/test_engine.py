@@ -18,6 +18,7 @@ from trapcheck import (
     Schedule,
     SequenceSpec,
     SyntheticModel,
+    TrapInfo,
     VrrwConfig,
     VrrwWalkModel,
     combine_increment,
@@ -365,6 +366,40 @@ class TestBlowupGuard:
                            blowup_bound=m.bound)
                 assert np.array_equal(traj.states[-1], summary.terminal_states[i])
                 assert traj.states[m.k + 1, 0] == m.targets[which[i]]
+
+
+class OffsetTrapModel(LinearModel):
+    """A repulsive linear model whose declared trap is off the origin, so
+    the tail distance subtracts a point with nonzero coordinates."""
+
+    def __init__(self, d):
+        super().__init__(0.5 * np.eye(d))
+        x_star = np.linspace(-0.3, 0.45, d)
+        self.trap = TrapInfo(x_star=x_star, jacobian=self.H.copy())
+
+
+class TestTailDistance:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_sup_equals_norm_of_every_tail_state(self, d):
+        # from d = 8 on, np.linalg.norm adds pairwise; the column form must
+        # add in the same order
+        model, N, n_runs = OffsetTrapModel(d), 200, 16
+        sched = harmonic(N)
+        x0 = np.linspace(0.2, -0.3, d)
+        every = CaptureSpec(state_indices=tuple(range(N + 1)))
+        free = monte_carlo(model, sched, x0, N, n_runs, master_seed=d, captures=every)
+        # a bound between the runs' largest excursions blows some up: those
+        # rows are parked at the trap and step on from there
+        peaks = np.abs(free.captured_states).max(axis=(1, 2))
+        bound = float(np.median(peaks))
+        summary = monte_carlo(model, sched, x0, N, n_runs, master_seed=d,
+                              captures=every, blowup_bound=bound)
+        assert 0 < summary.blowup_count < n_runs
+        tail = summary.captured_states[:, summary.tail_from :]
+        dist = np.linalg.norm(tail - model.trap.x_star, axis=2)
+        want = np.maximum.reduce(dist, axis=1, initial=0.0)
+        got = summary.sup_tail_distance
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDecomposition:

@@ -1,5 +1,7 @@
 """Tests for flow integration, the drift clock, and the path diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +26,8 @@ from trapcheck.flow import (
 from trapcheck.models import LinearModel, ManifoldK, MeanFieldVrrwModel, VrrwConfig
 from trapcheck.sequences import Schedule, SequenceSpec
 from trapcheck.spectral import split_jacobian
+
+from conftest import traced_peak
 
 H_SADDLE = np.diag([1.0, -1.0])
 
@@ -454,3 +458,152 @@ class TestEnsembleDiagnostics:
             rates=np.array([np.nan]), t_values=np.arange(1.0), n_excluded=0
         )
         assert np.isnan(empty.median)
+
+
+# ---------------------------------------------------------------------------
+# ensemble diagnostics read the capture in place
+# ---------------------------------------------------------------------------
+
+
+def _skewed_saddle(d):
+    """A d-dimensional saddle in a skewed basis (one repulsive direction), so
+    the split's P_inv is dense, and a K spanned by the stable directions."""
+    rng = np.random.default_rng(d)
+    S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    H = S @ np.diag(np.r_[1.0, -np.linspace(0.5, 2.0, d - 1)]) @ np.linalg.inv(S)
+    K = ManifoldK(basepoint=np.full(d, 0.05), directions=S[:, 1:])
+    return LinearModel(H), K
+
+
+@pytest.fixture(scope="module", params=[2, 3, 5, 9])
+def skewed_ensemble(request):
+    d = request.param
+    model, K = _skewed_saddle(d)
+    N = 600
+    sched = harmonic(N)
+    summary = monte_carlo(
+        model, sched, np.full(d, 0.1), N, n_runs=20, master_seed=d,
+        captures=CaptureSpec(state_indices=_capture_grid(N, 96)),
+    )
+    return model, K, sched, summary
+
+
+def _blown(summary, runs):
+    blown = np.isin(np.arange(summary.n_runs), runs)
+    return dataclasses.replace(summary, blown_up=blown)
+
+
+def _frozen_tail_slopes(ts, ys, tail_fraction=1.0 / 3.0):
+    """``flow._tail_slopes`` as it was written before it worked in place."""
+    R = len(ts)
+    if R < 2:
+        return np.full(ys.shape[0], np.nan)
+    k = min(R, max(2, int(np.ceil(R * tail_fraction))))
+    sel = slice(R - k, R)
+    with np.errstate(divide="ignore"):
+        L = np.log(np.maximum(ys[:, sel], flow._DISTANCE_FLOOR))
+    tc = ts[sel] - ts[sel].mean()
+    denom = float(np.sum(tc**2))
+    good = np.all(np.isfinite(L), axis=1)
+    slopes = np.full(ys.shape[0], np.nan)
+    if denom > 0 and good.any():
+        Lg = L[good]
+        slopes[good] = (Lg - Lg.mean(axis=1, keepdims=True)) @ tc / denom
+    return slopes
+
+
+def _whole_array(summary, sched):
+    """The clock and a copy of the non-blown runs' states, as the diagnostics
+    took them before they read the capture in place."""
+    s = np.asarray(sched.partial_drift_sum(summary.capture_times.astype(np.float64)))
+    return s, summary.captured_states[summary.ok]
+
+
+def _same_bits(got, want):
+    assert got.rates.shape == want.shape
+    assert np.array_equal(got.rates.view(np.int64), want.view(np.int64))
+    good = want[np.isfinite(want)]
+    median = np.median(good) if len(good) else np.nan
+    assert np.array_equal(np.float64(got.median).view(np.int64), median.view(np.int64))
+
+
+class TestEnsembleDiagnosticsBits:
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    @pytest.mark.parametrize("blown", [(), (0, 3, 4, 11, 19)])
+    @pytest.mark.parametrize("path", ["split", "K"])
+    def test_manifold_rate_equals_whole_array(
+        self, skewed_ensemble, monkeypatch, chunk, blown, path
+    ):
+        model, K, sched, summary = skewed_ensemble
+        summary = _blown(summary, blown)
+        if path == "split":
+            kw = {"split": split_jacobian(model.H), "x_star": np.zeros(model.dim)}
+        else:
+            kw = {"K": K}
+        s, X = _whole_array(summary, sched)
+        dist = flow._distances_to_K(X, kw.get("K"), kw.get("split"), kw.get("x_star"))
+        want = _frozen_tail_slopes(s, dist)
+        monkeypatch.setattr(flow, "_RUN_CHUNK", chunk)
+        got = ensemble_manifold_rate(summary, sched, **kw)
+        assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
+        _same_bits(got, want)
+
+    @pytest.mark.parametrize("blown", [(), (0, 3, 4, 11, 19)])
+    def test_apt_equals_whole_array(self, skewed_ensemble, blown):
+        model, _, sched, summary = skewed_ensemble
+        summary = _blown(summary, blown)
+        s, X = _whole_array(summary, sched)
+        pos = flow._restart_positions(s, 1.0, None, 48)
+        deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
+        want = _frozen_tail_slopes(s[pos[~hard]], deficits[:, ~hard])
+        got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
+        assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
+        _same_bits(got, want)
+
+    def test_every_run_blown_gives_no_rate(self, skewed_ensemble):
+        model, K, sched, summary = skewed_ensemble
+        summary = _blown(summary, np.arange(summary.n_runs))
+        for res in (
+            ensemble_apt_deficit(summary, sched, model.field, T=1.0),
+            ensemble_manifold_rate(summary, sched, K=K),
+            ensemble_manifold_rate(summary, sched, split=split_jacobian(model.H),
+                                   x_star=np.zeros(model.dim)),
+        ):
+            assert res.rates.shape == (0,)
+            assert np.isnan(res.median)
+
+
+@pytest.fixture(scope="module")
+def wide_capture():
+    """1000 runs with 1024 captured states each (16 MB): many chunks of runs,
+    as on the benchmark's saddle."""
+    N = 4096
+    sched = harmonic(N)
+    summary = monte_carlo(
+        LinearModel(H_SADDLE), sched, [0.1, 0.1], N, n_runs=1000, master_seed=7,
+        captures=CaptureSpec(state_indices=tuple(range(4, N + 1, 4))),
+    )
+    assert summary.captured_states.shape == (1000, 1024, 2)
+    return summary, sched
+
+
+class TestDiagnosticsMemory:
+    @pytest.mark.parametrize("blown", [(), (5, 6, 150, 999)])
+    def test_no_copy_of_the_capture(self, wide_capture, blown):
+        summary, sched = wide_capture
+        summary = _blown(summary, blown)
+        half = summary.captured_states.nbytes / 2
+        diagnostics = [
+            # the RK4 batch holds about 17 (restarts, runs, d) arrays of its
+            # own: 16 restarts keep them well below the bound on the copy
+            lambda: ensemble_apt_deficit(summary, sched, saddle_field, T=1.0, n_restarts=16),
+            lambda: ensemble_manifold_rate(summary, sched, split=split_jacobian(H_SADDLE),
+                                           x_star=[0.0, 0.0]),
+            lambda: ensemble_manifold_rate(
+                summary, sched,
+                K=ManifoldK(basepoint=np.zeros(2), directions=np.array([[0.0], [1.0]])),
+            ),
+        ]
+        for diagnostic in diagnostics:
+            assert np.isfinite(diagnostic().rates).sum() == summary.n_runs - len(blown)
+            assert traced_peak(diagnostic) < half

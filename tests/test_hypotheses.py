@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from trapcheck.hypotheses import (
 from trapcheck.models import LinearModel, VrrwConfig, VrrwWalkModel, control_models
 from trapcheck.sequences import Schedule, SequenceSpec, rate_constants
 from trapcheck.spectral import adapted_inner_product, split_jacobian
+
+from conftest import traced_peak
 
 
 def harmonic(horizon):
@@ -706,17 +707,6 @@ def long_capture():
     return summary, sched, split_jacobian(model.H)
 
 
-def _traced_peak(fn):
-    """Peak bytes ``fn()`` allocates above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestCaptureMemory:
     def test_only_eps_is_captured(self, long_capture):
         summary, _, _ = long_capture
@@ -740,4 +730,4 @@ class TestCaptureMemory:
         ]
         for check in checks:
             assert check().verdict != "inconclusive"
-            assert _traced_peak(check) < window_bytes
+            assert traced_peak(check) < window_bytes
