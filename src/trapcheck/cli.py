@@ -113,6 +113,22 @@ def _count(value, path: str) -> int:
     return _integer(value, path, lo=1)
 
 
+def _boolean(value, path: str) -> bool:
+    """A JSON boolean (``0``, ``"no"`` and the like are not booleans)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"must be true or false, got {value!r}", path)
+    return value
+
+
+def _known(obj: dict, fields, path: str) -> dict:
+    """``obj`` if every key is one of ``fields``, else a ConfigError at the
+    first unknown key."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError("unknown field", f"{path}.{key}" if path else str(key))
+    return obj
+
+
 def _one_of(*options):
     def parse(value, path: str):
         if isinstance(value, bool) or value not in options:
@@ -127,7 +143,12 @@ def _one_of(*options):
 _CHECK_PARAMS = {
     "noise_excitation": {"k": _count, "a": _moment_exponent, "threshold": _nonnegative},
     "remainder": {"mode": _one_of("square_summable", "split_r"), "nu": _positive},
-    "drift_sign": {"rho": _positive, "mode": _one_of("nonneg", "coercive"), "beta": _finite},
+    "drift_sign": {
+        "rho": _positive,
+        "mode": _one_of("nonneg", "coercive"),
+        "beta": _finite,
+        "adapted": _boolean,
+    },
     "rate_condition": {"nu": _positive},
     "jump_moments": {"a": _moment_exponent, "k": _count},
     "tail_noise": {"nu": _positive},
@@ -138,17 +159,27 @@ _DIAGNOSTIC_PARAMS = {
 }
 
 
-def _entry(value, path: str, params: dict, kind: str) -> dict:
-    """A check or diagnostic object with a known name and its parameters
-    parsed (the others are kept as given)."""
+def _entry(value, path: str, params: dict, kind: str, extra=()) -> dict:
+    """A check or diagnostic object with a known name and no keys but
+    ``name``, ``extra`` and its parameters; the parameters are parsed and
+    ``extra`` keys kept as given."""
     name = _typed(value, dict, path).get("name")
     if not isinstance(name, str) or name not in params:
         raise ConfigError(f"unknown {kind} {name!r}", f"{path}.name")
+    _known(value, ("name", *extra, *params[name]), path)
     out = dict(value)
     for key, parse in params[name].items():
         if key in value:
             out[key] = parse(value[key], f"{path}.{key}")
     return out
+
+
+#: The keys a config may hold at the top level and in ``output``.
+_FIELDS = (
+    "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
+    "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
+)
+_OUTPUT_FIELDS = ("dir", "trajectories", "write_diagnostics")
 
 
 def _window(value, lo: int, N: int, path: str) -> tuple:
@@ -221,6 +252,7 @@ class ExperimentConfig:
     def from_dict(cfg: dict) -> "ExperimentConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("must be a JSON object", "config")
+        _known(cfg, _FIELDS, "")
         for key in ("model", "schedule", "N", "n_runs"):
             if key not in cfg:
                 raise ConfigError("missing required field", key)
@@ -242,7 +274,7 @@ class ExperimentConfig:
                 _number(v, f"x0[{i}]")
         checks = []
         for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
-            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check")
+            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check", extra=("window",))
             if c.get("window") is not None:
                 c["window"] = _window(c["window"], 0, N, f"checks[{i}].window")
             checks.append(c)
@@ -260,11 +292,13 @@ class ExperimentConfig:
         max_blowup = _number(cfg.get("max_blowup_fraction", 0.5), "max_blowup_fraction")
         if not 0 <= max_blowup <= 1:
             raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
-        output = _typed(cfg.get("output", {}), dict, "output")
+        output = _known(_typed(cfg.get("output", {}), dict, "output"), _OUTPUT_FIELDS, "output")
         if "trajectories" in output:
             _integer(output["trajectories"], "output.trajectories", lo=0)
         if "dir" in output:
             _typed(output["dir"], str, "output.dir")
+        if "write_diagnostics" in output:
+            _boolean(output["write_diagnostics"], "output.write_diagnostics")
         return ExperimentConfig(
             model=dict(model),
             schedule=schedule,

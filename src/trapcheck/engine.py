@@ -309,7 +309,8 @@ def _drive(
 
     ``keep`` lists batch rows whose full record is stored: every state and
     every step's pieces.  A row's states are stored before a blow-up parks
-    it, so they are exact up to that step.
+    it, so they are exact up to that step.  A blown row is parked at
+    ``trap_point`` after every later step, so its terminal state is the trap.
     """
     if N > schedule.horizon:
         raise InsufficientHorizonError(f"N={N} exceeds schedule horizon {schedule.horizon}")
@@ -339,6 +340,7 @@ def _drive(
     sup_tail = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
     blowup_step = np.zeros(B, dtype=np.int64)
+    any_blown = False  # while no row has blown, no per-step re-parking
     if 0 in state_pos:
         cap_states[:, state_pos[0]] = x
 
@@ -349,6 +351,8 @@ def _drive(
         for j in range(block):
             g, eps, rem, aux = model.step_parts(x, n, raws[j], aux)
             x = x + combine_increment(gam[n + 1], g, cs[n + 1], eps, rem)
+            if any_blown:
+                x[blown] = trap_point  # a blown row stays parked
             if K:
                 states[:, n + 1] = x[keep]
                 parts[0, :, n], parts[1, :, n], parts[2, :, n] = g[keep], eps[keep], rem[keep]
@@ -360,6 +364,7 @@ def _drive(
                 new = bad & ~blown
                 blowup_step[new] = n + 1
                 blown |= new
+                any_blown = True
                 x[blown] = trap_point  # park blown rows somewhere benign
 
             if n in inc_pos:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
+import scipy  # scipy.special (zeta) loads on first use, not at import
 
 from .errors import (
     DegenerateScheduleError,
@@ -112,7 +112,9 @@ class SequenceSpec:
                 raise DivergentTailError(
                     f"tail of squares diverges for power exponent {self.exponent} <= 1/2"
                 )
-            return float(self.scale**2 * zeta(2.0 * self.exponent, n_min + self.offset))
+            return float(
+                self.scale**2 * scipy.special.zeta(2.0 * self.exponent, n_min + self.offset)
+            )
         if self.kind == "geometric":
             if self.ratio >= 1.0:
                 raise DivergentTailError(
@@ -204,30 +206,6 @@ class Schedule:
             out = total - self._c_sq_prefix[idx]
         out = np.sqrt(np.maximum(out, 0.0))
         return float(out[0]) if scalar else out
-
-    # -- validation ------------------------------------------------------------
-
-    def validate(self, nonzero_window: int | None = None) -> None:
-        """Check schedule-wide invariants.
-
-        Raises :class:`DegenerateScheduleError` if ``c`` has an all-zero window
-        of length ``nonzero_window`` (noise must keep firing), and
-        :class:`ValueError` on negative entries.
-        """
-        if np.any(self.gamma_values < 0) or np.any(self.c_values < 0):
-            raise ValueError("schedule sequences must be non-negative")
-        if nonzero_window is not None:
-            w = int(nonzero_window)
-            if w < 1:
-                raise ValueError("nonzero_window must be >= 1")
-            nz = self.c_values[1:] != 0.0
-            # every window of length w must contain a nonzero entry
-            csum = np.concatenate([[0], np.cumsum(nz)])
-            for start in range(0, self.horizon - w + 1):
-                if csum[start + w] - csum[start] == 0:
-                    raise DegenerateScheduleError(
-                        f"c is identically zero on steps [{start + 1}, {start + w}]"
-                    )
 
     # -- construction helpers ---------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg (schur, solve_sylvester) loads on first use, not at import
 
 from .errors import AmbiguousSpectrumError, ConditioningError, SpectrumSignError
 

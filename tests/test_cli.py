@@ -19,6 +19,7 @@ from trapcheck import engine
 from trapcheck.cli import (
     _CHECK_PARAMS,
     _DIAGNOSTIC_PARAMS,
+    _FIELDS,
     ExperimentConfig,
     _build_model,
     _build_schedule,
@@ -577,6 +578,7 @@ class TestConfigErrors:
             ({"checks": ["remainder"]}, [], "checks[0]"),
             ({"master_seed": -1}, [], "master_seed"),
             ({}, ["--workers", "0"], "workers"),
+            ({"chekcs": [{"name": "remainder"}]}, [], "chekcs"),
         ],
     )
     def test_bad_field_exits_one_with_dotted_path(self, tmp_path, capsys, override, argv, path):
@@ -607,6 +609,13 @@ class TestConfigErrors:
             ({"diagnostics": [{"name": "apt", "normalization": "x"}]}, "diagnostics[0].normalization"),
             ({"schedule": {"kind": "harmonic", "horizon": "x"}}, "schedule.horizon"),
             ({"schedule": {"kind": "harmonic", "horizon": 1.5}}, "schedule.horizon"),
+            ({"checks": [{"name": "noise_excitation", "treshold": 0.5}]}, "checks[0].treshold"),
+            ({"checks": [{"name": "remainder", "k": 1}]}, "checks[0].k"),
+            ({"checks": [{"name": "drift_sign", "adapted": "no"}]}, "checks[0].adapted"),
+            ({"diagnostics": [{"name": "manifold_rate", "T": 1.0}]}, "diagnostics[0].T"),
+            ({"diagnostics": [{"name": "apt", "window": [1, 10]}]}, "diagnostics[0].window"),
+            ({"output": {"trajectores": 1}}, "output.trajectores"),
+            ({"output": {"write_diagnostics": "yes"}}, "output.write_diagnostics"),
         ],
     )
     def test_bad_nested_parameter_exits_one(self, tmp_path, capsys, override, path):
@@ -696,10 +705,6 @@ class TestConfigErrors:
         if code == 1:
             assert err.getvalue().startswith("error: ")
 
-    _FIELDS = (
-        "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
-        "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
-    )
     _VALUES = st.one_of(
         st.none(),
         st.booleans(),

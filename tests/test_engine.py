@@ -389,7 +389,7 @@ class TestTailDistance:
         every = CaptureSpec(state_indices=tuple(range(N + 1)))
         free = monte_carlo(model, sched, x0, N, n_runs, master_seed=d, captures=every)
         # a bound between the runs' largest excursions blows some up: those
-        # rows are parked at the trap and step on from there
+        # rows are parked at the trap and stay there
         peaks = np.abs(free.captured_states).max(axis=(1, 2))
         bound = float(np.median(peaks))
         summary = monte_carlo(model, sched, x0, N, n_runs, master_seed=d,
@@ -400,6 +400,24 @@ class TestTailDistance:
         want = np.maximum.reduce(dist, axis=1, initial=0.0)
         got = summary.sup_tail_distance
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blown_rows_stay_parked(self, workers):
+        model, N, n_runs, d = OffsetTrapModel(3), 200, 16, 3
+        sched = harmonic(N)
+        x0 = np.linspace(0.2, -0.3, d)
+        free = monte_carlo(model, sched, x0, N, n_runs, master_seed=5)
+        bound = float(np.median(np.abs(free.terminal_states).max(axis=1)))
+        summary = monte_carlo(model, sched, x0, N, n_runs, master_seed=5,
+                              blowup_bound=bound, workers=workers)
+        blown = summary.blown_up
+        assert 0 < blown.sum() < n_runs
+        assert np.array_equal(summary.terminal_states[blown],
+                              np.broadcast_to(model.trap.x_star, (blown.sum(), d)))
+        for i in np.nonzero(~blown)[0]:
+            traj = run(model, sched, x0, N, seed=engine._seed_for_run(5, i),
+                       blowup_bound=bound)
+            assert np.array_equal(summary.terminal_states[i], traj.states[-1])
 
 
 class TestDecomposition:

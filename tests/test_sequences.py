@@ -217,6 +217,3 @@ class TestValidate:
     def test_negative_entries_rejected_at_construction(self):
         with pytest.raises(ValueError):
             SequenceSpec("custom", values=np.array([0.1, -0.1, 0.1]))
-
-    def test_ok_schedule_passes(self):
-        harmonic(100).validate()
