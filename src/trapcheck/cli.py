@@ -77,36 +77,23 @@ def _integer(value, path: str, lo: Optional[int] = None) -> int:
     return value
 
 
-def _positive(value, path: str) -> float:
-    """A positive finite JSON number."""
-    x = _number(value, path)
-    if not 0 < x < np.inf:
-        raise ConfigError(f"must be positive and finite, got {value!r}", path)
-    return x
+def _real(test, what: str):
+    """A parser of a finite JSON number that passes ``test``."""
+
+    def parse(value, path: str) -> float:
+        x = _number(value, path)
+        if not (np.isfinite(x) and test(x)):
+            raise ConfigError(f"must be {what}, got {value!r}", path)
+        return x
+
+    return parse
 
 
-def _nonnegative(value, path: str) -> float:
-    """A non-negative finite JSON number."""
-    x = _number(value, path)
-    if not 0 <= x < np.inf:
-        raise ConfigError(f"must be non-negative and finite, got {value!r}", path)
-    return x
-
-
-def _finite(value, path: str) -> float:
-    """A finite JSON number."""
-    x = _number(value, path)
-    if not np.isfinite(x):
-        raise ConfigError(f"must be finite, got {value!r}", path)
-    return x
-
-
-def _moment_exponent(value, path: str) -> float:
-    """A finite JSON number above 2 (the moment conditions need a > 2)."""
-    x = _number(value, path)
-    if not 2 < x < np.inf:
-        raise ConfigError(f"moment exponent must exceed 2 and be finite, got {value!r}", path)
-    return x
+_finite = _real(lambda x: True, "finite")
+_positive = _real(lambda x: x > 0, "positive and finite")
+_nonnegative = _real(lambda x: x >= 0, "non-negative and finite")
+#: The moment conditions need an exponent above 2.
+_moment_exponent = _real(lambda x: x > 2, "above 2 and finite")
 
 
 def _count(value, path: str) -> int:
@@ -138,48 +125,156 @@ def _one_of(*options):
     return parse
 
 
-#: Each check's optional parameters and the parser that checks one; the
-#: pipeline reads the parsed values.
-_CHECK_PARAMS = {
-    "noise_excitation": {"k": _count, "a": _moment_exponent, "threshold": _nonnegative},
-    "remainder": {"mode": _one_of("square_summable", "split_r"), "nu": _positive},
-    "drift_sign": {
-        "rho": _positive,
-        "mode": _one_of("nonneg", "coercive"),
-        "beta": _finite,
-        "adapted": _boolean,
-    },
-    "rate_condition": {"nu": _positive},
-    "jump_moments": {"a": _moment_exponent, "k": _count},
-    "tail_noise": {"nu": _positive},
-}
-_DIAGNOSTIC_PARAMS = {
-    "apt": {"T": _positive, "n_restarts": _count, "normalization": _one_of("scale", "absolute")},
-    "manifold_rate": {},
-}
+def _array_of(parse):
+    """A parser of a JSON array, as a tuple, whose entries ``parse`` reads,
+    each at ``path[i]``."""
+
+    def parse_array(value, path: str) -> tuple:
+        return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(_typed(value, _ARRAY, path)))
+
+    return parse_array
 
 
-def _entry(value, path: str, params: dict, kind: str, extra=()) -> dict:
-    """A check or diagnostic object with a known name and no keys but
-    ``name``, ``extra`` and its parameters; the parameters are parsed and
-    ``extra`` keys kept as given."""
-    name = _typed(value, dict, path).get("name")
-    if not isinstance(name, str) or name not in params:
-        raise ConfigError(f"unknown {kind} {name!r}", f"{path}.name")
-    _known(value, ("name", *extra, *params[name]), path)
-    out = dict(value)
-    for key, parse in params[name].items():
-        if key in value:
-            out[key] = parse(value[key], f"{path}.{key}")
+_matrix = _array_of(_array_of(_finite))
+
+
+def _fields(obj: dict, params: dict, path: str, extra=()) -> dict:
+    """The fields of ``obj`` parsed: ``params`` maps each field to its parser
+    and default (``...`` if it has none); ``extra`` keys are kept as given,
+    and any other key is an unknown field."""
+    _known(obj, (*extra, *params), path)
+    out = {key: obj[key] for key in extra if key in obj}
+    for key, (parse, default) in params.items():
+        if key in obj:
+            out[key] = parse(obj[key], f"{path}.{key}")
+        elif default is ...:
+            raise ConfigError("required field is missing", f"{path}.{key}")
+        else:
+            out[key] = default
     return out
 
 
-#: The keys a config may hold at the top level and in ``output``.
+def _entry(value, path: str, params: dict, what: str, key: str = "name", extra=()) -> dict:
+    """An object whose ``key`` names one entry of ``params`` (an unknown one
+    is an unknown ``what``), with that entry's fields parsed (see
+    :func:`_fields`)."""
+    name = _typed(value, dict, path).get(key)
+    if not isinstance(name, str) or name not in params:
+        raise ConfigError(f"unknown {what} {name!r}", f"{path}.{key}")
+    return _fields(value, params[name], path, (key, *extra))
+
+
+#: Each check's and diagnostic's parameters: parser and default.  A ``nu``
+#: left unset is the model's.
+_CHECK_PARAMS = {
+    "noise_excitation": {
+        "k": (_count, 1),
+        "a": (_moment_exponent, 4.0),
+        "threshold": (_nonnegative, hypotheses.DEFAULT_EXCITATION_THRESHOLD),
+    },
+    "remainder": {
+        "mode": (_one_of("square_summable", "split_r"), "square_summable"),
+        "nu": (_positive, None),
+    },
+    "drift_sign": {
+        "rho": (_positive, 1.0),
+        "mode": (_one_of("nonneg", "coercive"), "nonneg"),
+        "beta": (_finite, 0.0),
+        "adapted": (_boolean, False),
+    },
+    "rate_condition": {"nu": (_positive, None)},
+    "jump_moments": {"a": (_moment_exponent, 4.0), "k": (_count, 1)},
+    "tail_noise": {"nu": (_positive, None)},
+}
+_DIAGNOSTIC_PARAMS = {
+    "apt": {
+        "T": (_positive, 1.0),
+        "n_restarts": (_count, 48),
+        "normalization": (_one_of("scale", "absolute"), "scale"),
+    },
+    "manifold_rate": {},
+}
+
+#: Each model kind's parameters.  A reinforced walk runs on the graph ``A``,
+#: or on the complete graph when ``A`` is unset.
+_VRRW_PARAMS = {
+    "d": (_integer, ...),
+    "alpha": (_finite, ...),
+    "A": (_matrix, None),
+    "initial_counts": (_array_of(_count), None),
+}
+_MODEL_PARAMS = {
+    "linear": {
+        "H": (_matrix, ((1.0,),)),
+        "noise": (_one_of("rademacher", "none", "stable_only"), "rademacher"),
+        "remainder": (_one_of("none", "inv_sqrt"), "none"),
+        "unstable_dims": (_integer, 1),
+    },
+    "synthetic": {
+        "mu": (_finite, -1.0),
+        "nu": (_positive, 1.0),
+        "dim": (_integer, 2),
+        "delta_plus": (_integer, 1),
+    },
+    "vrrw_walk": {**_VRRW_PARAMS, "start_vertex": (_integer, 0)},
+    "vrrw_meanfield": _VRRW_PARAMS,
+    "control": {"which": (_one_of("degenerate_noise", "stable_only_noise", "bad_remainder"), ...)},
+}
+
+#: The compact schedule kinds, each driving ``gamma`` and ``c`` from one
+#: object; ``harmonic`` is ``power`` with both exponents 1, and ``natural``
+#: is the model's own schedule.
+_SCHEDULE_PARAMS = {
+    "harmonic": {"offset": (_nonnegative, 0.0)},
+    "power": {
+        "gamma_exp": (_finite, 1.0),
+        "c_exp": (_finite, 1.0),
+        "gamma_scale": (_nonnegative, 1.0),
+        "c_scale": (_nonnegative, 1.0),
+        "offset": (_nonnegative, 0.0),
+    },
+    "geometric": {"gamma_ratio": (_positive, 0.5), "c_ratio": (_positive, 0.5)},
+    "natural": {},
+}
+#: The explicit form's per-sequence specs, the fields of
+#: :class:`sequences.SequenceSpec`.
+_SEQUENCE_PARAMS = {
+    "power": {
+        "exponent": (_finite, 1.0),
+        "scale": (_nonnegative, 1.0),
+        "offset": (_nonnegative, 0.0),
+    },
+    "geometric": {"ratio": (_positive, 0.5), "scale": (_nonnegative, 1.0)},
+    "const": {"value": (_nonnegative, 0.0)},
+    "custom": {"values": (_array_of(_nonnegative), ...)},
+}
+
+
+def _sequence(value, path: str) -> dict:
+    return _entry(value, path, _SEQUENCE_PARAMS, "sequence kind", key="kind")
+
+
+def _schedule(value, path: str, N: int) -> dict:
+    """The compact form, or the explicit form's ``gamma`` and ``c`` specs,
+    with ``horizon`` defaulting to ``N``."""
+    if "gamma" in _typed(value, dict, path) or "c" in value:
+        out = _fields(value, {s: (_sequence, ...) for s in ("gamma", "c")}, path, ("horizon",))
+    else:
+        out = _entry(value, path, _SCHEDULE_PARAMS, "schedule kind", "kind", ("horizon",))
+    out["horizon"] = _integer(out.get("horizon", N), f"{path}.horizon", lo=N)
+    return out
+
+
+#: The keys a config may hold at the top level, and the ``output`` fields.
 _FIELDS = (
     "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
     "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
 )
-_OUTPUT_FIELDS = ("dir", "trajectories", "write_diagnostics")
+_OUTPUT_PARAMS = {
+    "dir": (lambda v, path: _typed(v, str, path), "trapcheck_out"),
+    "trajectories": (lambda v, path: _integer(v, path, lo=0), 0),
+    "write_diagnostics": (_boolean, False),
+}
 
 
 def _window(value, lo: int, N: int, path: str) -> tuple:
@@ -238,7 +333,7 @@ class ExperimentConfig:
     N: int
     n_runs: int
     master_seed: int
-    x0: Optional[list] = None
+    x0: Optional[tuple] = None
     checks: tuple = ()
     diagnostics: tuple = ()
     theorem: Optional[str] = None
@@ -253,25 +348,18 @@ class ExperimentConfig:
         if not isinstance(cfg, dict):
             raise ConfigError("must be a JSON object", "config")
         _known(cfg, _FIELDS, "")
-        for key in ("model", "schedule", "N", "n_runs"):
+        for key in ("model", "schedule", "N", "n_runs", "master_seed"):
             if key not in cfg:
-                raise ConfigError("missing required field", key)
-        if "master_seed" not in cfg:
-            raise ConfigError(
-                "missing required field (wall-clock seeding is not allowed)",
-                "master_seed",
-            )
-        model = _typed(cfg["model"], dict, "model")
-        schedule = dict(_typed(cfg["schedule"], dict, "schedule"))
-        if "horizon" in schedule:
-            schedule["horizon"] = _integer(schedule["horizon"], "schedule.horizon", lo=1)
+                why = " (wall-clock seeding is not allowed)" if key == "master_seed" else ""
+                raise ConfigError("missing required field" + why, key)
         N = _integer(cfg["N"], "N", lo=1)
         n_runs = _integer(cfg["n_runs"], "n_runs", lo=1)
         master_seed = _integer(cfg["master_seed"], "master_seed", lo=0)
-        x0 = cfg.get("x0")
-        if x0 is not None:
-            for i, v in enumerate(_typed(x0, _ARRAY, "x0")):
-                _number(v, f"x0[{i}]")
+        model = _entry(cfg["model"], "model", _MODEL_PARAMS, "model kind", key="kind")
+        schedule = _schedule(cfg["schedule"], "schedule", N)
+        if schedule.get("kind") == "natural" and not model["kind"].startswith("vrrw_"):
+            raise ConfigError(f"model {model['kind']} has no natural schedule", "schedule.kind")
+        x0 = None if cfg.get("x0") is None else _array_of(_finite)(cfg["x0"], "x0")
         checks = []
         for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
             c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check", extra=("window",))
@@ -292,15 +380,9 @@ class ExperimentConfig:
         max_blowup = _number(cfg.get("max_blowup_fraction", 0.5), "max_blowup_fraction")
         if not 0 <= max_blowup <= 1:
             raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
-        output = _known(_typed(cfg.get("output", {}), dict, "output"), _OUTPUT_FIELDS, "output")
-        if "trajectories" in output:
-            _integer(output["trajectories"], "output.trajectories", lo=0)
-        if "dir" in output:
-            _typed(output["dir"], str, "output.dir")
-        if "write_diagnostics" in output:
-            _boolean(output["write_diagnostics"], "output.write_diagnostics")
+        output = _fields(_typed(cfg.get("output", {}), dict, "output"), _OUTPUT_PARAMS, "output")
         return ExperimentConfig(
-            model=dict(model),
+            model=model,
             schedule=schedule,
             N=N,
             n_runs=n_runs,
@@ -312,7 +394,7 @@ class ExperimentConfig:
             rate_window=rw,
             near_trap_radius=radius,
             max_blowup_fraction=max_blowup,
-            output=dict(output),
+            output=output,
             raw=dict(cfg),
         )
 
@@ -329,80 +411,54 @@ class ExperimentConfig:
 
 
 def _build_model(spec: dict) -> models.Model:
-    kind = spec.get("kind")
-
-    def required(key):
-        if key not in spec:
-            raise ConfigError("required field is missing", f"model.{key}")
-        return spec[key]
-
-    def integer(key, default):
-        return _integer(spec.get(key, default), f"model.{key}")
-
-    try:
-        if kind == "linear":
-            return models.LinearModel(
-                spec.get("H", [[1.0]]),
-                noise_kind=spec.get("noise", "rademacher"),
-                remainder_kind=spec.get("remainder", "none"),
-                unstable_dims=integer("unstable_dims", 1),
-                id=spec.get("id"),
-            )
-        if kind == "synthetic":
-            return models.SyntheticModel(
-                mu=float(spec.get("mu", -1.0)),
-                nu=float(spec.get("nu", 1.0)),
-                dim=integer("dim", 2),
-                delta_plus=integer("delta_plus", 1),
-            )
-        if kind in ("vrrw_walk", "vrrw_meanfield"):
-            d = _integer(required("d"), "model.d")
-            alpha = float(required("alpha"))
-            counts = spec.get("initial_counts")
-            if spec.get("graph", "complete") == "complete":
-                cfg = models.VrrwConfig.complete(d, alpha, counts)
-            else:
-                cfg = models.VrrwConfig(
-                    d=d,
-                    alpha=alpha,
-                    A=np.asarray(required("A"), dtype=np.float64),
-                    initial_counts=tuple(counts or (1,) * d),
-                )
-            if kind == "vrrw_walk":
-                return models.VrrwWalkModel(cfg, start_vertex=integer("start_vertex", 0))
-            return models.MeanFieldVrrwModel(cfg)
-        if kind == "control":
-            which = spec.get("which")
-            table = models.control_models()
-            if which not in table:
-                raise ConfigError(
-                    f"unknown control {which!r}; options: {sorted(table)}", "model.which"
-                )
-            return table[which]
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), "model") from exc
-    raise ConfigError(f"unknown model kind {kind!r}", "model.kind")
+    """The model of a parsed ``model`` object."""
+    kind = spec["kind"]
+    if kind == "linear":
+        return models.LinearModel(
+            spec["H"],
+            noise_kind=spec["noise"],
+            remainder_kind=spec["remainder"],
+            unstable_dims=spec["unstable_dims"],
+        )
+    if kind == "synthetic":
+        return models.SyntheticModel(spec["mu"], spec["nu"], spec["dim"], spec["delta_plus"])
+    if kind == "control":
+        return models.control_models()[spec["which"]]
+    if spec["A"] is None:
+        cfg = models.VrrwConfig.complete(spec["d"], spec["alpha"], spec["initial_counts"])
+    else:
+        cfg = models.VrrwConfig(spec["d"], spec["alpha"], spec["A"], spec["initial_counts"])
+    if kind == "vrrw_walk":
+        return models.VrrwWalkModel(cfg, start_vertex=spec["start_vertex"])
+    return models.MeanFieldVrrwModel(cfg)
 
 
-def _build_schedule(spec: dict, model: models.Model, N: int) -> sequences.Schedule:
-    spec = dict(spec)
-    spec.setdefault("horizon", N)
-    if spec["horizon"] < N:
-        raise ConfigError(f"horizon {spec['horizon']} < N={N}", "schedule.horizon")
-    if spec.get("kind") == "natural":
-        if not hasattr(model, "natural_schedule"):
-            raise ConfigError(
-                f"model {model.id} has no natural schedule", "schedule.kind"
-            )
+def _build_schedule(spec: dict, model: models.Model) -> sequences.Schedule:
+    """The schedule of a parsed ``schedule`` object."""
+    kind, Seq = spec.get("kind"), sequences.SequenceSpec
+    if kind == "natural":
         return model.natural_schedule(spec["horizon"])
+    if kind == "harmonic":
+        g = c = Seq("power", exponent=1.0, offset=spec["offset"])
+    elif kind == "power":
+        g, c = (
+            Seq("power", exponent=spec[f"{s}_exp"], scale=spec[f"{s}_scale"], offset=spec["offset"])
+            for s in ("gamma", "c")
+        )
+    elif kind == "geometric":
+        g, c = (Seq("geometric", ratio=spec[f"{s}_ratio"]) for s in ("gamma", "c"))
+    else:
+        g, c = Seq(**spec["gamma"]), Seq(**spec["c"])
+    return sequences.Schedule(g, c, spec["horizon"])
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with the ValueError of an invariant its constructors
+    check (``H`` square, ``mu`` negative, ``A`` symmetric) as a ConfigError at ``path``."""
     try:
-        return sequences.Schedule.from_config(spec)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), "schedule") from exc
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +476,8 @@ def _capture_plan(config: ExperimentConfig, with_checks: bool):
     N = config.N
     state_idx: set = set()
     inc_idx: set = set()
-    full_runs = set(range(min(int(config.output.get("trajectories", 0)), config.n_runs)))
-    if config.output.get("write_diagnostics") and config.diagnostics:
+    full_runs = set(range(min(config.output["trajectories"], config.n_runs)))
+    if config.output["write_diagnostics"] and config.diagnostics:
         full_runs.add(0)
     if not with_checks:
         return engine.CaptureSpec(full_runs=tuple(sorted(full_runs)))
@@ -431,7 +487,7 @@ def _capture_plan(config: ExperimentConfig, with_checks: bool):
         name = c["name"]
         lo, hi = c.get("window") or (max(1, N // 10), N)
         if name in ("noise_excitation", "jump_moments"):
-            k = c.get("k", 1)
+            k = c["k"]
             base = np.unique(
                 np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64)
             )
@@ -484,27 +540,25 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
         name = c["name"]
         window = c.get("window")
         if name == "noise_excitation":
-            k = c.get("k", 1)
-            a = c.get("a", 4.0)
-            k_used = max(k_used or 0, k)
-            a_used = a
+            k_used = max(k_used or 0, c["k"])
+            a_used = c["a"]
             use_split = split if (split is not None and split.delta_plus >= 1) else None
             conds.append(
                 hypotheses.check_noise_excitation(
                     summary,
                     split=use_split,
-                    k=k,
-                    a=a,
+                    k=c["k"],
+                    a=c["a"],
                     window=window,
-                    threshold=c.get("threshold", hypotheses.DEFAULT_EXCITATION_THRESHOLD),
+                    threshold=c["threshold"],
                 )
             )
         elif name == "remainder":
             conds.append(
                 hypotheses.check_remainder(
                     summary.trajectory(0),
-                    mode=c.get("mode", "square_summable"),
-                    nu=c.get("nu", nu_eff or 1.0),
+                    mode=c["mode"],
+                    nu=c["nu"] or nu_eff or 1.0,
                     window=window,
                     schedule=schedule,
                 )
@@ -515,7 +569,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
             )
             adapted = None
             project = None
-            if c.get("adapted") and split is not None and split.delta_plus >= 1:
+            if c["adapted"] and split is not None and split.delta_plus >= 1:
                 # the adapted form lives on the repulsive block, so the
                 # vectors must be projected into its coordinates first
                 adapted = spectral.adapted_inner_product(split.H_plus)
@@ -524,25 +578,24 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                 hypotheses.check_drift_sign(
                     summary.trajectory(0),
                     x_star,
-                    rho=c.get("rho", 1.0),
-                    mode=c.get("mode", "nonneg"),
-                    beta=c.get("beta", 0.0),
+                    rho=c["rho"],
+                    mode=c["mode"],
+                    beta=c["beta"],
                     window=window,
                     adapted=adapted,
                     project=project,
                 )
             )
         elif name == "rate_condition":
-            nu = c.get("nu", nu_eff)
+            nu = c["nu"] or nu_eff
             if nu is None:
                 raise ConfigError("rate_condition needs nu (config or model)", "checks")
             ref = split if (split is not None and mu_eff is None) else float(mu_eff)
             conds.append(hypotheses.check_rate_condition(rates, ref, float(nu)))
         elif name == "jump_moments":
-            a = c.get("a", 4.0)
-            a_used = a
+            a_used = c["a"]
             conds.append(
-                hypotheses.check_jump_moments(summary, a=a, schedule=schedule, window=window)
+                hypotheses.check_jump_moments(summary, a=c["a"], schedule=schedule, window=window)
             )
         elif name == "tail_noise":
             if split is None:
@@ -555,7 +608,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                     )
                 )
             else:
-                nu = c.get("nu", nu_eff or 1.0)
+                nu = c["nu"] or nu_eff or 1.0
                 conds.append(
                     hypotheses.check_tail_noise_condition(
                         summary, split, nu, schedule, window=window
@@ -582,9 +635,9 @@ def _run_diagnostics(config, model, schedule, summary, split):
                 summary,
                 schedule,
                 model.field,
-                T=dg.get("T", 1.0),
-                normalization=dg.get("normalization", "scale"),
-                n_restarts=dg.get("n_restarts", 48),
+                T=dg["T"],
+                normalization=dg["normalization"],
+                n_restarts=dg["n_restarts"],
             )
             out["apt"] = {
                 "median_rate": res.median,
@@ -634,8 +687,8 @@ def run_experiment(
         return marks[-1] - marks[-2]
 
     timings = {}
-    model = _build_model(config.model)
-    schedule = _build_schedule(config.schedule, model, config.N)
+    model = _built("model", _build_model, config.model)
+    schedule = _built("schedule", _build_schedule, config.schedule, model)
     x0 = _x0_of(config, model)
     capture = _capture_plan(config, with_checks)
 
@@ -706,14 +759,13 @@ def run_experiment(
         if report.verdict == "fail":
             exit_code = 2
 
-    out = Path(out_dir if out_dir is not None else config.output.get("dir", "trapcheck_out"))
+    out = Path(out_dir if out_dir is not None else config.output["dir"])
     out.mkdir(parents=True, exist_ok=True)
-    n_traj = int(config.output.get("trajectories", 0))
-    for i in range(min(n_traj, config.n_runs)):
+    for i in range(min(config.output["trajectories"], config.n_runs)):
         tdir = out / "trajectories"
         tdir.mkdir(exist_ok=True)
         summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
-    if config.output.get("write_diagnostics") and config.diagnostics:
+    if config.output["write_diagnostics"] and config.diagnostics:
         ddir = out / "diagnostics"
         ddir.mkdir(exist_ok=True)
         path = flow.time_change(
@@ -722,8 +774,7 @@ def run_experiment(
         for dg in config.diagnostics:
             if dg["name"] == "apt":
                 flow.apt_deficit(
-                    path, model.field, T=dg.get("T", 1.0),
-                    normalization=dg.get("normalization", "scale"),
+                    path, model.field, T=dg["T"], normalization=dg["normalization"]
                 ).to_csv(ddir / "apt.csv")
             elif dg["name"] == "manifold_rate" and model.manifold_K is not None:
                 flow.manifold_rate(path, K=model.manifold_K).to_csv(
@@ -752,9 +803,7 @@ def _cmd_experiment(args, with_checks: bool) -> int:
             raise ConfigError(f"must be >= 1, got {args.workers}", "workers")
         config = ExperimentConfig.load(args.config)
         if args.seed is not None:
-            raw = dict(config.raw)
-            raw["master_seed"] = int(args.seed)
-            config = ExperimentConfig.from_dict(raw)
+            config = ExperimentConfig.from_dict(dict(config.raw, master_seed=args.seed))
         code, doc = run_experiment(
             config,
             workers=args.workers,

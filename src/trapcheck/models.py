@@ -329,6 +329,8 @@ class VrrwConfig:
         counts = self.initial_counts
         if counts is None:
             counts = (1,) * int(self.d)
+        if not all(float(c).is_integer() for c in counts):
+            raise ValueError(f"initial counts must be integers, got {tuple(counts)}")
         object.__setattr__(self, "initial_counts", tuple(int(c) for c in counts))
         if self.d < 2:
             raise ValueError("need at least 2 vertices")
@@ -356,10 +358,7 @@ class VrrwConfig:
     @staticmethod
     def complete(d: int, alpha: float, initial_counts=None) -> "VrrwConfig":
         """Complete-graph shorthand: A = all-ones minus the identity."""
-        A = np.ones((d, d)) - np.eye(d)
-        if initial_counts is None:
-            initial_counts = (1,) * d
-        return VrrwConfig(d=d, alpha=alpha, A=A, initial_counts=tuple(initial_counts))
+        return VrrwConfig(d, alpha, np.ones((d, d)) - np.eye(d), initial_counts)
 
     @property
     def total0(self) -> int:

@@ -207,56 +207,6 @@ class Schedule:
         out = np.sqrt(np.maximum(out, 0.0))
         return float(out[0]) if scalar else out
 
-    # -- construction helpers ---------------------------------------------------
-
-    @staticmethod
-    def from_config(cfg: dict) -> "Schedule":
-        """Build a schedule from a config mapping.
-
-        The compact form drives both sequences from one kind::
-
-            {"kind": "power", "gamma_exp": 1.0, "c_exp": 1.0, "horizon": 100000}
-
-        ``"harmonic"`` is shorthand for power with exponent 1.  An explicit
-        form nests full per-sequence specs under ``"gamma"`` and ``"c"``.
-        """
-        from .errors import ConfigError
-
-        if "horizon" not in cfg:
-            raise ConfigError("missing required field", "schedule.horizon")
-        horizon = int(cfg["horizon"])
-        if "gamma" in cfg or "c" in cfg:
-            try:
-                g = SequenceSpec(**cfg["gamma"])
-                c = SequenceSpec(**cfg["c"])
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ConfigError(str(exc), "schedule") from exc
-            return Schedule(g, c, horizon)
-        kind = cfg.get("kind")
-        offset = float(cfg.get("offset", 0.0))
-        if kind == "harmonic":
-            g = SequenceSpec("power", exponent=1.0, offset=offset)
-            c = SequenceSpec("power", exponent=1.0, offset=offset)
-        elif kind == "power":
-            g = SequenceSpec(
-                "power",
-                exponent=float(cfg.get("gamma_exp", 1.0)),
-                scale=float(cfg.get("gamma_scale", 1.0)),
-                offset=offset,
-            )
-            c = SequenceSpec(
-                "power",
-                exponent=float(cfg.get("c_exp", 1.0)),
-                scale=float(cfg.get("c_scale", 1.0)),
-                offset=offset,
-            )
-        elif kind == "geometric":
-            g = SequenceSpec("geometric", ratio=float(cfg.get("gamma_ratio", 0.5)))
-            c = SequenceSpec("geometric", ratio=float(cfg.get("c_ratio", 0.5)))
-        else:
-            raise ConfigError(f"unknown schedule kind {kind!r}", "schedule.kind")
-        return Schedule(g, c, horizon)
-
 
 @dataclass(frozen=True)
 class RateConstants:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,9 @@ from trapcheck.cli import (
     _CHECK_PARAMS,
     _DIAGNOSTIC_PARAMS,
     _FIELDS,
+    _MODEL_PARAMS,
+    _SCHEDULE_PARAMS,
+    _SEQUENCE_PARAMS,
     ExperimentConfig,
     _build_model,
     _build_schedule,
@@ -31,6 +35,8 @@ from trapcheck.cli import (
 )
 from trapcheck.errors import ConfigError
 from trapcheck.flow import apt_deficit, time_change
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -263,26 +269,21 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path)
         assert err.value.path == "x0"
 
-    def test_horizon_must_cover_n(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            base_config(schedule={"kind": "harmonic", "horizon": 100}, n_runs=4)
-        )
+    def test_horizon_must_cover_n(self):
         with pytest.raises(ConfigError) as err:
-            run_experiment(cfg, out_dir=tmp_path)
+            ExperimentConfig.from_dict(
+                base_config(schedule={"kind": "harmonic", "horizon": 100}, n_runs=4)
+            )
         assert err.value.path == "schedule.horizon"
 
-    def test_unknown_model_kind(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(base_config(model={"kind": "pendulum"}))
+    def test_unknown_model_kind(self):
         with pytest.raises(ConfigError) as err:
-            run_experiment(cfg, out_dir=tmp_path)
+            ExperimentConfig.from_dict(base_config(model={"kind": "pendulum"}))
         assert err.value.path == "model.kind"
 
-    def test_unknown_control_name(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            base_config(model={"kind": "control", "which": "nope"})
-        )
+    def test_unknown_control_name(self):
         with pytest.raises(ConfigError) as err:
-            run_experiment(cfg, out_dir=tmp_path)
+            ExperimentConfig.from_dict(base_config(model={"kind": "control", "which": "nope"}))
         assert err.value.path == "model.which"
 
     def test_trajectory_csvs_written(self, tmp_path):
@@ -327,7 +328,7 @@ class TestRunExperiment:
         )
         run_experiment(cfg, workers=workers, out_dir=tmp_path / "out")
         model = _build_model(cfg.model)
-        schedule = _build_schedule(cfg.schedule, model, cfg.N)
+        schedule = _build_schedule(cfg.schedule, model)
         ref = tmp_path / "ref"
         ref.mkdir()
         for i in range(2):
@@ -579,6 +580,7 @@ class TestConfigErrors:
             ({"master_seed": -1}, [], "master_seed"),
             ({}, ["--workers", "0"], "workers"),
             ({"chekcs": [{"name": "remainder"}]}, [], "chekcs"),
+            ({"x0": [math.nan]}, [], "x0[0]"),
         ],
     )
     def test_bad_field_exits_one_with_dotted_path(self, tmp_path, capsys, override, argv, path):
@@ -630,21 +632,48 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "where, spec, path",
         [
-            ("model", {"kind": "synthetic", "mu": None}, "model"),
+            ("model", {"kind": "synthetic", "mu": None}, "model.mu"),
             ("model", {"kind": "vrrw_meanfield", "d": None, "alpha": 2.0}, "model.d"),
-            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "initial_counts": 5}, "model"),
+            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "initial_counts": 5},
+             "model.initial_counts"),
             ("model", {"kind": "linear", "H": [[1.0]], "unstable_dims": [1]}, "model.unstable_dims"),
             ("model", {"kind": "vrrw_walk", "d": 3, "alpha": 2.0, "start_vertex": None},
              "model.start_vertex"),
-            ("model", {"kind": "linear", "H": {"a": 1}}, "model"),
-            ("schedule", {"kind": "power", "gamma_exp": None}, "schedule"),
-            ("schedule", {"kind": "harmonic", "offset": "x"}, "schedule"),
-            ("schedule", {"kind": "geometric", "c_ratio": -1}, "schedule"),
+            ("model", {"kind": "linear", "H": {"a": 1}}, "model.H"),
+            ("schedule", {"kind": "power", "gamma_exp": None}, "schedule.gamma_exp"),
+            ("schedule", {"kind": "harmonic", "offset": "x"}, "schedule.offset"),
+            ("schedule", {"kind": "geometric", "c_ratio": -1}, "schedule.c_ratio"),
+            ("model", {"kind": "linear", "noize": "none"}, "model.noize"),
+            ("model", {"kind": "linear", "id": "mine"}, "model.id"),
+            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "start_vertex": 1},
+             "model.start_vertex"),
+            ("model", {"kind": "vrrw_meanfield", "d": 3, "alpha": "2"}, "model.alpha"),
+            ("model", {"kind": "synthetic", "mu": "-2"}, "model.mu"),
+            ("model", {"kind": "synthetic", "nu": True}, "model.nu"),
+            ("model", {"kind": "vrrw_walk", "d": 3, "alpha": 2.0, "initial_counts": [1.5, 1, 1]},
+             "model.initial_counts[0]"),
+            ("model", {"kind": "synthetic", "mu": 1.0}, "model"),
+            ("schedule", {"kind": "harmonic", "ofset": 5}, "schedule.ofset"),
+            ("schedule", {"kind": "harmonic", "gamma_exp": 0.7}, "schedule.gamma_exp"),
+            ("schedule", {"kind": "harmonic", "offset": True}, "schedule.offset"),
+            ("schedule", {"kind": "harmonic", "offset": "5"}, "schedule.offset"),
+            ("schedule", {"kind": "natural", "offset": 5}, "schedule.offset"),
+            ("schedule", {"kind": "harmonic", "horizon": None}, "schedule.horizon"),
+            ("schedule", {"kind": "nope"}, "schedule.kind"),
+            ("schedule", {"gamma": {"kind": "power", "exponnent": 1.0}, "c": {"kind": "power"}},
+             "schedule.gamma.exponnent"),
+            ("schedule", {"gamma": {"kind": "power"}}, "schedule.c"),
+            ("schedule", {"gamma": {"kind": "const"}, "c": {"kind": "custom"}},
+             "schedule.c.values"),
         ],
         ids=[
             "mu-null", "d-null", "initial_counts-int", "unstable_dims-list",
             "start_vertex-null", "H-object", "gamma_exp-null", "offset-string",
-            "c_ratio-negative",
+            "c_ratio-negative", "noize-unknown", "id-unknown", "start_vertex-on-meanfield",
+            "alpha-string", "mu-string", "nu-bool", "initial_counts-fractional",
+            "mu-positive", "ofset-unknown", "gamma_exp-on-harmonic", "offset-bool",
+            "offset-numeric-string", "offset-on-natural", "horizon-null", "kind-unknown",
+            "exponnent-unknown", "c-missing", "values-missing",
         ],
     )
     def test_bad_model_or_schedule_parameter_exits_one(
@@ -671,14 +700,14 @@ class TestConfigErrors:
             ),
             (
                 {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "graph": "custom"},
-                "error: model.A: required field is missing\n",
+                "error: model.graph: unknown field\n",
             ),
             (
                 {"kind": "vrrw_walk", "d": 3},
                 "error: model.alpha: required field is missing\n",
             ),
         ],
-        ids=["d-fractional", "unstable_dims-fractional", "A-missing", "alpha-missing"],
+        ids=["d-fractional", "unstable_dims-fractional", "graph-unknown", "alpha-missing"],
     )
     def test_model_field_error_names_the_field(self, tmp_path, capsys, spec, expected):
         p = write_config(tmp_path, base_config(n_runs=4, model=spec))
@@ -689,12 +718,25 @@ class TestConfigErrors:
 
     _PARAMS = [("checks", name, key) for name, keys in _CHECK_PARAMS.items() for key in keys]
     _PARAMS += [("diagnostics", name, key) for name, keys in _DIAGNOSTIC_PARAMS.items() for key in keys]
+    _NESTED = [("model", kind, key) for kind, keys in _MODEL_PARAMS.items() for key in keys]
+    _NESTED += [
+        ("schedule", kind, key)
+        for kind, keys in _SCHEDULE_PARAMS.items()
+        for key in (*keys, "horizon")
+    ]
+    _NESTED += [("sequence", kind, key) for kind, keys in _SEQUENCE_PARAMS.items() for key in keys]
 
-    @settings(max_examples=60, deadline=None)
-    @given(param=st.sampled_from(_PARAMS), value=st.deferred(lambda: TestConfigErrors._VALUES))
+    @settings(max_examples=100, deadline=None)
+    @given(
+        param=st.sampled_from(_PARAMS + _NESTED),
+        value=st.deferred(lambda: TestConfigErrors._VALUES),
+    )
     def test_swapped_parameter_never_gives_a_traceback(self, param, value):
         where, name, key = param
-        cfg = base_config(N=60, n_runs=4, **{where: [{"name": name, key: value}]})
+        if where in ("checks", "diagnostics"):
+            cfg = base_config(N=60, n_runs=4, **{where: [{"name": name, key: value}]})
+        else:
+            cfg = swapped(base_config(N=60, n_runs=4), param, value)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             p = write_config(Path(tmp), cfg)
@@ -716,10 +758,10 @@ class TestConfigErrors:
         st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
     )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         command=st.sampled_from(["simulate", "check"]),
-        key=st.sampled_from(_FIELDS),
+        key=st.sampled_from([(key,) for key in _FIELDS] + _NESTED),
         value=_VALUES,
     )
     def test_swapped_field_never_gives_a_traceback(self, command, key, value):
@@ -729,7 +771,10 @@ class TestConfigErrors:
             checks=[{"name": "remainder"}, {"name": "noise_excitation"}],
             diagnostics=[{"name": "apt"}],
         )
-        cfg[key] = value
+        if len(key) == 1:
+            cfg[key[0]] = value
+        else:
+            cfg = swapped(cfg, key, value)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             p = write_config(Path(tmp), cfg)
@@ -739,6 +784,66 @@ class TestConfigErrors:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+
+
+#: A valid object of each kind that needs more than its ``kind``.
+_VALID = {
+    ("model", "vrrw_walk"): {"d": 3, "alpha": 2.0},
+    ("model", "vrrw_meanfield"): {"d": 3, "alpha": 2.0},
+    ("model", "control"): {"which": "bad_remainder"},
+    ("sequence", "custom"): {"values": [0.5] * 60},
+}
+
+
+def swapped(cfg: dict, target: tuple, value) -> dict:
+    """``cfg`` (default start) with ``value`` at ``key`` of a valid ``kind``
+    object, for a ``(where, kind, key)`` target: ``where`` is ``model``,
+    ``schedule`` or ``sequence`` (the explicit schedule's ``gamma``).  A
+    reinforced walk runs on its natural schedule: under the harmonic one
+    the first step puts every run on a vertex, where the walk's drift is
+    undefined."""
+    where, kind, key = target
+    obj = {"kind": kind, **_VALID.get((where, kind), {}), key: value}
+    cfg = dict(cfg, x0=None)
+    if where == "model":
+        cfg["model"] = obj
+        if kind.startswith("vrrw_"):
+            cfg["schedule"] = {"kind": "natural"}
+    elif where == "schedule":
+        cfg["schedule"] = obj
+        if kind == "natural":
+            cfg["model"] = {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0}
+    else:
+        cfg["schedule"] = {"gamma": obj, "c": {"kind": "power"}}
+    return cfg
+
+
+class TestConfigFormat:
+    """Every config the project documents or benchmarks parses."""
+
+    def test_readme_config_parses(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        assert cfg.model["kind"] == "vrrw_meanfield"
+
+    @pytest.mark.parametrize("size", ["full", "smoke"])
+    def test_benchmark_configs_parse(self, size):
+        workloads = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+        for w in workloads["WORKLOADS"].values():
+            cfg = ExperimentConfig.from_dict(w.config(workloads["DEFAULT_SEED"], size))
+            assert cfg.schedule["horizon"] == cfg.N
+
+    def test_given_graph_is_used(self):
+        A = [[5.0, 2.0, 2.0], [2.0, 5.0, 2.0], [2.0, 2.0, 5.0]]
+        cfg = ExperimentConfig.from_dict(
+            base_config(model={"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0, "A": A})
+        )
+        np.testing.assert_array_equal(_build_model(cfg.model).cfg.A, A)
+        cfg = ExperimentConfig.from_dict(
+            base_config(model={"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0})
+        )
+        np.testing.assert_array_equal(_build_model(cfg.model).cfg.A, np.ones((3, 3)) - np.eye(3))
 
 
 def test_python_dash_m_runs_the_cli():

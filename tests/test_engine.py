@@ -30,7 +30,8 @@ from trapcheck import (
 
 
 def harmonic(horizon):
-    return Schedule.from_config({"kind": "harmonic", "horizon": horizon})
+    spec = SequenceSpec("power", exponent=1.0)
+    return Schedule(spec, spec, horizon)
 
 
 class UnitNoiseModel(Model):

@@ -121,6 +121,11 @@ class TestVrrwConfig:
         with pytest.raises(ValueError):  # bad counts
             VrrwConfig.complete(3, 2.0, initial_counts=(1, 0, 1))
 
+    def test_fractional_counts_are_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="integers"):
+            VrrwConfig.complete(3, 2.0, initial_counts=(1.5, 1, 1))
+        assert VrrwConfig.complete(3, 2.0, initial_counts=(2.0, 1, 1)).initial_counts == (2, 1, 1)
+
 
 class TestWalk:
     def test_transition_example(self):
