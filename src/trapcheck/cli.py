@@ -522,10 +522,9 @@ def _resolve_split_and_constants(model: models.Model):
     trap = model.trap
     if trap is None:
         return None, None, None
-    split = None
     try:
         split = spectral.split_jacobian(np.asarray(trap.jacobian, dtype=np.float64))
-    except (AmbiguousSpectrumError, TrapcheckError):
+    except TrapcheckError:
         split = None
     mu = trap.mu
     if mu is None and split is not None:
@@ -587,33 +586,18 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                 )
             )
         elif name == "rate_condition":
-            nu = c["nu"] or nu_eff
-            if nu is None:
-                raise ConfigError("rate_condition needs nu (config or model)", "checks")
             ref = split if (split is not None and mu_eff is None) else float(mu_eff)
-            conds.append(hypotheses.check_rate_condition(rates, ref, float(nu)))
+            conds.append(hypotheses.check_rate_condition(rates, ref, float(c["nu"] or nu_eff)))
         elif name == "jump_moments":
             a_used = c["a"]
             conds.append(
                 hypotheses.check_jump_moments(summary, a=c["a"], schedule=schedule, window=window)
             )
         elif name == "tail_noise":
-            if split is None:
-                conds.append(
-                    hypotheses.ConditionResult(
-                        "tail_noise_smallness",
-                        "inconclusive",
-                        {"reason": "no admissible split at the trap"},
-                        None,
-                    )
-                )
-            else:
-                nu = c["nu"] or nu_eff or 1.0
-                conds.append(
-                    hypotheses.check_tail_noise_condition(
-                        summary, split, nu, schedule, window=window
-                    )
-                )
+            nu = c["nu"] or nu_eff or 1.0
+            conds.append(
+                hypotheses.check_tail_noise_condition(summary, split, nu, schedule, window=window)
+            )
     return conds, a_used, k_used
 
 
@@ -690,6 +674,9 @@ def run_experiment(
     model = _built("model", _build_model, config.model)
     schedule = _built("schedule", _build_schedule, config.schedule, model)
     x0 = _x0_of(config, model)
+    if with_checks and (model.trap is None or model.trap.nu is None):
+        if any(c["name"] == "rate_condition" and c["nu"] is None for c in config.checks):
+            raise ConfigError("rate_condition needs nu (config or model)", "checks")
     capture = _capture_plan(config, with_checks)
 
     summary = engine.monte_carlo(

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError, InsufficientHorizonError, InsufficientRecordsError
-from .models import Model, _row_sum
+from .models import Model, _fold_cols
 from .sequences import Schedule
 
 __all__ = [
@@ -53,6 +53,13 @@ _DRAW_TILE = 128
 
 #: Default abort threshold on ||X_n||_inf.
 DEFAULT_BLOWUP_BOUND = 1e6
+
+
+def _write_csv(path, header, columns) -> None:
+    """A CSV with the named ``header`` row, then ``columns`` (1-D arrays or
+    blocks of columns) side by side, every value round-trip exact."""
+    table = np.column_stack(columns)
+    np.savetxt(path, table, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
 
 
 def combine_increment(gamma: float, g, c: float, eps, rem):
@@ -101,17 +108,9 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """One CSV row per step n = 0..N-1: n, x_*, g_*, eps_*, rem_*."""
-        d = self.dim
-        header = ",".join(
-            ["n"]
-            + [f"x_{i}" for i in range(d)]
-            + [f"g_{i}" for i in range(d)]
-            + [f"eps_{i}" for i in range(d)]
-            + [f"rem_{i}" for i in range(d)]
-        )
+        header = ["n"] + [f"{k}_{i}" for k in ("x", "g", "eps", "rem") for i in range(self.dim)]
         ns = np.arange(self.N, dtype=np.float64)
-        table = np.column_stack([ns, self.states[:-1], self.g, self.eps, self.rem])
-        np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
+        _write_csv(path, header, [ns, self.states[:-1], self.g, self.eps, self.rem])
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,6 @@ class CaptureSpec:
     def normalize(obj, N: int) -> "CaptureSpec":
         if obj is None:
             obj = CaptureSpec()
-        elif not isinstance(obj, CaptureSpec):
-            obj = CaptureSpec(state_indices=tuple(obj))
         s, i, r = (
             np.unique(np.asarray(v, dtype=np.int64))
             for v in (obj.state_indices, obj.increment_indices, obj.full_runs)
@@ -372,9 +369,9 @@ def _drive(
             if (n + 1) in state_pos:
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
-                # ||x - x*|| per row, one operation per coordinate column:
-                # the bits of np.linalg.norm(axis=1) at half its cost
-                dist = _row_sum(np.square(x - trap_point).T)
+                # ||x - x*|| per row, one operation per coordinate column
+                # (below 8 coordinates, the bits of np.linalg.norm(axis=1))
+                dist = _fold_cols(np.square(x - trap_point).T)
                 np.maximum(sup_tail, np.sqrt(dist, out=dist), out=sup_tail)
             n += 1
 

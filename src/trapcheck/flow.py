@@ -28,8 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import EnsembleSummary, Trajectory
-from .errors import DegenerateTimeChangeError, DomainExitError
+from .engine import EnsembleSummary, Trajectory, _write_csv
+from .errors import DegenerateTimeChangeError, DomainExitError, InsufficientHorizonError
 from .models import ManifoldK
 from .sequences import Schedule
 from .spectral import TrapSplit, project_pm
@@ -219,10 +219,7 @@ class AptResult:
     T: float
 
     def to_csv(self, path) -> None:
-        table = np.column_stack([self.t_values, self.deficits])
-        np.savetxt(
-            path, table, delimiter=",", header="t,deficit", comments="", fmt="%.17g"
-        )
+        _write_csv(path, ["t", "deficit"], [self.t_values, self.deficits])
 
 
 def _restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.ndarray:
@@ -236,7 +233,10 @@ def _restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.n
     else:
         last = int(np.searchsorted(s, limit, side="right") - 1)
         if last < 1:
-            raise ValueError("window T leaves no admissible restart point")
+            raise InsufficientHorizonError(
+                f"the drift clock ends at {s[-1]:.4g}: window T = {T:g} "
+                "leaves no admissible restart point"
+            )
         pos = np.geomspace(1, last, min(n_restarts, last)).astype(np.int64)
     pos = np.unique(np.clip(pos, 0, len(s) - 1))
     return pos[s[pos] + T <= s[-1] + 1e-12]
@@ -403,15 +403,7 @@ class ManifoldRateResult:
     def to_csv(self, path) -> None:
         with np.errstate(divide="ignore"):
             logs = np.log(np.maximum(self.distances, _DISTANCE_FLOOR))
-        table = np.column_stack([self.t_values, self.distances, logs])
-        np.savetxt(
-            path,
-            table,
-            delimiter=",",
-            header="t,distance,log_distance",
-            comments="",
-            fmt="%.17g",
-        )
+        _write_csv(path, ["t", "distance", "log_distance"], [self.t_values, self.distances, logs])
 
 
 def _distances_to_K(

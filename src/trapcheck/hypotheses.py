@@ -82,6 +82,12 @@ class ConditionResult:
         }
 
 
+def _inconclusive(name: str, reason: str, threshold=None, **estimates) -> ConditionResult:
+    """The ``inconclusive`` result of check ``name``: too little data, for
+    ``reason``, with the ``estimates`` made before it showed."""
+    return ConditionResult(name, "inconclusive", {**estimates, "reason": reason}, threshold)
+
+
 def make_constants(
     lambda_hat: Optional[float] = None,
     mu: Optional[float] = None,
@@ -228,21 +234,13 @@ def check_noise_excitation(
     ns, steps = _eps_window(summary, window)
     n_runs = int(summary.ok.sum())
     if n_runs < min_runs:
-        return ConditionResult(
-            "noise_excitation",
-            "inconclusive",
-            {"n_runs": n_runs, "reason": "too few runs"},
-            threshold,
-        )
+        return _inconclusive("noise_excitation", "too few runs", threshold, n_runs=n_runs)
     # k-windows need k consecutive captured indices
     n_starts = max(len(ns) - k + 1, 0)
     starts = np.flatnonzero(ns[k - 1 : k - 1 + n_starts] == ns[:n_starts] + (k - 1))
     if not len(starts):
-        return ConditionResult(
-            "noise_excitation",
-            "inconclusive",
-            {"reason": f"no {k} consecutive captured steps in window"},
-            threshold,
+        return _inconclusive(
+            "noise_excitation", f"no {k} consecutive captured steps in window", threshold
         )
 
     plus = None if split is None else split.P_inv[: split.delta_plus].T
@@ -301,9 +299,7 @@ def check_remainder(
         raise ValueError(f"unknown mode {mode!r}")
     ns, sq, nrm = _remainder_series(traj, window)
     if len(ns) < 8:
-        return ConditionResult(
-            f"remainder_{mode}", "inconclusive", {"reason": "window too short"}, None
-        )
+        return _inconclusive(f"remainder_{mode}", "window too short")
     if mode == "square_summable":
         partial = np.cumsum(sq)
         total = float(partial[-1])
@@ -366,9 +362,7 @@ def check_drift_sign(
     g = traj.g[mask]
     in_ball = np.linalg.norm(u, axis=1) < rho
     if not in_ball.any():
-        return ConditionResult(
-            f"drift_sign_{mode}", "inconclusive", {"reason": "no samples in ball"}, None
-        )
+        return _inconclusive(f"drift_sign_{mode}", "no samples in ball")
     u, g = u[in_ball], g[in_ball]
     if project is not None:
         u, g = u @ project.T, g @ project.T
@@ -449,13 +443,9 @@ def check_jump_moments(
         raise ValueError("moment exponent a must exceed 2")
     ns, steps = _eps_window(summary, window)
     if summary.ok.sum() < min_runs:
-        return ConditionResult(
-            "jump_moments", "inconclusive", {"reason": "too few runs"}, None
-        )
+        return _inconclusive("jump_moments", "too few runs")
     if len(ns) < 8:
-        return ConditionResult(
-            "jump_moments", "inconclusive", {"reason": "window too short"}, None
-        )
+        return _inconclusive("jump_moments", "window too short")
     (ma,) = _step_means(summary, steps, lambda eps: np.sum(eps**2, axis=-1) ** (a / 2.0))
     m = ma ** (2.0 / a)
     half = len(ns) // 2
@@ -478,7 +468,7 @@ def check_jump_moments(
 
 def check_tail_noise_condition(
     summary: EnsembleSummary,
-    split: TrapSplit,
+    split: Optional[TrapSplit],
     nu: float,
     schedule: Schedule,
     window=None,
@@ -490,26 +480,19 @@ def check_tail_noise_condition(
     / alpha(t)`` on a log grid (the sum truncated at the window end — a
     documented finite-horizon proxy) and passes iff R has not increased over
     the last decade of t.  This finite-sample rule is a convention: the
-    asymptotic statement has no canonical finite test.
+    asymptotic statement has no canonical finite test.  Without a ``split``
+    (none is admissible at the trap) the result is inconclusive.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
+    if split is None:
+        return _inconclusive("tail_noise_smallness", "no admissible split at the trap")
     ns, steps = _eps_window(summary, window)
     if len(ns) < 16 or np.any(np.diff(ns) != 1):
-        return ConditionResult(
-            "tail_noise_smallness",
-            "inconclusive",
-            {"reason": "needs a contiguous window of captured steps"},
-            None,
-        )
+        return _inconclusive("tail_noise_smallness", "needs a contiguous window of captured steps")
     lo, hi = int(ns[0]), int(ns[-1])
     if hi < 10 * max(lo, 1):
-        return ConditionResult(
-            "tail_noise_smallness",
-            "inconclusive",
-            {"reason": "window shorter than one decade"},
-            None,
-        )
+        return _inconclusive("tail_noise_smallness", "window shorter than one decade")
     minus = split.P_inv[split.delta_plus :].T
     (mean_pow,) = _step_means(
         summary, steps, lambda eps: np.sum((eps @ minus) ** 2, axis=-1) ** ((1.0 + nu) / 2.0)

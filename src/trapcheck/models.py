@@ -1,11 +1,14 @@
 """Built-in process definitions.
 
-Every model supplies the three pieces of one recursion step at state ``x`` and
-step index ``n`` (0-based):
+A model implements ``field(x)``, the drift field, and
+``step_parts(x, n, raw, aux) -> (g, eps, rem, aux)``, the three pieces of one
+recursion step at state ``x`` and step index ``n`` (0-based):
 
 * ``g``   — drift term (multiplied by ``gamma_{n+1}`` by the engine),
 * ``eps`` — martingale noise with conditional mean zero (multiplied by ``c_{n+1}``),
 * ``rem`` — remainder (also multiplied by ``c_{n+1}``).
+
+``aux`` is per-batch walk state (see ``init_aux``), returned for the next step.
 
 Models are vectorized across a batch of independent runs: states have shape
 ``(B, d)`` and randomness enters only through pre-drawn uniform doubles
@@ -109,7 +112,7 @@ class TrapInfo:
 
 
 class Model:
-    """Base class; subclasses fill in the step pieces.
+    """Base class; subclasses implement ``field`` and ``step_parts``.
 
     Attributes
     ----------
@@ -139,22 +142,13 @@ class Model:
 
     # -- stochastic step pieces ---------------------------------------------------
 
-    def drift(self, x: np.ndarray, n: int) -> np.ndarray:
-        return self.field(x)
-
-    def noise(self, x: np.ndarray, n: int, raw: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def remainder(self, x: np.ndarray, n: int) -> np.ndarray:
-        return np.zeros_like(x)
-
     def init_aux(self, n_runs: int):
         """Per-batch mutable walk state; None for state-free models."""
         return None
 
     def step_parts(self, x: np.ndarray, n: int, raw: np.ndarray, aux):
         """(g, eps, rem, aux) for a batch of states x (B, d) at step n."""
-        return self.drift(x, n), self.noise(x, n, raw), self.remainder(x, n), aux
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +196,18 @@ class LinearModel(Model):
     def field(self, x):
         return _apply_matrix(self.H, x)
 
-    def noise(self, x, n, raw):
+    def step_parts(self, x, n, raw, aux):
         if self.noise_kind == "none":
-            return np.zeros_like(x)
-        eps = _rademacher(raw)
-        if self.noise_kind == "stable_only":
-            eps = eps.copy()
-            eps[..., : self.unstable_dims] = 0.0
-        return eps
-
-    def remainder(self, x, n):
+            eps = np.zeros_like(x)
+        else:
+            eps = _rademacher(raw)
+            if self.noise_kind == "stable_only":
+                eps[..., : self.unstable_dims] = 0.0
         if self.remainder_kind == "inv_sqrt":
-            return np.full_like(x, 1.0 / np.sqrt(n + 1.0))
-        return np.zeros_like(x)
+            rem = np.full_like(x, 1.0 / np.sqrt(n + 1.0))
+        else:
+            rem = np.zeros_like(x)
+        return self.field(x), eps, rem, aux
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +298,8 @@ class SyntheticModel(Model):
     def field(self, x):
         return synthetic_field(x, self.delta_plus, self.mu, self.nu, self.f_plus)
 
-    def noise(self, x, n, raw):
-        return _rademacher(raw)
+    def step_parts(self, x, n, raw, aux):
+        return self.field(x), _rademacher(raw), np.zeros_like(x), aux
 
 
 # ---------------------------------------------------------------------------
@@ -369,45 +362,14 @@ class VrrwConfig:
         return np.full(self.d, 1.0 / self.d)
 
 
-def _pairwise_sum(cols: np.ndarray) -> np.ndarray:
-    """numpy's pairwise summation of ``cols[0], ..., cols[n-1]``, one column
-    per term: in order up to 7 terms, eight interleaved accumulators up to
-    128, and halves cut at a multiple of 8 above that."""
-    n = len(cols)
-    if n < 8:
-        out = cols[0] + 0.0  # the running sum starts from +0.0
-        for c in cols[1:]:
-            out += c
-        return out
-    if n <= 128:
-        r = cols[:8].copy()
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r += cols[i : i + 8]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for c in cols[stop:]:
-            out += c
-        return out
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
-
-
-def _row_sum(cols: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of ``cols`` (shape (n, B)), with the bits of
-    ``np.sum(cols.T, axis=1)`` on C-contiguous rows.
-
-    That reduction starts from +0.0 and adds each row's pairwise sum (see
-    :func:`_pairwise_sum`); this helper adds the same terms in the same order,
-    one whole column per operation, so a run's sums do not depend on the
-    layout the batch is kept in.  A plain left fold differs from ``np.sum``
-    from n = 8 on.  Below 8 terms the running sum starts at +0.0 and can
-    never be -0.0, so the outer ``0.0 +`` is skipped.  Non-NaN results are
-    bitwise equal; which NaN survives when two meet follows the operand
-    order numpy's compiler chose, and is not reproduced.
-    """
-    if len(cols) < 8:
-        return _pairwise_sum(cols)
-    return 0.0 + _pairwise_sum(cols)
+def _fold_cols(cols: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of ``cols`` (shape (n, B)) as a left fold
+    from +0.0, one whole column per operation, so a run's sum does not
+    depend on the batch it is in or the layout the batch is kept in."""
+    out = cols[0] + 0.0
+    for c in cols[1:]:
+        out += c
+    return out
 
 
 def _cumsum_cols(cols: np.ndarray) -> np.ndarray:
@@ -425,19 +387,23 @@ def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig):
     """(P, H) at states given as columns ``vt`` (shape (d, B), one column per
     run): ``P_i = v_i^alpha S_i`` with ``S_i = sum_j A_ij v_j^alpha``, and
     ``H = sum_i P_i``, so ``pi = P / H`` is the walker's stationary law.
+    Raises :class:`SingularDenominatorError` where ``H <= 0``.
 
     The column form does each step as one operation over all runs (a
     ``(B, 1)`` broadcast or an ``axis=1`` reduction costs one inner loop per
     run).  S accumulates ``A_ij v_j^alpha`` in order j = 0..d-1 from zero and
-    H adds as ``np.sum(..., axis=1)`` does (:func:`_row_sum`), so each run's
-    bits equal the row-wise formulas and do not depend on the batch.
+    H in order i = 0..d-1 from +0.0 (:func:`_fold_cols`), so each run's bits
+    do not depend on the batch.
     """
     v_alpha = vt**cfg.alpha
     S = np.zeros(vt.shape)
     for j, A_j in enumerate(cfg.A.T[:, :, None]):
         S += A_j * v_alpha[j]
     P = v_alpha * S
-    return P, _row_sum(P)
+    H = _fold_cols(P)
+    if (H <= 0.0).any():
+        raise SingularDenominatorError("H(v) vanished along some run")
+    return P, H
 
 
 def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndarray:
@@ -455,10 +421,8 @@ def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndar
         if np.abs(vb.sum(axis=1) - 1.0).max() > 1e-9 or vb.min() < -1e-12:
             raise ValueError("points must lie on the probability simplex")
     P, H = _vrrw_pieces(vb.T, cfg)
-    if (H <= 0.0).any() or not np.isfinite(H).all():
-        raise SingularDenominatorError(
-            "interaction normalization H(v) is not positive at some point"
-        )
+    if not np.isfinite(H).all():
+        raise SingularDenominatorError("H(v) is not finite at some point")
     f = (P / H).T - vb  # row-major again, like the input
     return f.reshape(*lead, cfg.d)
 
@@ -558,13 +522,11 @@ class VrrwWalkModel(_VrrwModel):
         rows = np.arange(x.shape[0])
         w = self._A_T.take(cur, axis=1) * counts.T**self.cfg.alpha  # A[cur_b, j] c_bj^a
         w[cur, rows] = 0.0
-        tot = _row_sum(w)
+        c = _cumsum_cols(w)
+        tot = c[-1]
         if (tot <= 0).any():
             raise StuckWalkError("no admissible transition for some run")
-        # select against the cumsum's own total: u*c[-1] < c[-1] for u < 1, so
-        # the pick is a positive-weight vertex even where tot > c[-1]
-        c = _cumsum_cols(w)
-        nxt = (raw[:, 0] * c[-1] >= c).sum(axis=0)
+        nxt = (raw[:, 0] * tot >= c).sum(axis=0)
         p = w / tot
 
         P, H = _vrrw_pieces(x.T, self.cfg)
@@ -596,8 +558,6 @@ class MeanFieldVrrwModel(_VrrwModel):
     def step_parts(self, x, n, raw, aux):
         # column form, (d, B): see _vrrw_pieces
         P, H = _vrrw_pieces(x.T, self.cfg)
-        if (H <= 0).any():
-            raise SingularDenominatorError("H(v) vanished along some run")
         pi = P / H
         # J = #{i : u >= pi_0 + ... + pi_i}, clamped where rounding leaves
         # the last running sum below u

@@ -303,16 +303,17 @@ def rate_constants(
     for i in np.nonzero(~pos)[0]:
         ratios[i] = _convention_ratio(log_a[i])
 
-    m_spread = ms.max() - ms.min()
+    # polyfit scales m by its norm: where every square of m underflows (m
+    # within about 1e-160 of 0) that is 0/0, and the fit fails in LAPACK
     finite = np.isfinite(log_a)
     def _half_slope(sel: slice) -> float:
         m_h, l_h = ms[sel], log_a[sel]
         ok = np.isfinite(l_h)
-        if ok.sum() < 2 or m_h[ok].max() - m_h[ok].min() <= 0:
+        if ok.sum() < 2 or m_h[ok].max() - m_h[ok].min() <= 0 or not np.sum(m_h[ok] ** 2) > 0:
             return float("nan")
         return float(np.polyfit(m_h[ok], l_h[ok], 1)[0])
 
-    if m_spread > 0 and finite.sum() >= 2:
+    if ms.max() - ms.min() > 0 and finite.sum() >= 2 and np.sum(ms[finite] ** 2) > 0:
         lam = float(np.polyfit(ms[finite], log_a[finite], 1)[0])
         half = len(ms) // 2
         lam_head = _half_slope(slice(0, half))

@@ -9,11 +9,13 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapcheck import engine
@@ -256,8 +258,22 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(
             base_config(n_runs=4, checks=[{"name": "rate_condition"}])
         )
-        with pytest.raises(ConfigError, match="nu"):
-            run_experiment(cfg, out_dir=tmp_path)
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            with pytest.raises(ConfigError, match="nu"):
+                run_experiment(cfg, out_dir=tmp_path)
+        simulate.assert_not_called()
+
+    def test_walk_off_its_schedule_reports_vanishing_h(self, tmp_path, capsys):
+        # gamma_1 = c_1 = 1 puts every run on a vertex, where H(v) = 0
+        cfg = base_config(
+            N=60, n_runs=4, x0=None, model={"kind": "vrrw_walk", "d": 3, "alpha": 2.0}
+        )
+        p = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: H(v) vanished along some run\n"
 
     def test_x0_dimension_checked(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -731,6 +747,8 @@ class TestConfigErrors:
         param=st.sampled_from(_PARAMS + _NESTED),
         value=st.deferred(lambda: TestConfigErrors._VALUES),
     )
+    # m(t) spreads over 4e-221 on the rate window: too little for polyfit
+    @example(param=("sequence", "geometric", "scale"), value=4.390753739613711e-218)
     def test_swapped_parameter_never_gives_a_traceback(self, param, value):
         where, name, key = param
         if where in ("checks", "diagnostics"):
@@ -764,6 +782,8 @@ class TestConfigErrors:
         key=st.sampled_from([(key,) for key in _FIELDS] + _NESTED),
         value=_VALUES,
     )
+    # the drift clock ends at 1.17, before the apt window T = 1 fits anywhere
+    @example(command="check", key=("schedule", "power", "gamma_scale"), value=0.25)
     def test_swapped_field_never_gives_a_traceback(self, command, key, value):
         cfg = base_config(
             N=60,
@@ -821,11 +841,15 @@ def swapped(cfg: dict, target: tuple, value) -> dict:
 class TestConfigFormat:
     """Every config the project documents or benchmarks parses."""
 
-    def test_readme_config_parses(self):
+    def test_readme_config_parses(self, tmp_path):
         readme = (REPO / "README.md").read_text()
-        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-        cfg = ExperimentConfig.from_dict(json.loads(block))
+        block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = ExperimentConfig.from_dict(block)
         assert cfg.model["kind"] == "vrrw_meanfield"
+        # and it runs, checks included, at a smaller size
+        small = dict(block, N=5000, n_runs=60, rate_window=[100, 5000])
+        code, _ = run_experiment(ExperimentConfig.from_dict(small), out_dir=tmp_path)
+        assert code == 0
 
     @pytest.mark.parametrize("size", ["full", "smoke"])
     def test_benchmark_configs_parse(self, size):

@@ -381,10 +381,10 @@ class RepulsiveOnlyNoise(LinearModel):
     def __init__(self):
         super().__init__(H_SADDLE, id="repulsive_only")
 
-    def noise(self, x, n, raw):
-        eps = super().noise(x, n, raw).copy()
+    def step_parts(self, x, n, raw, aux):
+        g, eps, rem, aux = super().step_parts(x, n, raw, aux)
         eps[..., 1] = 0.0
-        return eps
+        return g, eps, rem, aux
 
 
 def _capture_grid(N, n=64):

@@ -53,8 +53,9 @@ class InvNRemainder(LinearModel):
     def __init__(self):
         super().__init__([[-1.0]], noise_kind="rademacher", id="rem_inv_n")
 
-    def remainder(self, x, n):
-        return np.full_like(x, 1.0 / (n + 1.0))
+    def step_parts(self, x, n, raw, aux):
+        g, eps, _, aux = super().step_parts(x, n, raw, aux)
+        return g, eps, np.full_like(x, 1.0 / (n + 1.0)), aux
 
 
 class ConstRemainder(LinearModel):
@@ -63,8 +64,9 @@ class ConstRemainder(LinearModel):
     def __init__(self):
         super().__init__([[-1.0]], noise_kind="rademacher", id="rem_const")
 
-    def remainder(self, x, n):
-        return np.ones_like(x)
+    def step_parts(self, x, n, raw, aux):
+        g, eps, _, aux = super().step_parts(x, n, raw, aux)
+        return g, eps, np.ones_like(x), aux
 
 
 class GrowingJumps(LinearModel):
@@ -73,8 +75,9 @@ class GrowingJumps(LinearModel):
     def __init__(self):
         super().__init__([[-1.0]], noise_kind="rademacher", id="growing_jumps")
 
-    def noise(self, x, n, raw):
-        return ((n + 1) / 50.0) * super().noise(x, n, raw)
+    def step_parts(self, x, n, raw, aux):
+        g, eps, rem, aux = super().step_parts(x, n, raw, aux)
+        return g, ((n + 1) / 50.0) * eps, rem, aux
 
 
 class GrowingNoise2D(LinearModel):
@@ -83,8 +86,9 @@ class GrowingNoise2D(LinearModel):
     def __init__(self):
         super().__init__(np.diag([1.0, -1.0]), noise_kind="rademacher", id="growing_2d")
 
-    def noise(self, x, n, raw):
-        return 1.2**n * super().noise(x, n, raw)
+    def step_parts(self, x, n, raw, aux):
+        g, eps, rem, aux = super().step_parts(x, n, raw, aux)
+        return g, 1.2**n * eps, rem, aux
 
 
 def manual_circle_trajectory(H, radius=0.5, n_pts=64):
@@ -441,6 +445,8 @@ def _too_small(case):
         return check_tail_noise_condition(gapped_summary, split, 1.0, sched)
     if case == "tail_noise-under_a_decade":
         return check_tail_noise_condition(summary, split, 1.0, sched, window=(200, 400))
+    if case == "tail_noise-no_split":
+        return check_tail_noise_condition(summary, None, 1.0, sched)
     traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
     if case == "remainder-short_window":
         return check_remainder(traj, window=(10, 15))
@@ -463,6 +469,7 @@ class TestInconclusiveReasons:
             "tail_noise-short_window",
             "tail_noise-gapped_window",
             "tail_noise-under_a_decade",
+            "tail_noise-no_split",
             "remainder-short_window",
             "remainder_split_r-short_window",
             "drift_sign-empty_ball",

@@ -170,6 +170,22 @@ class TestRateConstants:
         # the half-window slopes expose the drift toward zero
         assert abs(r.lambda_hat_tail) < 0.8 * abs(r.lambda_hat_head)
 
+    def test_drift_clock_too_flat_to_fit(self, capfd):
+        # m(t) spreads over about 4e-221 on the window: its squares underflow,
+        # so the fit falls back to the window-end ratio, as for m == 0
+        s = Schedule(
+            gamma=SequenceSpec("geometric", scale=4.390753739613711e-218),
+            c=SequenceSpec("power", exponent=1.0),
+            horizon=60,
+        )
+        r = rate_constants(s, (10, 60))
+        ms = np.asarray(s.partial_drift_sum(np.array([10.0, 60.0])))
+        assert 0.0 < ms[1] - ms[0] < 1e-220
+        alpha = float(np.asarray(s.tail_l2(np.array([60.0])))[0])
+        assert r.lambda_hat == np.log(alpha) / ms[1] == r.ratio_inf
+        assert np.isnan(r.lambda_hat_head) and np.isnan(r.lambda_hat_tail)
+        assert capfd.readouterr() == ("", "")  # nothing from LAPACK either
+
     def test_degenerate_all_zero(self):
         s = Schedule(
             gamma=SequenceSpec("power", exponent=1.0),
