@@ -19,6 +19,7 @@ byte-stable for a fixed config and seed, for any worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine, flow, hypotheses, models, sequences, spectral
-from .errors import AmbiguousSpectrumError, ConfigError, TrapcheckError
+from .errors import AmbiguousSpectrumError, BlowUpError, ConfigError, TrapcheckError
 
 __all__ = [
     "ExperimentConfig",
@@ -470,17 +471,13 @@ def _diag_state_grid(N: int, n_points: int = 1024) -> np.ndarray:
     return np.unique(np.geomspace(1, N, min(n_points, N)).astype(np.int64))
 
 
-def _capture_plan(config: ExperimentConfig, with_checks: bool):
+def _capture_plan(config: ExperimentConfig):
     """Derive which states/increments the ensemble must retain, and which
     runs it must keep in full (for trajectory-based checks and the CSVs)."""
     N = config.N
     state_idx: set = set()
     inc_idx: set = set()
     full_runs = set(range(min(config.output["trajectories"], config.n_runs)))
-    if config.output["write_diagnostics"] and config.diagnostics:
-        full_runs.add(0)
-    if not with_checks:
-        return engine.CaptureSpec(full_runs=tuple(sorted(full_runs)))
     if config.diagnostics:
         state_idx.update(_diag_state_grid(N).tolist())
     for c in config.checks:
@@ -610,7 +607,19 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
     return model.initial_state()
 
 
-def _run_diagnostics(config, model, schedule, summary, split):
+def _run_diagnostics(config, model, schedule, summary, split, ddir):
+    """The diagnostics' medians over the ensemble; with a directory ``ddir``,
+    run 0's rows of them are written there as ``apt.csv`` and
+    ``manifold_rate.csv``."""
+    if ddir is not None:
+        if summary.blown_up[0]:
+            step = int(summary.blowup_step[0])
+            raise BlowUpError(
+                f"run 0 left the admissible region at step {step}, "
+                "so it has no diagnostic rows to write",
+                step=step,
+            )
+        ddir.mkdir(parents=True, exist_ok=True)
     out = {}
     for dg in config.diagnostics:
         name = dg["name"]
@@ -628,23 +637,27 @@ def _run_diagnostics(config, model, schedule, summary, split):
                 "n_rates": int(np.isfinite(res.rates).sum()),
                 "n_excluded_restarts": res.n_excluded,
             }
+            if ddir is not None:
+                engine._write_csv(
+                    ddir / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]]
+                )
         elif name == "manifold_rate":
             use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
-            K = model.manifold_K
+            K = model.manifold_K if use_split is None else None
             if use_split is None and K is None:
                 out["manifold_rate"] = {"error": "model declares no invariant set"}
                 continue
-            res = flow.ensemble_manifold_rate(
-                summary,
-                schedule,
-                K=K if use_split is None else None,
-                split=use_split,
-                x_star=model.trap.x_star if model.trap is not None else None,
-            )
+            x_star = model.trap.x_star if model.trap is not None else None
+            res = flow.ensemble_manifold_rate(summary, schedule, K, use_split, x_star)
             out["manifold_rate"] = {
                 "median_rate": res.median,
                 "n_rates": int(np.isfinite(res.rates).sum()),
             }
+            if ddir is not None:
+                path = flow.TimeChangedPath(res.t_values, summary.captured_states[0])
+                flow.manifold_rate(path, K, use_split, x_star).to_csv(
+                    ddir / "manifold_rate.csv"
+                )
     return out
 
 
@@ -656,12 +669,13 @@ def run_experiment(
 ) -> tuple[int, dict]:
     """Execute a config end to end; returns (exit_code, summary dict) and
     writes ``summary.json`` (plus optional trajectory/diagnostic CSVs).
+    ``with_checks=False`` (``simulate``) runs the ensemble alone: the
+    config's checks and diagnostics are ignored.
 
     ``meta.timings_s`` holds the wall seconds of each stage that ran:
     ``simulate`` (building the model and the ensemble), ``checks`` and
-    ``diagnostics`` (the ensemble ones; ``check`` only), and ``io`` (the
-    CSVs, with the kept run's diagnostic paths; ``summary.json`` is written
-    after it).
+    ``diagnostics`` (with their CSVs; ``check`` only), and ``io`` (the
+    trajectory CSVs; ``summary.json`` is written after it).
     """
     marks = [time.perf_counter()]
 
@@ -670,14 +684,16 @@ def run_experiment(
         marks.append(time.perf_counter())
         return marks[-1] - marks[-2]
 
+    if not with_checks:
+        config = dataclasses.replace(config, checks=(), diagnostics=())
     timings = {}
     model = _built("model", _build_model, config.model)
     schedule = _built("schedule", _build_schedule, config.schedule, model)
     x0 = _x0_of(config, model)
-    if with_checks and (model.trap is None or model.trap.nu is None):
+    if model.trap is None or model.trap.nu is None:
         if any(c["name"] == "rate_condition" and c["nu"] is None for c in config.checks):
             raise ConfigError("rate_condition needs nu (config or model)", "checks")
-    capture = _capture_plan(config, with_checks)
+    capture = _capture_plan(config)
 
     summary = engine.monte_carlo(
         model,
@@ -707,6 +723,7 @@ def run_experiment(
         "diagnostics": {},
     }
 
+    out = Path(out_dir if out_dir is not None else config.output["dir"])
     exit_code = 0
     if with_checks:
         lo = config.rate_window[0] if config.rate_window else max(10, config.N // 100)
@@ -741,33 +758,18 @@ def run_experiment(
         )
         doc["report"] = report.to_dict()
         timings["checks"] = lap()
-        doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary, split)
+        write = config.output["write_diagnostics"] and config.diagnostics
+        ddir = out / "diagnostics" if write else None
+        doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary, split, ddir)
         timings["diagnostics"] = lap()
         if report.verdict == "fail":
             exit_code = 2
 
-    out = Path(out_dir if out_dir is not None else config.output["dir"])
     out.mkdir(parents=True, exist_ok=True)
     for i in range(min(config.output["trajectories"], config.n_runs)):
         tdir = out / "trajectories"
         tdir.mkdir(exist_ok=True)
         summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
-    if config.output["write_diagnostics"] and config.diagnostics:
-        ddir = out / "diagnostics"
-        ddir.mkdir(exist_ok=True)
-        path = flow.time_change(
-            summary.trajectory(0), schedule, indices=_diag_state_grid(config.N)
-        )
-        for dg in config.diagnostics:
-            if dg["name"] == "apt":
-                flow.apt_deficit(
-                    path, model.field, T=dg["T"], normalization=dg["normalization"]
-                ).to_csv(ddir / "apt.csv")
-            elif dg["name"] == "manifold_rate" and model.manifold_K is not None:
-                flow.manifold_rate(path, K=model.manifold_K).to_csv(
-                    ddir / "manifold_rate.csv"
-                )
-
     timings["io"] = lap()
     doc_meta = dict(doc)
     doc_meta["meta"] = {
@@ -800,19 +802,9 @@ def _cmd_experiment(args, with_checks: bool) -> int:
     except TrapcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(canonical_json(doc), end="")
-    else:
-        ens = doc["ensemble"]
-        print(
-            f"{ens['model_id']}: {ens['n_runs']} runs, N={ens['N']}, "
-            f"near-trap fraction {ens['near_trap_fraction']:.4g} "
-            f"(radius {ens['near_trap_radius']:g}), blowups {ens['blowup_count']}"
-        )
-        if doc.get("report"):
-            print(_report_text(doc["report"]))
-        for name, vals in (doc.get("diagnostics") or {}).items():
-            print(f"diagnostic {name}: {vals}")
+    text = canonical_json(doc)
+    # rendered from the JSON that summary.json holds, so it reads as `report`
+    print(text if args.json else _render(json.loads(text)), end="")
     return code
 
 
@@ -858,16 +850,42 @@ def _cmd_spectral(args) -> int:
     return 2 if split.classification == "center" else 0
 
 
-def _report_text(rep: dict) -> str:
+def _render(doc: dict) -> str:
+    """The text of a parsed ``summary.json``, one line per fact (a ``nan``
+    or ``inf`` that canonical JSON spells as a string prints as it is)."""
+
+    def g(v):
+        return f"{v:.6g}" if isinstance(v, float) else v
+
+    ens = doc.get("ensemble", {})
     lines = [
-        f"theorem: {rep['theorem_id']}    overall: {rep['verdict']}",
-        "constants: "
-        + ", ".join(f"{k}={v}" for k, v in rep["constants"].items() if v is not None),
+        f"model {ens.get('model_id')}: {ens.get('n_runs')} runs, N={ens.get('N')}, "
+        f"near-trap fraction {ens.get('near_trap_fraction')}, "
+        f"blowups {ens.get('blowup_count')}",
+        f"config hash: {doc.get('config_hash')}",
     ]
-    for c in rep["conditions"]:
-        est = ", ".join(f"{k}={v}" for k, v in c["estimates"].items())
-        lines.append(f"  {c['name']:<28} {c['verdict']:<14} {est}")
-    return "\n".join(lines)
+    r = doc.get("rates")
+    if r:
+        lines.append(
+            f"rates: lambda_hat={g(r['lambda_hat'])} "
+            f"ratio window [{g(r['ratio_inf'])}, {g(r['ratio_sup'])}]"
+        )
+    rep = doc.get("report")
+    if rep:
+        lines.append(f"theorem: {rep['theorem_id']}    overall: {rep['verdict']}")
+        lines.append(
+            "constants: "
+            + ", ".join(f"{k}={v}" for k, v in rep["constants"].items() if v is not None)
+        )
+        for c in rep["conditions"]:
+            est = ", ".join(f"{k}={v}" for k, v in c["estimates"].items())
+            lines.append(f"  {c['name']:<28} {c['verdict']:<14} {est}")
+    for name, vals in (doc.get("diagnostics") or {}).items():
+        lines.append(f"diagnostic {name}: {vals}")
+    timings = (doc.get("meta") or {}).get("timings_s")
+    if timings:
+        lines.append("timings: " + ", ".join(f"{k} {v:.3f} s" for k, v in timings.items()))
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_report(args) -> int:
@@ -879,26 +897,7 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ens = doc.get("ensemble", {})
-    print(
-        f"model {ens.get('model_id')}: {ens.get('n_runs')} runs, N={ens.get('N')}, "
-        f"near-trap fraction {ens.get('near_trap_fraction')}, "
-        f"blowups {ens.get('blowup_count')}"
-    )
-    print(f"config hash: {doc.get('config_hash')}")
-    if doc.get("rates"):
-        r = doc["rates"]
-        print(
-            f"rates: lambda_hat={r['lambda_hat']:.6g} "
-            f"ratio window [{r['ratio_inf']:.6g}, {r['ratio_sup']:.6g}]"
-        )
-    if doc.get("report"):
-        print(_report_text(doc["report"]))
-    for name, vals in (doc.get("diagnostics") or {}).items():
-        print(f"diagnostic {name}: {vals}")
-    timings = (doc.get("meta") or {}).get("timings_s")
-    if timings:
-        print("timings: " + ", ".join(f"{k} {v:.3f} s" for k, v in timings.items()))
+    print(_render(doc), end="")
     return 0
 
 

@@ -38,8 +38,6 @@ __all__ = [
     "CaptureSpec",
     "run",
     "monte_carlo",
-    "empirical_increment_decomposition",
-    "DecomposedIncrements",
     "combine_increment",
 ]
 
@@ -576,51 +574,4 @@ def monte_carlo(
         captured_eps=_runs_first("cap_eps"),
         blowup_step=_merge("blowup_step"),
         full_runs=full_runs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# increment decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DecomposedIncrements:
-    """Per-step pieces over a range: drift ``gamma*g``, martingale ``c*eps``,
-    remainder ``c*rem``, the canonical combined increment, and the running
-    martingale sum ``M[i] = sum of c*eps over the first i steps of the range``.
-    """
-
-    ns: np.ndarray
-    drift: np.ndarray
-    martingale: np.ndarray
-    remainder: np.ndarray
-    combined: np.ndarray
-    martingale_cumsum: np.ndarray
-
-
-def empirical_increment_decomposition(
-    traj: Trajectory, window: Optional[tuple] = None
-) -> DecomposedIncrements:
-    """Split each increment of the window into its three scaled parts.
-
-    The ``combined`` array reconstructs the trajectory bitwise:
-    ``states[n+1] == states[n] + combined[i]`` for every row.
-    """
-    lo, hi = (0, traj.N) if window is None else (int(window[0]), int(window[1]))
-    if not (0 <= lo < hi <= traj.N):
-        raise ValueError(f"window must satisfy 0 <= lo < hi <= N, got {(lo, hi)}")
-    ns = np.arange(lo, hi, dtype=np.int64)
-    g, eps, rem = traj.g[lo:hi], traj.eps[lo:hi], traj.rem[lo:hi]
-    gam = traj.schedule.gamma_values[ns + 1][:, None]
-    c = traj.schedule.c_values[ns + 1][:, None]
-    mart = c * eps
-    M = np.concatenate([np.zeros((1, traj.dim)), np.cumsum(mart, axis=0)])
-    return DecomposedIncrements(
-        ns=ns,
-        drift=gam * g,
-        martingale=mart,
-        remainder=c * rem,
-        combined=combine_increment(gam, g, c, eps, rem),
-        martingale_cumsum=M,
     )

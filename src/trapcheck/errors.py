@@ -83,7 +83,8 @@ class BlowUpError(TrapcheckError, ArithmeticError):
 
 
 class InsufficientRecordsError(TrapcheckError, ValueError):
-    """Thinned storage does not retain the records a computation needs."""
+    """The ensemble did not keep the records a computation needs: a run not
+    kept in full, or a state or increment not captured."""
 
 
 class DomainExitError(TrapcheckError, ArithmeticError):

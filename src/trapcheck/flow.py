@@ -66,7 +66,6 @@ class TimeChangedPath:
 
     s_grid: np.ndarray
     states: np.ndarray
-    indices: Optional[np.ndarray] = None  # original step indices, if known
 
     def __post_init__(self):
         if len(self.s_grid) != len(self.states):
@@ -198,7 +197,7 @@ def time_change(
             "drift timescale is not strictly increasing on the range "
             "(gamma vanishes somewhere, e.g. on a prefix)"
         )
-    return TimeChangedPath(s_grid=m, states=traj.states[indices], indices=indices)
+    return TimeChangedPath(s_grid=m, states=traj.states[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +463,17 @@ def manifold_rate(
 
 @dataclass(frozen=True, eq=False)
 class EnsembleRates:
-    """Per-run diagnostic rates and their median (NaN rates excluded)."""
+    """Per-run diagnostic rates and their median (NaN rates excluded).
+
+    ``deficits`` is the shadow diagnostic's (runs not blown up, restarts)
+    deficit matrix, row i the deficits at ``t_values`` that
+    :func:`apt_deficit` gives on that run alone; None for the manifold rate.
+    """
 
     rates: np.ndarray
     t_values: np.ndarray
     n_excluded: int
+    deficits: Optional[np.ndarray] = None
 
     @property
     def median(self) -> float:
@@ -505,7 +510,7 @@ def ensemble_apt_deficit(
     keep = ~hard
     slopes, _ = _tail_slopes(s[pos[keep]], deficits[:, keep], tail_fraction)
     return EnsembleRates(
-        rates=slopes, t_values=s[pos], n_excluded=int(hard.sum())
+        rates=slopes, t_values=s[pos], n_excluded=int(hard.sum()), deficits=deficits
     )
 
 

@@ -41,9 +41,6 @@ _CLASSIFICATIONS = (
     "center",
 )
 
-#: Dimension cap for the dense Kronecker-vectorized Lyapunov solve.
-_MAX_LYAPUNOV_DIM = 64
-
 
 def default_tolerance(H: np.ndarray) -> float:
     """Scale-relative spectral tolerance: ``1e-8 * ||H||_F`` (floored away
@@ -228,9 +225,9 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
 def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
     """Adapted inner product for a repulsive matrix.
 
-    Solves ``H^T S + S H = 2 I`` via the Kronecker-vectorized dense linear
-    system (exact for the sizes in scope) and returns ``S`` together with the
-    coercivity constant ``lam = 1/lambda_max(S)``.
+    Solves ``H^T S + S H = 2 I`` with the Sylvester solver the split uses
+    (Bartels-Stewart, O(d^3)) and returns ``S`` together with the coercivity
+    constant ``lam = 1/lambda_max(S)``.
 
     Raises
     ------
@@ -239,8 +236,6 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
     ConditioningError
         The solve's residual exceeds 1e-6, or S fails to be positive-definite
         numerically.
-    ValueError
-        Dimension above the supported dense-solve cap.
     """
     H = np.asarray(H_plus, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -250,8 +245,6 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
     d = H.shape[0]
     if d == 0:
         raise ValueError("empty matrix has no adapted norm")
-    if d > _MAX_LYAPUNOV_DIM:
-        raise ValueError(f"dimension {d} exceeds the dense Lyapunov cap {_MAX_LYAPUNOV_DIM}")
 
     re = np.linalg.eigvals(H).real
     if np.min(re) <= 0:
@@ -260,8 +253,7 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
         )
 
     eye = np.eye(d)
-    A = np.kron(eye, H.T) + np.kron(H.T, eye)
-    S = np.linalg.solve(A, 2.0 * eye.reshape(-1)).reshape(d, d)
+    S = scipy.linalg.solve_sylvester(H.T, H, 2.0 * eye)
     S = 0.5 * (S + S.T)
 
     residual = float(np.linalg.norm(H.T @ S + S @ H - 2.0 * eye, "fro"))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapcheck import engine
+from trapcheck import engine, flow
 from trapcheck.cli import (
     _CHECK_PARAMS,
     _DIAGNOSTIC_PARAMS,
@@ -30,6 +30,7 @@ from trapcheck.cli import (
     _build_model,
     _build_schedule,
     _diag_state_grid,
+    _resolve_split_and_constants,
     canonical_json,
     config_hash,
     main,
@@ -212,6 +213,35 @@ class TestRunExperiment:
             docs.append(canonical_json(doc))
         assert docs[0] == docs[1]
 
+    def test_vrrw_jump_moments_and_tail_noise_across_workers(self, tmp_path):
+        step = {"kind": "power", "exponent": 1.0, "offset": 1.0}
+        cfg = ExperimentConfig.from_dict(
+            {
+                "model": {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0},
+                "schedule": {"gamma": step, "c": dict(step)},
+                "N": 2000,
+                "n_runs": 40,
+                "master_seed": 20260815,
+                "checks": [
+                    {"name": "jump_moments", "a": 4.0},
+                    {"name": "tail_noise", "window": [100, 2000]},
+                ],
+            }
+        )
+        bodies = []
+        for workers, sub in ((1, "a"), (2, "b")):
+            code, _ = run_experiment(cfg, workers=workers, out_dir=tmp_path / sub)
+            assert code == 0
+            doc = json.loads((tmp_path / sub / "summary.json").read_text())
+            del doc["meta"]
+            bodies.append(canonical_json(doc))
+        assert bodies[0] == bodies[1]
+        conds = json.loads(bodies[0])["report"]["conditions"]
+        assert [(c["name"], c["verdict"]) for c in conds] == [
+            ("jump_moments", "pass"),
+            ("tail_noise_smallness", "pass"),
+        ]
+
     def test_adapted_drift_sign_on_saddle(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             base_config(
@@ -361,6 +391,71 @@ class TestRunExperiment:
         got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
         assert got == (ref / "apt.csv").read_bytes()
 
+    @staticmethod
+    def _ensemble_of(cfg):
+        """The config's model, schedule and ensemble, with the state capture
+        the diagnostics read."""
+        model = _build_model(cfg.model)
+        schedule = _build_schedule(cfg.schedule, model)
+        summary = engine.monte_carlo(
+            model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
+            captures=engine.CaptureSpec(state_indices=tuple(_diag_state_grid(cfg.N))),
+        )
+        return model, schedule, summary
+
+    def test_apt_csv_is_run_zero_row_with_configured_restarts(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            base_config(
+                model={"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]},
+                x0=[0.1, 0.1],
+                N=500,
+                n_runs=6,
+                diagnostics=[{"name": "apt", "T": 0.5, "n_restarts": 8}],
+                output={"write_diagnostics": True},
+            )
+        )
+        code, doc = run_experiment(cfg, out_dir=tmp_path)
+        assert code == 0
+        model, schedule, summary = self._ensemble_of(cfg)
+        want = flow.ensemble_apt_deficit(summary, schedule, model.field, T=0.5, n_restarts=8)
+        assert doc["diagnostics"]["apt"]["median_rate"] == want.median
+        data = np.loadtxt(tmp_path / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
+        assert 2 <= len(data) <= 8
+        assert np.array_equal(data[:, 0], want.t_values)
+        assert np.array_equal(data[:, 1], want.deficits[0])
+
+    @pytest.mark.parametrize(
+        "model, x0",
+        [
+            ({"kind": "synthetic", "mu": -1.0, "nu": 1.0, "dim": 2, "delta_plus": 1}, [0.0, 0.3]),
+            # no declared invariant set: the split alone gives the distances
+            ({"kind": "linear", "H": [[1.0, 0.5], [0.0, -1.0]]}, [0.1, 0.1]),
+        ],
+    )
+    def test_manifold_rate_csv_uses_the_split_of_the_median(self, tmp_path, model, x0):
+        cfg = ExperimentConfig.from_dict(
+            base_config(
+                model=model,
+                x0=x0,
+                N=2000,
+                n_runs=8,
+                diagnostics=[{"name": "manifold_rate"}],
+                output={"write_diagnostics": True},
+            )
+        )
+        code, doc = run_experiment(cfg, out_dir=tmp_path / "out")
+        assert code == 0
+        model, schedule, summary = self._ensemble_of(cfg)
+        split, _, _ = _resolve_split_and_constants(model)
+        assert split is not None and 1 <= split.delta_plus < model.dim
+        x_star = model.trap.x_star
+        rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
+        assert doc["diagnostics"]["manifold_rate"]["median_rate"] == rates.median
+        path = flow.TimeChangedPath(rates.t_values, summary.captured_states[0])
+        flow.manifold_rate(path, split=split, x_star=x_star).to_csv(tmp_path / "ref.csv")
+        got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+
     def test_vrrw_natural_schedule_runs(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -459,12 +554,16 @@ class TestExperimentCommands:
             base_config(
                 model={"kind": "control", "which": "degenerate_noise"},
                 checks=[{"name": "noise_excitation"}],
+                diagnostics=[{"name": "apt"}],
+                output={"write_diagnostics": True},
                 n_runs=4,
             ),
         )
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["report"] is None
+        assert doc["diagnostics"] == {}
+        assert not (tmp_path / "out" / "diagnostics").exists()
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         cfg = base_config()
@@ -490,13 +589,14 @@ class TestExperimentCommands:
         "command, extra",
         [
             ("simulate", {"output": {"trajectories": 1}}),
-            ("simulate", {"diagnostics": [{"name": "apt"}], "output": {"write_diagnostics": True}}),
+            ("check", {"diagnostics": [{"name": "apt"}], "output": {"write_diagnostics": True}}),
             ("check", {"checks": [{"name": "remainder"}]}),
         ],
     )
     def test_blown_up_run_zero_exits_one(self, tmp_path, capsys, command, extra):
         # seed 8 blows up runs 0, 3 and 5 of 8: under the ensemble limit,
-        # but the command needs run 0 in full, and run 0 left the region
+        # but the command needs run 0 (in full, or its diagnostic rows), and
+        # run 0 left the region
         p = write_config(
             tmp_path,
             base_config(
@@ -560,6 +660,37 @@ class TestExperimentCommands:
         assert doc["report"]["conditions"][0]["verdict"] == "pass"
         with open(tmp_path / "out" / "trajectories" / "run_0.csv") as fh:
             assert sum(1 for _ in fh) == N + 1  # header and one row per step
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {
+                "model": {"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]},
+                "x0": [0.1, 0.1],
+                "checks": [{"name": "noise_excitation"}, {"name": "rate_condition", "nu": 1.0}],
+                "diagnostics": [{"name": "apt", "T": 0.5}, {"name": "manifold_rate"}],
+            },
+            # c vanishes from step 50 on, so the rate window holds a ratio
+            # of -inf, which summary.json spells as a string
+            {
+                "schedule": {
+                    "gamma": {"kind": "power"},
+                    "c": {"kind": "custom", "values": [1.0] * 50 + [0.0] * 350},
+                },
+                "rate_window": [10, 300],
+            },
+        ],
+    )
+    def test_check_prints_what_report_prints(self, tmp_path, capsys, extra):
+        p = write_config(tmp_path, base_config(n_runs=8, **extra))
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        checked = capsys.readouterr()
+        assert code == 0, checked.err
+        assert main(["report", str(tmp_path / "out")]) == 0
+        reported = capsys.readouterr()
+        assert reported.err == ""
+        assert checked.out == reported.out
+        assert "config hash: " in checked.out and "rates: lambda_hat=" in checked.out
 
     def test_report_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1

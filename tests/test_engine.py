@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 import trapcheck.engine as engine
 from trapcheck import (
@@ -23,7 +22,6 @@ from trapcheck import (
     VrrwWalkModel,
     combine_increment,
     control_models,
-    empirical_increment_decomposition,
     monte_carlo,
     run,
 )
@@ -248,6 +246,40 @@ class TestMonteCarlo:
         with pytest.raises(InsufficientRecordsError):
             summary.near_trap_fraction(0.1, t=50)
 
+    def test_near_trap_at_captured_time_and_at_n(self):
+        m = LinearModel([[1.0]])
+        cap = CaptureSpec(state_indices=(10, 50))
+        summary = monte_carlo(m, harmonic(100), np.zeros(1), 100, 8, master_seed=0, captures=cap)
+        d50 = np.abs(summary.captured_states[:, 1, 0])
+        dN = np.abs(summary.terminal_states[:, 0])
+        for radius in (np.median(d50), np.median(dN)):
+            assert summary.near_trap_fraction(radius, t=50) == np.mean(d50 < radius)
+            assert summary.near_trap_fraction(radius, t=100) == np.mean(dN < radius)
+        assert 0.0 < np.mean(d50 < np.median(d50)) < 1.0
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (CaptureSpec(state_indices=(0, 11)), r"state capture indices must lie in \[0, 10\]"),
+            (CaptureSpec(state_indices=(-1,)), r"state capture indices must lie in \[0, 10\]"),
+            (CaptureSpec(increment_indices=(10,)), r"increment capture indices must lie in \[0, 9\]"),
+            (CaptureSpec(increment_indices=(-1, 3)), r"increment capture indices must lie in \[0, 9\]"),
+            (CaptureSpec(full_runs=(-1, 0)), "full_runs must be nonnegative"),
+        ],
+    )
+    def test_capture_indices_out_of_range(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            CaptureSpec.normalize(spec, 10)
+        with pytest.raises(ValueError, match=match):
+            monte_carlo(LinearModel([[1.0]]), harmonic(10), np.zeros(1), 10, 2, master_seed=0,
+                        captures=spec)
+
+    @pytest.mark.parametrize("n_runs, workers, match", [(0, 1, "n_runs"), (2, 0, "workers")])
+    def test_run_and_worker_counts_must_be_positive(self, n_runs, workers, match):
+        with pytest.raises(ValueError, match=match):
+            monte_carlo(LinearModel([[1.0]]), harmonic(10), np.zeros(1), 10, n_runs,
+                        master_seed=0, workers=workers)
+
     def test_simplex_preserved_by_walk(self):
         cfg = VrrwConfig.complete(3, 2.0)
         m = VrrwWalkModel(cfg)
@@ -425,40 +457,6 @@ class TestTailDistance:
             traj = run(model, sched, x0, N, seed=engine._seed_for_run(5, i),
                        blowup_bound=bound)
             assert np.array_equal(summary.terminal_states[i], traj.states[-1])
-
-
-class TestDecomposition:
-    def test_silent_model_parts_vanish(self):
-        traj = run(SilentModel(), harmonic(100), np.array([0.5]), 100, seed=0)
-        dec = empirical_increment_decomposition(traj)
-        assert np.all(dec.martingale == 0.0)
-        assert np.all(dec.remainder == 0.0)
-
-    def test_hand_arithmetic_parts(self):
-        s = Schedule(
-            gamma=SequenceSpec("const", value=0.1),
-            c=SequenceSpec("const", value=0.1),
-            horizon=1,
-        )
-        traj = run(UnitNoiseModel(), s, np.array([0.5]), 1, seed=0)
-        dec = empirical_increment_decomposition(traj)
-        assert dec.drift[0, 0] == pytest.approx(0.05, abs=1e-17)
-        assert dec.martingale[0, 0] == pytest.approx(0.1, abs=1e-17)
-        assert dec.remainder[0, 0] == 0.0
-
-    def test_reconstruction_identity_exact(self):
-        m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
-        traj = run(m, harmonic(500), np.array([0.2, -0.1]), 500, seed=8)
-        dec = empirical_increment_decomposition(traj)
-        assert np.array_equal(traj.states[:-1] + dec.combined, traj.states[1:])
-
-    def test_cumulative_martingale(self):
-        m = LinearModel([[1.0]])
-        traj = run(m, harmonic(50), np.zeros(1), 50, seed=1)
-        dec = empirical_increment_decomposition(traj)
-        assert dec.martingale_cumsum.shape == (51, 1)
-        assert np.all(dec.martingale_cumsum[0] == 0.0)
-        assert_allclose(dec.martingale_cumsum[-1], dec.martingale.sum(axis=0), rtol=1e-12)
 
 
 def test_combine_increment_is_the_canonical_expression():

@@ -559,6 +559,20 @@ class TestEnsembleDiagnosticsBits:
         got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
         assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
         _same_bits(got, want)
+        # the fit leaves the deficit matrix as the restarts computed it
+        assert np.array_equal(got.deficits, deficits)
+
+    @pytest.mark.parametrize("blown", [(), (0, 3, 4, 11, 19)])
+    def test_apt_deficit_rows_equal_each_run_alone(self, skewed_ensemble, blown):
+        model, _, sched, summary = skewed_ensemble
+        summary = _blown(summary, blown)
+        s, X = _whole_array(summary, sched)
+        got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
+        assert got.deficits.shape == (len(X), len(got.t_values))
+        for row, states in zip(got.deficits, X):
+            alone = apt_deficit(TimeChangedPath(s, states), model.field, T=1.0)
+            assert np.array_equal(alone.t_values, got.t_values)
+            assert np.array_equal(row, alone.deficits)
 
     def test_every_run_blown_gives_no_rate(self, skewed_ensemble):
         model, K, sched, summary = skewed_ensemble

@@ -124,6 +124,18 @@ class TestAdaptedInnerProduct:
             res = H.T @ an.S + an.S @ H - 2 * np.eye(d)
             assert np.linalg.norm(res) <= 1e-8
 
+    def test_no_dimension_cap(self):
+        d = 80
+        rng = np.random.default_rng(d)
+        H = random_repulsive(rng, d)
+        an = adapted_inner_product(H)
+        assert np.linalg.norm(H.T @ an.S + an.S @ H - 2 * np.eye(d)) <= 1e-8
+        assert np.array_equal(an.S, an.S.T)
+        X = rng.standard_normal((50, d))
+        lhs = np.einsum("bi,ij,jk,bk->b", X, an.S, H, X)
+        rhs = an.lam * np.einsum("bi,ij,bj->b", X, an.S, X)
+        assert np.min(lhs - rhs) >= -1e-9 * np.max(np.abs(lhs))
+
 
 class TestProjectPm:
     def test_diag_split_coordinates(self):
