@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine, flow, hypotheses, models, sequences, spectral
-from .errors import AmbiguousSpectrumError, BlowUpError, ConfigError, TrapcheckError
+from .errors import AmbiguousSpectrumError, ConfigError, TrapcheckError
 
 __all__ = [
     "ExperimentConfig",
@@ -609,16 +609,12 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
 
 def _run_diagnostics(config, model, schedule, summary, split, ddir):
     """The diagnostics' medians over the ensemble; with a directory ``ddir``,
-    run 0's rows of them are written there as ``apt.csv`` and
-    ``manifold_rate.csv``."""
+    ``apt.csv`` and ``manifold_rate.csv`` there hold the rows of the first run
+    that did not blow up, named ``csv_run`` unless it is run 0 (null if none)."""
+    csv_run = int(np.argmax(summary.ok)) if summary.ok.any() else None
+    named = {} if ddir is None or csv_run == 0 else {"csv_run": csv_run}
+    ddir = None if csv_run is None else ddir  # no run has rows to write
     if ddir is not None:
-        if summary.blown_up[0]:
-            step = int(summary.blowup_step[0])
-            raise BlowUpError(
-                f"run 0 left the admissible region at step {step}, "
-                "so it has no diagnostic rows to write",
-                step=step,
-            )
         ddir.mkdir(parents=True, exist_ok=True)
     out = {}
     for dg in config.diagnostics:
@@ -636,6 +632,7 @@ def _run_diagnostics(config, model, schedule, summary, split, ddir):
                 "median_rate": res.median,
                 "n_rates": int(np.isfinite(res.rates).sum()),
                 "n_excluded_restarts": res.n_excluded,
+                **named,
             }
             if ddir is not None:
                 engine._write_csv(
@@ -652,9 +649,10 @@ def _run_diagnostics(config, model, schedule, summary, split, ddir):
             out["manifold_rate"] = {
                 "median_rate": res.median,
                 "n_rates": int(np.isfinite(res.rates).sum()),
+                **named,
             }
             if ddir is not None:
-                path = flow.TimeChangedPath(res.t_values, summary.captured_states[0])
+                path = flow.TimeChangedPath(res.t_values, summary.captured_states[csv_run])
                 flow.manifold_rate(path, K, use_split, x_star).to_csv(
                     ddir / "manifold_rate.csv"
                 )

@@ -275,13 +275,16 @@ def _draw_block(gens, length: int, n_raw: int) -> np.ndarray:
     if n_raw:
         # fill a group of generators' draws contiguously, then transpose the
         # group into place: a strided write per generator costs about 1.5x
-        # as much at B = 1000
+        # as much at B = 1000.  Both sides are viewed as one opaque item of
+        # n_raw doubles per (step, run), so the transpose moves a step's
+        # draws for a run as one copy, not n_raw strided ones; same bytes.
         tile = np.empty((min(_DRAW_TILE, len(gens)), length, n_raw))
+        out_rows, tile_rows = (a.view(f"V{8 * n_raw}")[..., 0] for a in (out, tile))
         for b0 in range(0, len(gens), len(tile)):
             group = gens[b0 : b0 + len(tile)]
             for t, g in zip(tile, group):
                 g.random(out=t)
-            out[:, b0 : b0 + len(group)] = tile[: len(group)].transpose(1, 0, 2)
+            out_rows[:, b0 : b0 + len(group)] = tile_rows[: len(group)].T
     return out
 
 
@@ -327,10 +330,9 @@ def _drive(
     K = len(keep)
     if K and keep[-1] - keep[0] == K - 1:
         keep = slice(keep[0], keep[-1] + 1)  # a view per step, not a gather
-    if K:
-        states = np.empty((K, N + 1, d))
-        states[:, 0] = x[keep]
-        parts = np.empty((3, K, N, d))  # g, eps, rem
+    states = np.empty((K, N + 1, d))
+    states[:, 0] = x[keep]
+    parts = np.empty((3, K, N, d))  # g, eps, rem
 
     sup_tail = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
@@ -343,18 +345,22 @@ def _drive(
     while n < N:
         block = min(_RAW_BLOCK, N - n)
         raws = _draw_block(gens, block, model.n_raw)
+        # the block's step sizes as Python floats: scaling an array by one
+        # costs less than by a numpy scalar
+        gb, cb = gam[n + 1 : n + 1 + block].tolist(), cs[n + 1 : n + 1 + block].tolist()
         for j in range(block):
             g, eps, rem, aux = model.step_parts(x, n, raws[j], aux)
-            x = x + combine_increment(gam[n + 1], g, cs[n + 1], eps, rem)
+            x = x + combine_increment(gb[j], g, cb[j], eps, rem)
             if any_blown:
                 x[blown] = trap_point  # a blown row stays parked
             if K:
                 states[:, n + 1] = x[keep]
                 parts[0, :, n], parts[1, :, n], parts[2, :, n] = g[keep], eps[keep], rem[keep]
 
-            # one whole-batch reduction per step; NaN and inf fail the test,
-            # so the row-wise rule below runs only when some row may be out
-            if not np.abs(x).max() <= blowup_bound:
+            # one whole-batch reduction per step (ndarray.max without its
+            # Python frame); NaN and inf fail the test, so the row-wise rule
+            # below runs only when some row may be out
+            if not np.maximum.reduce(np.abs(x), axis=None) <= blowup_bound:
                 bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > blowup_bound)
                 new = bad & ~blown
                 blowup_step[new] = n + 1
@@ -380,9 +386,8 @@ def _drive(
         "blowup_step": blowup_step,
         "cap_states": cap_states,
         "cap_eps": cap_eps,
+        "kept": (states, parts),
     }
-    if K:
-        out["kept"] = (states, parts)
     return out
 
 
@@ -490,6 +495,23 @@ def _chunk_worker(
     return res
 
 
+#: ``_drive``'s per-run outputs, which ``monte_carlo`` merges over chunks
+_PER_RUN = ("x", "sup_tail", "blown", "blowup_step", "cap_states", "cap_eps")
+
+
+def _copy_runs(merged: dict, part: dict, runs: slice, n_runs: int) -> None:
+    """Copy ``part``'s per-run outputs into their slice ``runs`` of ``merged``,
+    allocated at the first part; the step-major eps capture has runs on axis 1."""
+    for key in _PER_RUN:
+        val = part[key]
+        if val is None:
+            continue
+        axis = int(key == "cap_eps")
+        if merged[key] is None:
+            merged[key] = np.empty(val.shape[:axis] + (n_runs,) + val.shape[axis + 1 :], val.dtype)
+        merged[key].swapaxes(0, axis)[runs] = val.swapaxes(0, axis)
+
+
 def monte_carlo(
     model: Model,
     schedule: Schedule,
@@ -532,31 +554,26 @@ def monte_carlo(
         (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound)
         for chunk in chunks
     ]
+    full_runs = {}
+
+    def take_kept(part):  # returns part, after taking its kept runs as trajectories
+        seeds = [_seed_for_run(master_seed, i) for i in part["kept_runs"]]
+        trajs = _kept_trajectories(model, schedule, part["kept"], seeds)
+        full_runs.update(zip(part["kept_runs"], trajs))
+        return part
+
     if len(chunks) == 1:
-        results = [_chunk_worker(*a) for a in args]
+        merged = take_kept(_chunk_worker(*args[0]))
     else:
+        merged = dict.fromkeys(_PER_RUN)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chunk_worker, *a) for a in args]
-            results = [f.result() for f in futures]
-
-    # chunks are consecutive slices of the run range, in submission order, so
-    # concatenation is in run order and never depends on scheduling
-    def _merge(key, axis=0):
-        vals = [r[key] for r in results]
-        if vals[0] is None:
-            return None
-        return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=axis)
-
-    def _runs_first(key):
-        steps = _merge(key, axis=1)
-        return None if steps is None else steps.transpose(1, 0, 2)
-
-    full_runs = {}
-    for r in results:
-        if r["kept_runs"]:
-            seeds = [_seed_for_run(master_seed, i) for i in r["kept_runs"]]
-            trajs = _kept_trajectories(model, schedule, r["kept"], seeds)
-            full_runs.update(zip(r["kept_runs"], trajs))
+            # chunks are consecutive slices of the run range: each part goes
+            # into its own slice, so the bits never depend on scheduling; the
+            # future holds its part, so it is popped and both go once copied
+            for chunk in chunks:
+                runs = slice(chunk[0], chunk[-1] + 1)
+                _copy_runs(merged, take_kept(futures.pop(0).result()), runs, n_runs)
 
     return EnsembleSummary(
         model_id=model.id,
@@ -565,13 +582,13 @@ def monte_carlo(
         master_seed=int(master_seed),
         trap_point=trap,
         tail_from=tail_from,
-        terminal_states=_merge("x"),
-        sup_tail_distance=_merge("sup_tail"),
-        blown_up=_merge("blown"),
+        terminal_states=merged["x"],
+        sup_tail_distance=merged["sup_tail"],
+        blown_up=merged["blown"],
         capture_times=np.asarray(capture.state_indices, dtype=np.int64),
-        captured_states=_merge("cap_states"),
+        captured_states=merged["cap_states"],
         increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
-        captured_eps=_runs_first("cap_eps"),
-        blowup_step=_merge("blowup_step"),
+        captured_eps=None if merged["cap_eps"] is None else merged["cap_eps"].transpose(1, 0, 2),
+        blowup_step=merged["blowup_step"],
         full_runs=full_runs,
     )

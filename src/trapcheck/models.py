@@ -18,6 +18,12 @@ in a fixed order), so a run's floating-point path is bit-identical whether it
 executes alone or inside any batch — the engine's determinism contract rests
 on this.
 
+``step_parts`` runs once per step on arrays of about a thousand doubles, where
+a numpy call's dispatch costs about as much as its arithmetic.  So the steps
+call numpy's C entry points (``np.zeros(shape)``, ufuncs, array methods), not
+its Python-level wrappers (``np.zeros_like``, ``np.full_like``, ``np.where``
+with Python scalars): each wrapper costs a Python frame per step.
+
 Models must stay picklable (process-pool workers receive them by value), so
 behavioral knobs are plain strings/arrays rather than closures.
 """
@@ -62,16 +68,16 @@ def _apply_matrix(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     a shape-dependent BLAS kernel, so each row's result is independent of the
     batch size.
     """
-    xb, lead = _as_batch(x)
-    out = np.zeros_like(xb)
-    for j in range(M.shape[1]):
-        out += xb[:, j : j + 1] * M[:, j][None, :]
-    return out.reshape(*lead, M.shape[0])
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape[:-1] + M.shape[:1])
+    for j, col in enumerate(M.T):
+        out += x[..., j, None] * col
+    return out
 
 
 def _rademacher(raw: np.ndarray) -> np.ndarray:
-    """Map uniform doubles in [0,1) to ±1 with equal probability."""
-    return np.where(raw < 0.5, -1.0, 1.0)
+    """Map uniform doubles in [0,1) to ±1: -1 below 0.5, +1 from 0.5 on."""
+    return np.copysign(1.0, raw - 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +204,15 @@ class LinearModel(Model):
 
     def step_parts(self, x, n, raw, aux):
         if self.noise_kind == "none":
-            eps = np.zeros_like(x)
+            eps = np.zeros(x.shape)
         else:
             eps = _rademacher(raw)
             if self.noise_kind == "stable_only":
                 eps[..., : self.unstable_dims] = 0.0
         if self.remainder_kind == "inv_sqrt":
-            rem = np.full_like(x, 1.0 / np.sqrt(n + 1.0))
+            rem = np.full(x.shape, 1.0 / np.sqrt(n + 1.0))
         else:
-            rem = np.zeros_like(x)
+            rem = np.zeros(x.shape)
         return self.field(x), eps, rem, aux
 
 
@@ -236,20 +242,20 @@ def synthetic_field(
     only through ``|x_i|**(1+nu)``, which is what makes the exponent ``nu``
     meaningful for the rate condition.
     """
-    xb, lead = _as_batch(x)
+    x = np.asarray(x, dtype=np.float64)
     k = int(delta_plus)
-    out = np.empty_like(xb)
+    out = np.empty(x.shape)
     if f_plus is None:
-        out[:, :k] = xb[:, :k]  # the identity head never reads the rectified tail
+        out[..., :k] = x[..., :k]  # the identity head never reads the rectified tail
     else:
-        y = xb.copy()
-        y[:, k:] = np.abs(xb[:, k:]) ** (1.0 + nu)
+        y = x.reshape(-1, x.shape[-1]).copy()
+        y[:, k:] = np.abs(y[:, k:]) ** (1.0 + nu)
         head = np.asarray(f_plus(y), dtype=np.float64)
-        if head.shape != (xb.shape[0], k):
+        if head.shape != (y.shape[0], k):
             raise ValueError(f"f_plus must return shape (B, {k}), got {head.shape}")
-        out[:, :k] = head
-    np.multiply(mu, xb[:, k:], out=out[:, k:])
-    return out.reshape(*lead, xb.shape[1])
+        out[..., :k] = head.reshape(*x.shape[:-1], k)
+    np.multiply(mu, x[..., k:], out=out[..., k:])
+    return out
 
 
 class SyntheticModel(Model):
@@ -299,7 +305,7 @@ class SyntheticModel(Model):
         return synthetic_field(x, self.delta_plus, self.mu, self.nu, self.f_plus)
 
     def step_parts(self, x, n, raw, aux):
-        return self.field(x), _rademacher(raw), np.zeros_like(x), aux
+        return self.field(x), _rademacher(raw), np.zeros(x.shape), aux
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,41 @@ class TestRunExperiment:
         got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
 
+    def test_blown_up_run_zero_writes_the_first_unblown_run(self, tmp_path, capsys):
+        # seed 3 blows up runs 0, 1 and 6 of 8, so the diagnostic CSVs hold
+        # the rows of run 2, and each entry names it
+        cfg_dict = base_config(
+            model={"kind": "linear", "H": [[4.0, 0.0], [0.0, -1.0]]},
+            x0=[0.0, 0.0],
+            N=100,
+            n_runs=8,
+            master_seed=3,
+            max_blowup_fraction=0.9,
+            diagnostics=[{"name": "apt", "T": 0.5}, {"name": "manifold_rate"}],
+            output={"write_diagnostics": True},
+        )
+        p = write_config(tmp_path, cfg_dict)
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert code == (2 if doc["report"]["verdict"] == "fail" else 0)
+        assert doc["ensemble"]["blowup_runs"] == [0, 1, 6]
+        assert doc["diagnostics"]["apt"]["csv_run"] == 2
+        assert doc["diagnostics"]["manifold_rate"]["csv_run"] == 2
+
+        cfg = ExperimentConfig.from_dict(cfg_dict)
+        model, schedule, summary = self._ensemble_of(cfg)
+        apt = flow.ensemble_apt_deficit(summary, schedule, model.field, T=0.5)
+        data = np.loadtxt(tmp_path / "out" / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 1], apt.deficits[0])
+        split, _, _ = _resolve_split_and_constants(model)
+        x_star = model.trap.x_star
+        rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
+        path = flow.TimeChangedPath(rates.t_values, summary.captured_states[2])
+        flow.manifold_rate(path, split=split, x_star=x_star).to_csv(tmp_path / "ref.csv")
+        got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+
     def test_vrrw_natural_schedule_runs(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -594,9 +629,10 @@ class TestExperimentCommands:
         ],
     )
     def test_blown_up_run_zero_exits_one(self, tmp_path, capsys, command, extra):
-        # seed 8 blows up runs 0, 3 and 5 of 8: under the ensemble limit,
-        # but the command needs run 0 (in full, or its diagnostic rows), and
-        # run 0 left the region
+        # seed 8 blows up runs 0, 3 and 5 of 8: under the ensemble limit.
+        # A trajectory or a remainder check needs run 0 in full, and run 0
+        # left the region, so the command exits 1; the diagnostic CSVs take
+        # the first run that stayed, run 1, and the command finishes
         p = write_config(
             tmp_path,
             base_config(
@@ -608,10 +644,18 @@ class TestExperimentCommands:
                 **extra,
             ),
         )
-        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert "left the admissible region at step" in err
         assert "Traceback" not in err
+        if "diagnostics" not in extra:
+            assert code == 1
+            assert "left the admissible region at step" in err
+            return
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert code == (2 if doc["report"]["verdict"] == "fail" else 0)
+        assert doc["ensemble"]["blowup_runs"] == [0, 3, 5]
+        assert doc["diagnostics"]["apt"]["csv_run"] == 1
+        assert (tmp_path / "out" / "diagnostics" / "apt.csv").is_file()
 
     def test_every_run_blown_up_reports_no_rate(self, tmp_path, capsys):
         # H = 5 drives every run out of the region, and the limit allows it:
@@ -623,6 +667,7 @@ class TestExperimentCommands:
                 N=2000,
                 max_blowup_fraction=1.0,
                 diagnostics=[{"name": "apt"}],
+                output={"write_diagnostics": True},
             ),
         )
         code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
@@ -634,6 +679,9 @@ class TestExperimentCommands:
         apt = doc["diagnostics"]["apt"]
         assert apt["n_rates"] == 0
         assert apt["median_rate"] == "nan"  # canonical JSON spells NaN so
+        # no run has diagnostic rows, so no CSV is written
+        assert apt["csv_run"] is None
+        assert not (tmp_path / "out" / "diagnostics").exists()
 
     def test_report_command_renders_summary(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict(

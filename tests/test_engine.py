@@ -290,6 +290,21 @@ class TestMonteCarlo:
         assert traj.states.min() >= -1e-12
 
 
+class TestDrawBlock:
+    @pytest.mark.parametrize("tile", [2, 128])
+    @pytest.mark.parametrize("B", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n_raw", [0, 1, 2, 3])
+    def test_equals_stacked_per_generator_draws(self, n_raw, B, tile):
+        gens = engine._generators(7, range(B))
+        with mock.patch.object(engine, "_DRAW_TILE", tile):
+            # two blocks in a row: the second continues every stream
+            got = [engine._draw_block(gens, length, n_raw) for length in (5, 3)]
+        for block in got:
+            assert block.shape[1:] == (B, n_raw) and block.flags.c_contiguous
+        want = np.stack([g.random((8, n_raw)) for g in engine._generators(7, range(B))], axis=1)
+        assert np.array_equal(np.concatenate(got), want)
+
+
 def _ensemble_case(kind, d, alpha, seed, N):
     """(model, schedule, x0) for one model kind of dimension ``d``."""
     if kind == "linear":
@@ -322,16 +337,17 @@ class TestDeterminismProperty:
         n_runs = data.draw(st.integers(3, 7), label="n_runs")
         N = 300
         m, s, x0 = _ensemble_case(kind, d, alpha, seed, N)
+        cap = CaptureSpec(state_indices=(0, 150, 300), increment_indices=(0, 63, 64, 299))
         with (
             mock.patch.object(engine, "_RAW_BLOCK", 64),
             mock.patch.object(engine, "_DRAW_TILE", 2),
         ):
             outs = [
-                monte_carlo(m, s, x0, N, n_runs, master_seed=seed, workers=w)
+                monte_carlo(m, s, x0, N, n_runs, master_seed=seed, workers=w, captures=cap)
                 for w in (1, 2, 3)
             ]
             lone = [
-                run(m, s, x0, N, seed=engine._seed_for_run(seed, i)).states[-1]
+                run(m, s, x0, N, seed=engine._seed_for_run(seed, i))
                 for i in range(n_runs)
                 if not outs[0].blown_up[i]
             ]
@@ -339,7 +355,18 @@ class TestDeterminismProperty:
             assert np.array_equal(outs[0].terminal_states, other.terminal_states)
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].blown_up, other.blown_up)
-        assert np.array_equal(outs[0].terminal_states[outs[0].ok], np.array(lone).reshape(-1, d))
+            assert np.array_equal(outs[0].captured_states, other.captured_states)
+            assert np.array_equal(outs[0].captured_eps, other.captured_eps)
+        for out in outs:
+            # the checkers' bits rest on a step-major, C-contiguous eps capture
+            assert out.captured_eps.transpose(1, 0, 2).flags.c_contiguous
+            assert out.captured_states.flags.c_contiguous
+        ok = outs[0].ok
+        assert np.array_equal(
+            outs[0].terminal_states[ok], np.array([t.states[-1] for t in lone]).reshape(-1, d)
+        )
+        for got, t in zip(outs[0].captured_eps[ok], lone):
+            assert np.array_equal(got, t.eps[list(cap.increment_indices)])
 
 
 class JumpModel(Model):

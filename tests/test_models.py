@@ -16,6 +16,7 @@ from trapcheck import (
     vrrw_field,
     vrrw_jacobian,
 )
+from trapcheck.models import _rademacher
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -456,3 +457,115 @@ class TestColumnForm:
                         assert np.array_equal(_bits(a), _bits(b))
                     assert np.array_equal(aux["cur"], ref_aux["cur"])
                     assert np.array_equal(aux["counts"], ref_aux["counts"])
+
+
+# ---------------------------------------------------------------------------
+# the linear and synthetic steps against the formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_apply_matrix(M, x):
+    # the batch round trip the lean helper replaced, kept as the reference
+    xb = x.reshape(-1, x.shape[-1])
+    out = np.zeros_like(xb)
+    for j in range(M.shape[1]):
+        out += xb[:, j : j + 1] * M[:, j][None, :]
+    return out.reshape(*x.shape[:-1], M.shape[0])
+
+
+def _ref_rademacher(raw):
+    return np.where(raw < 0.5, -1.0, 1.0)
+
+
+def _ref_linear_step(model, x, n, raw):
+    if model.noise_kind == "none":
+        eps = np.zeros_like(x)
+    else:
+        eps = _ref_rademacher(raw)
+        if model.noise_kind == "stable_only":
+            eps[..., : model.unstable_dims] = 0.0
+    if model.remainder_kind == "inv_sqrt":
+        rem = np.full_like(x, 1.0 / np.sqrt(n + 1.0))
+    else:
+        rem = np.zeros_like(x)
+    return _ref_apply_matrix(model.H, x), eps, rem
+
+
+def _ref_synthetic_field(x, k, mu, nu, f_plus):
+    xb = x.reshape(-1, x.shape[-1])
+    out = np.empty_like(xb)
+    if f_plus is None:
+        out[:, :k] = xb[:, :k]
+    else:
+        y = xb.copy()
+        y[:, k:] = np.abs(xb[:, k:]) ** (1.0 + nu)
+        out[:, :k] = f_plus(y)
+    np.multiply(mu, xb[:, k:], out=out[:, k:])
+    return out.reshape(x.shape)
+
+
+def _edge_inputs(d, B=40, order="C"):
+    """States with +0.0 and -0.0 entries, and draws that hit 0.0, 0.5 and
+    the double just below 0.5, in C or F order."""
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((B, d))
+    x[::4] = 0.0
+    x[1::4] = -0.0
+    x[2::4] = -0.0
+    x[2::4, 1] = 0.0  # every product of H's first row is -0.0 there
+    raw = rng.random((B, d))
+    raw[::3, 0] = 0.0
+    raw[1::3] = 0.5
+    raw[2::3, -1] = np.nextafter(0.5, 0.0)
+    return np.asarray(x, order=order), np.asarray(raw, order=order)
+
+
+def _assert_same_bits(got, want, c_ordered):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(_bits(a), _bits(b))  # values and signbit
+        if c_ordered:
+            assert a.flags.c_contiguous
+
+
+class TestLeanSteps:
+    def test_rademacher_at_the_half(self):
+        raw = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)])
+        assert np.array_equal(_bits(_rademacher(raw)), _bits(np.array([-1.0, -1.0, 1.0, 1.0])))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("remainder", ["none", "inv_sqrt"])
+    @pytest.mark.parametrize("noise", ["rademacher", "none", "stable_only"])
+    def test_linear_step_equals_replaced_formulas(self, noise, remainder, order):
+        H = np.array([[1.0, -0.5, 0.0], [0.0, -2.0, 0.25], [-0.0, 3.0, -1.0]])
+        model = LinearModel(H, noise_kind=noise, remainder_kind=remainder, unstable_dims=2)
+        x, raw = _edge_inputs(3, order=order)
+        raw = raw[:, : model.n_raw]
+        for n in (0, 7):
+            got = model.step_parts(x, n, raw, None)[:3]
+            _assert_same_bits(got, _ref_linear_step(model, x, n, raw), order == "C")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_synthetic_step_equals_replaced_formulas(self, custom, order):
+        def f_plus(y):
+            return np.stack([y[:, 0] - y[:, 2], -y[:, 1]], axis=1)
+
+        fp = f_plus if custom else None
+        model = SyntheticModel(mu=-1.5, nu=0.5, dim=3, delta_plus=2, f_plus=fp)
+        x, raw = _edge_inputs(3, order=order)
+        got = model.step_parts(x, 0, raw, None)[:3]
+        want = (
+            _ref_synthetic_field(x, 2, -1.5, 0.5, fp),
+            _ref_rademacher(raw),
+            np.zeros_like(x),
+        )
+        _assert_same_bits(got, want, order == "C")
+
+    @pytest.mark.parametrize("shape", [(3,), (40, 3), (5, 8, 3)])
+    def test_fields_keep_shape_and_bits(self, shape):
+        x = _edge_inputs(3)[0][: int(np.prod(shape[:-1]))].reshape(shape)
+        H = np.array([[1.0, -0.5, 0.0], [0.0, -2.0, 0.25], [-0.0, 3.0, -1.0]])
+        got = LinearModel(H).field(x), synthetic_field(x, 1, -1.0, 1.0)
+        want = _ref_apply_matrix(H, x), _ref_synthetic_field(x, 1, -1.0, 1.0, None)
+        _assert_same_bits(got, want, True)
