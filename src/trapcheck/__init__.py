@@ -9,156 +9,29 @@ splits Jacobians at candidate traps into repulsive/contracting blocks,
 estimates the drift/noise rate constants of the step-size schedule, checks
 the hypotheses under which trapping has probability zero, and measures how
 closely trajectories shadow the associated deterministic flow.
+
+Every name in a module's ``__all__`` is re-exported here.
 """
 
-from .errors import (
-    AmbiguousSpectrumError,
-    BlowUpError,
-    ConditioningError,
-    ConfigError,
-    DegenerateScheduleError,
-    DegenerateTimeChangeError,
-    DivergentTailError,
-    DomainExitError,
-    InsufficientHorizonError,
-    InsufficientRecordsError,
-    SingularDenominatorError,
-    SpectrumSignError,
-    StuckWalkError,
-    TrapcheckError,
-)
-from .sequences import (
-    RateConstants,
-    Schedule,
-    SequenceSpec,
-    rate_constants,
-)
-from .spectral import (
-    AdaptedNorm,
-    TrapSplit,
-    adapted_inner_product,
-    default_tolerance,
-    project_pm,
-    split_jacobian,
-)
-from .models import (
-    LinearModel,
-    ManifoldK,
-    MeanFieldVrrwModel,
-    Model,
-    SyntheticModel,
-    TrapInfo,
-    VrrwConfig,
-    VrrwWalkModel,
-    control_models,
-    synthetic_field,
-    vrrw_field,
-    vrrw_jacobian,
-)
-from .engine import (
-    CaptureSpec,
-    EnsembleSummary,
-    Trajectory,
-    combine_increment,
-    monte_carlo,
-    run,
-)
-from .hypotheses import (
-    ConditionResult,
-    HypothesisReport,
-    THEOREM_IDS,
-    check_drift_sign,
-    check_jump_moments,
-    check_noise_excitation,
-    check_rate_condition,
-    check_remainder,
-    check_tail_noise_condition,
-    make_constants,
-)
-from .flow import (
-    AptResult,
-    EnsembleRates,
-    ManifoldRateResult,
-    TimeChangedPath,
-    apt_deficit,
-    ensemble_apt_deficit,
-    ensemble_manifold_rate,
-    flow_path,
-    integrate_flow,
-    manifold_rate,
-    time_change,
-)
-from .cli import ExperimentConfig, canonical_json, config_hash, main, run_experiment
+from .errors import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .hypotheses import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from . import cli, engine, errors, flow, hypotheses, models, sequences, spectral
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedNorm",
-    "AmbiguousSpectrumError",
-    "AptResult",
-    "BlowUpError",
-    "CaptureSpec",
-    "ConditionResult",
-    "ConditioningError",
-    "ConfigError",
-    "DegenerateScheduleError",
-    "DegenerateTimeChangeError",
-    "DivergentTailError",
-    "DomainExitError",
-    "EnsembleRates",
-    "EnsembleSummary",
-    "ExperimentConfig",
-    "HypothesisReport",
-    "InsufficientHorizonError",
-    "InsufficientRecordsError",
-    "LinearModel",
-    "ManifoldK",
-    "ManifoldRateResult",
-    "MeanFieldVrrwModel",
-    "Model",
-    "RateConstants",
-    "Schedule",
-    "SequenceSpec",
-    "SingularDenominatorError",
-    "SpectrumSignError",
-    "StuckWalkError",
-    "SyntheticModel",
-    "THEOREM_IDS",
-    "TimeChangedPath",
-    "Trajectory",
-    "TrapInfo",
-    "TrapSplit",
-    "TrapcheckError",
-    "VrrwConfig",
-    "VrrwWalkModel",
-    "adapted_inner_product",
-    "apt_deficit",
-    "canonical_json",
-    "check_drift_sign",
-    "check_jump_moments",
-    "check_noise_excitation",
-    "check_rate_condition",
-    "check_remainder",
-    "check_tail_noise_condition",
-    "combine_increment",
-    "config_hash",
-    "control_models",
-    "default_tolerance",
-    "ensemble_apt_deficit",
-    "ensemble_manifold_rate",
-    "flow_path",
-    "integrate_flow",
-    "main",
-    "make_constants",
-    "manifold_rate",
-    "monte_carlo",
-    "project_pm",
-    "rate_constants",
-    "run",
-    "run_experiment",
-    "split_jacobian",
-    "synthetic_field",
-    "time_change",
-    "vrrw_field",
-    "vrrw_jacobian",
+    *errors.__all__,
+    *sequences.__all__,
+    *spectral.__all__,
+    *models.__all__,
+    *engine.__all__,
+    *hypotheses.__all__,
+    *flow.__all__,
+    *cli.__all__,
 ]

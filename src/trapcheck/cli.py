@@ -535,7 +535,11 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
     for c in config.checks:
         name = c["name"]
         window = c.get("window")
-        if name == "noise_excitation":
+        if name in ("remainder", "drift_sign") and not summary.ok[0]:
+            # these checks read run 0 in full
+            reason = f"run 0 blew up at step {summary.blowup_step[0]}"
+            conds.append(hypotheses._inconclusive(f"{name}_{c['mode']}", reason))
+        elif name == "noise_excitation":
             k_used = max(k_used or 0, c["k"])
             a_used = c["a"]
             use_split = split if (split is not None and split.delta_plus >= 1) else None
@@ -582,9 +586,11 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
                     project=project,
                 )
             )
+        elif name == "rate_condition" and mu_eff is None:
+            reason = "no admissible split at the trap"
+            conds.append(hypotheses._inconclusive(name, reason))
         elif name == "rate_condition":
-            ref = split if (split is not None and mu_eff is None) else float(mu_eff)
-            conds.append(hypotheses.check_rate_condition(rates, ref, float(c["nu"] or nu_eff)))
+            conds.append(hypotheses.check_rate_condition(rates, mu_eff, float(c["nu"] or nu_eff)))
         elif name == "jump_moments":
             a_used = c["a"]
             conds.append(
@@ -628,34 +634,27 @@ def _run_diagnostics(config, model, schedule, summary, split, ddir):
                 normalization=dg["normalization"],
                 n_restarts=dg["n_restarts"],
             )
-            out["apt"] = {
-                "median_rate": res.median,
-                "n_rates": int(np.isfinite(res.rates).sum()),
-                "n_excluded_restarts": res.n_excluded,
-                **named,
-            }
+            out[name] = {"n_excluded_restarts": res.n_excluded}
             if ddir is not None:
-                engine._write_csv(
-                    ddir / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]]
-                )
+                rows = ["t", "deficit"], [res.t_values, res.deficits[0]]
         elif name == "manifold_rate":
             use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
             K = model.manifold_K if use_split is None else None
             if use_split is None and K is None:
-                out["manifold_rate"] = {"error": "model declares no invariant set"}
+                out[name] = {"error": "model declares no invariant set"}
                 continue
             x_star = model.trap.x_star if model.trap is not None else None
             res = flow.ensemble_manifold_rate(summary, schedule, K, use_split, x_star)
-            out["manifold_rate"] = {
-                "median_rate": res.median,
-                "n_rates": int(np.isfinite(res.rates).sum()),
-                **named,
-            }
+            out[name] = {}
             if ddir is not None:
-                path = flow.TimeChangedPath(res.t_values, summary.captured_states[csv_run])
-                flow.manifold_rate(path, K, use_split, x_star).to_csv(
-                    ddir / "manifold_rate.csv"
-                )
+                dist = flow._distances_to_K(summary.captured_states[csv_run], K, use_split, x_star)
+                logs = np.log(np.maximum(dist, flow._DISTANCE_FLOOR))
+                rows = ["t", "distance", "log_distance"], [res.t_values, dist, logs]
+        out[name].update(
+            median_rate=res.median, n_rates=int(np.count_nonzero(~np.isnan(res.rates))), **named
+        )
+        if ddir is not None:
+            engine._write_csv(ddir / f"{name}.csv", *rows)
     return out
 
 
@@ -765,9 +764,10 @@ def run_experiment(
 
     out.mkdir(parents=True, exist_ok=True)
     for i in range(min(config.output["trajectories"], config.n_runs)):
-        tdir = out / "trajectories"
-        tdir.mkdir(exist_ok=True)
-        summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
+        if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
+            tdir = out / "trajectories"
+            tdir.mkdir(exist_ok=True)
+            summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
     timings["io"] = lap()
     doc_meta = dict(doc)
     doc_meta["meta"] = {

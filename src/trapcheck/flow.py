@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import EnsembleSummary, Trajectory, _write_csv
+from .engine import EnsembleSummary, Trajectory
 from .errors import DegenerateTimeChangeError, DomainExitError, InsufficientHorizonError
 from .models import ManifoldK
 from .sequences import Schedule
@@ -39,9 +39,7 @@ __all__ = [
     "integrate_flow",
     "flow_path",
     "time_change",
-    "AptResult",
     "apt_deficit",
-    "ManifoldRateResult",
     "manifold_rate",
     "EnsembleRates",
     "ensemble_apt_deficit",
@@ -50,7 +48,7 @@ __all__ = [
 
 _DISTANCE_FLOOR = 1e-300
 
-#: Runs whose distances to K the ensemble manifold rate computes per pass:
+#: Runs whose distances to K the manifold rate computes per pass:
 #: it bounds that computation's temporaries to a few
 #: ``_RUN_CHUNK * len(capture_times) * d`` arrays.
 _RUN_CHUNK = 32
@@ -58,24 +56,48 @@ _RUN_CHUNK = 32
 
 @dataclass(frozen=True, eq=False)
 class TimeChangedPath:
-    """A trajectory re-indexed by the drift timescale.
+    """Trajectories re-indexed by the drift timescale: one run, states
+    (K, d), or a stack of runs on one clock, states (runs, K, d).
 
-    ``states[k]`` is the exact process state at clock value ``s_grid[k]``;
-    diagnostics sample at grid points only.
+    ``states[..., k, :]`` is the exact process state at clock value
+    ``s_grid[k]``; diagnostics sample at grid points only.
     """
 
     s_grid: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        if len(self.s_grid) != len(self.states):
+        if len(self.s_grid) != self.states.shape[-2]:
             raise ValueError("s_grid and states must have equal length")
-        if len(self.s_grid) >= 2 and not np.all(np.diff(self.s_grid) > 0):
-            raise DegenerateTimeChangeError("s_grid must be strictly increasing")
+        if not np.all(np.diff(self.s_grid) > 0):
+            raise DegenerateTimeChangeError(
+                "s_grid must be strictly increasing (gamma vanishes on a clock segment)"
+            )
 
     @property
     def duration(self) -> float:
         return float(self.s_grid[-1] - self.s_grid[0])
+
+
+@dataclass(frozen=True, eq=False)
+class EnsembleRates:
+    """Per-run diagnostic rates and their median (NaN rates excluded).
+
+    One row per run the diagnostic kept.  ``deficits`` is the shadow
+    diagnostic's (runs, restarts) deficit matrix, row i the deficits at
+    ``t_values`` that :func:`apt_deficit` gives on that run alone; None for
+    the manifold rate.
+    """
+
+    rates: np.ndarray
+    t_values: np.ndarray
+    n_excluded: int
+    deficits: Optional[np.ndarray] = None
+
+    @property
+    def median(self) -> float:
+        good = self.rates[~np.isnan(self.rates)]
+        return float(np.median(good)) if len(good) else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +214,20 @@ def time_change(
         if indices[0] < 0 or indices[-1] > traj.N:
             raise ValueError("indices out of trajectory range")
     m = np.asarray(sched.partial_drift_sum(indices.astype(np.float64)))
-    if np.any(np.diff(m) <= 0):
-        raise DegenerateTimeChangeError(
-            "drift timescale is not strictly increasing on the range "
-            "(gamma vanishes somewhere, e.g. on a prefix)"
-        )
     return TimeChangedPath(s_grid=m, states=traj.states[indices])
+
+
+def _captured_path(summary: EnsembleSummary, schedule: Schedule) -> TimeChangedPath:
+    """Every run's captured states on the drift clock, read in place."""
+    if summary.captured_states is None or not len(summary.capture_times):
+        raise ValueError("ensemble has no captured states for diagnostics")
+    s = np.asarray(schedule.partial_drift_sum(summary.capture_times.astype(np.float64)))
+    return TimeChangedPath(s_grid=s, states=summary.captured_states)
 
 
 # ---------------------------------------------------------------------------
 # shadow deficit
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class AptResult:
-    """Per-restart shadow deficits and the fitted tail decay rate."""
-
-    t_values: np.ndarray
-    deficits: np.ndarray
-    rate: float
-    n_fit: int
-    n_excluded: int
-    normalization: str
-    T: float
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "deficit"], [self.t_values, self.deficits])
 
 
 def _restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.ndarray:
@@ -266,9 +275,10 @@ def _batch_deficits(
     Every restart advances at once, as one (restarts*B, d) RK4 state moved
     one grid segment at a time: restart i's k-th segment runs from s[i+k] to
     s[i+k+1].  The field is row-wise, so each row's result is bitwise what
-    integrating its restart alone gives.  A restart is excluded when no grid
-    point falls in its window or the field fails on one of its rows; a
-    failing stacked segment is redone restart by restart to find which.
+    integrating its restart alone gives.  A restart is excluded, with deficit
+    +inf in every run, when no grid point falls in its window, the field
+    fails on one of its rows (a failing stacked segment is redone restart by
+    restart to find which) or no kept run has a finite deficit there.
     """
     # restart i compares grid points i+1 .. end-1
     end = np.searchsorted(s, s[pos] + T + 1e-12, side="right")
@@ -309,6 +319,8 @@ def _batch_deficits(
         diff = np.linalg.norm(at_j - x, axis=2) / denom[act]
         diff = np.where(np.isfinite(diff), diff, np.inf)
         best[act] = np.maximum(best[act], diff)
+    if B:
+        excluded |= ~np.isfinite(best).any(axis=1)
     deficits = np.where(excluded[:, None], np.inf, best).T
     return deficits, excluded
 
@@ -322,15 +334,15 @@ def _tail_count(R: int, tail_fraction: float) -> int:
 def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float = 1.0 / 3.0):
     """Least-squares slope of log(ys) vs ts over the tail third, per row.
 
-    Rows with any non-finite log value in the tail get slope NaN.
-    Returns (slopes, n_fit).  Builds one (rows, n_fit) array and works in
-    it in place, so ys may be large.  That array is C-ordered whatever the
-    layout of ys: the mean and the product over it round by layout.
+    Rows with any non-finite log value in the tail get slope NaN.  Builds
+    one (rows, tail points) array and works in it in place, so ys may be
+    large.  That array is C-ordered whatever the layout of ys: the mean and
+    the product over it round by layout.
     """
     R = len(ts)
     k = _tail_count(R, tail_fraction)
     if k == 0:
-        return np.full(ys.shape[0], np.nan), 0
+        return np.full(ys.shape[0], np.nan)
     t = ts[R - k :]
     L = np.maximum(ys[:, R - k :], _DISTANCE_FLOOR, order="C")
     with np.errstate(divide="ignore"):
@@ -343,7 +355,7 @@ def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float = 1.0 / 3.
         Lg = L if good.all() else L[good]
         Lg -= Lg.mean(axis=1, keepdims=True)
         slopes[good] = Lg @ tc / denom
-    return slopes, k
+    return slopes
 
 
 def apt_deficit(
@@ -355,54 +367,33 @@ def apt_deficit(
     normalization: str = "scale",
     n_restarts: int = 48,
     tail_fraction: float = 1.0 / 3.0,
-) -> AptResult:
-    """Shadowing deficit of a time-changed path against its flow.
+    ok: Optional[np.ndarray] = None,
+) -> EnsembleRates:
+    """Shadowing deficit of each run of a time-changed path against its flow.
 
     For each restart time t (grid states only), integrates the flow from
     ``X^m_t`` and takes the sup of the deviation at all grid points within
-    ``[t, t+T]``; reports deficits and the least-squares slope of their logs
-    over the tail third of the restart grid.  Restarts whose flow leaves the
-    field's domain are recorded as +inf and excluded from the fit.
+    ``[t, t+T]``; reports each run's deficits and the least-squares slope of
+    their logs over the tail third of the restart grid.  Excluded restarts
+    (see :func:`_batch_deficits`) are recorded as +inf and left out of every
+    fit.  A stack keeps the runs the mask ``ok`` keeps (every run when None).
     """
     if normalization not in ("scale", "absolute"):
         raise ValueError(f"unknown normalization {normalization!r}")
     s = path.s_grid
-    X = path.states[None, :, :]
+    X = path.states.reshape((-1,) + path.states.shape[-2:])
     pos = _restart_positions(s, T, t_grid, n_restarts)
-    deficits, _ = _batch_deficits(s, X, f, T, pos, h, normalization)
-    row = deficits[0]
-    keep = np.isfinite(row)
-    slopes, n_fit = _tail_slopes(s[pos[keep]], row[None, keep], tail_fraction)
-    return AptResult(
-        t_values=s[pos],
-        deficits=row,
-        rate=float(slopes[0]),
-        n_fit=n_fit,
-        n_excluded=int((~keep).sum()),
-        normalization=normalization,
-        T=float(T),
+    deficits, excluded = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
+    keep = ~excluded
+    slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], tail_fraction)
+    return EnsembleRates(
+        rates=slopes, t_values=s[pos], n_excluded=int(excluded.sum()), deficits=deficits
     )
 
 
 # ---------------------------------------------------------------------------
 # manifold attraction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ManifoldRateResult:
-    """Distances to the invariant set along the clock and the tail slope."""
-
-    t_values: np.ndarray
-    distances: np.ndarray
-    slope: float
-    n_fit: int
-    clamped: bool
-
-    def to_csv(self, path) -> None:
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.maximum(self.distances, _DISTANCE_FLOOR))
-        _write_csv(path, ["t", "distance", "log_distance"], [self.t_values, self.distances, logs])
 
 
 def _distances_to_K(
@@ -430,67 +421,39 @@ def manifold_rate(
     split: Optional[TrapSplit] = None,
     x_star=None,
     tail_fraction: float = 1.0 / 3.0,
-) -> ManifoldRateResult:
-    """Tail slope of ``log d(X^m_t, K)`` along the clock.
+    ok: Optional[np.ndarray] = None,
+) -> EnsembleRates:
+    """Tail slope of ``log d(X^m_t, K)`` along the clock, per run the mask
+    ``ok`` keeps (every run when None).
 
-    A path identically on K reports slope -inf; distances below the floating
-    floor are clamped (flagged) and count as attained decay.
+    A run whose distances are all exactly 0 lies on K and has rate -inf;
+    distances below the floating floor are clamped and count as attained
+    decay.  The distances are computed ``_RUN_CHUNK`` runs at a time, and
+    only the tail the fit reads is kept.  Each run's distances are bitwise
+    what the whole stack at once gives: the matmul makes one product per run.
     """
-    dist = _distances_to_K(path.states, K, split, x_star)
-    if np.all(dist == 0.0):
-        return ManifoldRateResult(
-            t_values=path.s_grid,
-            distances=dist,
-            slope=float("-inf"),
-            n_fit=0,
-            clamped=False,
-        )
-    clamped = bool(np.any(dist < _DISTANCE_FLOOR))
-    slopes, n_fit = _tail_slopes(path.s_grid, dist[None, :], tail_fraction)
-    return ManifoldRateResult(
-        t_values=path.s_grid,
-        distances=dist,
-        slope=float(slopes[0]),
-        n_fit=n_fit,
-        clamped=clamped,
-    )
+    s = path.s_grid
+    X = path.states.reshape((-1,) + path.states.shape[-2:])
+    ok = np.ones(len(X), dtype=bool) if ok is None else ok
+    R = len(s)
+    k = _tail_count(R, tail_fraction)
+    tail = np.empty((int(ok.sum()), k))
+    on_K = np.empty(len(tail), dtype=bool)
+    j = 0
+    for r in range(0, len(X), _RUN_CHUNK):
+        rows = slice(r, r + _RUN_CHUNK)
+        dist = _distances_to_K(_kept_rows(X[rows], ok[rows]), K, split, x_star)
+        tail[j : j + len(dist)] = dist[:, R - k :]
+        on_K[j : j + len(dist)] = np.all(dist == 0.0, axis=1)
+        j += len(dist)
+    slopes = _tail_slopes(s[R - k :], tail, 1.0)
+    slopes[on_K] = -np.inf
+    return EnsembleRates(rates=slopes, t_values=s, n_excluded=0)
 
 
 # ---------------------------------------------------------------------------
-# ensemble variants (vectorized across runs)
+# ensemble entry points
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleRates:
-    """Per-run diagnostic rates and their median (NaN rates excluded).
-
-    ``deficits`` is the shadow diagnostic's (runs not blown up, restarts)
-    deficit matrix, row i the deficits at ``t_values`` that
-    :func:`apt_deficit` gives on that run alone; None for the manifold rate.
-    """
-
-    rates: np.ndarray
-    t_values: np.ndarray
-    n_excluded: int
-    deficits: Optional[np.ndarray] = None
-
-    @property
-    def median(self) -> float:
-        good = self.rates[np.isfinite(self.rates)]
-        return float(np.median(good)) if len(good) else float("nan")
-
-
-def _ensemble_paths(summary: EnsembleSummary, schedule: Schedule):
-    """(s, X, ok): the clock at the capture times, the state capture itself
-    (every run, read in place, never copied whole) and the mask of the runs
-    that did not blow up."""
-    if summary.captured_states is None or not len(summary.capture_times):
-        raise ValueError("ensemble has no captured states for diagnostics")
-    s = np.asarray(schedule.partial_drift_sum(summary.capture_times.astype(np.float64)))
-    if np.any(np.diff(s) <= 0):
-        raise DegenerateTimeChangeError("capture times give a flat clock segment")
-    return s, summary.captured_states, summary.ok
 
 
 def ensemble_apt_deficit(
@@ -503,14 +466,11 @@ def ensemble_apt_deficit(
     n_restarts: int = 48,
     tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
-    """Per-run shadow-deficit tail rates over the captured state grid."""
-    s, X, ok = _ensemble_paths(summary, schedule)
-    pos = _restart_positions(s, T, None, n_restarts)
-    deficits, hard = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
-    keep = ~hard
-    slopes, _ = _tail_slopes(s[pos[keep]], deficits[:, keep], tail_fraction)
-    return EnsembleRates(
-        rates=slopes, t_values=s[pos], n_excluded=int(hard.sum()), deficits=deficits
+    """:func:`apt_deficit` of the runs that did not blow up, over the
+    captured state grid."""
+    path = _captured_path(summary, schedule)
+    return apt_deficit(
+        path, f, T, None, h, normalization, n_restarts, tail_fraction, ok=summary.ok
     )
 
 
@@ -522,21 +482,7 @@ def ensemble_manifold_rate(
     x_star=None,
     tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
-    """Per-run manifold-attraction tail slopes over the captured state grid.
-
-    The distances are computed ``_RUN_CHUNK`` runs at a time, and only the
-    tail the fit reads is kept.  Each run's distances are bitwise what the
-    whole capture at once gives: the matmul makes one product per run.
-    """
-    s, X, ok = _ensemble_paths(summary, schedule)
-    R = len(s)
-    k = _tail_count(R, tail_fraction)
-    tail = np.empty((int(ok.sum()), k))
-    j = 0
-    for r in range(0, len(X), _RUN_CHUNK):
-        rows = slice(r, r + _RUN_CHUNK)
-        chunk = _kept_rows(X[rows], ok[rows])
-        tail[j : j + len(chunk)] = _distances_to_K(chunk, K, split, x_star)[:, R - k :]
-        j += len(chunk)
-    slopes, _ = _tail_slopes(s[R - k :], tail, 1.0)
-    return EnsembleRates(rates=slopes, t_values=s, n_excluded=0)
+    """:func:`manifold_rate` of the runs that did not blow up, over the
+    captured state grid."""
+    path = _captured_path(summary, schedule)
+    return manifold_rate(path, K, split, x_star, tail_fraction, ok=summary.ok)

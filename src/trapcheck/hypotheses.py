@@ -19,7 +19,7 @@ The report names which theorem's condition set was checked via an opaque
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -378,19 +378,16 @@ def check_drift_sign(
     )
 
 
-def check_rate_condition(
-    rates: RateConstants, split: Union[TrapSplit, float], nu: float
-) -> ConditionResult:
+def check_rate_condition(rates: RateConstants, mu: float, nu: float) -> ConditionResult:
     """The noise-decay rate beats the attraction rate by the tangency margin.
 
-    ``beta = max(lambda_hat, mu)``; pass iff ``lambda_hat < 0`` and the liminf
-    proxy of ``log alpha / m`` exceeds ``beta * (1 + nu)``.  ``split`` may be a
-    TrapSplit or a bare ``mu`` (used when the numeric split at the trap is
-    degenerate and the model declares its contraction rate instead).
+    ``beta = max(lambda_hat, mu)``, with ``mu`` the contraction rate at the
+    trap; pass iff ``lambda_hat < 0`` and the liminf proxy of
+    ``log alpha / m`` exceeds ``beta * (1 + nu)``.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    mu = split.mu if isinstance(split, TrapSplit) else float(split)
+    mu = float(mu)
     lam = float(rates.lambda_hat)
     liminf = float(rates.liminf_proxy)
     beta = max(lam, mu)

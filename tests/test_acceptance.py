@@ -323,7 +323,7 @@ def test_criterion_08_manifold_attraction():
     path = flow_path(
         lambda x: x * np.array([1.0, -1.0]), np.array([0.0, 0.5]), s_grid, h=1e-3
     )
-    slope = manifold_rate(path, K=K).slope
+    slope = manifold_rate(path, K=K).rates[0]
 
     # (ii) stochastic ensemble around the same split (mu=-1, nu=1)
     model = SyntheticModel(mu=-1.0, nu=1.0, dim=2, delta_plus=1)

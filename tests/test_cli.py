@@ -36,10 +36,20 @@ from trapcheck.cli import (
     main,
     run_experiment,
 )
-from trapcheck.errors import ConfigError
+from trapcheck.errors import BlowUpError, ConfigError
 from trapcheck.flow import apt_deficit, time_change
+from trapcheck.spectral import project_pm
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _manifold_csv(path, t, states, split, x_star):
+    """``manifold_rate.csv`` of one run's states: the norm of their
+    non-repulsive split coordinates, and its log above the 1e-300 floor."""
+    _, y_minus = project_pm(split, states, x_star)
+    dist = np.linalg.norm(y_minus, axis=-1)
+    logs = np.log(np.maximum(dist, 1e-300))
+    engine._write_csv(path, ["t", "distance", "log_distance"], [t, dist, logs])
 
 
 def base_config(**overrides):
@@ -387,7 +397,8 @@ class TestRunExperiment:
             assert got == (ref / f"run_{i}.csv").read_bytes()
             if i == 0:
                 path = time_change(traj, schedule, indices=_diag_state_grid(cfg.N))
-                apt_deficit(path, model.field, T=0.5).to_csv(ref / "apt.csv")
+                res = apt_deficit(path, model.field, T=0.5)
+                engine._write_csv(ref / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]])
         got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
         assert got == (ref / "apt.csv").read_bytes()
 
@@ -451,8 +462,8 @@ class TestRunExperiment:
         x_star = model.trap.x_star
         rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
         assert doc["diagnostics"]["manifold_rate"]["median_rate"] == rates.median
-        path = flow.TimeChangedPath(rates.t_values, summary.captured_states[0])
-        flow.manifold_rate(path, split=split, x_star=x_star).to_csv(tmp_path / "ref.csv")
+        _manifold_csv(tmp_path / "ref.csv", rates.t_values, summary.captured_states[0],
+                      split, x_star)
         got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
 
@@ -486,8 +497,8 @@ class TestRunExperiment:
         split, _, _ = _resolve_split_and_constants(model)
         x_star = model.trap.x_star
         rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
-        path = flow.TimeChangedPath(rates.t_values, summary.captured_states[2])
-        flow.manifold_rate(path, split=split, x_star=x_star).to_csv(tmp_path / "ref.csv")
+        _manifold_csv(tmp_path / "ref.csv", rates.t_values, summary.captured_states[2],
+                      split, x_star)
         got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
 
@@ -623,16 +634,18 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "command, extra",
         [
-            ("simulate", {"output": {"trajectories": 1}}),
+            ("simulate", {"output": {"trajectories": 4}}),
             ("check", {"diagnostics": [{"name": "apt"}], "output": {"write_diagnostics": True}}),
             ("check", {"checks": [{"name": "remainder"}]}),
+            ("check", {"checks": [{"name": "drift_sign"}]}),
         ],
     )
     def test_blown_up_run_zero_exits_one(self, tmp_path, capsys, command, extra):
         # seed 8 blows up runs 0, 3 and 5 of 8: under the ensemble limit.
-        # A trajectory or a remainder check needs run 0 in full, and run 0
-        # left the region, so the command exits 1; the diagnostic CSVs take
-        # the first run that stayed, run 1, and the command finishes
+        # Run 0 left the region, and no command exits for it: its trajectory
+        # CSV is left out, the remainder check reads run 0 in full and is
+        # inconclusive, and the diagnostic CSVs take the first run that
+        # stayed, run 1
         p = write_config(
             tmp_path,
             base_config(
@@ -647,15 +660,87 @@ class TestExperimentCommands:
         code = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if "diagnostics" not in extra:
-            assert code == 1
-            assert "left the admissible region at step" in err
-            return
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert code == (2 if doc["report"]["verdict"] == "fail" else 0)
         assert doc["ensemble"]["blowup_runs"] == [0, 3, 5]
-        assert doc["diagnostics"]["apt"]["csv_run"] == 1
-        assert (tmp_path / "out" / "diagnostics" / "apt.csv").is_file()
+        if command == "simulate":
+            assert code == 0
+            tdir = tmp_path / "out" / "trajectories"
+            assert sorted(f.name for f in tdir.iterdir()) == ["run_1.csv", "run_2.csv"]
+            return
+        assert code == (2 if doc["report"]["verdict"] == "fail" else 0)
+        if "diagnostics" in extra:
+            assert doc["diagnostics"]["apt"]["csv_run"] == 1
+            assert (tmp_path / "out" / "diagnostics" / "apt.csv").is_file()
+        else:
+            cfg = ExperimentConfig.from_dict(json.loads(p.read_text()))
+            model = _build_model(cfg.model)
+            with pytest.raises(BlowUpError) as blowup:
+                engine.run(model, _build_schedule(cfg.schedule, model), np.array(cfg.x0),
+                           cfg.N, engine._seed_for_run(cfg.master_seed, 0))
+            (cond,) = doc["report"]["conditions"]
+            assert cond["verdict"] == "inconclusive"
+            assert cond["estimates"]["reason"] == f"run 0 blew up at step {blowup.value.step}"
+
+    def test_blown_kept_runs_write_no_trajectory(self, tmp_path, capsys):
+        # H = 4 at seed 8 blows up runs 0, 3 and 5 of 8; the limit allows it
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[4.0]]},
+                N=200,
+                n_runs=8,
+                master_seed=8,
+                x0=[0.0],
+                max_blowup_fraction=1.0,
+                output={"trajectories": 1},
+            ),
+        )
+        code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert 0 in doc["ensemble"]["blowup_runs"]
+        assert not (tmp_path / "out" / "trajectories").exists()
+
+    def test_failed_split_without_declared_mu_is_inconclusive(self, tmp_path, capsys):
+        # 5e-9 is too close to 0 to call, so the split fails, and a linear
+        # model declares no mu to fall back on
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[1.0, 0.0], [0.0, 5e-9]]},
+                x0=[0.1, 0.1],
+                checks=[{"name": "rate_condition", "nu": 1.0}],
+            ),
+        )
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["split"] is None
+        (cond,) = doc["report"]["conditions"]
+        assert cond["name"] == "rate_condition"
+        assert cond["verdict"] == "inconclusive"
+        assert cond["estimates"]["reason"] == "no admissible split at the trap"
+
+    def test_runs_on_K_report_minus_infinity(self, tmp_path, capsys):
+        # no noise from a start with no stable component: every run keeps
+        # distance exactly 0 to K, which is rate -inf, and each counts
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]], "noise": "none"},
+                x0=[0.1, 0.0],
+                N=500,
+                n_runs=4,
+                diagnostics=[{"name": "manifold_rate"}],
+            ),
+        )
+        code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["diagnostics"]["manifold_rate"] == {"median_rate": "-inf", "n_rates": 4}
 
     def test_every_run_blown_up_reports_no_rate(self, tmp_path, capsys):
         # H = 5 drives every run out of the region, and the limit allows it:

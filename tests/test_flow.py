@@ -160,6 +160,12 @@ class TestTimeChangedPath:
         with pytest.raises(ValueError, match="equal length"):
             TimeChangedPath(np.arange(3.0), np.zeros((4, 2)))
 
+    def test_holds_a_stack_of_runs(self):
+        path = TimeChangedPath(np.arange(3.0), np.zeros((5, 3, 2)))
+        assert path.states.shape == (5, 3, 2)
+        with pytest.raises(ValueError, match="equal length"):
+            TimeChangedPath(np.arange(3.0), np.zeros((3, 4, 2)))
+
     def test_non_increasing_grid(self):
         with pytest.raises(DegenerateTimeChangeError):
             TimeChangedPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)))
@@ -192,7 +198,7 @@ class TestAptDeficit:
         res = apt_deficit(
             path, zero_field, T=2.0, t_grid=[s[3]], normalization="absolute"
         )
-        assert res.deficits[0] == pytest.approx(1.0, abs=1e-15)
+        assert res.deficits[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_scale_normalization_divides_by_state_size(self):
         s = np.arange(10.0)
@@ -200,15 +206,14 @@ class TestAptDeficit:
         states[5, 0] += 1.0
         path = TimeChangedPath(s, states)
         res = apt_deficit(path, zero_field, T=2.0, t_grid=[s[3]])
-        assert res.normalization == "scale"
-        assert res.deficits[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert res.deficits[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_exact_exponential_decay_rate(self):
         s = np.arange(40.0)
         states = np.exp(-s)[:, None] * np.array([[1.0, 0.0]])
         path = TimeChangedPath(s, states)
         res = apt_deficit(path, zero_field, T=2.0, normalization="absolute")
-        assert res.rate == pytest.approx(-1.0, abs=1e-6)
+        assert res.rates[0] == pytest.approx(-1.0, abs=1e-6)
         assert res.n_excluded == 0
 
     def test_escaping_restart_is_excluded(self):
@@ -223,6 +228,30 @@ class TestAptDeficit:
         assert res.n_excluded == 1
         assert np.isinf(res.deficits).any()
 
+    def test_rows_of_a_batch_where_some_runs_escape_equal_each_run_alone(self):
+        # x**2 escapes from 5 before T, and only run 1 holds 5 at s = 3: the
+        # other runs keep that restart, and run 1's +inf there leaves its
+        # rate NaN. Alone, run 1 excludes the restart, which leaves it one
+        # restart and so no rate either
+        f = lambda x: x**2
+        s = np.arange(8.0)
+        X = np.stack([np.full((8, 1), 0.1), np.full((8, 1), 0.1), np.full((8, 1), 0.2)])
+        X[1, 3, 0] = 5.0
+        kw = dict(T=1.0, h=0.05, t_grid=[1.0, 3.0], normalization="absolute")
+        batch = apt_deficit(TimeChangedPath(s, X), f, **kw)
+        assert batch.n_excluded == 0
+        assert np.isinf(batch.deficits[1, 1]) and np.isnan(batch.rates[1])
+        for r in range(3):
+            alone = apt_deficit(TimeChangedPath(s, X[r]), f, **kw)
+            assert np.array_equal(batch.deficits[r], alone.deficits[0])
+            assert np.array_equal(batch.rates[r], alone.rates[0], equal_nan=True)
+            assert alone.n_excluded == int(np.isinf(batch.deficits[r]).sum())
+        # every run escaping at a restart excludes it from every run's fit
+        X[:, 3, 0] = 5.0
+        every = apt_deficit(TimeChangedPath(s, X), f, **kw)
+        assert every.n_excluded == 1
+        assert np.isinf(every.deficits[:, 1]).all()
+
     def test_validation(self):
         s = np.arange(10.0)
         path = TimeChangedPath(s, np.zeros((10, 2)))
@@ -232,18 +261,6 @@ class TestAptDeficit:
             apt_deficit(path, zero_field, T=5.0, t_grid=[8.0])
         with pytest.raises(ValueError, match="restart"):
             apt_deficit(path, zero_field, T=100.0)
-
-    def test_to_csv_round_trip(self, tmp_path):
-        s = np.arange(20.0)
-        states = np.exp(-s)[:, None]
-        res = apt_deficit(
-            TimeChangedPath(s, states), zero_field, T=2.0, normalization="absolute"
-        )
-        out = tmp_path / "deficits.csv"
-        res.to_csv(out)
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 0], res.t_values)
-        assert np.array_equal(data[:, 1], res.deficits)
 
 
 def _rowwise_saddle(x):
@@ -273,8 +290,10 @@ class TestStackedRestarts:
         ts = s[np.unique(np.geomspace(1, np.searchsorted(s, s[-1] - 1.0) - 1, 30).astype(int))]
         full = apt_deficit(path, model.field, T=1.0, t_grid=ts)
         singles = [apt_deficit(path, model.field, T=1.0, t_grid=[t]) for t in ts]
-        assert len(full.deficits) == len(ts) > 10
-        assert np.array_equal(full.deficits, np.concatenate([r.deficits for r in singles]))
+        assert full.deficits.shape == (1, len(ts)) and len(ts) > 10
+        assert np.array_equal(
+            full.deficits, np.concatenate([r.deficits for r in singles], axis=1)
+        )
         assert np.array_equal(full.t_values, np.concatenate([r.t_values for r in singles]))
 
     def test_ensemble_rows_equal_one_restart_at_a_time(self):
@@ -308,9 +327,9 @@ class TestStackedRestarts:
         res = apt_deficit(path, raising, T=1.0, t_grid=ts, h=0.05)
         assert ok.n_excluded == 0
         assert res.n_excluded == 1
-        assert np.isinf(res.deficits[4])
+        assert np.isinf(res.deficits[0, 4])
         others = np.arange(len(ts)) != 4
-        assert np.array_equal(res.deficits[others], ok.deficits[others])
+        assert np.array_equal(res.deficits[0, others], ok.deficits[0, others])
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +343,21 @@ class TestManifoldRate:
         states = np.linspace(0.1, 3.0, 30)[:, None] * np.array([[1.0, 0.0]])
         path = TimeChangedPath(np.arange(30.0), states)
         res = manifold_rate(path, K=K)
-        assert res.slope == float("-inf")
-        assert not res.clamped
+        assert res.rates[0] == float("-inf")
 
     def test_exact_exponential_attraction_slope(self):
         K = ManifoldK(basepoint=np.zeros(2), directions=np.array([[1.0], [0.0]]))
         s = np.arange(40.0)
         states = np.column_stack([np.full(40, 2.0), np.exp(-s)])
         res = manifold_rate(TimeChangedPath(s, states), K=K)
-        assert res.slope == pytest.approx(-1.0, abs=1e-3)
+        assert res.rates[0] == pytest.approx(-1.0, abs=1e-3)
 
     def test_split_distance_uses_non_repulsive_block(self):
         split = split_jacobian(H_SADDLE)
         s = np.arange(30.0)
         states = np.column_stack([np.ones(30), 2.0 ** (-s)])
         res = manifold_rate(TimeChangedPath(s, states), split=split, x_star=[0.0, 0.0])
-        assert res.slope == pytest.approx(-np.log(2.0), abs=1e-9)
+        assert res.rates[0] == pytest.approx(-np.log(2.0), abs=1e-9)
 
     def test_subfloor_distances_are_clamped_and_flagged(self):
         K = ManifoldK(basepoint=np.zeros(2), directions=np.array([[1.0], [0.0]]))
@@ -347,8 +365,7 @@ class TestManifoldRate:
         off[-1] = 1e-310
         states = np.column_stack([np.ones(30), off])
         res = manifold_rate(TimeChangedPath(np.arange(30.0), states), K=K)
-        assert res.clamped
-        assert res.slope < 0.0
+        assert res.rates[0] < 0.0
 
     def test_requires_target_set(self):
         path = TimeChangedPath(np.arange(3.0), np.zeros((3, 2)))
@@ -357,16 +374,27 @@ class TestManifoldRate:
         with pytest.raises(ValueError, match="x_star"):
             manifold_rate(path, split=split_jacobian(H_SADDLE))
 
-    def test_to_csv_includes_log_column(self, tmp_path):
+    @pytest.mark.parametrize("on_K", [(0, 1, 2, 3), (1, 3), (1,)])
+    def test_runs_on_K_report_minus_infinity_and_count_in_the_median(self, on_K):
+        # the second coordinate is the distance to K: 0 on K, else
+        # exp(-(r + 1) s) in run r
         K = ManifoldK(basepoint=np.zeros(2), directions=np.array([[1.0], [0.0]]))
-        s = np.arange(10.0)
-        states = np.column_stack([np.ones(10), np.exp(-s)])
-        res = manifold_rate(TimeChangedPath(s, states), K=K)
-        out = tmp_path / "dist.csv"
-        res.to_csv(out)
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert data.shape == (10, 3)
-        assert_allclose(data[:, 2], np.log(data[:, 1]), rtol=1e-12)
+        s = np.arange(30.0)
+        X = np.zeros((4, 30, 2))
+        X[:, :, 0] = 1.0
+        for r in set(range(4)) - set(on_K):
+            X[r, :, 1] = np.exp(-(r + 1) * s)
+        res = manifold_rate(TimeChangedPath(s, X), K=K)
+        assert np.array_equal(np.isneginf(res.rates), np.isin(np.arange(4), on_K))
+        off = res.rates[~np.isin(np.arange(4), on_K)]
+        assert_allclose(off, -(np.array(sorted(set(range(4)) - set(on_K))) + 1.0), atol=1e-9)
+        # the median counts the -inf rates: over (-1, -inf, -3, -4) it is
+        # -3.5, where dropping them would give -3
+        assert res.median == np.median(res.rates)
+        assert res.median == {4: -np.inf, 2: -np.inf, 1: -3.5}[len(on_K)]
+        for r in range(4):
+            alone = manifold_rate(TimeChangedPath(s, X[r]), K=K)
+            assert_allclose(alone.rates, res.rates[r : r + 1], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +482,10 @@ class TestEnsembleDiagnostics:
             rates=np.array([np.nan, -1.0, -3.0]), t_values=np.arange(3.0), n_excluded=0
         )
         assert r.median == -2.0
+        on_K = EnsembleRates(
+            rates=np.array([np.nan, -np.inf, -1.0, -3.0]), t_values=np.arange(4.0), n_excluded=0
+        )
+        assert on_K.median == -3.0
         empty = EnsembleRates(
             rates=np.array([np.nan]), t_values=np.arange(1.0), n_excluded=0
         )
@@ -569,10 +601,12 @@ class TestEnsembleDiagnosticsBits:
         s, X = _whole_array(summary, sched)
         got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
         assert got.deficits.shape == (len(X), len(got.t_values))
-        for row, states in zip(got.deficits, X):
+        for row, rate, states in zip(got.deficits, got.rates, X):
             alone = apt_deficit(TimeChangedPath(s, states), model.field, T=1.0)
             assert np.array_equal(alone.t_values, got.t_values)
-            assert np.array_equal(row, alone.deficits)
+            assert np.array_equal(row, alone.deficits[0])
+            # one matrix product fits every row, which rounds by batch size
+            assert rate == pytest.approx(alone.rates[0], rel=1e-12)
 
     def test_every_run_blown_gives_no_rate(self, skewed_ensemble):
         model, K, sched, summary = skewed_ensemble
@@ -584,6 +618,7 @@ class TestEnsembleDiagnosticsBits:
                                    x_star=np.zeros(model.dim)),
         ):
             assert res.rates.shape == (0,)
+            assert res.n_excluded == 0
             assert np.isnan(res.median)
 
 

@@ -305,13 +305,6 @@ class TestRateCondition:
         assert res.estimates["beta"] == pytest.approx(0.2)
         assert res.estimates["margin"] < 0.0
 
-    def test_trap_split_and_bare_mu_agree(self, harmonic_rates):
-        split = split_jacobian(np.diag([1.0, -1.0]))
-        assert split.mu == pytest.approx(-1.0)
-        res_split = check_rate_condition(harmonic_rates, split, nu=1.0)
-        res_mu = check_rate_condition(harmonic_rates, -1.0, nu=1.0)
-        assert res_split.estimates == res_mu.estimates
-
     def test_vanishing_rate_schedule_fails_trend_guard(self):
         s = Schedule(
             gamma=SequenceSpec("power", exponent=0.75),

@@ -20,6 +20,18 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_package_exports_every_module_name_once():
+    import trapcheck
+
+    modules = [importlib.import_module(f"trapcheck.{m}") for m in _MODULES]
+    union = {name for mod in modules for name in mod.__all__}
+    assert len(trapcheck.__all__) == len(set(trapcheck.__all__))
+    assert set(trapcheck.__all__) == union
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(trapcheck, name) is getattr(mod, name)
+
+
 # ---------------------------------------------------------------------------
 # scipy's submodules load on first use
 # ---------------------------------------------------------------------------
