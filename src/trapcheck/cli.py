@@ -165,6 +165,11 @@ def _entry(value, path: str, params: dict, what: str, key: str = "name", extra=(
     return _fields(value, params[name], path, (key, *extra))
 
 
+#: A check's ``window`` of steps, kept as given here and checked against
+#: ``N`` by :meth:`ExperimentConfig.from_dict`; unset, the check reads every
+#: step the ensemble captured for it.
+_WINDOW = (lambda v, path: v, None)
+
 #: Each check's and diagnostic's parameters: parser and default.  A ``nu``
 #: left unset is the model's.
 _CHECK_PARAMS = {
@@ -172,20 +177,23 @@ _CHECK_PARAMS = {
         "k": (_count, 1),
         "a": (_moment_exponent, 4.0),
         "threshold": (_nonnegative, hypotheses.DEFAULT_EXCITATION_THRESHOLD),
+        "window": _WINDOW,
     },
     "remainder": {
         "mode": (_one_of("square_summable", "split_r"), "square_summable"),
         "nu": (_positive, None),
+        "window": _WINDOW,
     },
     "drift_sign": {
         "rho": (_positive, 1.0),
         "mode": (_one_of("nonneg", "coercive"), "nonneg"),
         "beta": (_finite, 0.0),
         "adapted": (_boolean, False),
+        "window": _WINDOW,
     },
     "rate_condition": {"nu": (_positive, None)},
-    "jump_moments": {"a": (_moment_exponent, 4.0), "k": (_count, 1)},
-    "tail_noise": {"nu": (_positive, None)},
+    "jump_moments": {"a": (_moment_exponent, 4.0), "window": _WINDOW},
+    "tail_noise": {"nu": (_positive, None), "window": _WINDOW},
 }
 _DIAGNOSTIC_PARAMS = {
     "apt": {
@@ -363,7 +371,7 @@ class ExperimentConfig:
         x0 = None if cfg.get("x0") is None else _array_of(_finite)(cfg["x0"], "x0")
         checks = []
         for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
-            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check", extra=("window",))
+            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check")
             if c.get("window") is not None:
                 c["window"] = _window(c["window"], 0, N, f"checks[{i}].window")
             checks.append(c)
@@ -467,8 +475,13 @@ def _built(path: str, build, *args):
 # ---------------------------------------------------------------------------
 
 
-def _diag_state_grid(N: int, n_points: int = 1024) -> np.ndarray:
-    return np.unique(np.geomspace(1, N, min(n_points, N)).astype(np.int64))
+#: Points of the log grid of steps at which the ensemble keeps every run's
+#: state for the diagnostics (fewer when N is smaller or steps repeat).
+_DIAG_STATE_POINTS = 1024
+
+
+def _diag_state_grid(N: int) -> np.ndarray:
+    return np.unique(np.geomspace(1, N, min(_DIAG_STATE_POINTS, N)).astype(np.int64))
 
 
 def _capture_plan(config: ExperimentConfig):
@@ -484,7 +497,7 @@ def _capture_plan(config: ExperimentConfig):
         name = c["name"]
         lo, hi = c.get("window") or (max(1, N // 10), N)
         if name in ("noise_excitation", "jump_moments"):
-            k = c["k"]
+            k = c.get("k", 1)  # jump_moments reads single steps
             base = np.unique(
                 np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64)
             )
@@ -593,9 +606,7 @@ def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
             conds.append(hypotheses.check_rate_condition(rates, mu_eff, float(c["nu"] or nu_eff)))
         elif name == "jump_moments":
             a_used = c["a"]
-            conds.append(
-                hypotheses.check_jump_moments(summary, a=c["a"], schedule=schedule, window=window)
-            )
+            conds.append(hypotheses.check_jump_moments(summary, a=c["a"], window=window))
         elif name == "tail_noise":
             nu = c["nu"] or nu_eff or 1.0
             conds.append(
@@ -690,7 +701,20 @@ def run_experiment(
     if model.trap is None or model.trap.nu is None:
         if any(c["name"] == "rate_condition" and c["nu"] is None for c in config.checks):
             raise ConfigError("rate_condition needs nu (config or model)", "checks")
+    if with_checks:
+        lo, hi = config.rate_window or (max(10, config.N // 100), config.N)
+        if not lo < hi:
+            raise ConfigError(
+                f"default rate window ({lo}, {hi}) is empty; set rate_window or N > {lo}",
+                "N",
+            )
     capture = _capture_plan(config)
+    out = Path(out_dir if out_dir is not None else config.output["dir"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        why = exc.strerror or exc
+        raise ConfigError(f"cannot create the output directory: {why}", str(out)) from exc
 
     summary = engine.monte_carlo(
         model,
@@ -720,16 +744,8 @@ def run_experiment(
         "diagnostics": {},
     }
 
-    out = Path(out_dir if out_dir is not None else config.output["dir"])
     exit_code = 0
     if with_checks:
-        lo = config.rate_window[0] if config.rate_window else max(10, config.N // 100)
-        hi = config.rate_window[1] if config.rate_window else config.N
-        if not lo < hi:
-            raise ConfigError(
-                f"default rate window ({lo}, {hi}) is empty; set rate_window or N > {lo}",
-                "N",
-            )
         rates = sequences.rate_constants(schedule, (lo, hi))
         split, mu_eff, nu_eff = _resolve_split_and_constants(model)
         doc["rates"] = rates.to_dict()
@@ -762,7 +778,6 @@ def run_experiment(
         if report.verdict == "fail":
             exit_code = 2
 
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(min(config.output["trajectories"], config.n_runs)):
         if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
             tdir = out / "trajectories"
@@ -895,7 +910,13 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_render(doc), end="")
+    try:
+        text = _render(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        why = f"{type(exc).__name__}: {exc}"
+        print(f"error: {p}: not a trapcheck summary ({why})", file=sys.stderr)
+        return 1
+    print(text, end="")
     return 0
 
 

@@ -52,6 +52,12 @@ _DRAW_TILE = 128
 #: Default abort threshold on ||X_n||_inf.
 DEFAULT_BLOWUP_BOUND = 1e6
 
+#: Share of the steps, at the end, that the sup-distance statistic covers.
+SUP_TAIL_FRACTION = 0.25
+
+#: Levels of the terminal-distance quantiles in ``summary.json``.
+_DISTANCE_LEVELS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
 
 def _write_csv(path, header, columns) -> None:
     """A CSV with the named ``header`` row, then ``columns`` (1-D arrays or
@@ -229,11 +235,11 @@ class EnsembleSummary:
             near = d[ok] < radius
         return float(near.sum()) / denom
 
-    def distance_quantiles(self, levels=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)) -> dict:
+    def distance_quantiles(self) -> dict:
         dist = self.terminal_distances()[self.ok]
         if len(dist) == 0:
-            return {f"{q:g}": float("nan") for q in levels}
-        return {f"{q:g}": float(np.quantile(dist, q)) for q in levels}
+            return {f"{q:g}": float("nan") for q in _DISTANCE_LEVELS}
+        return {f"{q:g}": float(np.quantile(dist, q)) for q in _DISTANCE_LEVELS}
 
     def to_dict(self, near_trap_radius: float = 1e-2) -> dict:
         return {
@@ -521,15 +527,14 @@ def monte_carlo(
     master_seed: int,
     workers: int = 1,
     captures=None,
-    tail_fraction: float = 0.25,
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> EnsembleSummary:
     """Independent ensemble of ``n_runs`` trajectories.
 
     Per-run streams are derived from ``(master_seed, run_index)`` alone, and
     all model arithmetic is row-independent, so the summary is bit-identical
-    for every ``workers`` value and chunking.  ``tail_fraction`` sets the
-    tail window for the sup-distance statistic (last quarter by default).
+    for every ``workers`` value and chunking.  The sup-distance statistic
+    covers the last ``SUP_TAIL_FRACTION`` of the steps.
     The runs are cut into one contiguous chunk per worker, each advanced as
     one lockstep batch.  Runs named in ``captures.full_runs`` come back
     whole, through :meth:`EnsembleSummary.trajectory`.
@@ -543,7 +548,7 @@ def monte_carlo(
         raise ValueError(f"full_runs must lie in [0, {n_runs - 1}]")
     trap = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
     trap = np.asarray(trap, dtype=np.float64)
-    tail_from = max(0, N - int(np.ceil(tail_fraction * N)))
+    tail_from = max(0, N - int(np.ceil(SUP_TAIL_FRACTION * N)))
     x0 = np.asarray(x0, dtype=np.float64)
 
     # one contiguous chunk per worker: the lockstep batch is as large as it

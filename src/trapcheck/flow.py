@@ -48,6 +48,9 @@ __all__ = [
 
 _DISTANCE_FLOOR = 1e-300
 
+#: Share of a diagnostic's grid, at the end, that its rate fit reads.
+TAIL_FRACTION = 1.0 / 3.0
+
 #: Runs whose distances to K the manifold rate computes per pass:
 #: it bounds that computation's temporaries to a few
 #: ``_RUN_CHUNK * len(capture_times) * d`` arrays.
@@ -331,8 +334,9 @@ def _tail_count(R: int, tail_fraction: float) -> int:
     return 0 if R < 2 else min(R, max(2, int(np.ceil(R * tail_fraction))))
 
 
-def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float = 1.0 / 3.0):
-    """Least-squares slope of log(ys) vs ts over the tail third, per row.
+def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float):
+    """Least-squares slope of log(ys) vs ts over the last ``tail_fraction``
+    of the points, per row.
 
     Rows with any non-finite log value in the tail get slope NaN.  Builds
     one (rows, tail points) array and works in it in place, so ys may be
@@ -366,7 +370,6 @@ def apt_deficit(
     h: float = 5e-3,
     normalization: str = "scale",
     n_restarts: int = 48,
-    tail_fraction: float = 1.0 / 3.0,
     ok: Optional[np.ndarray] = None,
 ) -> EnsembleRates:
     """Shadowing deficit of each run of a time-changed path against its flow.
@@ -374,9 +377,10 @@ def apt_deficit(
     For each restart time t (grid states only), integrates the flow from
     ``X^m_t`` and takes the sup of the deviation at all grid points within
     ``[t, t+T]``; reports each run's deficits and the least-squares slope of
-    their logs over the tail third of the restart grid.  Excluded restarts
-    (see :func:`_batch_deficits`) are recorded as +inf and left out of every
-    fit.  A stack keeps the runs the mask ``ok`` keeps (every run when None).
+    their logs over the last ``TAIL_FRACTION`` of the restart grid.
+    Excluded restarts (see :func:`_batch_deficits`) are recorded as +inf and
+    left out of every fit.  A stack keeps the runs the mask ``ok`` keeps
+    (every run when None).
     """
     if normalization not in ("scale", "absolute"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -385,7 +389,7 @@ def apt_deficit(
     pos = _restart_positions(s, T, t_grid, n_restarts)
     deficits, excluded = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
     keep = ~excluded
-    slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], tail_fraction)
+    slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], TAIL_FRACTION)
     return EnsembleRates(
         rates=slopes, t_values=s[pos], n_excluded=int(excluded.sum()), deficits=deficits
     )
@@ -420,11 +424,11 @@ def manifold_rate(
     K: Optional[ManifoldK] = None,
     split: Optional[TrapSplit] = None,
     x_star=None,
-    tail_fraction: float = 1.0 / 3.0,
     ok: Optional[np.ndarray] = None,
 ) -> EnsembleRates:
-    """Tail slope of ``log d(X^m_t, K)`` along the clock, per run the mask
-    ``ok`` keeps (every run when None).
+    """Tail slope of ``log d(X^m_t, K)`` along the clock (over the last
+    ``TAIL_FRACTION`` of it), per run the mask ``ok`` keeps (every run when
+    None).
 
     A run whose distances are all exactly 0 lies on K and has rate -inf;
     distances below the floating floor are clamped and count as attained
@@ -436,7 +440,7 @@ def manifold_rate(
     X = path.states.reshape((-1,) + path.states.shape[-2:])
     ok = np.ones(len(X), dtype=bool) if ok is None else ok
     R = len(s)
-    k = _tail_count(R, tail_fraction)
+    k = _tail_count(R, TAIL_FRACTION)
     tail = np.empty((int(ok.sum()), k))
     on_K = np.empty(len(tail), dtype=bool)
     j = 0
@@ -461,16 +465,14 @@ def ensemble_apt_deficit(
     schedule: Schedule,
     f: Callable,
     T: float,
-    h: float = 5e-3,
     normalization: str = "scale",
     n_restarts: int = 48,
-    tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
     """:func:`apt_deficit` of the runs that did not blow up, over the
     captured state grid."""
     path = _captured_path(summary, schedule)
     return apt_deficit(
-        path, f, T, None, h, normalization, n_restarts, tail_fraction, ok=summary.ok
+        path, f, T, normalization=normalization, n_restarts=n_restarts, ok=summary.ok
     )
 
 
@@ -480,9 +482,8 @@ def ensemble_manifold_rate(
     K: Optional[ManifoldK] = None,
     split: Optional[TrapSplit] = None,
     x_star=None,
-    tail_fraction: float = 1.0 / 3.0,
 ) -> EnsembleRates:
     """:func:`manifold_rate` of the runs that did not blow up, over the
     captured state grid."""
     path = _captured_path(summary, schedule)
-    return manifold_rate(path, K, split, x_star, tail_fraction, ok=summary.ok)
+    return manifold_rate(path, K, split, x_star, ok=summary.ok)

@@ -5,7 +5,9 @@ Each checker inspects finite data (a trajectory or an ensemble) and returns a
 Finite samples cannot prove an asymptotic statement, so ``pass`` means "no
 violation witnessed under the documented finite-sample rule" and
 ``inconclusive`` is a first-class outcome (too little data), distinct from a
-witnessed ``fail``.
+witnessed ``fail``.  Each rule's threshold is one named module constant
+(``MIN_RUNS``, ``CAUCHY_RATIO``, ...); the README's check table lists them
+with the fields each check takes.
 
 Conditional expectations ``E[... | past]`` are approximated by cross-run
 empirical means at fixed step index: runs are exchangeable and the built-in
@@ -47,12 +49,26 @@ THEOREM_IDS = ("th2n", "th22n", "th3bd", "th4d_i", "th4d_ii", "th5d")
 #: Default absolute floor for "bounded below away from zero" estimates.
 DEFAULT_EXCITATION_THRESHOLD = 1e-4
 
+# The checkers' fixed finite-sample rules.
+
+#: Minimum ensemble size for cross-run conditional-mean estimates.
+MIN_RUNS = 30
+
+#: Largest share of the window's sum of ``||r_n||^2`` that its second half may add.
+CAUCHY_RATIO = 1e-3
+
+#: Largest second-half / first-half sup ratio that counts as bounded.
+GROWTH_FACTOR = 2.0
+
+#: How far below 0 the drift sign's worst inner product may lie (rounding).
+DRIFT_SLACK = 1e-10
+
 #: Minimum tail-half / head-half slope ratio for ``lambda_hat < 0`` to count
 #: as a genuine negative limit in the rate condition (see check_rate_condition).
 _LAMBDA_TREND_RATIO = 0.8
 
-#: Minimum ensemble size for cross-run conditional-mean estimates.
-MIN_RUNS = 30
+#: Points of the log grid on which the tail-noise ratio is compared.
+TAIL_GRID_POINTS = 16
 
 #: Captured steps the ensemble checkers reduce per pass (a last chunk may
 #: hold one more): it bounds their temporaries to a few
@@ -220,7 +236,6 @@ def check_noise_excitation(
     a: float = 4.0,
     window=None,
     threshold: float = DEFAULT_EXCITATION_THRESHOLD,
-    min_runs: int = MIN_RUNS,
 ) -> ConditionResult:
     """Noise keeps exciting the repulsive directions, with bounded moments.
 
@@ -233,7 +248,7 @@ def check_noise_excitation(
     """
     ns, steps = _eps_window(summary, window)
     n_runs = int(summary.ok.sum())
-    if n_runs < min_runs:
+    if n_runs < MIN_RUNS:
         return _inconclusive("noise_excitation", "too few runs", threshold, n_runs=n_runs)
     # k-windows need k consecutive captured indices
     n_starts = max(len(ns) - k + 1, 0)
@@ -282,17 +297,15 @@ def check_remainder(
     nu: float = 1.0,
     window=None,
     schedule: Optional[Schedule] = None,
-    cauchy_ratio: float = 1e-3,
-    growth_factor: float = 2.0,
 ) -> ConditionResult:
     """Remainder smallness along one trajectory (``trapcheck check`` passes
     the kept run 0; ensembles capture no remainders).
 
     ``square_summable``: the partial sums of ``||r_n||^2`` must have gone
     Cauchy over the window — the second-half increase may be at most
-    ``cauchy_ratio`` of the total.  ``split_r``: the rescaled magnitudes
+    ``CAUCHY_RATIO`` of the total.  ``split_r``: the rescaled magnitudes
     ``c_n ||r_n|| / gamma_n^(1+nu)`` must stay bounded — the second-half sup
-    may exceed the first-half sup by at most ``growth_factor``; ``schedule``
+    may exceed the first-half sup by at most ``GROWTH_FACTOR``; ``schedule``
     defaults to the trajectory's own.
     """
     if mode not in ("square_summable", "split_r"):
@@ -308,15 +321,15 @@ def check_remainder(
                 "remainder_square_summable",
                 "pass",
                 {"total": 0.0, "tail_ratio": 0.0},
-                cauchy_ratio,
+                CAUCHY_RATIO,
             )
         tail = float(partial[-1] - partial[len(ns) // 2])
         ratio = tail / total
         return ConditionResult(
             "remainder_square_summable",
-            "pass" if ratio <= cauchy_ratio else "fail",
+            "pass" if ratio <= CAUCHY_RATIO else "fail",
             {"total": total, "tail_ratio": ratio},
-            cauchy_ratio,
+            CAUCHY_RATIO,
         )
     # split_r
     sched = schedule if schedule is not None else traj.schedule
@@ -328,9 +341,9 @@ def check_remainder(
     floor = max(sup1, 1e-300)
     return ConditionResult(
         "remainder_split_r",
-        "pass" if sup2 <= growth_factor * floor else "fail",
+        "pass" if sup2 <= GROWTH_FACTOR * floor else "fail",
         {"sup_first_half": sup1, "sup_second_half": sup2, "nu": float(nu)},
-        growth_factor,
+        GROWTH_FACTOR,
     )
 
 
@@ -343,7 +356,6 @@ def check_drift_sign(
     window=None,
     adapted: Optional[AdaptedNorm] = None,
     project: Optional[np.ndarray] = None,
-    slack: float = 1e-10,
 ) -> ConditionResult:
     """Drift points outward (or at least beta-coercively) near the trap.
 
@@ -372,9 +384,9 @@ def check_drift_sign(
     worst = float(np.min(values))
     return ConditionResult(
         f"drift_sign_{mode}",
-        "pass" if worst >= -slack else "fail",
+        "pass" if worst >= -DRIFT_SLACK else "fail",
         {"worst_value": worst, "n_samples": int(in_ball.sum()), "beta": float(beta)},
-        -slack,
+        -DRIFT_SLACK,
     )
 
 
@@ -423,23 +435,20 @@ def check_rate_condition(rates: RateConstants, mu: float, nu: float) -> Conditio
 def check_jump_moments(
     summary: EnsembleSummary,
     a: float,
-    schedule: Optional[Schedule] = None,
     window=None,
-    growth_factor: float = 2.0,
-    min_runs: int = MIN_RUNS,
 ) -> ConditionResult:
     """Higher-moment control of the martingale jumps.
 
     Since each jump is ``c_n * eps_n`` and the squared tail scale loses
     exactly ``c_n^2`` at step n, the moment condition reduces to
     ``sup_n E[||eps_n||^a]^(2/a)`` being finite; the sup estimate is reported
-    as ``k^2``.  A second-half sup exceeding ``growth_factor`` times the
+    as ``k^2``.  A second-half sup exceeding ``GROWTH_FACTOR`` times the
     first-half sup is the finite-sample divergence witness.
     """
     if a <= 2:
         raise ValueError("moment exponent a must exceed 2")
     ns, steps = _eps_window(summary, window)
-    if summary.ok.sum() < min_runs:
+    if summary.ok.sum() < MIN_RUNS:
         return _inconclusive("jump_moments", "too few runs")
     if len(ns) < 8:
         return _inconclusive("jump_moments", "window too short")
@@ -448,7 +457,7 @@ def check_jump_moments(
     half = len(ns) // 2
     sup1, sup2 = float(np.max(m[:half])), float(np.max(m[half:]))
     sup = max(sup1, sup2)
-    diverging = not np.isfinite(sup) or sup2 > growth_factor * max(sup1, 1e-300)
+    diverging = not np.isfinite(sup) or sup2 > GROWTH_FACTOR * max(sup1, 1e-300)
     return ConditionResult(
         "jump_moments",
         "fail" if diverging else "pass",
@@ -459,7 +468,7 @@ def check_jump_moments(
             "sup_second_half": sup2,
             "a": float(a),
         },
-        growth_factor,
+        GROWTH_FACTOR,
     )
 
 
@@ -469,7 +478,6 @@ def check_tail_noise_condition(
     nu: float,
     schedule: Schedule,
     window=None,
-    n_points: int = 16,
 ) -> ConditionResult:
     """Tail sum of rescaled non-repulsive noise is small against alpha(t).
 
@@ -497,7 +505,7 @@ def check_tail_noise_condition(
     c = schedule.c_values[ns + 1]
     terms = c ** (1.0 + nu) * mean_pow
     suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
-    ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, n_points).astype(int))
+    ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, TAIL_GRID_POINTS).astype(int))
     alphas = np.asarray(schedule.tail_l2(ts.astype(float)))
     ratios = suffix[ts - lo] / alphas
     first, last = float(ratios[0]), float(ratios[-1])

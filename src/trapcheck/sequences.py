@@ -36,6 +36,10 @@ __all__ = [
 
 _KINDS = ("power", "geometric", "const", "custom")
 
+#: Points of the log-spaced grid on which :func:`rate_constants` evaluates
+#: ``alpha`` and ``m`` (fewer when integer times repeat).
+RATE_GRID_POINTS = 512
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -260,11 +264,19 @@ def _convention_ratio(log_alpha: float) -> float:
     return float("inf") if log_alpha > 0 else float("-inf")
 
 
-def rate_constants(
-    schedule: Schedule,
-    window: tuple[float, float],
-    n_points: int = 512,
-) -> RateConstants:
+def _slope(m: np.ndarray, log_a: np.ndarray) -> float:
+    """Least-squares slope of the finite ``log_a`` against ``m``; NaN when
+    fewer than two points are finite or their ``m`` does not vary."""
+    ok = np.isfinite(log_a)
+    m, log_a = m[ok], log_a[ok]
+    # polyfit scales m by its norm: where every square of m underflows (m
+    # within about 1e-160 of 0) that is 0/0, and the fit fails in LAPACK
+    if len(m) < 2 or m.max() - m.min() <= 0 or not np.sum(m**2) > 0:
+        return float("nan")
+    return float(np.polyfit(m, log_a, 1)[0])
+
+
+def rate_constants(schedule: Schedule, window: tuple[float, float]) -> RateConstants:
     """Estimate the rate constants of a schedule over an integer window.
 
     Parameters
@@ -272,8 +284,6 @@ def rate_constants(
     schedule : Schedule
     window : (lo, hi)
         Inclusive range of integer times; ``hi`` must be within the horizon.
-    n_points : int
-        Size of the log-spaced evaluation grid.
 
     Raises
     ------
@@ -287,7 +297,7 @@ def rate_constants(
         raise InsufficientHorizonError(
             f"window end {hi} beyond schedule horizon {schedule.horizon}"
         )
-    ts = np.unique(np.geomspace(lo, hi, n_points).astype(np.int64)).astype(np.float64)
+    ts = np.unique(np.geomspace(lo, hi, RATE_GRID_POINTS).astype(np.int64)).astype(np.float64)
     alphas = np.asarray(schedule.tail_l2(ts))
     ms = np.asarray(schedule.partial_drift_sum(ts))
 
@@ -303,25 +313,15 @@ def rate_constants(
     for i in np.nonzero(~pos)[0]:
         ratios[i] = _convention_ratio(log_a[i])
 
-    # polyfit scales m by its norm: where every square of m underflows (m
-    # within about 1e-160 of 0) that is 0/0, and the fit fails in LAPACK
-    finite = np.isfinite(log_a)
-    def _half_slope(sel: slice) -> float:
-        m_h, l_h = ms[sel], log_a[sel]
-        ok = np.isfinite(l_h)
-        if ok.sum() < 2 or m_h[ok].max() - m_h[ok].min() <= 0 or not np.sum(m_h[ok] ** 2) > 0:
-            return float("nan")
-        return float(np.polyfit(m_h[ok], l_h[ok], 1)[0])
-
-    if ms.max() - ms.min() > 0 and finite.sum() >= 2 and np.sum(ms[finite] ** 2) > 0:
-        lam = float(np.polyfit(ms[finite], log_a[finite], 1)[0])
-        half = len(ms) // 2
-        lam_head = _half_slope(slice(0, half))
-        lam_tail = _half_slope(slice(half, len(ms)))
-    else:
+    lam = _slope(ms, log_a)
+    if np.isnan(lam):
         # no usable drift variation: fall back to the convention at the window end
         lam = _convention_ratio(log_a[-1]) if ms[-1] == 0 else float(ratios[-1])
         lam_head = lam_tail = float("nan")
+    else:
+        half = len(ms) // 2
+        lam_head = _slope(ms[:half], log_a[:half])
+        lam_tail = _slope(ms[half:], log_a[half:])
 
     return RateConstants(
         window=(lo, hi),

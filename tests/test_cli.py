@@ -145,6 +145,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(cfg)
         assert err.value.path == "checks[0].window"
 
+    @pytest.mark.parametrize(
+        "name", ["noise_excitation", "remainder", "drift_sign", "jump_moments", "tail_noise"]
+    )
+    def test_checks_that_read_a_window_take_one(self, name):
+        cfg = ExperimentConfig.from_dict(base_config(checks=[{"name": name, "window": [1, 10]}]))
+        assert cfg.checks[0]["window"] == (1, 10)
+
     def test_unknown_diagnostic(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(base_config(diagnostics=[{"name": "vibes"}]))
@@ -302,6 +309,14 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="nu"):
                 run_experiment(cfg, out_dir=tmp_path)
         simulate.assert_not_called()
+
+    def test_empty_default_rate_window_fails_before_the_simulation(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(base_config(N=10, n_runs=4))
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            with pytest.raises(ConfigError, match="default rate window"):
+                run_experiment(cfg, out_dir=tmp_path / "out")
+        simulate.assert_not_called()
+        assert not (tmp_path / "out").exists()
 
     def test_walk_off_its_schedule_reports_vanishing_h(self, tmp_path, capsys):
         # gamma_1 = c_1 = 1 puts every run on a vertex, where H(v) = 0
@@ -828,6 +843,41 @@ class TestExperimentCommands:
     def test_report_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, [1, 2], {"rates": {"x": 1}}],
+        ids=["summary", "list", "rates-without-lambda_hat"],
+    )
+    def test_report_renders_only_a_summary(self, tmp_path, capsys, content):
+        p = tmp_path / "summary.json"
+        if content is None:  # a real one
+            run_experiment(ExperimentConfig.from_dict(base_config(n_runs=4)), out_dir=tmp_path)
+        else:
+            p.write_text(json.dumps(content))
+        capsys.readouterr()
+        code = main(["report", str(p)])
+        out, err = capsys.readouterr()
+        if content is None:
+            assert (code, err) == (0, "")
+            assert "config hash: " in out
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {p}: not a trapcheck summary (")
+            assert len(err.splitlines()) == 1
+
+    def test_out_that_cannot_be_a_directory_fails_before_the_simulation(self, tmp_path, capsys):
+        p = write_config(tmp_path, base_config(n_runs=4))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            for out in (taken, taken / "out"):
+                code = main(["simulate", "--config", str(p), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == 1
+                assert err.startswith(f"error: {out}: cannot create the output directory: ")
+                assert len(err.splitlines()) == 1
+        simulate.assert_not_called()
+
     def test_stage_timings_in_meta_leave_the_body_stable(self, tmp_path, capsys):
         cfg = base_config(
             n_runs=4, checks=[{"name": "remainder"}], diagnostics=[{"name": "apt", "T": 0.5}]
@@ -908,6 +958,20 @@ class TestConfigErrors:
         assert err.startswith(f"error: {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "check, key",
+        [({"name": "rate_condition", "window": [1, 10]}, "window"),
+         ({"name": "jump_moments", "k": 3}, "k")],
+        ids=["rate_condition-window", "jump_moments-k"],
+    )
+    def test_field_a_check_does_not_read_is_unknown(self, tmp_path, capsys, check, key):
+        p = write_config(tmp_path, base_config(n_runs=4, checks=[check]))
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        simulate.assert_not_called()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: checks[0].{key}: unknown field\n"
 
     @pytest.mark.parametrize(
         "where, spec, path",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -185,6 +187,23 @@ class TestRateConstants:
         assert r.lambda_hat == np.log(alpha) / ms[1] == r.ratio_inf
         assert np.isnan(r.lambda_hat_head) and np.isnan(r.lambda_hat_tail)
         assert capfd.readouterr() == ("", "")  # nothing from LAPACK either
+
+    def test_finite_points_on_one_drift_value(self):
+        # gamma vanishes on steps 10-50 and c after step 50: the window's
+        # finite log alpha (t < 50) all sit at m(t) = H_9, and no slope fits
+        # them, so lambda_hat falls back to the window-end ratio log 0 / m
+        n = np.arange(1, 201)
+        gamma = np.where((n >= 10) & (n <= 50), 0.0, 1 / n)
+        s = Schedule(
+            gamma=SequenceSpec("custom", values=tuple(gamma)),
+            c=SequenceSpec("custom", values=tuple(np.where(n > 50, 0.0, 1 / n))),
+            horizon=200,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # polyfit warned RankWarning here
+            r = rate_constants(s, (10, 150))
+        assert r.lambda_hat == float("-inf") == r.ratio_inf
+        assert np.isnan(r.lambda_hat_head) and np.isnan(r.lambda_hat_tail)
 
     def test_degenerate_all_zero(self):
         s = Schedule(
