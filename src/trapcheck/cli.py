@@ -910,10 +910,17 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        text = _render(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        why = f"{type(exc).__name__}: {exc}"
+    if not isinstance(doc, dict) or type(doc.get("schema_version")) is not int:
+        why = "no integer schema_version"
+    elif not isinstance(doc.get("ensemble"), dict):
+        why = "no ensemble object"
+    else:
+        try:
+            text = _render(doc)
+            why = None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            why = f"{type(exc).__name__}: {exc}"
+    if why is not None:
         print(f"error: {p}: not a trapcheck summary ({why})", file=sys.stderr)
         return 1
     print(text, end="")

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError, InsufficientHorizonError, InsufficientRecordsError
-from .models import Model, _fold_cols
+from .models import Model, _sq_norms
 from .sequences import Schedule
 
 __all__ = [
@@ -211,7 +211,7 @@ class EnsembleSummary:
         return int(self.blown_up.sum())
 
     def terminal_distances(self) -> np.ndarray:
-        return np.linalg.norm(self.terminal_states - self.trap_point, axis=1)
+        return np.sqrt(_sq_norms(self.terminal_states - self.trap_point))
 
     def near_trap_fraction(self, radius: float, t: Optional[int] = None) -> float:
         """Fraction of (non-blown) runs within ``radius`` of the trap.
@@ -231,7 +231,7 @@ class EnsembleSummary:
             pos = np.searchsorted(self.capture_times, t)
             if pos >= len(self.capture_times) or self.capture_times[pos] != t:
                 raise InsufficientRecordsError(f"time {t} was not captured")
-            d = np.linalg.norm(self.captured_states[:, pos, :] - self.trap_point, axis=-1)
+            d = np.sqrt(_sq_norms(self.captured_states[:, pos, :] - self.trap_point))
             near = d[ok] < radius
         return float(near.sum()) / denom
 
@@ -380,8 +380,7 @@ def _drive(
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
                 # ||x - x*|| per row, one operation per coordinate column
-                # (below 8 coordinates, the bits of np.linalg.norm(axis=1))
-                dist = _fold_cols(np.square(x - trap_point).T)
+                dist = _sq_norms(x - trap_point)
                 np.maximum(sup_tail, np.sqrt(dist, out=dist), out=sup_tail)
             n += 1
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .engine import EnsembleSummary, Trajectory
 from .errors import DegenerateTimeChangeError, DomainExitError, InsufficientHorizonError
-from .models import ManifoldK
+from .models import ManifoldK, _sq_norms
 from .sequences import Schedule
 from .spectral import TrapSplit, project_pm
 
@@ -290,7 +290,7 @@ def _batch_deficits(
     cur = _kept_rows(X[:, pos, :], ok).transpose(1, 0, 2).copy()  # (restarts, B, d)
     _, B, d = cur.shape
     if normalization == "scale":
-        denom = 1.0 + np.linalg.norm(cur, axis=2)
+        denom = 1.0 + np.sqrt(_sq_norms(cur))
     else:
         denom = np.ones(cur.shape[:2])
     best = np.zeros(cur.shape[:2])
@@ -319,7 +319,7 @@ def _batch_deficits(
             act, j, x = act[done], j[done], x[done]
         cur[act] = x
         at_j = _kept_rows(X[:, j, :], ok).transpose(1, 0, 2)
-        diff = np.linalg.norm(at_j - x, axis=2) / denom[act]
+        diff = np.sqrt(_sq_norms(at_j - x)) / denom[act]
         diff = np.where(np.isfinite(diff), diff, np.inf)
         best[act] = np.maximum(best[act], diff)
     if B:
@@ -413,7 +413,7 @@ def _distances_to_K(
         if x_star is None:
             raise ValueError("x_star is required with a split")
         _, y_minus = project_pm(split, states, np.asarray(x_star, dtype=np.float64))
-        return np.linalg.norm(y_minus, axis=-1)
+        return np.sqrt(_sq_norms(y_minus))
     if K is None:
         raise ValueError("need either K or a split")
     return K.distance(states)

@@ -9,6 +9,11 @@ witnessed ``fail``.  Each rule's threshold is one named module constant
 (``MIN_RUNS``, ``CAUCHY_RATIO``, ...); the README's check table lists them
 with the fields each check takes.
 
+Norms over coordinates are left folds over the coordinates from +0.0
+(``models._sq_norms``): below 8 coordinates they are bitwise numpy's
+``np.sum(axis=-1)`` and ``np.linalg.norm``; from 8 on numpy sums pairwise,
+so there the fold's last bits differ from theirs.
+
 Conditional expectations ``E[... | past]`` are approximated by cross-run
 empirical means at fixed step index: runs are exchangeable and the built-in
 models' noise laws depend on the past only through recorded state, so the
@@ -28,6 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
+from .models import _sq_norms
 from .sequences import RateConstants, Schedule
 from .spectral import AdaptedNorm, TrapSplit
 
@@ -262,8 +268,8 @@ def check_noise_excitation(
     m2, ma = _step_means(  # per-n means over runs
         summary,
         steps,
-        lambda eps: np.sum((eps if plus is None else eps @ plus) ** 2, axis=-1),
-        lambda eps: np.sum(eps**2, axis=-1) ** (a / 2.0),
+        lambda eps: _sq_norms(eps if plus is None else eps @ plus),
+        lambda eps: _sq_norms(eps) ** (a / 2.0),
     )
     sums = sliding_window_view(m2, k)[starts].sum(axis=1)  # np.sum(m2[i:i+k]) bits
     liminf_proxy = float(np.min(sums))
@@ -287,8 +293,8 @@ def _remainder_series(traj: Trajectory, window):
     """(ns, squared remainder norms, norms) over the window."""
     ns = np.arange(traj.N)
     mask = _window_of(ns, window)
-    rem = traj.rem[mask]
-    return ns[mask], np.sum(rem**2, axis=-1), np.linalg.norm(rem, axis=-1)
+    sq = _sq_norms(traj.rem[mask])
+    return ns[mask], sq, np.sqrt(sq)
 
 
 def check_remainder(
@@ -372,7 +378,7 @@ def check_drift_sign(
     mask = _window_of(ns, window)
     u = traj.states[ns[mask]] - x_star
     g = traj.g[mask]
-    in_ball = np.linalg.norm(u, axis=1) < rho
+    in_ball = np.sqrt(_sq_norms(u)) < rho
     if not in_ball.any():
         return _inconclusive(f"drift_sign_{mode}", "no samples in ball")
     u, g = u[in_ball], g[in_ball]
@@ -452,7 +458,7 @@ def check_jump_moments(
         return _inconclusive("jump_moments", "too few runs")
     if len(ns) < 8:
         return _inconclusive("jump_moments", "window too short")
-    (ma,) = _step_means(summary, steps, lambda eps: np.sum(eps**2, axis=-1) ** (a / 2.0))
+    (ma,) = _step_means(summary, steps, lambda eps: _sq_norms(eps) ** (a / 2.0))
     m = ma ** (2.0 / a)
     half = len(ns) // 2
     sup1, sup2 = float(np.max(m[:half])), float(np.max(m[half:]))
@@ -500,7 +506,7 @@ def check_tail_noise_condition(
         return _inconclusive("tail_noise_smallness", "window shorter than one decade")
     minus = split.P_inv[split.delta_plus :].T
     (mean_pow,) = _step_means(
-        summary, steps, lambda eps: np.sum((eps @ minus) ** 2, axis=-1) ** ((1.0 + nu) / 2.0)
+        summary, steps, lambda eps: _sq_norms(eps @ minus) ** ((1.0 + nu) / 2.0)
     )
     c = schedule.c_values[ns + 1]
     terms = c ** (1.0 + nu) * mean_pow

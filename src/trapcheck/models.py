@@ -24,6 +24,18 @@ call numpy's C entry points (``np.zeros(shape)``, ufuncs, array methods), not
 its Python-level wrappers (``np.zeros_like``, ``np.full_like``, ``np.where``
 with Python scalars): each wrapper costs a Python frame per step.
 
+The VRRW steps and field work on states as columns, shape ``(d, B)``, one
+row per vertex, so each piece is one operation over all runs.  The columns
+are a C-contiguous copy (``x.T.copy()``), never the F-ordered view ``x.T``:
+a ufunc over operands of mixed layout costs two to three times one over
+operands of one layout.
+
+A sum over coordinates is a left fold from +0.0, one whole column per
+operation (:func:`_fold_cols`, :func:`_sq_norms`), so its bits depend on
+neither the batch nor the layout.  Below 8 coordinates this is bitwise what
+``np.sum(axis=-1)`` and ``np.linalg.norm(axis=-1)`` give; from 8 on numpy
+sums pairwise, and the last bits differ.
+
 Models must stay picklable (process-pool workers receive them by value), so
 behavioral knobs are plain strings/arrays rather than closures.
 """
@@ -102,7 +114,7 @@ class ManifoldK:
         u = np.asarray(x, dtype=np.float64) - self.basepoint
         q = self.orthonormal_basis
         proj = (u @ q) @ q.T
-        return np.linalg.norm(u - proj, axis=-1)
+        return np.sqrt(_sq_norms(u - proj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,6 +375,13 @@ class VrrwConfig:
     def total0(self) -> int:
         return int(sum(self.initial_counts))
 
+    @cached_property
+    def _A_stack(self) -> np.ndarray:
+        """``A`` by columns as a C-contiguous (d, d, 1) stack,
+        ``[j, i, 0] = A_ij``: the factor :func:`_vrrw_pieces` broadcasts
+        against ``v_alpha`` every step, built once."""
+        return np.ascontiguousarray(self.A.T)[:, :, None]
+
     @property
     def uniform(self) -> np.ndarray:
         return np.full(self.d, 1.0 / self.d)
@@ -373,41 +392,67 @@ def _fold_cols(cols: np.ndarray) -> np.ndarray:
     from +0.0, one whole column per operation, so a run's sum does not
     depend on the batch it is in or the layout the batch is kept in."""
     out = cols[0] + 0.0
-    for c in cols[1:]:
-        out += c
-    return out
-
-
-def _cumsum_cols(cols: np.ndarray) -> np.ndarray:
-    """Running sums over the leading axis of ``cols`` (shape (n, B)), bitwise
-    ``np.cumsum`` along it, with one operation per column instead of one
-    inner loop per run."""
-    out = np.empty_like(cols)
-    out[0] = cols[0]
     for j in range(1, len(cols)):
-        np.add(out[j - 1], cols[j], out=out[j])
+        out += cols[j]
     return out
 
 
-def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig):
-    """(P, H) at states given as columns ``vt`` (shape (d, B), one column per
-    run): ``P_i = v_i^alpha S_i`` with ``S_i = sum_j A_ij v_j^alpha``, and
-    ``H = sum_i P_i``, so ``pi = P / H`` is the walker's stationary law.
-    Raises :class:`SingularDenominatorError` where ``H <= 0``.
+def _sq_norms(y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis of ``y`` (shape (..., d)):
+    ``square(y[..., 0]) + square(y[..., 1]) + ...``, one whole coordinate per
+    operation, in the layout of ``y``'s other axes.  Below 8 coordinates
+    this is bitwise ``np.sum(y**2, axis=-1)``, and its root bitwise
+    ``np.linalg.norm(y, axis=-1)``, at a fraction of their cost: numpy
+    reduces a short last axis with one inner loop per element."""
+    if not y.shape[-1]:
+        return np.zeros(y.shape[:-1])
+    out = np.square(y[..., 0])
+    for j in range(1, y.shape[-1]):
+        out += np.square(y[..., j])
+    return out
 
-    The column form does each step as one operation over all runs (a
-    ``(B, 1)`` broadcast or an ``axis=1`` reduction costs one inner loop per
-    run).  S accumulates ``A_ij v_j^alpha`` in order j = 0..d-1 from zero and
-    H in order i = 0..d-1 from +0.0 (:func:`_fold_cols`), so each run's bits
-    do not depend on the batch.
+
+def _draw_index(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per run, ``#{i < n-1 : u >= cols_0 + ... + cols_i}`` for draws ``u``
+    (shape (B,)) and nonnegative weights ``cols`` (shape (n, B)): the index
+    whose running-sum interval holds ``u``.  The running sums are bitwise
+    ``np.cumsum`` along the leading axis, built in place.  They never
+    decrease, so the last one, which rounding may leave below ``u``, is not
+    compared: index n-1 takes everything above the one before it."""
+    run = cols[0].copy()
+    J = np.zeros(len(u), dtype=np.intp)
+    J += u >= run
+    for j in range(1, len(cols) - 1):
+        run += cols[j]
+        J += u >= run
+    return J
+
+
+def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig, stacked: bool = True):
+    """(P, H) at states given as C-contiguous columns ``vt`` (shape (d, B),
+    one column per run): ``P_i = v_i^alpha S_i`` with
+    ``S_i = sum_j A_ij v_j^alpha``, and ``H = sum_i P_i``, so ``pi = P / H``
+    is the walker's stationary law.  Raises
+    :class:`SingularDenominatorError` where ``H <= 0`` (not where H is NaN).
+
+    S folds ``A_ij v_j^alpha`` in order j = 0..d-1 from +0.0 and H folds
+    i = 0..d-1 (:func:`_fold_cols`), so each run's bits do not depend on the
+    batch.  ``stacked`` takes S's terms from one ``(d, d, B)`` product, whose
+    j-th block is contiguous (fewer calls, for a step's small batch);
+    otherwise one ``(d, B)`` product at a time (no ``(d, d, B)`` temporary,
+    for large batches).  Both give the same bits.
     """
     v_alpha = vt**cfg.alpha
-    S = np.zeros(vt.shape)
-    for j, A_j in enumerate(cfg.A.T[:, :, None]):
-        S += A_j * v_alpha[j]
+    if stacked:
+        S = _fold_cols(cfg._A_stack * v_alpha[:, None])  # [j, i, b] = A_ij v_jb^alpha
+    else:
+        S = np.zeros(vt.shape)
+        for j in range(len(vt)):
+            S += cfg.A[:, j, None] * v_alpha[j]
     P = v_alpha * S
     H = _fold_cols(P)
-    if (H <= 0.0).any():
+    # one call, with (H <= 0).any()'s answer: NaN is skipped, an empty batch is inf
+    if np.fmin.reduce(H, initial=np.inf) <= 0.0:
         raise SingularDenominatorError("H(v) vanished along some run")
     return P, H
 
@@ -426,7 +471,7 @@ def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndar
     if validate:
         if np.abs(vb.sum(axis=1) - 1.0).max() > 1e-9 or vb.min() < -1e-12:
             raise ValueError("points must lie on the probability simplex")
-    P, H = _vrrw_pieces(vb.T, cfg)
+    P, H = _vrrw_pieces(vb.T.copy(), cfg, stacked=False)  # batches of any size
     if not np.isfinite(H).all():
         raise SingularDenominatorError("H(v) is not finite at some point")
     f = (P / H).T - vb  # row-major again, like the input
@@ -523,19 +568,18 @@ class VrrwWalkModel(_VrrwModel):
         return {"counts": counts, "cur": cur}
 
     def step_parts(self, x, n, raw, aux):
-        # column form, (d, B): see _vrrw_pieces
+        # column form, (d, B): see the module docstring
         counts, cur = aux["counts"], aux["cur"]
         rows = np.arange(x.shape[0])
         w = self._A_T.take(cur, axis=1) * counts.T**self.cfg.alpha  # A[cur_b, j] c_bj^a
         w[cur, rows] = 0.0
-        c = _cumsum_cols(w)
-        tot = c[-1]
-        if (tot <= 0).any():
+        tot = _fold_cols(w)  # w_0 >= +0.0: the running sums' last, bit for bit
+        if np.fmin.reduce(tot, initial=np.inf) <= 0.0:
             raise StuckWalkError("no admissible transition for some run")
-        nxt = (raw[:, 0] * tot >= c).sum(axis=0)
+        nxt = _draw_index(raw[:, 0] * tot, w)
         p = w / tot
 
-        P, H = _vrrw_pieces(x.T, self.cfg)
+        P, H = _vrrw_pieces(x.T.copy(), self.cfg)
         # the pieces go back to row-major (B, d) in their last operation
         g = (P / H).T - x
         eps = np.empty(x.shape)
@@ -562,12 +606,10 @@ class MeanFieldVrrwModel(_VrrwModel):
         super().__init__(cfg, id or f"vrrw_meanfield_d{cfg.d}_a{cfg.alpha:g}")
 
     def step_parts(self, x, n, raw, aux):
-        # column form, (d, B): see _vrrw_pieces
-        P, H = _vrrw_pieces(x.T, self.cfg)
+        # column form, (d, B): see the module docstring
+        P, H = _vrrw_pieces(x.T.copy(), self.cfg)
         pi = P / H
-        # J = #{i : u >= pi_0 + ... + pi_i}, clamped where rounding leaves
-        # the last running sum below u
-        J = np.minimum((raw[:, 0] >= _cumsum_cols(pi)).sum(axis=0), self.dim - 1)
+        J = _draw_index(raw[:, 0], pi)
         # the pieces go back to row-major (B, d) in their last operation
         eps = np.empty(x.shape)
         np.subtract(self._vertices == J, pi, out=eps.T)  # the one-hot e_J is boolean

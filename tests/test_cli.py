@@ -845,8 +845,22 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize(
         "content",
-        [None, [1, 2], {"rates": {"x": 1}}],
-        ids=["summary", "list", "rates-without-lambda_hat"],
+        [
+            None,
+            [1, 2],
+            {"schema_version": 1, "ensemble": {}, "rates": {"x": 1}},
+            {},
+            {"schema_version": True, "ensemble": {}},
+            {"schema_version": 1, "ensemble": [1]},
+        ],
+        ids=[
+            "summary",
+            "list",
+            "rates-without-lambda_hat",
+            "empty-object",
+            "bool-schema_version",
+            "ensemble-not-an-object",
+        ],
     )
     def test_report_renders_only_a_summary(self, tmp_path, capsys, content):
         p = tmp_path / "summary.json"

@@ -23,7 +23,13 @@ from trapcheck.hypotheses import (
     check_tail_noise_condition,
     make_constants,
 )
-from trapcheck.models import LinearModel, VrrwConfig, VrrwWalkModel, control_models
+from trapcheck.models import (
+    LinearModel,
+    MeanFieldVrrwModel,
+    VrrwConfig,
+    VrrwWalkModel,
+    control_models,
+)
 from trapcheck.sequences import Schedule, SequenceSpec, rate_constants
 from trapcheck.spectral import adapted_inner_product, split_jacobian
 
@@ -553,7 +559,8 @@ class TestHypothesisReport:
                 ConditionResult("jump_moments", "fail", {"k": 1.0}),
             ),
         )
-        (tmp_path / "summary.json").write_text(json.dumps({"report": rep.to_dict()}))
+        doc = {"schema_version": 1, "ensemble": {}, "report": rep.to_dict()}
+        (tmp_path / "summary.json").write_text(json.dumps(doc))
         assert main(["report", str(tmp_path)]) == 0
         text = capsys.readouterr().out
         assert "th5d" in text
@@ -694,6 +701,40 @@ class TestCaptureLayout:
         res = check_noise_excitation(summary, k=k)
         assert res.estimates["n_windows"] == len(sums)
         assert res.estimates["excitation_liminf"] == min(sums)
+
+
+def _frozen_sq_norms(y):
+    # the sum of squares the eps checkers' statistics took before the fold
+    return np.sum(y**2, axis=-1)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 5])
+def vrrw_captures(request):
+    """A d-vertex mean-field VRRW ensemble with every step's eps captured,
+    and a split of a fixed non-diagonal matrix, so both projections mix
+    coordinates."""
+    d = request.param
+    model = MeanFieldVrrwModel(VrrwConfig.complete(d, 1.5))
+    N = 600
+    sched = model.natural_schedule(N)
+    caps = CaptureSpec(increment_indices=tuple(range(N)))
+    summary = monte_carlo(model, sched, model.initial_state(), N, 40, 3, captures=caps)
+    M = np.random.default_rng(d).standard_normal((d, d)) + 3.0 * np.eye(d)
+    H = M @ np.diag([1.0] + [-1.0 - j for j in range(d - 1)]) @ np.linalg.inv(M)
+    return summary, sched, split_jacobian(H)
+
+
+class TestFoldedEpsStatistics:
+    @pytest.mark.parametrize("blown", [False, True])
+    def test_checkers_equal_the_frozen_sums(self, vrrw_captures, monkeypatch, blown):
+        summary, sched, split = vrrw_captures
+        if blown:
+            summary = dataclasses.replace(summary, blown_up=np.isin(np.arange(40), [3, 17, 31]))
+        got = _eps_checks(summary, sched, split)
+        decided = {r["name"] for r in got if r["verdict"] != "inconclusive"}
+        assert decided == {"noise_excitation", "jump_moments", "tail_noise_smallness"}
+        monkeypatch.setattr(hyp, "_sq_norms", _frozen_sq_norms)
+        assert got == _eps_checks(summary, sched, split)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from trapcheck import (
     vrrw_field,
     vrrw_jacobian,
 )
-from trapcheck.models import _rademacher
+from trapcheck.models import _rademacher, _sq_norms, _vrrw_pieces
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -569,3 +569,234 @@ class TestLeanSteps:
         got = LinearModel(H).field(x), synthetic_field(x, 1, -1.0, 1.0)
         want = _ref_apply_matrix(H, x), _ref_synthetic_field(x, 1, -1.0, 1.0, None)
         _assert_same_bits(got, want, True)
+
+
+# ---------------------------------------------------------------------------
+# the VRRW steps on C-contiguous columns against the formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _frozen_fold_cols(cols):
+    out = cols[0] + 0.0
+    for c in cols[1:]:
+        out += c
+    return out
+
+
+def _frozen_cumsum_cols(cols):
+    out = np.empty_like(cols)
+    out[0] = cols[0]
+    for j in range(1, len(cols)):
+        np.add(out[j - 1], cols[j], out=out[j])
+    return out
+
+
+def _frozen_pieces(vt, cfg):
+    # the column form on the F-ordered view x.T, kept as the reference
+    v_alpha = vt**cfg.alpha
+    S = np.zeros(vt.shape)
+    for j, A_j in enumerate(cfg.A.T[:, :, None]):
+        S += A_j * v_alpha[j]
+    P = v_alpha * S
+    H = _frozen_fold_cols(P)
+    if (H <= 0.0).any():
+        raise SingularDenominatorError("H(v) vanished along some run")
+    return P, H
+
+
+def _frozen_field(x, cfg):
+    P, H = _frozen_pieces(x.T, cfg)
+    return (P / H).T - x
+
+
+def _frozen_meanfield_step(model, x, raw):
+    P, H = _frozen_pieces(x.T, model.cfg)
+    pi = P / H
+    J = np.minimum((raw[:, 0] >= _frozen_cumsum_cols(pi)).sum(axis=0), model.dim - 1)
+    eps = np.empty(x.shape)
+    np.subtract(model._vertices == J, pi, out=eps.T)
+    return pi.T - x, eps, np.zeros(x.shape)
+
+
+def _frozen_walk_step(model, x, raw, aux):
+    counts, cur = aux["counts"], aux["cur"]
+    rows = np.arange(x.shape[0])
+    w = model._A_T.take(cur, axis=1) * counts.T**model.cfg.alpha
+    w[cur, rows] = 0.0
+    c = _frozen_cumsum_cols(w)
+    tot = c[-1]
+    if (tot <= 0).any():
+        raise StuckWalkError("no admissible transition for some run")
+    nxt = (raw[:, 0] * tot >= c).sum(axis=0)
+    p = w / tot
+    P, H = _frozen_pieces(x.T, model.cfg)
+    g = (P / H).T - x
+    eps = np.empty(x.shape)
+    np.subtract(model._vertices == nxt, p, out=eps.T)
+    rem = (p.T - x) - g
+    counts[rows, nxt] += 1.0
+    aux["cur"] = nxt
+    return g, eps, rem
+
+
+U_TOP = np.nextafter(1.0, 0.0)  # 1 - 2**-53
+
+
+def _lean_states(rng, d, B, order):
+    """Simplex points in C or F order, with +0.0 and -0.0 coordinates in some
+    rows (a zero coordinate makes H(v) = 0 at d = 2, so only from d = 3 on)."""
+    x = rng.dirichlet(np.ones(d), size=B)
+    if d >= 3:
+        x[1::5, 0] = 0.0
+        x[2::5, -1] = -0.0
+    return np.asarray(x, order=order)
+
+
+def _lean_draws(B, sums):
+    """Uniform draws with u = 0, u = 1 - 2**-53 and u exactly on one of the
+    running sums ``sums`` (shape (n, B)) but the last in every few rows (a
+    sum that reaches 1 gives 1 - 2**-53 instead)."""
+    u = np.random.default_rng(B).random(B)
+    u[::4] = 0.0
+    u[1::4] = U_TOP
+    on = np.arange(2, B, 4)
+    u[on] = np.minimum(sums[on % (len(sums) - 1), on], U_TOP)
+    return u[:, None]
+
+
+class TestLeanVrrwSteps:
+    CASES = [
+        (d, alpha, B, order)
+        for d in (2, 3, 5)
+        for alpha in (1.0, 1.5, 2.0)
+        for B in (1, 7, 200)
+        for order in ("C", "F")
+    ]
+
+    @pytest.mark.parametrize("d, alpha, B, order", CASES)
+    def test_meanfield_step_and_field_equal_frozen_bits(self, d, alpha, B, order):
+        cfg = VrrwConfig.complete(d, alpha)
+        model = MeanFieldVrrwModel(cfg)
+        x = _lean_states(np.random.default_rng(d * B), d, B, order)
+        P, H = _frozen_pieces(x.T, cfg)
+        raw = _lean_draws(B, _frozen_cumsum_cols(P / H))
+        assert np.array_equal(_bits(vrrw_field(x, cfg, validate=False)), _bits(_frozen_field(x, cfg)))
+        got = model.step_parts(x, 0, raw, None)[:3]
+        for a, b in zip(got, _frozen_meanfield_step(model, x, raw)):
+            assert a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b))  # values and signbit
+
+    @pytest.mark.parametrize("d, alpha, B, order", CASES)
+    def test_walk_step_equals_frozen_bits(self, d, alpha, B, order):
+        cfg = VrrwConfig.complete(d, alpha)
+        model = VrrwWalkModel(cfg)
+        rng = np.random.default_rng(1000 + d * B)
+        aux, ref_aux = model.init_aux(B), model.init_aux(B)
+        aux["counts"] += rng.integers(0, 40, size=(B, d))
+        aux["cur"][:] = rng.integers(0, d, size=B)
+        ref_aux["counts"][:], ref_aux["cur"][:] = aux["counts"], aux["cur"]
+        for n in range(4):
+            x = _lean_states(rng, d, B, order)
+            w = model._A_T.take(aux["cur"], axis=1) * aux["counts"].T ** alpha
+            w[aux["cur"], np.arange(B)] = 0.0
+            c = _frozen_cumsum_cols(w)
+            raw = _lean_draws(B, c / c[-1])  # u * tot at or next to a running sum
+            got = model.step_parts(x, n, raw, aux)[:3]
+            for a, b in zip(got, _frozen_walk_step(model, x, raw, ref_aux)):
+                assert a.shape == b.shape
+                assert np.array_equal(_bits(a), _bits(b))
+            assert np.array_equal(aux["cur"], ref_aux["cur"])
+            assert np.array_equal(aux["counts"], ref_aux["counts"])
+
+    def test_draw_on_a_running_sum_takes_the_next_index(self):
+        # u equal to pi_0 + pi_1 is not below that sum: index 2
+        cfg = VrrwConfig.complete(3, 2.0)
+        x = np.array([[0.5, 0.3, 0.2]])
+        P, H = _frozen_pieces(x.T, cfg)
+        u = _frozen_cumsum_cols(P / H)[1]
+        eps = MeanFieldVrrwModel(cfg).step_parts(x, 0, u[:, None], None)[1]
+        assert np.argmax(eps[0]) == 2
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("nan_row", [False, True])
+    def test_vanishing_H_raises(self, order, nan_row):
+        # at d = 2, v = (1, 0) gives H(v) = 0 in the second row; a NaN H in
+        # another row must not hide it
+        cfg = VrrwConfig.complete(2, 2.0)
+        x = np.asarray([[np.nan if nan_row else 0.5, 0.5], [1.0, 0.0]], order=order)
+        raw = np.full((2, 1), 0.5)
+        walk = VrrwWalkModel(cfg)
+        for call in (
+            lambda: _vrrw_pieces(x.T.copy(), cfg),
+            lambda: MeanFieldVrrwModel(cfg).step_parts(x, 0, raw, None),
+            lambda: walk.step_parts(x, 0, raw, walk.init_aux(2)),
+        ):
+            with pytest.raises(SingularDenominatorError, match="vanished"):
+                call()
+
+    def test_nan_H_and_empty_batch_do_not_raise(self):
+        cfg = VrrwConfig.complete(3, 2.0)
+        model = MeanFieldVrrwModel(cfg)
+        x = np.array([[0.5, 0.3, 0.2], [np.nan, 0.5, 0.5]])
+        raw = np.full((2, 1), 0.5)
+        got = model.step_parts(x, 0, raw, None)[:3]
+        for a, b in zip(got, _frozen_meanfield_step(model, x, raw)):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert np.isnan(got[0][1]).all() and np.isfinite(got[0][0]).all()
+        empty = np.empty((0, 3))
+        g, eps, rem, _ = model.step_parts(empty, 0, np.empty((0, 1)), None)
+        assert g.shape == eps.shape == rem.shape == (0, 3)
+        assert vrrw_field(empty, cfg, validate=False).shape == (0, 3)
+        walk = VrrwWalkModel(cfg)
+        assert walk.step_parts(empty, 0, np.empty((0, 1)), walk.init_aux(0))[0].shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# squared norms over coordinates
+# ---------------------------------------------------------------------------
+
+
+def _norm_inputs(d):
+    """(40, 30, d) doubles at magnitudes from 1e-150 to 1e150, with +0.0,
+    -0.0, inf and NaN entries."""
+    rng = np.random.default_rng(d)
+    y = rng.standard_normal((40, 30, d)) * 10.0 ** rng.integers(-150, 151, size=(40, 30, 1))
+    y[0, :, :] = -0.0
+    y[1, :, 0] = 0.0
+    y[2, 0, -1] = np.inf
+    y[3, 0, 0] = np.nan
+    return y
+
+
+def _layouts(y):
+    """y in C order, in F order, and as the runs-first view of step-major
+    memory the eps checkers read."""
+    return {
+        "C": np.ascontiguousarray(y),
+        "F": np.asfortranarray(y),
+        "runs-first": np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2),
+    }
+
+
+class TestSqNorms:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_bitwise_numpy_below_eight_coordinates(self, d):
+        for name, y in _layouts(_norm_inputs(d)).items():
+            for a in (y, y[:, 0], y[5, 3]):
+                got = _sq_norms(a)
+                want = np.sum(np.square(a), axis=-1)
+                assert got.shape == want.shape, name
+                assert got.strides == want.strides, name  # means over runs depend on it
+                assert np.array_equal(_bits(got), _bits(want)), name
+                assert np.array_equal(_bits(np.sqrt(got)), _bits(np.linalg.norm(a, axis=-1)))
+
+    @pytest.mark.parametrize("d", range(8, 13))
+    def test_left_fold_from_eight_coordinates(self, d):
+        for name, y in _layouts(_norm_inputs(d)).items():
+            want = np.zeros(y.shape[:-1])
+            for j in range(d):
+                want = want + y[..., j] * y[..., j]
+            assert np.array_equal(_bits(_sq_norms(y)), _bits(want)), name
+
+    def test_no_coordinates(self):
+        assert np.array_equal(_sq_norms(np.empty((4, 0))), np.zeros(4))
