@@ -428,27 +428,20 @@ def _draw_index(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return J
 
 
-def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig, stacked: bool = True):
+def _vrrw_pieces(vt: np.ndarray, cfg: VrrwConfig):
     """(P, H) at states given as C-contiguous columns ``vt`` (shape (d, B),
     one column per run): ``P_i = v_i^alpha S_i`` with
     ``S_i = sum_j A_ij v_j^alpha``, and ``H = sum_i P_i``, so ``pi = P / H``
     is the walker's stationary law.  Raises
     :class:`SingularDenominatorError` where ``H <= 0`` (not where H is NaN).
 
-    S folds ``A_ij v_j^alpha`` in order j = 0..d-1 from +0.0 and H folds
+    S's terms come from one ``(d, d, B)`` product, whose j-th block is
+    contiguous; S folds them in order j = 0..d-1 from +0.0 and H folds
     i = 0..d-1 (:func:`_fold_cols`), so each run's bits do not depend on the
-    batch.  ``stacked`` takes S's terms from one ``(d, d, B)`` product, whose
-    j-th block is contiguous (fewer calls, for a step's small batch);
-    otherwise one ``(d, B)`` product at a time (no ``(d, d, B)`` temporary,
-    for large batches).  Both give the same bits.
+    batch.
     """
     v_alpha = vt**cfg.alpha
-    if stacked:
-        S = _fold_cols(cfg._A_stack * v_alpha[:, None])  # [j, i, b] = A_ij v_jb^alpha
-    else:
-        S = np.zeros(vt.shape)
-        for j in range(len(vt)):
-            S += cfg.A[:, j, None] * v_alpha[j]
+    S = _fold_cols(cfg._A_stack * v_alpha[:, None])  # [j, i, b] = A_ij v_jb^alpha
     P = v_alpha * S
     H = _fold_cols(P)
     # one call, with (H <= 0).any()'s answer: NaN is skipped, an empty batch is inf
@@ -471,7 +464,7 @@ def vrrw_field(v: np.ndarray, cfg: VrrwConfig, validate: bool = True) -> np.ndar
     if validate:
         if np.abs(vb.sum(axis=1) - 1.0).max() > 1e-9 or vb.min() < -1e-12:
             raise ValueError("points must lie on the probability simplex")
-    P, H = _vrrw_pieces(vb.T.copy(), cfg, stacked=False)  # batches of any size
+    P, H = _vrrw_pieces(vb.T.copy(), cfg)
     if not np.isfinite(H).all():
         raise SingularDenominatorError("H(v) is not finite at some point")
     f = (P / H).T - vb  # row-major again, like the input
@@ -558,7 +551,7 @@ class VrrwWalkModel(_VrrwModel):
             raise ValueError("start_vertex out of range")
         super().__init__(cfg, id or f"vrrw_walk_d{cfg.d}_a{cfg.alpha:g}")
         self.start_vertex = int(start_vertex)
-        self._A_T = np.ascontiguousarray(cfg.A.T)
+        self._A_T = cfg._A_stack[:, :, 0]  # A by columns, C-contiguous (d, d)
 
     def init_aux(self, n_runs: int):
         counts = np.tile(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -381,11 +383,17 @@ def _row_major_meanfield_step(model, x, raw):
     return pi - x, e - pi, np.zeros_like(x)
 
 
+def _row_major_walk_weights(model, aux):
+    counts, cur = aux["counts"], aux["cur"]
+    w = model.cfg.A[cur] * counts**model.cfg.alpha
+    w[np.arange(len(cur)), cur] = 0.0
+    return w
+
+
 def _row_major_walk_step(model, x, raw, aux):
     counts, cur = aux["counts"], aux["cur"]
     rows = np.arange(x.shape[0])
-    w = model.cfg.A[cur] * counts**model.cfg.alpha
-    w[rows, cur] = 0.0
+    w = _row_major_walk_weights(model, aux)
     tot = _fold_rows(w)
     c = np.cumsum(w, axis=1)
     nxt = (raw[:, 0][:, None] * c[:, -1:] >= c).sum(axis=1)
@@ -404,21 +412,35 @@ def _configs(d):
     last bits, within VrrwConfig's tolerance), for each alpha."""
     A = np.ones((d, d)) - np.eye(d)
     A[0, 1] += 1e-14
-    for alpha in (1, 2.0, 2.5):
+    for alpha in (1, 1.5, 2.0, 2.5):
         yield VrrwConfig.complete(d, alpha)
         yield VrrwConfig(d=d, alpha=alpha, A=A)
 
 
-def _states(rng, d, B):
-    """Simplex points with a zero coordinate in some rows (from d = 3 on: at
-    d = 2 it makes H(v) = 0), and raw draws with ``u = nextafter(1, 0)`` in
-    every third row."""
+U_TOP = np.nextafter(1.0, 0.0)  # 1 - 2**-53
+
+
+def _states(rng, d, B, order):
+    """Simplex points in C or F order, with a +0.0 coordinate in some rows and
+    a -0.0 one in others (from d = 3 on: at d = 2 a zero coordinate makes
+    H(v) = 0), and raw draws with u = 0 in every fourth row and
+    u = 1 - 2**-53 in the next."""
     x = rng.dirichlet(np.ones(d), size=B)
     if d >= 3:
         x[1::5, 0] = 0.0
+        x[2::5, -1] = -0.0
     raw = rng.random((B, 1))
-    raw[::3] = np.nextafter(1.0, 0.0)
-    return x, raw
+    raw[::4] = 0.0
+    raw[1::4] = U_TOP
+    return np.asarray(x, order=order), raw
+
+
+def _on_running_sums(raw, sums):
+    """Put u, in every fourth row from the third, exactly on one of the
+    running sums ``sums`` (shape (B, n)) but the last (a sum that reaches 1
+    gives 1 - 2**-53 instead)."""
+    on = np.arange(2, len(raw), 4)
+    raw[on, 0] = np.minimum(sums[on, on % (sums.shape[1] - 1)], U_TOP)
 
 
 class TestColumnForm:
@@ -429,27 +451,31 @@ class TestColumnForm:
         rng = np.random.default_rng(d)
         for cfg in _configs(d):
             model = MeanFieldVrrwModel(cfg)
-            for B in (1, 7, 200):
-                x, raw = _states(rng, d, B)
+            for B, order in itertools.product((1, 7, 200), "CF"):
+                x, raw = _states(rng, d, B, order)
+                v_alpha, S, H = _row_major_pieces(x, cfg)
+                _on_running_sums(raw, np.cumsum(v_alpha * S / H[:, None], axis=1))
                 assert np.array_equal(
                     _bits(vrrw_field(x, cfg, validate=False)), _bits(_row_major_field(x, cfg))
                 )
                 got = model.step_parts(x, 0, raw, None)[:3]
                 for a, b in zip(got, _row_major_meanfield_step(model, x, raw)):
                     assert a.shape == b.shape
-                    assert np.array_equal(_bits(a), _bits(b))
+                    assert np.array_equal(_bits(a), _bits(b))  # values and sign bits
 
     @pytest.mark.parametrize("d", DIMS)
     def test_walk_steps_equal_row_major_bits(self, d):
         rng = np.random.default_rng(100 + d)
         for cfg in _configs(d):
             model = VrrwWalkModel(cfg, start_vertex=d - 1)
-            for B in (1, 7, 200):
+            for B, order in itertools.product((1, 7, 200), "CF"):
                 aux, ref_aux = model.init_aux(B), model.init_aux(B)
                 aux["counts"] += rng.integers(0, 40, size=(B, d))
                 ref_aux["counts"][:] = aux["counts"]
                 for n in range(6):
-                    x, raw = _states(rng, d, B)
+                    x, raw = _states(rng, d, B, order)
+                    c = np.cumsum(_row_major_walk_weights(model, ref_aux), axis=1)
+                    _on_running_sums(raw, c / c[:, -1:])  # u * tot at or next to a sum
                     got = model.step_parts(x, n, raw, aux)[:3]
                     ref = _row_major_walk_step(model, x, raw, ref_aux)
                     for a, b in zip(got, ref):
@@ -572,148 +598,17 @@ class TestLeanSteps:
 
 
 # ---------------------------------------------------------------------------
-# the VRRW steps on C-contiguous columns against the formulas they replaced
+# the VRRW steps on C-contiguous columns: draws on a running sum, H <= 0, NaN
 # ---------------------------------------------------------------------------
 
 
-def _frozen_fold_cols(cols):
-    out = cols[0] + 0.0
-    for c in cols[1:]:
-        out += c
-    return out
-
-
-def _frozen_cumsum_cols(cols):
-    out = np.empty_like(cols)
-    out[0] = cols[0]
-    for j in range(1, len(cols)):
-        np.add(out[j - 1], cols[j], out=out[j])
-    return out
-
-
-def _frozen_pieces(vt, cfg):
-    # the column form on the F-ordered view x.T, kept as the reference
-    v_alpha = vt**cfg.alpha
-    S = np.zeros(vt.shape)
-    for j, A_j in enumerate(cfg.A.T[:, :, None]):
-        S += A_j * v_alpha[j]
-    P = v_alpha * S
-    H = _frozen_fold_cols(P)
-    if (H <= 0.0).any():
-        raise SingularDenominatorError("H(v) vanished along some run")
-    return P, H
-
-
-def _frozen_field(x, cfg):
-    P, H = _frozen_pieces(x.T, cfg)
-    return (P / H).T - x
-
-
-def _frozen_meanfield_step(model, x, raw):
-    P, H = _frozen_pieces(x.T, model.cfg)
-    pi = P / H
-    J = np.minimum((raw[:, 0] >= _frozen_cumsum_cols(pi)).sum(axis=0), model.dim - 1)
-    eps = np.empty(x.shape)
-    np.subtract(model._vertices == J, pi, out=eps.T)
-    return pi.T - x, eps, np.zeros(x.shape)
-
-
-def _frozen_walk_step(model, x, raw, aux):
-    counts, cur = aux["counts"], aux["cur"]
-    rows = np.arange(x.shape[0])
-    w = model._A_T.take(cur, axis=1) * counts.T**model.cfg.alpha
-    w[cur, rows] = 0.0
-    c = _frozen_cumsum_cols(w)
-    tot = c[-1]
-    if (tot <= 0).any():
-        raise StuckWalkError("no admissible transition for some run")
-    nxt = (raw[:, 0] * tot >= c).sum(axis=0)
-    p = w / tot
-    P, H = _frozen_pieces(x.T, model.cfg)
-    g = (P / H).T - x
-    eps = np.empty(x.shape)
-    np.subtract(model._vertices == nxt, p, out=eps.T)
-    rem = (p.T - x) - g
-    counts[rows, nxt] += 1.0
-    aux["cur"] = nxt
-    return g, eps, rem
-
-
-U_TOP = np.nextafter(1.0, 0.0)  # 1 - 2**-53
-
-
-def _lean_states(rng, d, B, order):
-    """Simplex points in C or F order, with +0.0 and -0.0 coordinates in some
-    rows (a zero coordinate makes H(v) = 0 at d = 2, so only from d = 3 on)."""
-    x = rng.dirichlet(np.ones(d), size=B)
-    if d >= 3:
-        x[1::5, 0] = 0.0
-        x[2::5, -1] = -0.0
-    return np.asarray(x, order=order)
-
-
-def _lean_draws(B, sums):
-    """Uniform draws with u = 0, u = 1 - 2**-53 and u exactly on one of the
-    running sums ``sums`` (shape (n, B)) but the last in every few rows (a
-    sum that reaches 1 gives 1 - 2**-53 instead)."""
-    u = np.random.default_rng(B).random(B)
-    u[::4] = 0.0
-    u[1::4] = U_TOP
-    on = np.arange(2, B, 4)
-    u[on] = np.minimum(sums[on % (len(sums) - 1), on], U_TOP)
-    return u[:, None]
-
-
 class TestLeanVrrwSteps:
-    CASES = [
-        (d, alpha, B, order)
-        for d in (2, 3, 5)
-        for alpha in (1.0, 1.5, 2.0)
-        for B in (1, 7, 200)
-        for order in ("C", "F")
-    ]
-
-    @pytest.mark.parametrize("d, alpha, B, order", CASES)
-    def test_meanfield_step_and_field_equal_frozen_bits(self, d, alpha, B, order):
-        cfg = VrrwConfig.complete(d, alpha)
-        model = MeanFieldVrrwModel(cfg)
-        x = _lean_states(np.random.default_rng(d * B), d, B, order)
-        P, H = _frozen_pieces(x.T, cfg)
-        raw = _lean_draws(B, _frozen_cumsum_cols(P / H))
-        assert np.array_equal(_bits(vrrw_field(x, cfg, validate=False)), _bits(_frozen_field(x, cfg)))
-        got = model.step_parts(x, 0, raw, None)[:3]
-        for a, b in zip(got, _frozen_meanfield_step(model, x, raw)):
-            assert a.shape == b.shape
-            assert np.array_equal(_bits(a), _bits(b))  # values and signbit
-
-    @pytest.mark.parametrize("d, alpha, B, order", CASES)
-    def test_walk_step_equals_frozen_bits(self, d, alpha, B, order):
-        cfg = VrrwConfig.complete(d, alpha)
-        model = VrrwWalkModel(cfg)
-        rng = np.random.default_rng(1000 + d * B)
-        aux, ref_aux = model.init_aux(B), model.init_aux(B)
-        aux["counts"] += rng.integers(0, 40, size=(B, d))
-        aux["cur"][:] = rng.integers(0, d, size=B)
-        ref_aux["counts"][:], ref_aux["cur"][:] = aux["counts"], aux["cur"]
-        for n in range(4):
-            x = _lean_states(rng, d, B, order)
-            w = model._A_T.take(aux["cur"], axis=1) * aux["counts"].T ** alpha
-            w[aux["cur"], np.arange(B)] = 0.0
-            c = _frozen_cumsum_cols(w)
-            raw = _lean_draws(B, c / c[-1])  # u * tot at or next to a running sum
-            got = model.step_parts(x, n, raw, aux)[:3]
-            for a, b in zip(got, _frozen_walk_step(model, x, raw, ref_aux)):
-                assert a.shape == b.shape
-                assert np.array_equal(_bits(a), _bits(b))
-            assert np.array_equal(aux["cur"], ref_aux["cur"])
-            assert np.array_equal(aux["counts"], ref_aux["counts"])
-
     def test_draw_on_a_running_sum_takes_the_next_index(self):
         # u equal to pi_0 + pi_1 is not below that sum: index 2
         cfg = VrrwConfig.complete(3, 2.0)
         x = np.array([[0.5, 0.3, 0.2]])
-        P, H = _frozen_pieces(x.T, cfg)
-        u = _frozen_cumsum_cols(P / H)[1]
+        v_alpha, S, H = _row_major_pieces(x, cfg)
+        u = np.cumsum(v_alpha * S / H[:, None], axis=1)[:, 1]
         eps = MeanFieldVrrwModel(cfg).step_parts(x, 0, u[:, None], None)[1]
         assert np.argmax(eps[0]) == 2
 
@@ -740,7 +635,7 @@ class TestLeanVrrwSteps:
         x = np.array([[0.5, 0.3, 0.2], [np.nan, 0.5, 0.5]])
         raw = np.full((2, 1), 0.5)
         got = model.step_parts(x, 0, raw, None)[:3]
-        for a, b in zip(got, _frozen_meanfield_step(model, x, raw)):
+        for a, b in zip(got, _row_major_meanfield_step(model, x, raw)):
             assert np.array_equal(_bits(a), _bits(b))
         assert np.isnan(got[0][1]).all() and np.isfinite(got[0][0]).all()
         empty = np.empty((0, 3))
