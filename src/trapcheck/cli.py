@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -166,35 +166,122 @@ def _entry(value, path: str, params: dict, what: str, key: str = "name", extra=(
 
 
 #: A check's ``window`` of steps, kept as given here and checked against
-#: ``N`` by :meth:`ExperimentConfig.from_dict`; unset, the check reads every
-#: step the ensemble captured for it.
+#: ``N`` by :meth:`ExperimentConfig.from_dict`.  Unset, a check reads every
+#: step of run 0, or every captured increment: also the steps that only
+#: another configured check asked the ensemble for.
 _WINDOW = (lambda v, path: v, None)
 
-#: Each check's and diagnostic's parameters: parser and default.  A ``nu``
-#: left unset is the model's.
-_CHECK_PARAMS = {
-    "noise_excitation": {
-        "k": (_count, 1),
-        "a": (_moment_exponent, 4.0),
-        "threshold": (_nonnegative, hypotheses.DEFAULT_EXCITATION_THRESHOLD),
-        "window": _WINDOW,
-    },
-    "remainder": {
-        "mode": (_one_of("square_summable", "split_r"), "square_summable"),
-        "nu": (_positive, None),
-        "window": _WINDOW,
-    },
-    "drift_sign": {
-        "rho": (_positive, 1.0),
-        "mode": (_one_of("nonneg", "coercive"), "nonneg"),
-        "beta": (_finite, 0.0),
-        "adapted": (_boolean, False),
-        "window": _WINDOW,
-    },
-    "rate_condition": {"nu": (_positive, None)},
-    "jump_moments": {"a": (_moment_exponent, 4.0), "window": _WINDOW},
-    "tail_noise": {"nu": (_positive, None), "window": _WINDOW},
+
+@dataclass(frozen=True)
+class _Check:
+    """One check: its fields (parser and default); ``steps(c, N)``, the part of
+    the capture plan that check ``c`` reads; ``run(c, **inputs)``, its checker
+    on the pipeline's summary, schedule, model, rates, split and effective mu, nu."""
+
+    params: dict
+    steps: Callable
+    run: Callable
+
+
+def _sampled_steps(c: dict, N: int) -> engine.CaptureSpec:
+    """``k`` consecutive steps (1 without ``k``) from 64 log-spaced starts in the window."""
+    lo, hi = c["window"] or (max(1, N // 10), N)
+    k = c.get("k", 1)
+    starts = np.unique(np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64))
+    steps = (n for b in starts.tolist() for n in range(b, min(b + k, N)))
+    return engine.CaptureSpec(increment_indices=tuple(steps))
+
+
+def _contiguous_steps(c: dict, N: int) -> engine.CaptureSpec:
+    """Every step of the window, its last ``_MAX_CONTIGUOUS_WINDOW`` at most."""
+    lo, hi = c["window"] or (max(1, N // 10), N)
+    lo = max(lo, hi - _MAX_CONTIGUOUS_WINDOW)
+    return engine.CaptureSpec(increment_indices=tuple(range(lo, hi)))
+
+
+def _run_zero(c: dict, N: int) -> engine.CaptureSpec:
+    return engine.CaptureSpec(full_runs=(0,))
+
+
+def _repulsive(split):
+    """``split`` if it certifies a repulsive direction, else None."""
+    return split if split is not None and split.delta_plus >= 1 else None
+
+
+def _drift_sign(c, summary, model, split, **_):
+    x_star = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
+    adapted = project = None
+    if c["adapted"] and _repulsive(split) is not None:
+        # the adapted form lives on the repulsive block, so the vectors must
+        # be projected into its coordinates first
+        adapted = spectral.adapted_inner_product(split.H_plus)
+        project = split.P_inv[: split.delta_plus]
+    return hypotheses.check_drift_sign(
+        summary.trajectory(0), x_star, c["rho"], c["mode"], c["beta"], c["window"], adapted, project
+    )
+
+
+def _rate_condition(c, rates, mu, nu, **_):
+    if mu is None:
+        return hypotheses._inconclusive("rate_condition", "no admissible split at the trap")
+    return hypotheses.check_rate_condition(rates, mu, float(c["nu"] or nu))
+
+
+#: Every check by name.  A ``nu`` left unset is the model's; ``remainder``
+#: and ``tail_noise`` take 1 when the model declares none.
+_CHECKS = {
+    "noise_excitation": _Check(
+        {
+            "k": (_count, 1),
+            "a": (_moment_exponent, 4.0),
+            "threshold": (_nonnegative, hypotheses.DEFAULT_EXCITATION_THRESHOLD),
+            "window": _WINDOW,
+        },
+        _sampled_steps,
+        lambda c, summary, split, **_: hypotheses.check_noise_excitation(
+            summary, _repulsive(split), c["k"], c["a"], c["window"], c["threshold"]
+        ),
+    ),
+    "remainder": _Check(
+        {
+            "mode": (_one_of("square_summable", "split_r"), "square_summable"),
+            "nu": (_positive, None),
+            "window": _WINDOW,
+        },
+        _run_zero,
+        lambda c, summary, schedule, nu, **_: hypotheses.check_remainder(
+            summary.trajectory(0), c["mode"], c["nu"] or nu or 1.0, c["window"], schedule
+        ),
+    ),
+    "drift_sign": _Check(
+        {
+            "rho": (_positive, 1.0),
+            "mode": (_one_of("nonneg", "coercive"), "nonneg"),
+            "beta": (_finite, 0.0),
+            "adapted": (_boolean, False),
+            "window": _WINDOW,
+        },
+        _run_zero,
+        _drift_sign,
+    ),
+    "rate_condition": _Check(
+        {"nu": (_positive, None)}, lambda c, N: engine.CaptureSpec(), _rate_condition
+    ),
+    "jump_moments": _Check(
+        {"a": (_moment_exponent, 4.0), "window": _WINDOW},
+        _sampled_steps,
+        lambda c, summary, **_: hypotheses.check_jump_moments(summary, c["a"], c["window"]),
+    ),
+    "tail_noise": _Check(
+        {"nu": (_positive, None), "window": _WINDOW},
+        _contiguous_steps,
+        lambda c, summary, schedule, split, nu, **_: hypotheses.check_tail_noise_condition(
+            summary, split, c["nu"] or nu or 1.0, schedule, c["window"]
+        ),
+    ),
 }
+
+#: Each diagnostic's parameters: parser and default.
 _DIAGNOSTIC_PARAMS = {
     "apt": {
         "T": (_positive, 1.0),
@@ -369,9 +456,9 @@ class ExperimentConfig:
         if schedule.get("kind") == "natural" and not model["kind"].startswith("vrrw_"):
             raise ConfigError(f"model {model['kind']} has no natural schedule", "schedule.kind")
         x0 = None if cfg.get("x0") is None else _array_of(_finite)(cfg["x0"], "x0")
-        checks = []
+        checks, tables = [], {name: check.params for name, check in _CHECKS.items()}
         for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
-            c = _entry(c, f"checks[{i}]", _CHECK_PARAMS, "check")
+            c = _entry(c, f"checks[{i}]", tables, "check")
             if c.get("window") is not None:
                 c["window"] = _window(c["window"], 0, N, f"checks[{i}].window")
             checks.append(c)
@@ -485,33 +572,15 @@ def _diag_state_grid(N: int) -> np.ndarray:
 
 
 def _capture_plan(config: ExperimentConfig):
-    """Derive which states/increments the ensemble must retain, and which
-    runs it must keep in full (for trajectory-based checks and the CSVs)."""
-    N = config.N
-    state_idx: set = set()
-    inc_idx: set = set()
-    full_runs = set(range(min(config.output["trajectories"], config.n_runs)))
-    if config.diagnostics:
-        state_idx.update(_diag_state_grid(N).tolist())
-    for c in config.checks:
-        name = c["name"]
-        lo, hi = c.get("window") or (max(1, N // 10), N)
-        if name in ("noise_excitation", "jump_moments"):
-            k = c.get("k", 1)  # jump_moments reads single steps
-            base = np.unique(
-                np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64)
-            )
-            for b in base:
-                inc_idx.update(range(int(b), min(int(b) + k, N)))
-        elif name == "tail_noise":
-            lo = max(lo, hi - _MAX_CONTIGUOUS_WINDOW)
-            inc_idx.update(range(lo, min(hi, N)))
-        elif name in ("remainder", "drift_sign"):
-            full_runs.add(0)
+    """What the ensemble keeps: the diagnostics' state grid, the union of the
+    steps and full runs the checks read, and the runs whose CSVs are written."""
+    parts = [_CHECKS[c["name"]].steps(c, config.N) for c in config.checks]
+    states = _diag_state_grid(config.N).tolist() if config.diagnostics else ()
+    written = range(min(config.output["trajectories"], config.n_runs))
     return engine.CaptureSpec(
-        state_indices=tuple(sorted(state_idx)),
-        increment_indices=tuple(sorted(inc_idx)),
-        full_runs=tuple(sorted(full_runs)),
+        state_indices=tuple(states),
+        increment_indices=tuple(sorted({n for p in parts for n in p.increment_indices})),
+        full_runs=tuple(sorted({*written, *(r for p in parts for r in p.full_runs)})),
     )
 
 
@@ -542,77 +611,18 @@ def _resolve_split_and_constants(model: models.Model):
     return split, mu, trap.nu
 
 
-def _run_checks(config, model, schedule, summary, rates, split, mu_eff, nu_eff):
+def _run_checks(config, summary, **inputs) -> list:
+    """Each check's result; one that reads run 0 in full is inconclusive if it blew up."""
     conds = []
-    a_used, k_used = None, None
     for c in config.checks:
-        name = c["name"]
-        window = c.get("window")
-        if name in ("remainder", "drift_sign") and not summary.ok[0]:
-            # these checks read run 0 in full
+        check = _CHECKS[c["name"]]
+        if check.steps is _run_zero and not summary.ok[0]:
             reason = f"run 0 blew up at step {summary.blowup_step[0]}"
-            conds.append(hypotheses._inconclusive(f"{name}_{c['mode']}", reason))
-        elif name == "noise_excitation":
-            k_used = max(k_used or 0, c["k"])
-            a_used = c["a"]
-            use_split = split if (split is not None and split.delta_plus >= 1) else None
-            conds.append(
-                hypotheses.check_noise_excitation(
-                    summary,
-                    split=use_split,
-                    k=c["k"],
-                    a=c["a"],
-                    window=window,
-                    threshold=c["threshold"],
-                )
-            )
-        elif name == "remainder":
-            conds.append(
-                hypotheses.check_remainder(
-                    summary.trajectory(0),
-                    mode=c["mode"],
-                    nu=c["nu"] or nu_eff or 1.0,
-                    window=window,
-                    schedule=schedule,
-                )
-            )
-        elif name == "drift_sign":
-            x_star = (
-                model.trap.x_star if model.trap is not None else np.zeros(model.dim)
-            )
-            adapted = None
-            project = None
-            if c["adapted"] and split is not None and split.delta_plus >= 1:
-                # the adapted form lives on the repulsive block, so the
-                # vectors must be projected into its coordinates first
-                adapted = spectral.adapted_inner_product(split.H_plus)
-                project = split.P_inv[: split.delta_plus]
-            conds.append(
-                hypotheses.check_drift_sign(
-                    summary.trajectory(0),
-                    x_star,
-                    rho=c["rho"],
-                    mode=c["mode"],
-                    beta=c["beta"],
-                    window=window,
-                    adapted=adapted,
-                    project=project,
-                )
-            )
-        elif name == "rate_condition" and mu_eff is None:
-            reason = "no admissible split at the trap"
-            conds.append(hypotheses._inconclusive(name, reason))
-        elif name == "rate_condition":
-            conds.append(hypotheses.check_rate_condition(rates, mu_eff, float(c["nu"] or nu_eff)))
-        elif name == "jump_moments":
-            a_used = c["a"]
-            conds.append(hypotheses.check_jump_moments(summary, a=c["a"], window=window))
-        elif name == "tail_noise":
-            nu = c["nu"] or nu_eff or 1.0
-            conds.append(
-                hypotheses.check_tail_noise_condition(summary, split, nu, schedule, window=window)
-            )
-    return conds, a_used, k_used
+            # the checks of run 0 name their result by mode
+            conds.append(hypotheses._inconclusive(f"{c['name']}_{c['mode']}", reason))
+        else:
+            conds.append(check.run(c, summary=summary, **inputs))
+    return conds
 
 
 def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
@@ -747,28 +757,19 @@ def run_experiment(
     exit_code = 0
     if with_checks:
         rates = sequences.rate_constants(schedule, (lo, hi))
-        split, mu_eff, nu_eff = _resolve_split_and_constants(model)
+        split, mu, nu = _resolve_split_and_constants(model)
         doc["rates"] = rates.to_dict()
         doc["split"] = split.to_dict() if split is not None else None
-        conds, a_used, k_used = _run_checks(
-            config, model, schedule, summary, rates, split, mu_eff, nu_eff
+        conds = _run_checks(
+            config, summary, schedule=schedule, model=model, rates=rates, split=split, mu=mu, nu=nu
         )
-        theorem = config.theorem or (
-            "th5d"
-            if any(c["name"] == "rate_condition" for c in config.checks)
-            else "th2n"
-        )
-        report = hypotheses.HypothesisReport(
-            theorem_id=theorem,
-            conditions=tuple(conds),
-            constants=hypotheses.make_constants(
-                lambda_hat=rates.lambda_hat,
-                mu=mu_eff,
-                nu=nu_eff,
-                a=a_used,
-                excitation_k=k_used,
-            ),
-        )
+        rate = any(c["name"] == "rate_condition" for c in config.checks)
+        theorem = config.theorem or ("th5d" if rate else "th2n")
+        # the last check's moment exponent, and the longest excitation window
+        a = next((c["a"] for c in reversed(config.checks) if "a" in c), None)
+        k = max((c["k"] for c in config.checks if "k" in c), default=None)
+        constants = hypotheses.make_constants(rates.lambda_hat, mu, nu, a, k)
+        report = hypotheses.HypothesisReport(theorem, conds, constants)
         doc["report"] = report.to_dict()
         timings["checks"] = lap()
         write = config.output["write_diagnostics"] and config.diagnostics
@@ -954,10 +955,8 @@ def main(argv=None) -> int:
     p.add_argument("summary", help="summary.json path or its directory")
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_experiment(args, with_checks=False)
-    if args.command == "check":
-        return _cmd_experiment(args, with_checks=True)
+    if args.command in ("simulate", "check"):
+        return _cmd_experiment(args, with_checks=args.command == "check")
     if args.command == "spectral":
         return _cmd_spectral(args)
     return _cmd_report(args)
