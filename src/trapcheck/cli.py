@@ -25,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -59,13 +59,6 @@ def _typed(value, kind: type, path: str):
     return value
 
 
-def _number(value, path: str) -> float:
-    """A JSON number (booleans are not numbers) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"must be a number, got {value!r}", path)
-    return float(value)
-
-
 def _integer(value, path: str, lo: Optional[int] = None) -> int:
     """A JSON integer (>= ``lo`` if given); integral floats such as ``2e4``
     count."""
@@ -79,10 +72,16 @@ def _integer(value, path: str, lo: Optional[int] = None) -> int:
 
 
 def _real(test, what: str):
-    """A parser of a finite JSON number that passes ``test``."""
+    """A parser of a finite JSON number (booleans are not numbers), as a
+    float, that passes ``test``."""
 
     def parse(value, path: str) -> float:
-        x = _number(value, path)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"must be a number, got {value!r}", path)
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = np.inf
         if not (np.isfinite(x) and test(x)):
             raise ConfigError(f"must be {what}, got {value!r}", path)
         return x
@@ -108,12 +107,18 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
+def _at(path: str, key) -> str:
+    """The dotted path of field ``key`` of the object at ``path`` (the top
+    level is the empty path)."""
+    return f"{path}.{key}" if path else str(key)
+
+
 def _known(obj: dict, fields, path: str) -> dict:
     """``obj`` if every key is one of ``fields``, else a ConfigError at the
     first unknown key."""
     for key in obj:
         if key not in fields:
-            raise ConfigError("unknown field", f"{path}.{key}" if path else str(key))
+            raise ConfigError("unknown field", _at(path, key))
     return obj
 
 
@@ -124,6 +129,11 @@ def _one_of(*options):
         return value
 
     return parse
+
+
+def _optional(parse):
+    """A parser that reads ``null`` as None and any other value by ``parse``."""
+    return lambda value, path: None if value is None else parse(value, path)
 
 
 def _array_of(parse):
@@ -147,9 +157,9 @@ def _fields(obj: dict, params: dict, path: str, extra=()) -> dict:
     out = {key: obj[key] for key in extra if key in obj}
     for key, (parse, default) in params.items():
         if key in obj:
-            out[key] = parse(obj[key], f"{path}.{key}")
+            out[key] = parse(obj[key], _at(path, key))
         elif default is ...:
-            raise ConfigError("required field is missing", f"{path}.{key}")
+            raise ConfigError("required field is missing", _at(path, key))
         else:
             out[key] = default
     return out
@@ -165,10 +175,10 @@ def _entry(value, path: str, params: dict, what: str, key: str = "name", extra=(
     return _fields(value, params[name], path, (key, *extra))
 
 
-#: A check's ``window`` of steps, kept as given here and checked against
-#: ``N`` by :meth:`ExperimentConfig.from_dict`.  Unset, a check reads every
-#: step of run 0, or every captured increment: also the steps that only
-#: another configured check asked the ensemble for.
+#: A ``window`` of steps (a check's, or ``rate_window``), kept as given here
+#: and checked against ``N`` by :meth:`ExperimentConfig.from_dict`.  Unset, a
+#: check reads every step of run 0, or every captured increment: also the
+#: steps that only another configured check asked the ensemble for.
 _WINDOW = (lambda v, path: v, None)
 
 
@@ -350,26 +360,46 @@ def _sequence(value, path: str) -> dict:
     return _entry(value, path, _SEQUENCE_PARAMS, "sequence kind", key="kind")
 
 
-def _schedule(value, path: str, N: int) -> dict:
+def _schedule(value, path: str) -> dict:
     """The compact form, or the explicit form's ``gamma`` and ``c`` specs,
-    with ``horizon`` defaulting to ``N``."""
+    with ``horizon`` kept as given (:meth:`ExperimentConfig.from_dict`
+    checks it against ``N``)."""
     if "gamma" in _typed(value, dict, path) or "c" in value:
-        out = _fields(value, {s: (_sequence, ...) for s in ("gamma", "c")}, path, ("horizon",))
-    else:
-        out = _entry(value, path, _SCHEDULE_PARAMS, "schedule kind", "kind", ("horizon",))
-    out["horizon"] = _integer(out.get("horizon", N), f"{path}.horizon", lo=N)
-    return out
+        return _fields(value, {s: (_sequence, ...) for s in ("gamma", "c")}, path, ("horizon",))
+    return _entry(value, path, _SCHEDULE_PARAMS, "schedule kind", "kind", ("horizon",))
 
 
-#: The keys a config may hold at the top level, and the ``output`` fields.
-_FIELDS = (
-    "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
-    "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
-)
+def _entries(params: dict, what: str):
+    """A parser of a JSON array of objects keyed by ``name`` (see :func:`_entry`)."""
+    return _array_of(lambda value, path: _entry(value, path, params, what))
+
+
 _OUTPUT_PARAMS = {
     "dir": (lambda v, path: _typed(v, str, path), "trapcheck_out"),
     "trajectories": (lambda v, path: _integer(v, path, lo=0), 0),
     "write_diagnostics": (_boolean, False),
+}
+
+#: The top level of a config.  The fields that depend on ``N`` (the
+#: schedule's ``horizon``, each check's ``window`` and ``rate_window``) are
+#: kept as given here and checked against it by :meth:`ExperimentConfig.from_dict`.
+_CONFIG_PARAMS = {
+    "model": (lambda v, path: _entry(v, path, _MODEL_PARAMS, "model kind", key="kind"), ...),
+    "schedule": (_schedule, ...),
+    "N": (_count, ...),
+    "n_runs": (_count, ...),
+    "master_seed": (lambda v, path: _integer(v, path, lo=0), ...),
+    "x0": (_optional(_array_of(_finite)), None),
+    "checks": (_entries({name: check.params for name, check in _CHECKS.items()}, "check"), ()),
+    "diagnostics": (_entries(_DIAGNOSTIC_PARAMS, "diagnostic"), ()),
+    "theorem": (_optional(_one_of(*hypotheses.THEOREM_IDS)), None),
+    "rate_window": _WINDOW,
+    "near_trap_radius": (_positive, 1e-2),
+    "max_blowup_fraction": (_real(lambda x: 0 <= x <= 1, "in [0, 1]"), 0.5),
+    "output": (
+        lambda v, path: _fields(_typed(v, dict, path), _OUTPUT_PARAMS, path),
+        _fields({}, _OUTPUT_PARAMS, "output"),
+    ),
 }
 
 
@@ -429,70 +459,29 @@ class ExperimentConfig:
     N: int
     n_runs: int
     master_seed: int
-    x0: Optional[tuple] = None
-    checks: tuple = ()
-    diagnostics: tuple = ()
-    theorem: Optional[str] = None
-    rate_window: Optional[tuple] = None
-    near_trap_radius: float = 1e-2
-    max_blowup_fraction: float = 0.5
-    output: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    x0: Optional[tuple]
+    checks: tuple
+    diagnostics: tuple
+    theorem: Optional[str]
+    rate_window: Optional[tuple]
+    near_trap_radius: float
+    max_blowup_fraction: float
+    output: dict
+    raw: dict
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError("must be a JSON object", "config")
-        _known(cfg, _FIELDS, "")
-        for key in ("model", "schedule", "N", "n_runs", "master_seed"):
-            if key not in cfg:
-                why = " (wall-clock seeding is not allowed)" if key == "master_seed" else ""
-                raise ConfigError("missing required field" + why, key)
-        N = _integer(cfg["N"], "N", lo=1)
-        n_runs = _integer(cfg["n_runs"], "n_runs", lo=1)
-        master_seed = _integer(cfg["master_seed"], "master_seed", lo=0)
-        model = _entry(cfg["model"], "model", _MODEL_PARAMS, "model kind", key="kind")
-        schedule = _schedule(cfg["schedule"], "schedule", N)
+        out = _fields(_typed(cfg, dict, "config"), _CONFIG_PARAMS, "")
+        N, model, schedule = out["N"], out["model"], out["schedule"]
+        schedule["horizon"] = _integer(schedule.get("horizon", N), "schedule.horizon", lo=N)
         if schedule.get("kind") == "natural" and not model["kind"].startswith("vrrw_"):
             raise ConfigError(f"model {model['kind']} has no natural schedule", "schedule.kind")
-        x0 = None if cfg.get("x0") is None else _array_of(_finite)(cfg["x0"], "x0")
-        checks, tables = [], {name: check.params for name, check in _CHECKS.items()}
-        for i, c in enumerate(_typed(cfg.get("checks", []), _ARRAY, "checks")):
-            c = _entry(c, f"checks[{i}]", tables, "check")
+        for i, c in enumerate(out["checks"]):
             if c.get("window") is not None:
                 c["window"] = _window(c["window"], 0, N, f"checks[{i}].window")
-            checks.append(c)
-        diags = tuple(
-            _entry(dg, f"diagnostics[{i}]", _DIAGNOSTIC_PARAMS, "diagnostic")
-            for i, dg in enumerate(_typed(cfg.get("diagnostics", []), _ARRAY, "diagnostics"))
-        )
-        theorem = cfg.get("theorem")
-        if theorem is not None and theorem not in hypotheses.THEOREM_IDS:
-            raise ConfigError(f"unknown theorem id {theorem!r}", "theorem")
-        rw = cfg.get("rate_window")
-        if rw is not None:
-            rw = _window(rw, 1, N, "rate_window")
-        radius = _positive(cfg.get("near_trap_radius", 1e-2), "near_trap_radius")
-        max_blowup = _number(cfg.get("max_blowup_fraction", 0.5), "max_blowup_fraction")
-        if not 0 <= max_blowup <= 1:
-            raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
-        output = _fields(_typed(cfg.get("output", {}), dict, "output"), _OUTPUT_PARAMS, "output")
-        return ExperimentConfig(
-            model=model,
-            schedule=schedule,
-            N=N,
-            n_runs=n_runs,
-            master_seed=master_seed,
-            x0=x0,
-            checks=tuple(checks),
-            diagnostics=diags,
-            theorem=theorem,
-            rate_window=rw,
-            near_trap_radius=radius,
-            max_blowup_fraction=max_blowup,
-            output=output,
-            raw=dict(cfg),
-        )
+        if out["rate_window"] is not None:
+            out["rate_window"] = _window(out["rate_window"], 1, N, "rate_window")
+        return ExperimentConfig(**out, raw=dict(cfg))
 
     @staticmethod
     def load(path) -> "ExperimentConfig":

@@ -368,8 +368,10 @@ def check_drift_sign(
     Evaluates ``<x - x*, G>`` (mode ``nonneg``) or
     ``<x - x*, G> - beta * ||x - x*||^2`` (mode ``coercive``) at every step
     inside the ball of radius ``rho``, in the adapted inner product when
-    one is supplied (Euclidean otherwise).  ``project`` (rows of a linear map)
-    restricts both vectors to a subspace first, e.g. the repulsive block.
+    one is supplied (Euclidean otherwise).  A step on the trap itself
+    (``x = x*``) carries no sign and is left out.  ``project`` (rows of a
+    linear map) restricts both vectors to a subspace first, e.g. the
+    repulsive block.
     """
     if mode not in ("nonneg", "coercive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -378,7 +380,7 @@ def check_drift_sign(
     mask = _window_of(ns, window)
     u = traj.states[ns[mask]] - x_star
     g = traj.g[mask]
-    in_ball = np.sqrt(_sq_norms(u)) < rho
+    in_ball = (np.sqrt(_sq_norms(u)) < rho) & u.any(axis=-1)
     if not in_ball.any():
         return _inconclusive(f"drift_sign_{mode}", "no samples in ball")
     u, g = u[in_ball], g[in_ball]
@@ -492,17 +494,21 @@ def check_tail_noise_condition(
     documented finite-horizon proxy) and passes iff R has not increased over
     the last decade of t.  This finite-sample rule is a convention: the
     asymptotic statement has no canonical finite test.  Without a ``split``
-    (none is admissible at the trap) the result is inconclusive.
+    (none is admissible at the trap), or below ``MIN_RUNS`` runs that did
+    not blow up, the result is inconclusive.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if split is None:
         return _inconclusive("tail_noise_smallness", "no admissible split at the trap")
     ns, steps = _eps_window(summary, window)
+    n_runs = int(summary.ok.sum())
+    if n_runs < MIN_RUNS:
+        return _inconclusive("tail_noise_smallness", "too few runs", n_runs=n_runs)
     if len(ns) < 16 or np.any(np.diff(ns) != 1):
         return _inconclusive("tail_noise_smallness", "needs a contiguous window of captured steps")
     lo, hi = int(ns[0]), int(ns[-1])
-    if hi < 10 * max(lo, 1):
+    if hi + 1 < 10 * max(lo, 1):  # hi + 1: the window's end, past its last step
         return _inconclusive("tail_noise_smallness", "window shorter than one decade")
     minus = split.P_inv[split.delta_plus :].T
     (mean_pow,) = _step_means(

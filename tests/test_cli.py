@@ -1,6 +1,7 @@
 """Tests for the config layer, canonical JSON output, and the CLI commands."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapcheck import engine, flow, hypotheses, sequences, spectral
+from trapcheck import cli, engine, flow, hypotheses, sequences, spectral
 from trapcheck.cli import (
     _CHECKS,
+    _CONFIG_PARAMS,
     _DIAGNOSTIC_PARAMS,
-    _FIELDS,
     _MODEL_PARAMS,
     _SCHEDULE_PARAMS,
     _SEQUENCE_PARAMS,
@@ -279,6 +280,22 @@ class TestRunExperiment:
         assert rate["verdict"] == "pass"
         assert rate["estimates"]["mu"] == -1.0
         assert rate["estimates"]["margin"] == pytest.approx(0.5, abs=0.05)
+
+    def test_default_tail_window_at_round_n_gives_a_verdict(self, tmp_path):
+        # the default window (N // 10, N) ends at 2000 = 10 * 200: one decade
+        cfg = ExperimentConfig.from_dict(
+            base_config(
+                model={"kind": "synthetic"},
+                x0=None,
+                N=2000,
+                n_runs=32,
+                master_seed=1,
+                checks=[{"name": "tail_noise"}],
+            )
+        )
+        _, doc = run_experiment(cfg, out_dir=tmp_path)
+        (cond,) = doc["report"]["conditions"]
+        assert cond["verdict"] == "pass"
 
     def test_theorem_inference(self, tmp_path):
         plain = ExperimentConfig.from_dict(base_config(n_runs=4))
@@ -626,9 +643,9 @@ class TestCheckRecords:
 
     #: A synthetic saddle with every check, on a model ``nu`` that no default
     #: equals: the remainder in ``split_r`` mode, a tail window that ends
-    #: before the captured steps do, and the drift sign in the adapted form
-    #: from step 1 (at step 0 run 0 sits on the trap, where every form reads
-    #: 0), where it reads 1 and the Euclidean form 0.
+    #: before the captured steps do, and the drift sign in the adapted form,
+    #: where it reads 1 and the Euclidean form 0 (run 0 starts on the trap,
+    #: and that step is left out).
     _SADDLE = base_config(
         model={"kind": "synthetic", "nu": 0.5},
         x0=None,
@@ -638,7 +655,7 @@ class TestCheckRecords:
         checks=[
             {"name": "noise_excitation"},
             {"name": "remainder", "mode": "split_r"},
-            {"name": "drift_sign", "adapted": True, "rho": 10.0, "window": [1, 2000]},
+            {"name": "drift_sign", "adapted": True, "rho": 10.0},
             {"name": "rate_condition"},
             {"name": "jump_moments", "a": 3.0},
             {"name": "tail_noise", "window": [100, 1900]},
@@ -681,7 +698,6 @@ class TestCheckRecords:
                 run0,
                 trap.x_star,
                 rho=10.0,
-                window=(1, 2000),
                 adapted=spectral.adapted_inner_product(split.H_plus),
                 project=split.P_inv[: split.delta_plus],
             )
@@ -981,6 +997,34 @@ class TestExperimentCommands:
         assert apt["csv_run"] is None
         assert not (tmp_path / "out" / "diagnostics").exists()
 
+    @pytest.mark.parametrize("n_runs", [8, 40])
+    def test_tail_noise_with_every_run_blown_up_is_inconclusive(self, tmp_path, capsys, n_runs):
+        # diag(4, -1) at seed 3 drives every run out of the region, and the
+        # limit allows it: tail_noise then has no run to average over
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[4.0, 0.0], [0.0, -1.0]]},
+                x0=None,
+                N=201,
+                n_runs=n_runs,
+                master_seed=3,
+                max_blowup_fraction=1.0,
+                checks=[{"name": "tail_noise"}],
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0, err
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["ensemble"]["blowup_count"] == n_runs
+        (cond,) = doc["report"]["conditions"]
+        assert cond["verdict"] == "inconclusive"
+        assert cond["estimates"] == {"n_runs": 0, "reason": "too few runs"}
+
     def test_report_command_renders_summary(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict(
             base_config(n_runs=4, checks=[{"name": "remainder"}])
@@ -1123,6 +1167,7 @@ class TestConfigErrors:
             ({}, ["--workers", "0"], "workers"),
             ({"chekcs": [{"name": "remainder"}]}, [], "chekcs"),
             ({"x0": [math.nan]}, [], "x0[0]"),
+            ({"near_trap_radius": 10**400}, [], "near_trap_radius"),
         ],
     )
     def test_bad_field_exits_one_with_dotted_path(self, tmp_path, capsys, override, argv, path):
@@ -1319,7 +1364,7 @@ class TestConfigErrors:
     @settings(max_examples=100, deadline=None)
     @given(
         command=st.sampled_from(["simulate", "check"]),
-        key=st.sampled_from([(key,) for key in _FIELDS] + _NESTED),
+        key=st.sampled_from([(key,) for key in _CONFIG_PARAMS] + _NESTED),
         value=_VALUES,
     )
     # the drift clock ends at 1.17, before the apt window T = 1 fits anywhere
@@ -1344,6 +1389,175 @@ class TestConfigErrors:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+
+
+def _frozen_from_dict(cfg):
+    """``ExperimentConfig.from_dict`` as it read the top level by hand,
+    before ``_CONFIG_PARAMS``; the table-driven parser must agree with it."""
+    fields = (
+        "model", "schedule", "N", "n_runs", "master_seed", "x0", "checks", "diagnostics",
+        "theorem", "rate_window", "near_trap_radius", "max_blowup_fraction", "output",
+    )
+    if not isinstance(cfg, dict):
+        raise ConfigError("must be a JSON object", "config")
+    cli._known(cfg, fields, "")
+    for key in ("model", "schedule", "N", "n_runs", "master_seed"):
+        if key not in cfg:
+            raise ConfigError("missing required field", key)
+    N = cli._integer(cfg["N"], "N", lo=1)
+    n_runs = cli._integer(cfg["n_runs"], "n_runs", lo=1)
+    master_seed = cli._integer(cfg["master_seed"], "master_seed", lo=0)
+    model = cli._entry(cfg["model"], "model", cli._MODEL_PARAMS, "model kind", key="kind")
+    value = cfg["schedule"]
+    if "gamma" in cli._typed(value, dict, "schedule") or "c" in value:
+        spec = {s: (cli._sequence, ...) for s in ("gamma", "c")}
+        schedule = cli._fields(value, spec, "schedule", ("horizon",))
+    else:
+        schedule = cli._entry(
+            value, "schedule", cli._SCHEDULE_PARAMS, "schedule kind", "kind", ("horizon",)
+        )
+    schedule["horizon"] = cli._integer(schedule.get("horizon", N), "schedule.horizon", lo=N)
+    if schedule.get("kind") == "natural" and not model["kind"].startswith("vrrw_"):
+        raise ConfigError(f"model {model['kind']} has no natural schedule", "schedule.kind")
+    x0 = None if cfg.get("x0") is None else cli._array_of(cli._finite)(cfg["x0"], "x0")
+    checks, tables = [], {name: check.params for name, check in _CHECKS.items()}
+    for i, c in enumerate(cli._typed(cfg.get("checks", []), cli._ARRAY, "checks")):
+        c = cli._entry(c, f"checks[{i}]", tables, "check")
+        if c.get("window") is not None:
+            c["window"] = cli._window(c["window"], 0, N, f"checks[{i}].window")
+        checks.append(c)
+    diags = tuple(
+        cli._entry(dg, f"diagnostics[{i}]", _DIAGNOSTIC_PARAMS, "diagnostic")
+        for i, dg in enumerate(cli._typed(cfg.get("diagnostics", []), cli._ARRAY, "diagnostics"))
+    )
+    theorem = cfg.get("theorem")
+    if theorem is not None and theorem not in hypotheses.THEOREM_IDS:
+        raise ConfigError(f"unknown theorem id {theorem!r}", "theorem")
+    rw = cfg.get("rate_window")
+    if rw is not None:
+        rw = cli._window(rw, 1, N, "rate_window")
+    radius = cli._positive(cfg.get("near_trap_radius", 1e-2), "near_trap_radius")
+    max_blowup = cfg.get("max_blowup_fraction", 0.5)
+    if isinstance(max_blowup, bool) or not isinstance(max_blowup, (int, float)):
+        raise ConfigError(f"must be a number, got {max_blowup!r}", "max_blowup_fraction")
+    if not 0 <= max_blowup <= 1:
+        raise ConfigError(f"must lie in [0, 1], got {max_blowup!r}", "max_blowup_fraction")
+    output = cli._typed(cfg.get("output", {}), dict, "output")
+    return ExperimentConfig(
+        model=model,
+        schedule=schedule,
+        N=N,
+        n_runs=n_runs,
+        master_seed=master_seed,
+        x0=x0,
+        checks=tuple(checks),
+        diagnostics=diags,
+        theorem=theorem,
+        rate_window=rw,
+        near_trap_radius=radius,
+        max_blowup_fraction=float(max_blowup),
+        output=cli._fields(output, cli._OUTPUT_PARAMS, "output"),
+        raw=dict(cfg),
+    )
+
+
+#: Valid models, each with a schedule it may run on.
+_PARSER_MODELS = [
+    ({"kind": "linear"}, {"kind": "harmonic"}),
+    ({"kind": "linear", "H": [[1, 0], [0, -1]], "noise": "none"}, {"kind": "power", "c_exp": 0.7}),
+    ({"kind": "synthetic", "mu": -2.0}, {"kind": "geometric"}),
+    ({"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0}, {"kind": "natural"}),
+    ({"kind": "vrrw_walk", "d": 3, "alpha": 2, "start_vertex": 1}, {"kind": "natural"}),
+    (
+        {"kind": "control", "which": "bad_remainder"},
+        {"gamma": {"kind": "power"}, "c": {"kind": "const", "value": 0.5}},
+    ),
+]
+
+
+@st.composite
+def _parser_configs(draw):
+    """A valid config that may hold every top-level field, or one with a
+    single field swapped, deleted or added, or not an object at all."""
+    model, schedule = copy.deepcopy(draw(st.sampled_from(_PARSER_MODELS)))
+    N = draw(st.integers(1, 500))
+    if draw(st.booleans()):
+        schedule["horizon"] = N + draw(st.integers(0, 10))
+    cfg = {
+        "model": model,
+        "schedule": schedule,
+        "N": draw(st.sampled_from([N, float(N)])),
+        "n_runs": draw(st.integers(1, 5)),
+        "master_seed": draw(st.integers(0, 2**32)),
+    }
+
+    def window(lo):
+        a = draw(st.integers(lo, N - 1))
+        return [a, draw(st.integers(a + 1, N))]
+
+    optional = {
+        "x0": st.none() | st.lists(st.floats(-3, 3), max_size=3),
+        "checks": st.lists(
+            st.sampled_from(sorted(_CHECKS)).map(lambda name: {"name": name}), max_size=4
+        ),
+        "diagnostics": st.lists(
+            st.sampled_from([{"name": "apt", "T": 2.0}, {"name": "manifold_rate"}]), max_size=2
+        ),
+        "theorem": st.sampled_from([None, *hypotheses.THEOREM_IDS]),
+        "rate_window": st.none() if N < 2 else st.just(None) | st.builds(lambda: window(1)),
+        "near_trap_radius": st.floats(1e-3, 1.0),
+        "max_blowup_fraction": st.sampled_from([0, 0.25, 1]),
+        "output": st.fixed_dictionaries(
+            {},
+            optional={
+                "dir": st.just("out"),
+                "trajectories": st.integers(0, 3),
+                "write_diagnostics": st.booleans(),
+            },
+        ),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    for c in cfg.get("checks", ()):
+        if "window" in _CHECKS[c["name"]].params and draw(st.booleans()):
+            c["window"] = window(0)
+
+    bad = TestConfigErrors._VALUES
+    change = draw(st.sampled_from(["none", "swap", "delete", "add", "nested", "whole"]))
+    if change == "swap":
+        cfg[draw(st.sampled_from(sorted(_CONFIG_PARAMS)))] = draw(bad)
+    elif change == "delete":
+        del cfg[draw(st.sampled_from(sorted(cfg)))]
+    elif change == "add":
+        cfg[draw(st.sampled_from(["chekcs", "seed", "", "outputs"]))] = draw(bad)
+    elif change == "nested":
+        objs = [cfg["model"], cfg["schedule"], cfg.get("output", {}), *cfg.get("checks", ())]
+        obj = draw(st.sampled_from(objs))
+        obj[draw(st.sampled_from([*obj, "bogus"]))] = draw(bad)
+    elif change == "whole":
+        cfg = draw(bad)
+    return cfg
+
+
+class TestOneParser:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_parser_configs())
+    @example(cfg=[1, 2])
+    @example(cfg={k: v for k, v in base_config().items() if k != "master_seed"})
+    @example(cfg=base_config(N=0))
+    @example(cfg=base_config(theorem="th99"))
+    @example(cfg=base_config(max_blowup_fraction=2))
+    @example(cfg=base_config(schedule={"kind": "harmonic", "horizon": 100}))
+    @example(cfg=base_config(model={"kind": "synthetic"}, schedule={"kind": "natural"}))
+    def test_table_parser_equals_the_frozen_one(self, cfg):
+        outcomes = []
+        for parse in (_frozen_from_dict, ExperimentConfig.from_dict):
+            try:
+                outcomes.append(parse(copy.deepcopy(cfg)))
+            except ConfigError as exc:
+                outcomes.append(exc.path)
+        assert outcomes[0] == outcomes[1]
 
 
 #: A valid object of each kind that needs more than its ``kind``.

@@ -270,6 +270,15 @@ class TestDriftSign:
         )
         assert res.verdict == "pass"
 
+    def test_steps_on_the_trap_are_left_out(self):
+        # the run starts on the trap, where <x - x*, G> is 0 and shows no sign
+        traj = run(LinearModel([[1.0]]), harmonic(400), [0.0], 400, seed=5)
+        assert np.count_nonzero(traj.states[:400] == 0.0) == 1
+        res = check_drift_sign(traj, [0.0], rho=np.inf)
+        assert res.verdict == "pass"
+        assert res.estimates["n_samples"] == 399
+        assert res.estimates["worst_value"] > 0.0
+
     def test_window_restricts_samples(self):
         traj = manual_circle_trajectory(np.eye(2))
         res = check_drift_sign(traj, [0.0, 0.0], rho=1.0, window=(0, 10))
@@ -435,6 +444,9 @@ def _too_small(case):
         return check_jump_moments(ensemble(one, N=50, n_runs=10)[0], a=4.0)
     if case == "jump_moments-short_window":
         return check_jump_moments(ensemble(one, N=50)[0], a=4.0, window=(10, 15))
+    if case == "tail_noise-few_runs":
+        few, sched = ensemble(two, N=400, n_runs=10)
+        return check_tail_noise_condition(few, split, 1.0, sched)
     summary, sched = ensemble(two, N=400)
     if case == "tail_noise-short_window":
         return check_tail_noise_condition(summary, split, 1.0, sched, window=(10, 20))
@@ -464,6 +476,7 @@ class TestInconclusiveReasons:
             "noise_excitation-gapped_k_window",
             "jump_moments-few_runs",
             "jump_moments-short_window",
+            "tail_noise-few_runs",
             "tail_noise-short_window",
             "tail_noise-gapped_window",
             "tail_noise-under_a_decade",
