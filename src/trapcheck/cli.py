@@ -59,15 +59,17 @@ def _typed(value, kind: type, path: str):
     return value
 
 
-def _integer(value, path: str, lo: Optional[int] = None) -> int:
-    """A JSON integer (>= ``lo`` if given); integral floats such as ``2e4``
-    count."""
+def _integer(value, path: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """A JSON integer in ``[lo, hi]`` (either bound optional); integral
+    floats such as ``2e4`` count."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"must be an integer, got {value!r}", path)
     if lo is not None and value < lo:
         raise ConfigError(f"must be >= {lo}, got {value}", path)
+    if hi is not None and value > hi:
+        raise ConfigError(f"must be <= {hi}, got {value}", path)
     return value
 
 
@@ -98,6 +100,14 @@ _moment_exponent = _real(lambda x: x > 2, "above 2 and finite")
 
 def _count(value, path: str) -> int:
     return _integer(value, path, lo=1)
+
+
+#: Largest ``N``, ``n_runs`` or ``horizon``: step numbers are float64, exact up to 2^53.
+_MAX_SIZE = 2**53
+
+
+def _size(value, path: str) -> int:
+    return _integer(value, path, lo=1, hi=_MAX_SIZE)
 
 
 def _boolean(value, path: str) -> bool:
@@ -186,7 +196,7 @@ _WINDOW = (lambda v, path: v, None)
 class _Check:
     """One check: its fields (parser and default); ``steps(c, N)``, the part of
     the capture plan that check ``c`` reads; ``run(c, **inputs)``, its checker
-    on the pipeline's summary, schedule, model, rates, split and effective mu, nu."""
+    on the pipeline's summary, rates, split and effective mu, nu."""
 
     params: dict
     steps: Callable
@@ -218,16 +228,16 @@ def _repulsive(split):
     return split if split is not None and split.delta_plus >= 1 else None
 
 
-def _drift_sign(c, summary, model, split, **_):
-    x_star = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
+def _drift_sign(c, summary, split, **_):
     adapted = project = None
     if c["adapted"] and _repulsive(split) is not None:
         # the adapted form lives on the repulsive block, so the vectors must
         # be projected into its coordinates first
         adapted = spectral.adapted_inner_product(split.H_plus)
         project = split.P_inv[: split.delta_plus]
+    run0, x_star = summary.trajectory(0), summary.trap_point
     return hypotheses.check_drift_sign(
-        summary.trajectory(0), x_star, c["rho"], c["mode"], c["beta"], c["window"], adapted, project
+        run0, x_star, c["rho"], c["mode"], c["beta"], c["window"], adapted, project
     )
 
 
@@ -259,8 +269,8 @@ _CHECKS = {
             "window": _WINDOW,
         },
         _run_zero,
-        lambda c, summary, schedule, nu, **_: hypotheses.check_remainder(
-            summary.trajectory(0), c["mode"], c["nu"] or nu or 1.0, c["window"], schedule
+        lambda c, summary, nu, **_: hypotheses.check_remainder(
+            summary.trajectory(0), c["mode"], c["nu"] or nu or 1.0, c["window"]
         ),
     ),
     "drift_sign": _Check(
@@ -285,8 +295,8 @@ _CHECKS = {
     "tail_noise": _Check(
         {"nu": (_positive, None), "window": _WINDOW},
         _contiguous_steps,
-        lambda c, summary, schedule, split, nu, **_: hypotheses.check_tail_noise_condition(
-            summary, split, c["nu"] or nu or 1.0, schedule, c["window"]
+        lambda c, summary, split, nu, **_: hypotheses.check_tail_noise_condition(
+            summary, split, c["nu"] or nu or 1.0, c["window"]
         ),
     ),
 }
@@ -386,8 +396,8 @@ _OUTPUT_PARAMS = {
 _CONFIG_PARAMS = {
     "model": (lambda v, path: _entry(v, path, _MODEL_PARAMS, "model kind", key="kind"), ...),
     "schedule": (_schedule, ...),
-    "N": (_count, ...),
-    "n_runs": (_count, ...),
+    "N": (_size, ...),
+    "n_runs": (_size, ...),
     "master_seed": (lambda v, path: _integer(v, path, lo=0), ...),
     "x0": (_optional(_array_of(_finite)), None),
     "checks": (_entries({name: check.params for name, check in _CHECKS.items()}, "check"), ()),
@@ -473,7 +483,7 @@ class ExperimentConfig:
     def from_dict(cfg: dict) -> "ExperimentConfig":
         out = _fields(_typed(cfg, dict, "config"), _CONFIG_PARAMS, "")
         N, model, schedule = out["N"], out["model"], out["schedule"]
-        schedule["horizon"] = _integer(schedule.get("horizon", N), "schedule.horizon", lo=N)
+        schedule["horizon"] = _integer(schedule.get("horizon", N), "schedule.horizon", N, _MAX_SIZE)
         if schedule.get("kind") == "natural" and not model["kind"].startswith("vrrw_"):
             raise ConfigError(f"model {model['kind']} has no natural schedule", "schedule.kind")
         for i, c in enumerate(out["checks"]):
@@ -618,12 +628,12 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
     if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=np.float64)
         if x0.shape != (model.dim,):
-            raise ConfigError(f"x0 must have dimension {model.dim}", "x0")
+            raise ConfigError(f"must have dimension {model.dim}", "x0")
         return x0
     return model.initial_state()
 
 
-def _run_diagnostics(config, model, schedule, summary, split, ddir):
+def _run_diagnostics(config, model, summary, split, ddir):
     """The diagnostics' medians over the ensemble; with a directory ``ddir``,
     ``apt.csv`` and ``manifold_rate.csv`` there hold the rows of the first run
     that did not blow up, named ``csv_run`` unless it is run 0 (null if none)."""
@@ -638,7 +648,6 @@ def _run_diagnostics(config, model, schedule, summary, split, ddir):
         if name == "apt":
             res = flow.ensemble_apt_deficit(
                 summary,
-                schedule,
                 model.field,
                 T=dg["T"],
                 normalization=dg["normalization"],
@@ -653,11 +662,11 @@ def _run_diagnostics(config, model, schedule, summary, split, ddir):
             if use_split is None and K is None:
                 out[name] = {"error": "model declares no invariant set"}
                 continue
-            x_star = model.trap.x_star if model.trap is not None else None
-            res = flow.ensemble_manifold_rate(summary, schedule, K, use_split, x_star)
+            res = flow.ensemble_manifold_rate(summary, K, use_split)
             out[name] = {}
             if ddir is not None:
-                dist = flow._distances_to_K(summary.captured_states[csv_run], K, use_split, x_star)
+                states = summary.captured_states[csv_run]
+                dist = flow._distances_to_K(states, K, use_split, summary.trap_point)
                 logs = np.log(np.maximum(dist, flow._DISTANCE_FLOOR))
                 rows = ["t", "distance", "log_distance"], [res.t_values, dist, logs]
         out[name].update(
@@ -749,9 +758,7 @@ def run_experiment(
         split, mu, nu = _resolve_split_and_constants(model)
         doc["rates"] = rates.to_dict()
         doc["split"] = split.to_dict() if split is not None else None
-        conds = _run_checks(
-            config, summary, schedule=schedule, model=model, rates=rates, split=split, mu=mu, nu=nu
-        )
+        conds = _run_checks(config, summary, rates=rates, split=split, mu=mu, nu=nu)
         rate = any(c["name"] == "rate_condition" for c in config.checks)
         theorem = config.theorem or ("th5d" if rate else "th2n")
         # the last check's moment exponent, and the longest excitation window
@@ -763,7 +770,7 @@ def run_experiment(
         timings["checks"] = lap()
         write = config.output["write_diagnostics"] and config.diagnostics
         ddir = out / "diagnostics" if write else None
-        doc["diagnostics"] = _run_diagnostics(config, model, schedule, summary, split, ddir)
+        doc["diagnostics"] = _run_diagnostics(config, model, summary, split, ddir)
         timings["diagnostics"] = lap()
         if report.verdict == "fail":
             exit_code = 2
@@ -805,6 +812,9 @@ def _cmd_experiment(args, with_checks: bool) -> int:
     except TrapcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     text = canonical_json(doc)
     # rendered from the JSON that summary.json holds, so it reads as `report`
     print(text if args.json else _render(json.loads(text)), end="")
@@ -816,14 +826,14 @@ def _parse_matrix(token: str) -> np.ndarray:
         return np.asarray(json.loads(token), dtype=np.float64)
     except (json.JSONDecodeError, ValueError):
         pass
-    p = Path(token)
-    if not p.exists():
-        raise ConfigError(f"not inline JSON and no such file: {token}", "matrix")
-    text = p.read_text()
+    try:
+        text = Path(token).read_text()
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError(f"not inline JSON nor a readable file: {exc}", "matrix") from None
     try:
         return np.asarray(json.loads(text), dtype=np.float64)
     except (json.JSONDecodeError, ValueError):
-        return np.atleast_2d(np.loadtxt(p, delimiter=","))
+        return np.atleast_2d(np.loadtxt(token, delimiter=","))
 
 
 def _cmd_spectral(args) -> int:

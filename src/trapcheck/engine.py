@@ -172,13 +172,15 @@ class EnsembleSummary:
     ``sup_tail_distance[r]`` is run r's sup of ``||X_n - x*||`` over
     ``n in [tail_from, N]`` — the finite-horizon stand-in for "the run
     converges to the trap" (limits are unobservable at finite N).  Blown-up
-    runs are flagged, frozen, and excluded from fractions/quantiles.
+    runs are flagged, frozen, and excluded from fractions/quantiles.  Its
+    checkers and diagnostics read the ``schedule`` it ran on from here.
     """
 
     model_id: str
     n_runs: int
     N: int
     master_seed: int
+    schedule: Schedule
     trap_point: np.ndarray
     tail_from: int
     terminal_states: np.ndarray
@@ -318,7 +320,6 @@ def _drive(
     """
     if N > schedule.horizon:
         raise InsufficientHorizonError(f"N={N} exceeds schedule horizon {schedule.horizon}")
-    schedule.prime()
     B = len(gens)
     d = model.dim
     x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (B, d)).copy()
@@ -413,6 +414,12 @@ def _kept_trajectories(model, schedule, kept, seeds) -> list:
     ]
 
 
+def _trap_point(model: Model) -> np.ndarray:
+    """The model's trap ``x*``, or the origin when it declares none."""
+    trap = model.trap
+    return np.zeros(model.dim) if trap is None else np.asarray(trap.x_star, dtype=np.float64)
+
+
 def _checked(traj: Trajectory, blowup_step: int) -> Trajectory:
     """``traj`` itself, or the BlowUpError of a run that left the region."""
     if blowup_step:
@@ -453,7 +460,6 @@ def run(
         ss = _seed_for_run(int(seed), 0)
         seed_label = int(seed)
     gens = [np.random.Generator(np.random.Philox(ss))]
-    trap = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
     res = _drive(
         model,
         schedule,
@@ -461,7 +467,7 @@ def run(
         N,
         gens,
         tail_from=N + 1,
-        trap_point=np.asarray(trap, dtype=np.float64),
+        trap_point=_trap_point(model),
         capture=CaptureSpec(),
         blowup_bound=blowup_bound,
         keep=(0,),
@@ -545,8 +551,7 @@ def monte_carlo(
     capture = CaptureSpec.normalize(captures, N)
     if capture.full_runs and capture.full_runs[-1] >= n_runs:
         raise ValueError(f"full_runs must lie in [0, {n_runs - 1}]")
-    trap = model.trap.x_star if model.trap is not None else np.zeros(model.dim)
-    trap = np.asarray(trap, dtype=np.float64)
+    trap = _trap_point(model)
     tail_from = max(0, N - int(np.ceil(SUP_TAIL_FRACTION * N)))
     x0 = np.asarray(x0, dtype=np.float64)
 
@@ -584,6 +589,7 @@ def monte_carlo(
         n_runs=n_runs,
         N=N,
         master_seed=int(master_seed),
+        schedule=schedule,
         trap_point=trap,
         tail_from=tail_from,
         terminal_states=merged["x"],

@@ -31,7 +31,6 @@ import numpy as np
 from .engine import EnsembleSummary, Trajectory
 from .errors import DegenerateTimeChangeError, DomainExitError, InsufficientHorizonError
 from .models import ManifoldK, _sq_norms
-from .sequences import Schedule
 from .spectral import TrapSplit, project_pm
 
 __all__ = [
@@ -199,32 +198,29 @@ def flow_path(f: Callable, x0, s_grid, h: float = 1e-3) -> TimeChangedPath:
     return TimeChangedPath(s_grid=s, states=states)
 
 
-def time_change(
-    traj: Trajectory, schedule: Optional[Schedule] = None, indices=None
-) -> TimeChangedPath:
-    """Re-index a trajectory by the drift timescale.
+def time_change(traj: Trajectory, indices=None) -> TimeChangedPath:
+    """Re-index a trajectory by the drift timescale of its schedule.
 
     The grid is the exact prefix-sum value at each retained step (all steps
     by default), so every grid state is an exact process state.  Requires the
     drift steps to be strictly positive on the range (a vanishing prefix has
     no inverse clock).
     """
-    sched = schedule if schedule is not None else traj.schedule
     if indices is None:
         indices = np.arange(traj.N + 1)
     else:
         indices = np.unique(np.asarray(indices, dtype=np.int64))
         if indices[0] < 0 or indices[-1] > traj.N:
             raise ValueError("indices out of trajectory range")
-    m = np.asarray(sched.partial_drift_sum(indices.astype(np.float64)))
+    m = np.asarray(traj.schedule.partial_drift_sum(indices.astype(np.float64)))
     return TimeChangedPath(s_grid=m, states=traj.states[indices])
 
 
-def _captured_path(summary: EnsembleSummary, schedule: Schedule) -> TimeChangedPath:
-    """Every run's captured states on the drift clock, read in place."""
+def _captured_path(summary: EnsembleSummary) -> TimeChangedPath:
+    """Every run's captured states on the ensemble's drift clock, read in place."""
     if summary.captured_states is None or not len(summary.capture_times):
         raise ValueError("ensemble has no captured states for diagnostics")
-    s = np.asarray(schedule.partial_drift_sum(summary.capture_times.astype(np.float64)))
+    s = np.asarray(summary.schedule.partial_drift_sum(summary.capture_times.astype(np.float64)))
     return TimeChangedPath(s_grid=s, states=summary.captured_states)
 
 
@@ -462,7 +458,6 @@ def manifold_rate(
 
 def ensemble_apt_deficit(
     summary: EnsembleSummary,
-    schedule: Schedule,
     f: Callable,
     T: float,
     normalization: str = "scale",
@@ -470,7 +465,7 @@ def ensemble_apt_deficit(
 ) -> EnsembleRates:
     """:func:`apt_deficit` of the runs that did not blow up, over the
     captured state grid."""
-    path = _captured_path(summary, schedule)
+    path = _captured_path(summary)
     return apt_deficit(
         path, f, T, normalization=normalization, n_restarts=n_restarts, ok=summary.ok
     )
@@ -478,12 +473,9 @@ def ensemble_apt_deficit(
 
 def ensemble_manifold_rate(
     summary: EnsembleSummary,
-    schedule: Schedule,
     K: Optional[ManifoldK] = None,
     split: Optional[TrapSplit] = None,
-    x_star=None,
 ) -> EnsembleRates:
     """:func:`manifold_rate` of the runs that did not blow up, over the
-    captured state grid."""
-    path = _captured_path(summary, schedule)
-    return manifold_rate(path, K, split, x_star, ok=summary.ok)
+    captured state grid, a split's coordinates centred at the ensemble's trap."""
+    return manifold_rate(_captured_path(summary), K, split, summary.trap_point, ok=summary.ok)

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
 from .models import _sq_norms
-from .sequences import RateConstants, Schedule
+from .sequences import RateConstants
 from .spectral import AdaptedNorm, TrapSplit
 
 __all__ = [
@@ -302,7 +302,6 @@ def check_remainder(
     mode: str = "square_summable",
     nu: float = 1.0,
     window=None,
-    schedule: Optional[Schedule] = None,
 ) -> ConditionResult:
     """Remainder smallness along one trajectory (``trapcheck check`` passes
     the kept run 0; ensembles capture no remainders).
@@ -311,8 +310,8 @@ def check_remainder(
     Cauchy over the window — the second-half increase may be at most
     ``CAUCHY_RATIO`` of the total.  ``split_r``: the rescaled magnitudes
     ``c_n ||r_n|| / gamma_n^(1+nu)`` must stay bounded — the second-half sup
-    may exceed the first-half sup by at most ``GROWTH_FACTOR``; ``schedule``
-    defaults to the trajectory's own.
+    may exceed the first-half sup by at most ``GROWTH_FACTOR``; ``gamma_n``
+    and ``c_n`` are those of the trajectory's schedule.
     """
     if mode not in ("square_summable", "split_r"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -338,9 +337,7 @@ def check_remainder(
             CAUCHY_RATIO,
         )
     # split_r
-    sched = schedule if schedule is not None else traj.schedule
-    gam = sched.gamma_values[ns + 1]
-    c = sched.c_values[ns + 1]
+    gam, c = traj.schedule.gamma_values[ns + 1], traj.schedule.c_values[ns + 1]
     s = c * nrm / gam ** (1.0 + nu)
     half = len(ns) // 2
     sup1, sup2 = float(np.max(s[:half])), float(np.max(s[half:]))
@@ -484,18 +481,18 @@ def check_tail_noise_condition(
     summary: EnsembleSummary,
     split: Optional[TrapSplit],
     nu: float,
-    schedule: Schedule,
     window=None,
 ) -> ConditionResult:
     """Tail sum of rescaled non-repulsive noise is small against alpha(t).
 
     Computes ``R(t) = sum_(t < n <= hi) c_n^(1+nu) * E||eps_minus_n||^(1+nu)
     / alpha(t)`` on a log grid (the sum truncated at the window end — a
-    documented finite-horizon proxy) and passes iff R has not increased over
-    the last decade of t.  This finite-sample rule is a convention: the
-    asymptotic statement has no canonical finite test.  Without a ``split``
-    (none is admissible at the trap), or below ``MIN_RUNS`` runs that did
-    not blow up, the result is inconclusive.
+    documented finite-horizon proxy), with ``c_n`` and ``alpha`` those of the
+    ensemble's schedule, and passes iff R has not increased over the last
+    decade of t.  This finite-sample rule is a convention: the asymptotic
+    statement has no canonical finite test.  Without a ``split`` (none is
+    admissible at the trap), below ``MIN_RUNS`` runs that did not blow up, or
+    where ``alpha`` is 0 at a grid time, the result is inconclusive.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -510,15 +507,16 @@ def check_tail_noise_condition(
     lo, hi = int(ns[0]), int(ns[-1])
     if hi + 1 < 10 * max(lo, 1):  # hi + 1: the window's end, past its last step
         return _inconclusive("tail_noise_smallness", "window shorter than one decade")
+    ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, TAIL_GRID_POINTS).astype(int))
+    alphas = np.asarray(summary.schedule.tail_l2(ts.astype(float)))
+    if not alphas.all():
+        return _inconclusive("tail_noise_smallness", "alpha(t) is 0 on the grid")
     minus = split.P_inv[split.delta_plus :].T
     (mean_pow,) = _step_means(
         summary, steps, lambda eps: _sq_norms(eps @ minus) ** ((1.0 + nu) / 2.0)
     )
-    c = schedule.c_values[ns + 1]
-    terms = c ** (1.0 + nu) * mean_pow
+    terms = summary.schedule.c_values[ns + 1] ** (1.0 + nu) * mean_pow
     suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
-    ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, TAIL_GRID_POINTS).astype(int))
-    alphas = np.asarray(schedule.tail_l2(ts.astype(float)))
     ratios = suffix[ts - lo] / alphas
     first, last = float(ratios[0]), float(ratios[-1])
     return ConditionResult(

@@ -273,10 +273,11 @@ def synthetic_field(
 class SyntheticModel(Model):
     """SA model around the rectified synthetic field with Rademacher noise.
 
-    The equilibrium at 0 has Jacobian ``blockdiag(jac_plus, mu*I)`` (the
+    The equilibrium at 0 has Jacobian ``blockdiag(I, mu*I)`` (the
     rectified tail contributes nothing to the head derivatives at 0), the
     invariant set is the head-coordinate plane, and the declared constants are
-    exactly (mu, nu).
+    exactly (mu, nu).  An ``f_plus`` replaces the identity head of the field,
+    not of the declared Jacobian.
     """
 
     def __init__(
@@ -286,7 +287,6 @@ class SyntheticModel(Model):
         dim: int = 2,
         delta_plus: int = 1,
         f_plus: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        jac_plus: Optional[np.ndarray] = None,
         id: str = "synthetic",
     ):
         if not (0 < delta_plus < dim):
@@ -302,9 +302,8 @@ class SyntheticModel(Model):
         self.f_plus = f_plus
         self.n_raw = self.dim
         self.id = id
-        jp = np.eye(delta_plus) if jac_plus is None else np.asarray(jac_plus, float)
         jac = np.zeros((dim, dim))
-        jac[:delta_plus, :delta_plus] = jp
+        jac[:delta_plus, :delta_plus] = np.eye(delta_plus)
         jac[delta_plus:, delta_plus:] = mu * np.eye(dim - delta_plus)
         self.trap = TrapInfo(
             x_star=np.zeros(dim), jacobian=jac, mu=self.mu, nu=self.nu

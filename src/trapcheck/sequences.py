@@ -137,8 +137,7 @@ class SequenceSpec:
 class Schedule:
     """Drift steps ``gamma_n`` and noise scales ``c_n`` up to a horizon.
 
-    Prefix sums are memoized lazily; call :meth:`prime` once before fanning out
-    to worker processes if the workers should not each pay the build cost.
+    The values and their prefix sums are built on first read and memoized.
     """
 
     gamma: SequenceSpec
@@ -166,11 +165,6 @@ class Schedule:
     @cached_property
     def _c_sq_prefix(self) -> np.ndarray:
         return np.cumsum(self.c_values**2)
-
-    def prime(self) -> "Schedule":
-        """Force-build all memoized arrays (thread-safety before fan-out)."""
-        self.gamma_values, self.c_values, self._gamma_prefix, self._c_sq_prefix
-        return self
 
     # -- derived quantities ---------------------------------------------------
 

@@ -289,9 +289,9 @@ def test_criterion_06_tail_l2_asymptotics():
 def test_criterion_07_shadowing_deficit(linear_ensemble):
     """The time-changed ensemble paths shadow the flow at the noise rate
     (median tail rate <= -0.4) and a noiseless path shadows it exactly."""
-    summary, sched = linear_ensemble
+    summary, _ = linear_ensemble
     t0 = time.time()
-    rates = ensemble_apt_deficit(summary, sched, LinearModel([[1.0]]).field, T=1.0)
+    rates = ensemble_apt_deficit(summary, LinearModel([[1.0]]).field, T=1.0)
     median = rates.median
 
     s_grid = np.linspace(0.0, 6.0, 121)
@@ -339,7 +339,7 @@ def test_criterion_08_manifold_attraction():
         workers=WORKERS,
         captures=CaptureSpec(state_indices=geometric_grid(N, 1024)),
     )
-    median = ensemble_manifold_rate(summary, sched, K=model.manifold_K).median
+    median = ensemble_manifold_rate(summary, K=model.manifold_K).median
 
     ok = abs(slope + 1.0) <= 1e-3 and -1.1 <= median <= -0.4
     report_line(

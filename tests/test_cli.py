@@ -357,6 +357,7 @@ class TestRunExperiment:
         with pytest.raises(ConfigError) as err:
             run_experiment(cfg, out_dir=tmp_path)
         assert err.value.path == "x0"
+        assert str(err.value) == "x0: must have dimension 2"
 
     def test_horizon_must_cover_n(self):
         with pytest.raises(ConfigError) as err:
@@ -429,7 +430,7 @@ class TestRunExperiment:
             got = (tmp_path / "out" / "trajectories" / f"run_{i}.csv").read_bytes()
             assert got == (ref / f"run_{i}.csv").read_bytes()
             if i == 0:
-                path = time_change(traj, schedule, indices=_diag_state_grid(cfg.N))
+                path = time_change(traj, indices=_diag_state_grid(cfg.N))
                 res = apt_deficit(path, model.field, T=0.5)
                 engine._write_csv(ref / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]])
         got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
@@ -437,15 +438,15 @@ class TestRunExperiment:
 
     @staticmethod
     def _ensemble_of(cfg):
-        """The config's model, schedule and ensemble, with the state capture
-        the diagnostics read."""
+        """The config's model and ensemble, with the state capture the
+        diagnostics read."""
         model = _build_model(cfg.model)
         schedule = _build_schedule(cfg.schedule, model)
         summary = engine.monte_carlo(
             model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
             captures=engine.CaptureSpec(state_indices=tuple(_diag_state_grid(cfg.N))),
         )
-        return model, schedule, summary
+        return model, summary
 
     def test_apt_csv_is_run_zero_row_with_configured_restarts(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -460,8 +461,8 @@ class TestRunExperiment:
         )
         code, doc = run_experiment(cfg, out_dir=tmp_path)
         assert code == 0
-        model, schedule, summary = self._ensemble_of(cfg)
-        want = flow.ensemble_apt_deficit(summary, schedule, model.field, T=0.5, n_restarts=8)
+        model, summary = self._ensemble_of(cfg)
+        want = flow.ensemble_apt_deficit(summary, model.field, T=0.5, n_restarts=8)
         assert doc["diagnostics"]["apt"]["median_rate"] == want.median
         data = np.loadtxt(tmp_path / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
         assert 2 <= len(data) <= 8
@@ -489,11 +490,11 @@ class TestRunExperiment:
         )
         code, doc = run_experiment(cfg, out_dir=tmp_path / "out")
         assert code == 0
-        model, schedule, summary = self._ensemble_of(cfg)
+        model, summary = self._ensemble_of(cfg)
         split, _, _ = _resolve_split_and_constants(model)
         assert split is not None and 1 <= split.delta_plus < model.dim
         x_star = model.trap.x_star
-        rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
+        rates = flow.ensemble_manifold_rate(summary, split=split)
         assert doc["diagnostics"]["manifold_rate"]["median_rate"] == rates.median
         _manifold_csv(tmp_path / "ref.csv", rates.t_values, summary.captured_states[0],
                       split, x_star)
@@ -523,13 +524,13 @@ class TestRunExperiment:
         assert doc["diagnostics"]["manifold_rate"]["csv_run"] == 2
 
         cfg = ExperimentConfig.from_dict(cfg_dict)
-        model, schedule, summary = self._ensemble_of(cfg)
-        apt = flow.ensemble_apt_deficit(summary, schedule, model.field, T=0.5)
+        model, summary = self._ensemble_of(cfg)
+        apt = flow.ensemble_apt_deficit(summary, model.field, T=0.5)
         data = np.loadtxt(tmp_path / "out" / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 1], apt.deficits[0])
         split, _, _ = _resolve_split_and_constants(model)
         x_star = model.trap.x_star
-        rates = flow.ensemble_manifold_rate(summary, schedule, split=split, x_star=x_star)
+        rates = flow.ensemble_manifold_rate(summary, split=split)
         _manifold_csv(tmp_path / "ref.csv", rates.t_values, summary.captured_states[2],
                       split, x_star)
         got = (tmp_path / "out" / "diagnostics" / "manifold_rate.csv").read_bytes()
@@ -693,7 +694,7 @@ class TestCheckRecords:
         rates = sequences.rate_constants(schedule, (20, 2000))  # the default (N / 100, N)
         if summary.ok[0]:
             run0 = summary.trajectory(0)
-            remainder = hypotheses.check_remainder(run0, "split_r", trap.nu, schedule=schedule)
+            remainder = hypotheses.check_remainder(run0, "split_r", trap.nu)
             drift = hypotheses.check_drift_sign(
                 run0,
                 trap.x_star,
@@ -713,7 +714,7 @@ class TestCheckRecords:
             drift,
             hypotheses.check_rate_condition(rates, trap.mu, trap.nu),
             hypotheses.check_jump_moments(summary, 3.0),
-            hypotheses.check_tail_noise_condition(summary, split, trap.nu, schedule, (100, 1900)),
+            hypotheses.check_tail_noise_condition(summary, split, trap.nu, (100, 1900)),
         ]
         assert canonical_json(doc["report"]["conditions"]) == canonical_json(
             [c.to_dict() for c in want]
@@ -786,8 +787,37 @@ class TestSpectralCommand:
         assert main(["spectral", "definitely-not-a-matrix"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["spectral", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestExperimentCommands:
+    def test_tail_noise_on_vanishing_alpha_is_inconclusive(self, tmp_path, capsys):
+        # c_n = 2^-n: alpha(t) is 0.0 in floating point inside the default window
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "synthetic"},
+                x0=[0.0, 0.3],
+                schedule={"gamma": {"kind": "power"}, "c": {"kind": "geometric", "ratio": 0.5}},
+                N=2000,
+                master_seed=1,
+                checks=[{"name": "tail_noise"}],
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--config", str(p), "--out", str(tmp_path / "out"), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        (cond,) = json.loads(out)["report"]["conditions"]
+        assert cond["verdict"] == "inconclusive"
+        assert cond["estimates"] == {"reason": "alpha(t) is 0 on the grid"}
+
     def test_check_command_json_and_seed_override(self, tmp_path, capsys):
         p = write_config(
             tmp_path, base_config(checks=[{"name": "noise_excitation"}])
@@ -1215,6 +1245,41 @@ class TestConfigErrors:
         assert err.startswith(f"error: {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"N": 1e30}, "N"),
+            ({"N": 10**18}, "N"),
+            ({"N": 2**63 - 1}, "N"),
+            ({"n_runs": 1e30}, "n_runs"),
+            ({"n_runs": 2**63 - 1}, "n_runs"),
+            ({"schedule": {"kind": "harmonic", "horizon": 1e30}}, "schedule.horizon"),
+            ({"schedule": {"kind": "harmonic", "horizon": 2**53 + 1}}, "schedule.horizon"),
+        ],
+    )
+    def test_oversized_size_exits_one(self, tmp_path, capsys, override, path):
+        # past 2^53 the float64 step numbers are no longer exact
+        p = write_config(tmp_path, base_config(**{"n_runs": 4, **override}))
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        simulate.assert_not_called()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: must be <= {2**53}, got ")
+        assert len(err.splitlines()) == 1
+
+    def test_largest_size_is_accepted(self):
+        cfg = ExperimentConfig.from_dict(base_config(N=2**53, n_runs=2**53))
+        assert cfg.N == cfg.n_runs == cfg.schedule["horizon"] == 2**53
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys):
+        p = write_config(tmp_path, base_config(n_runs=4))
+        oom = MemoryError("Unable to allocate 7.1 EiB for an array with shape (10**18,)")
+        with mock.patch.object(engine, "monte_carlo", side_effect=oom):
+            code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out of memory: {oom}\n"
 
     @pytest.mark.parametrize(
         "check, key",

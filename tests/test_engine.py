@@ -441,6 +441,16 @@ class OffsetTrapModel(LinearModel):
 
 
 class TestTailDistance:
+    @pytest.mark.parametrize("model", [OffsetTrapModel(3), SilentModel()], ids=["trap", "none"])
+    def test_summary_keeps_its_schedule_and_trap_point(self, model):
+        sched = harmonic(50)
+        summary = monte_carlo(model, sched, np.full(model.dim, 0.1), 50, 4, master_seed=1)
+        assert summary.schedule is sched
+        # the declared x*, or the origin when the model declares no trap
+        want = np.zeros(model.dim) if model.trap is None else model.trap.x_star
+        assert summary.trap_point.dtype == np.float64
+        assert np.array_equal(summary.trap_point, want)
+
     @pytest.mark.parametrize("d", range(1, 13))
     def test_sup_equals_norm_of_every_tail_state(self, d):
         # the squares add left to right from +0.0 (np.linalg.norm's order

@@ -454,16 +454,14 @@ class TestEnsembleDiagnostics:
             master_seed=99,
             captures=CaptureSpec(state_indices=_capture_grid(N)),
         )
-        rates = ensemble_manifold_rate(
-            summary, sched, split=split_jacobian(H_SADDLE), x_star=[0.0, 0.0]
-        )
+        rates = ensemble_manifold_rate(summary, split=split_jacobian(H_SADDLE))
         assert rates.rates.shape == (32,)
         assert rates.median == pytest.approx(-1.0, abs=0.01)
         assert np.ptp(rates.rates) == pytest.approx(0.0, abs=1e-12)
 
     def test_apt_deficits_decay(self, saddle_ensemble):
-        summary, sched = saddle_ensemble
-        rates = ensemble_apt_deficit(summary, sched, saddle_field, T=1.0)
+        summary, _ = saddle_ensemble
+        rates = ensemble_apt_deficit(summary, saddle_field, T=1.0)
         assert rates.median < -0.2
 
     def test_requires_captured_states(self):
@@ -472,8 +470,7 @@ class TestEnsembleDiagnostics:
             LinearModel(H_SADDLE), sched, [0.1, 0.1], 50, n_runs=4, master_seed=1
         )
         with pytest.raises(ValueError, match="captured states"):
-            ensemble_manifold_rate(summary, sched, split=split_jacobian(H_SADDLE),
-                                   x_star=[0.0, 0.0])
+            ensemble_manifold_rate(summary, split=split_jacobian(H_SADDLE))
 
     def test_median_ignores_nan_rates(self):
         from trapcheck.flow import EnsembleRates
@@ -569,14 +566,14 @@ class TestEnsembleDiagnosticsBits:
         model, K, sched, summary = skewed_ensemble
         summary = _blown(summary, blown)
         if path == "split":
-            kw = {"split": split_jacobian(model.H), "x_star": np.zeros(model.dim)}
+            kw = {"split": split_jacobian(model.H)}
         else:
             kw = {"K": K}
         s, X = _whole_array(summary, sched)
-        dist = flow._distances_to_K(X, kw.get("K"), kw.get("split"), kw.get("x_star"))
+        dist = flow._distances_to_K(X, kw.get("K"), kw.get("split"), np.zeros(model.dim))
         want = _frozen_tail_slopes(s, dist)
         monkeypatch.setattr(flow, "_RUN_CHUNK", chunk)
-        got = ensemble_manifold_rate(summary, sched, **kw)
+        got = ensemble_manifold_rate(summary, **kw)
         assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
         _same_bits(got, want)
 
@@ -588,7 +585,7 @@ class TestEnsembleDiagnosticsBits:
         pos = flow._restart_positions(s, 1.0, None, 48)
         deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
         want = _frozen_tail_slopes(s[pos[~hard]], deficits[:, ~hard])
-        got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
+        got = ensemble_apt_deficit(summary, model.field, T=1.0)
         assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
         _same_bits(got, want)
         # the fit leaves the deficit matrix as the restarts computed it
@@ -599,7 +596,7 @@ class TestEnsembleDiagnosticsBits:
         model, _, sched, summary = skewed_ensemble
         summary = _blown(summary, blown)
         s, X = _whole_array(summary, sched)
-        got = ensemble_apt_deficit(summary, sched, model.field, T=1.0)
+        got = ensemble_apt_deficit(summary, model.field, T=1.0)
         assert got.deficits.shape == (len(X), len(got.t_values))
         for row, rate, states in zip(got.deficits, got.rates, X):
             alone = apt_deficit(TimeChangedPath(s, states), model.field, T=1.0)
@@ -609,13 +606,12 @@ class TestEnsembleDiagnosticsBits:
             assert rate == pytest.approx(alone.rates[0], rel=1e-12)
 
     def test_every_run_blown_gives_no_rate(self, skewed_ensemble):
-        model, K, sched, summary = skewed_ensemble
+        model, K, _, summary = skewed_ensemble
         summary = _blown(summary, np.arange(summary.n_runs))
         for res in (
-            ensemble_apt_deficit(summary, sched, model.field, T=1.0),
-            ensemble_manifold_rate(summary, sched, K=K),
-            ensemble_manifold_rate(summary, sched, split=split_jacobian(model.H),
-                                   x_star=np.zeros(model.dim)),
+            ensemble_apt_deficit(summary, model.field, T=1.0),
+            ensemble_manifold_rate(summary, K=K),
+            ensemble_manifold_rate(summary, split=split_jacobian(model.H)),
         ):
             assert res.rates.shape == (0,)
             assert res.n_excluded == 0
@@ -639,17 +635,16 @@ def wide_capture():
 class TestDiagnosticsMemory:
     @pytest.mark.parametrize("blown", [(), (5, 6, 150, 999)])
     def test_no_copy_of_the_capture(self, wide_capture, blown):
-        summary, sched = wide_capture
+        summary, _ = wide_capture
         summary = _blown(summary, blown)
         half = summary.captured_states.nbytes / 2
         diagnostics = [
             # the RK4 batch holds about 17 (restarts, runs, d) arrays of its
             # own: 16 restarts keep them well below the bound on the copy
-            lambda: ensemble_apt_deficit(summary, sched, saddle_field, T=1.0, n_restarts=16),
-            lambda: ensemble_manifold_rate(summary, sched, split=split_jacobian(H_SADDLE),
-                                           x_star=[0.0, 0.0]),
+            lambda: ensemble_apt_deficit(summary, saddle_field, T=1.0, n_restarts=16),
+            lambda: ensemble_manifold_rate(summary, split=split_jacobian(H_SADDLE)),
             lambda: ensemble_manifold_rate(
-                summary, sched,
+                summary,
                 K=ManifoldK(basepoint=np.zeros(2), directions=np.array([[0.0], [1.0]])),
             ),
         ]

@@ -379,9 +379,9 @@ class TestJumpMoments:
 class TestTailNoise:
     def test_bounded_noise_on_harmonic_schedule_passes(self):
         model = LinearModel(np.diag([1.0, -1.0]))
-        summary, sched = ensemble(model, N=400)
+        summary, _ = ensemble(model, N=400)
         split = split_jacobian(model.H)
-        res = check_tail_noise_condition(summary, split, nu=1.0, schedule=sched)
+        res = check_tail_noise_condition(summary, split, nu=1.0)
         assert res.verdict == "pass"
         assert res.estimates["ratio_end"] < res.estimates["ratio_decade_ago"]
 
@@ -394,33 +394,31 @@ class TestTailNoise:
         )
         summary, _ = ensemble(model, N=100, schedule=sched)
         split = split_jacobian(model.H)
-        res = check_tail_noise_condition(summary, split, nu=1.0, schedule=sched)
+        res = check_tail_noise_condition(summary, split, nu=1.0)
         assert res.verdict == "fail"
         assert res.estimates["ratio_end"] > res.estimates["ratio_decade_ago"]
 
     def test_short_decade_inconclusive(self):
         model = LinearModel(np.diag([1.0, -1.0]))
-        summary, sched = ensemble(model, N=400)
+        summary, _ = ensemble(model, N=400)
         split = split_jacobian(model.H)
-        res = check_tail_noise_condition(
-            summary, split, nu=1.0, schedule=sched, window=(200, 400)
-        )
+        res = check_tail_noise_condition(summary, split, nu=1.0, window=(200, 400))
         assert res.verdict == "inconclusive"
 
     def test_noncontiguous_window_inconclusive(self):
         model = LinearModel(np.diag([1.0, -1.0]))
         caps = CaptureSpec(increment_indices=tuple(range(0, 400, 2)))
-        summary, sched = ensemble(model, N=400, captures=caps)
+        summary, _ = ensemble(model, N=400, captures=caps)
         split = split_jacobian(model.H)
-        res = check_tail_noise_condition(summary, split, nu=1.0, schedule=sched)
+        res = check_tail_noise_condition(summary, split, nu=1.0)
         assert res.verdict == "inconclusive"
 
     def test_nu_must_be_positive(self):
         model = LinearModel(np.diag([1.0, -1.0]))
-        summary, sched = ensemble(model, N=50, n_runs=4)
+        summary, _ = ensemble(model, N=50, n_runs=4)
         split = split_jacobian(model.H)
         with pytest.raises(ValueError, match="nu"):
-            check_tail_noise_condition(summary, split, nu=-1.0, schedule=sched)
+            check_tail_noise_condition(summary, split, nu=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +443,24 @@ def _too_small(case):
     if case == "jump_moments-short_window":
         return check_jump_moments(ensemble(one, N=50)[0], a=4.0, window=(10, 15))
     if case == "tail_noise-few_runs":
-        few, sched = ensemble(two, N=400, n_runs=10)
-        return check_tail_noise_condition(few, split, 1.0, sched)
-    summary, sched = ensemble(two, N=400)
+        few, _ = ensemble(two, N=400, n_runs=10)
+        return check_tail_noise_condition(few, split, 1.0)
+    summary, _ = ensemble(two, N=400)
     if case == "tail_noise-short_window":
-        return check_tail_noise_condition(summary, split, 1.0, sched, window=(10, 20))
+        return check_tail_noise_condition(summary, split, 1.0, window=(10, 20))
     if case == "tail_noise-gapped_window":
         gapped_summary, _ = ensemble(two, N=400, captures=gapped)
-        return check_tail_noise_condition(gapped_summary, split, 1.0, sched)
+        return check_tail_noise_condition(gapped_summary, split, 1.0)
     if case == "tail_noise-under_a_decade":
-        return check_tail_noise_condition(summary, split, 1.0, sched, window=(200, 400))
+        return check_tail_noise_condition(summary, split, 1.0, window=(200, 400))
     if case == "tail_noise-no_split":
-        return check_tail_noise_condition(summary, None, 1.0, sched)
+        return check_tail_noise_condition(summary, None, 1.0)
+    if case == "tail_noise-vanishing_alpha":
+        # alpha(t) = 2^-t / sqrt(3) computes as 0.0 from t = 537 on
+        halving = Schedule(
+            SequenceSpec("power", exponent=1.0), SequenceSpec("geometric", ratio=0.5), 1000
+        )
+        return check_tail_noise_condition(ensemble(two, N=1000, schedule=halving)[0], split, 1.0)
     traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
     if case == "remainder-short_window":
         return check_remainder(traj, window=(10, 15))
@@ -481,6 +485,7 @@ class TestInconclusiveReasons:
             "tail_noise-gapped_window",
             "tail_noise-under_a_decade",
             "tail_noise-no_split",
+            "tail_noise-vanishing_alpha",
             "remainder-short_window",
             "remainder_split_r-short_window",
             "drift_sign-empty_ball",
@@ -496,9 +501,7 @@ class TestInconclusiveReasons:
         [
             check_noise_excitation,
             lambda s: check_jump_moments(s, a=4.0),
-            lambda s: check_tail_noise_condition(
-                s, split_jacobian(np.diag([1.0, -1.0])), 1.0, harmonic(50)
-            ),
+            lambda s: check_tail_noise_condition(s, split_jacobian(np.diag([1.0, -1.0])), 1.0),
         ],
         ids=["noise_excitation", "jump_moments", "tail_noise"],
     )
@@ -616,7 +619,7 @@ def walk_captures():
     return dataclasses.replace(summary, blown_up=blown), sched, split
 
 
-def _eps_checks(summary, sched, split):
+def _eps_checks(summary, split):
     out = []
     for window in (None, (100, 500)):
         out.append(check_noise_excitation(summary, split=split, window=window))
@@ -624,7 +627,7 @@ def _eps_checks(summary, sched, split):
         out.append(check_noise_excitation(summary, split=split, k=3, window=window))
         out.append(check_jump_moments(summary, a=4.0, window=window))
     for window in ((40, 600), (100, 500)):
-        out.append(check_tail_noise_condition(summary, split, 1.0, sched, window=window))
+        out.append(check_tail_noise_condition(summary, split, 1.0, window=window))
     return [r.to_dict() for r in out]
 
 
@@ -642,17 +645,17 @@ class TestCaptureLayout:
         assert arr.transpose(1, 0, 2).flags.c_contiguous
 
     def test_checkers_ignore_capture_layout(self, walk_captures):
-        summary, sched, split = walk_captures
+        summary, _, split = walk_captures
         runs_first = dataclasses.replace(
             summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
         )
-        assert _eps_checks(summary, sched, split) == _eps_checks(runs_first, sched, split)
+        assert _eps_checks(summary, split) == _eps_checks(runs_first, split)
 
     def test_checkers_equal_runs_first_fancy_indexing(self, walk_captures, monkeypatch):
-        summary, sched, split = walk_captures
-        got = _eps_checks(summary, sched, split)
+        summary, _, split = walk_captures
+        got = _eps_checks(summary, split)
         monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
-        assert got == _eps_checks(summary, sched, split)
+        assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("chunk", [7, 10_000])
     @pytest.mark.parametrize("blown", [True, False])
@@ -660,12 +663,12 @@ class TestCaptureLayout:
         # at 7 steps a chunk boundary falls inside every window, and the
         # 400-step window (100, 500) ends in a lone step (400 = 57 * 7 + 1);
         # at 10,000 each window is one chunk
-        summary, sched, split = walk_captures
+        summary, _, split = walk_captures
         summary = _with_blown(summary, blown)
         monkeypatch.setattr(hyp, "_STEP_CHUNK", chunk)
-        got = _eps_checks(summary, sched, split)
+        got = _eps_checks(summary, split)
         monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
-        assert got == _eps_checks(summary, sched, split)
+        assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("blown", [True, False])
     @pytest.mark.parametrize("window", [None, (100, 500)])
@@ -740,14 +743,14 @@ def vrrw_captures(request):
 class TestFoldedEpsStatistics:
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_equal_the_frozen_sums(self, vrrw_captures, monkeypatch, blown):
-        summary, sched, split = vrrw_captures
+        summary, _, split = vrrw_captures
         if blown:
             summary = dataclasses.replace(summary, blown_up=np.isin(np.arange(40), [3, 17, 31]))
-        got = _eps_checks(summary, sched, split)
+        got = _eps_checks(summary, split)
         decided = {r["name"] for r in got if r["verdict"] != "inconclusive"}
         assert decided == {"noise_excitation", "jump_moments", "tail_noise_smallness"}
         monkeypatch.setattr(hyp, "_sq_norms", _frozen_sq_norms)
-        assert got == _eps_checks(summary, sched, split)
+        assert got == _eps_checks(summary, split)
 
 
 @pytest.fixture(scope="module")
@@ -769,7 +772,7 @@ class TestCaptureMemory:
 
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_build_no_window_sized_temporary(self, long_capture, blown):
-        summary, sched, split = long_capture
+        summary, _, split = long_capture
         if blown:
             summary = dataclasses.replace(summary, blown_up=np.arange(summary.n_runs) == 5)
         window = (100, summary.N)
@@ -777,7 +780,7 @@ class TestCaptureMemory:
         assert steps.stop - steps.start >= 4 * hyp._STEP_CHUNK
         window_bytes = summary.captured_eps[:, steps].nbytes
         checks = [
-            lambda: check_tail_noise_condition(summary, split, 1.0, sched, window=window),
+            lambda: check_tail_noise_condition(summary, split, 1.0, window=window),
             lambda: check_noise_excitation(summary, split=split, window=window),
             lambda: check_noise_excitation(summary, window=window),
         ]
