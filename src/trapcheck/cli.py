@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -203,9 +204,14 @@ class _Check:
     run: Callable
 
 
+def _capture_window(c: dict, N: int) -> tuple:
+    """Check ``c``'s window, or the last nine tenths of the run without one."""
+    return c["window"] or (max(1, N // 10), N)
+
+
 def _sampled_steps(c: dict, N: int) -> engine.CaptureSpec:
     """``k`` consecutive steps (1 without ``k``) from 64 log-spaced starts in the window."""
-    lo, hi = c["window"] or (max(1, N // 10), N)
+    lo, hi = _capture_window(c, N)
     k = c.get("k", 1)
     starts = np.unique(np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64))
     steps = (n for b in starts.tolist() for n in range(b, min(b + k, N)))
@@ -214,37 +220,13 @@ def _sampled_steps(c: dict, N: int) -> engine.CaptureSpec:
 
 def _contiguous_steps(c: dict, N: int) -> engine.CaptureSpec:
     """Every step of the window, its last ``_MAX_CONTIGUOUS_WINDOW`` at most."""
-    lo, hi = c["window"] or (max(1, N // 10), N)
+    lo, hi = _capture_window(c, N)
     lo = max(lo, hi - _MAX_CONTIGUOUS_WINDOW)
     return engine.CaptureSpec(increment_indices=tuple(range(lo, hi)))
 
 
 def _run_zero(c: dict, N: int) -> engine.CaptureSpec:
     return engine.CaptureSpec(full_runs=(0,))
-
-
-def _repulsive(split):
-    """``split`` if it certifies a repulsive direction, else None."""
-    return split if split is not None and split.delta_plus >= 1 else None
-
-
-def _drift_sign(c, summary, split, **_):
-    adapted = project = None
-    if c["adapted"] and _repulsive(split) is not None:
-        # the adapted form lives on the repulsive block, so the vectors must
-        # be projected into its coordinates first
-        adapted = spectral.adapted_inner_product(split.H_plus)
-        project = split.P_inv[: split.delta_plus]
-    run0, x_star = summary.trajectory(0), summary.trap_point
-    return hypotheses.check_drift_sign(
-        run0, x_star, c["rho"], c["mode"], c["beta"], c["window"], adapted, project
-    )
-
-
-def _rate_condition(c, rates, mu, nu, **_):
-    if mu is None:
-        return hypotheses._inconclusive("rate_condition", "no admissible split at the trap")
-    return hypotheses.check_rate_condition(rates, mu, float(c["nu"] or nu))
 
 
 #: Every check by name.  A ``nu`` left unset is the model's; ``remainder``
@@ -259,7 +241,7 @@ _CHECKS = {
         },
         _sampled_steps,
         lambda c, summary, split, **_: hypotheses.check_noise_excitation(
-            summary, _repulsive(split), c["k"], c["a"], c["window"], c["threshold"]
+            summary, split, c["k"], c["a"], c["window"], c["threshold"]
         ),
     ),
     "remainder": _Check(
@@ -282,10 +264,20 @@ _CHECKS = {
             "window": _WINDOW,
         },
         _run_zero,
-        _drift_sign,
+        lambda c, summary, split, **_: hypotheses.check_drift_sign(
+            summary.trajectory(0),
+            summary.trap_point,
+            c["rho"],
+            c["mode"],
+            c["beta"],
+            c["window"],
+            split if c["adapted"] else None,
+        ),
     ),
     "rate_condition": _Check(
-        {"nu": (_positive, None)}, lambda c, N: engine.CaptureSpec(), _rate_condition
+        {"nu": (_positive, None)},
+        lambda c, N: engine.CaptureSpec(),
+        lambda c, rates, mu, nu, **_: hypotheses.check_rate_condition(rates, mu, c["nu"] or nu),
     ),
     "jump_moments": _Check(
         {"a": (_moment_exponent, 4.0), "window": _WINDOW},
@@ -822,18 +814,26 @@ def _cmd_experiment(args, with_checks: bool) -> int:
 
 
 def _parse_matrix(token: str) -> np.ndarray:
+    """The matrix ``token`` gives inline as JSON, or that the file it names
+    holds as JSON or as CSV."""
     try:
         return np.asarray(json.loads(token), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, TypeError):  # not JSON, or not an array of numbers
         pass
     try:
         text = Path(token).read_text()
-    except OSError as exc:  # a missing file, a directory, no permission
-        raise ConfigError(f"not inline JSON nor a readable file: {exc}", "matrix") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, binary...
+        raise ConfigError(f"not inline JSON nor a readable text file: {exc}", "matrix") from None
     try:
         return np.asarray(json.loads(text), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError):
-        return np.atleast_2d(np.loadtxt(token, delimiter=","))
+    except (ValueError, TypeError):
+        pass
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on a file with no rows
+            return np.atleast_2d(np.loadtxt(text.splitlines(), delimiter=","))
+    except (ValueError, UserWarning) as exc:
+        raise ConfigError(f"neither a JSON nor a CSV matrix: {exc}", "matrix") from None
 
 
 def _cmd_spectral(args) -> int:

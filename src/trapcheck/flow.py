@@ -132,7 +132,8 @@ def _rk4_step(f: Callable, x: np.ndarray, hh, t) -> np.ndarray:
 
 
 def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
-    """Advance states by duration ``dt`` in ``ceil(dt/h)`` equal RK4 steps.
+    """Advance states by duration ``dt`` in ``ceil(dt/h)`` equal RK4 steps
+    (none when ``dt`` is 0).
 
     ``t0`` (the flow time, for error reports) and ``dt`` are scalars for
     states (..., d), or one value per row of states (rows, d) with ``dt``
@@ -140,29 +141,23 @@ def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
     size, bitwise as if advanced alone, and the rows still stepping are
     always a prefix, which one field call covers.
     """
-    if np.ndim(dt) == 0:
-        if dt == 0.0:
-            return x
-        n = max(1, int(np.ceil(dt / h - 1e-12)))
-        hh = dt / n
-        t = t0
-        for _ in range(n):
-            x = _rk4_step(f, x, hh, t)
-            t += hh
-        return x
-    n = np.maximum(1, np.ceil(dt / h - 1e-12)).astype(np.int64)
-    step = dt / n
+    dt = np.asarray(dt, dtype=np.float64)
+    n = np.maximum(np.ceil(dt / h - 1e-12), dt > 0).astype(np.int64)
+    step = dt / np.maximum(n, 1)
     # full-shape step sizes: numpy multiplies by a (rows, 1) column over
     # short rows several times slower than elementwise
-    hh = np.repeat(step[:, None], x.shape[1], axis=1)
+    hh = np.broadcast_to(step[..., None], x.shape).copy()
     t = np.array(t0, dtype=np.float64)
     for m in range(int(n.max(initial=0))):  # n[0], or 0 for no rows
         live = int(np.count_nonzero(n > m))
-        if live == len(x):  # always so at m == 0, which makes x our own
+        if live == n.size:  # every row, as at m == 0 unless some dt is 0
             x = _rk4_step(f, x, hh, t)
+            t += step
         else:
+            if m == 0:
+                x = x.copy()  # the caller's rows with dt 0 stay theirs
             x[:live] = _rk4_step(f, x[:live], hh[:live], t[:live])
-        t[:live] += step[:live]
+            t[:live] += step[:live]
     return x
 
 

@@ -35,7 +35,7 @@ from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
 from .models import _sq_norms
 from .sequences import RateConstants
-from .spectral import AdaptedNorm, TrapSplit
+from .spectral import TrapSplit, adapted_inner_product
 
 __all__ = [
     "ConditionResult",
@@ -175,15 +175,41 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 
 
+def _window(ns, window):
+    """(ns, steps): the steps of the sorted, unique ``ns`` inside the window
+    ``[lo, hi)``, every one without a window, and the slice of ``ns`` they fill."""
+    a, b = (0, len(ns)) if window is None else np.searchsorted(ns, window)
+    return ns[a:b], slice(a, b)
+
+
 def _eps_window(summary: EnsembleSummary, window):
-    """(ns, steps): the captured steps inside the window and the slice of
-    ``summary.increment_indices`` (and of the eps capture) that holds them."""
+    """:func:`_window` of the captured increment steps."""
     if summary.captured_eps is None:
         raise InsufficientRecordsError("ensemble was run without increment captures")
-    ns = summary.increment_indices  # sorted and unique
-    lo, hi = (ns[0], ns[-1] + 1) if window is None else (window[0], window[1])
-    a, b = np.searchsorted(ns, [lo, hi])
-    return ns[a:b], slice(a, b)
+    return _window(summary.increment_indices, window)
+
+
+def _too_few_runs(summary: EnsembleSummary, name: str, threshold=None):
+    """Check ``name``'s ``inconclusive`` result, with ``n_runs``, if fewer
+    than ``MIN_RUNS`` runs did not blow up; else None."""
+    n_runs = int(summary.ok.sum())
+    if n_runs < MIN_RUNS:
+        return _inconclusive(name, "too few runs", threshold, n_runs=n_runs)
+
+
+def _repulsive(split: Optional[TrapSplit]) -> Optional[TrapSplit]:
+    """``split`` if it has a repulsive block, else None: the checks that
+    measure the repulsive directions read full vectors without one."""
+    return split if split is not None and split.delta_plus >= 1 else None
+
+
+def _halves_sup(values):
+    """(first-half sup, second-half sup, grew) of ``values``: ``grew`` is the
+    finite-sample divergence witness, a second-half sup above
+    ``GROWTH_FACTOR`` times the first-half sup (or not comparable to it)."""
+    half = len(values) // 2
+    sup1, sup2 = float(np.max(values[:half])), float(np.max(values[half:]))
+    return sup1, sup2, not sup2 <= GROWTH_FACTOR * max(sup1, 1e-300)
 
 
 def _eps_chunks(summary: EnsembleSummary, steps: slice):
@@ -225,11 +251,6 @@ def _step_means(summary: EnsembleSummary, steps: slice, *stats):
     return out
 
 
-def _window_of(ns, window):
-    lo, hi = (int(ns[0]), int(ns[-1]) + 1) if window is None else (int(window[0]), int(window[1]))
-    return (ns >= lo) & (ns < hi)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
@@ -246,16 +267,15 @@ def check_noise_excitation(
     """Noise keeps exciting the repulsive directions, with bounded moments.
 
     Estimates, per captured step n, the cross-run mean of ``||eps_plus_n||^2``
-    (``eps_plus`` = repulsive-block coordinates when a split is given, the
-    full vector otherwise), sums it over k consecutive steps, and takes the
-    window minimum as the liminf proxy; the max cross-run mean of
-    ``||eps_n||^a`` is the moment limsup proxy.  Pass needs the liminf proxy
-    above the threshold and the moment proxy finite.
+    (``eps_plus`` = repulsive-block coordinates when the split has a
+    repulsive block, the full vector otherwise), sums it over k consecutive
+    steps, and takes the window minimum as the liminf proxy; the max
+    cross-run mean of ``||eps_n||^a`` is the moment limsup proxy.  Pass
+    needs the liminf proxy above the threshold and the moment proxy finite.
     """
     ns, steps = _eps_window(summary, window)
-    n_runs = int(summary.ok.sum())
-    if n_runs < MIN_RUNS:
-        return _inconclusive("noise_excitation", "too few runs", threshold, n_runs=n_runs)
+    if few := _too_few_runs(summary, "noise_excitation", threshold):
+        return few
     # k-windows need k consecutive captured indices
     n_starts = max(len(ns) - k + 1, 0)
     starts = np.flatnonzero(ns[k - 1 : k - 1 + n_starts] == ns[:n_starts] + (k - 1))
@@ -264,7 +284,7 @@ def check_noise_excitation(
             "noise_excitation", f"no {k} consecutive captured steps in window", threshold
         )
 
-    plus = None if split is None else split.P_inv[: split.delta_plus].T
+    plus = None if _repulsive(split) is None else split.P_inv[: split.delta_plus].T
     m2, ma = _step_means(  # per-n means over runs
         summary,
         steps,
@@ -289,14 +309,6 @@ def check_noise_excitation(
     )
 
 
-def _remainder_series(traj: Trajectory, window):
-    """(ns, squared remainder norms, norms) over the window."""
-    ns = np.arange(traj.N)
-    mask = _window_of(ns, window)
-    sq = _sq_norms(traj.rem[mask])
-    return ns[mask], sq, np.sqrt(sq)
-
-
 def check_remainder(
     traj: Trajectory,
     mode: str = "square_summable",
@@ -315,9 +327,10 @@ def check_remainder(
     """
     if mode not in ("square_summable", "split_r"):
         raise ValueError(f"unknown mode {mode!r}")
-    ns, sq, nrm = _remainder_series(traj, window)
+    ns, steps = _window(np.arange(traj.N), window)
     if len(ns) < 8:
         return _inconclusive(f"remainder_{mode}", "window too short")
+    sq = _sq_norms(traj.rem[steps])
     if mode == "square_summable":
         partial = np.cumsum(sq)
         total = float(partial[-1])
@@ -338,13 +351,10 @@ def check_remainder(
         )
     # split_r
     gam, c = traj.schedule.gamma_values[ns + 1], traj.schedule.c_values[ns + 1]
-    s = c * nrm / gam ** (1.0 + nu)
-    half = len(ns) // 2
-    sup1, sup2 = float(np.max(s[:half])), float(np.max(s[half:]))
-    floor = max(sup1, 1e-300)
+    sup1, sup2, grew = _halves_sup(c * np.sqrt(sq) / gam ** (1.0 + nu))
     return ConditionResult(
         "remainder_split_r",
-        "pass" if sup2 <= GROWTH_FACTOR * floor else "fail",
+        "fail" if grew else "pass",
         {"sup_first_half": sup1, "sup_second_half": sup2, "nu": float(nu)},
         GROWTH_FACTOR,
     )
@@ -357,33 +367,35 @@ def check_drift_sign(
     mode: str = "nonneg",
     beta: float = 0.0,
     window=None,
-    adapted: Optional[AdaptedNorm] = None,
-    project: Optional[np.ndarray] = None,
+    split: Optional[TrapSplit] = None,
 ) -> ConditionResult:
     """Drift points outward (or at least beta-coercively) near the trap.
 
     Evaluates ``<x - x*, G>`` (mode ``nonneg``) or
     ``<x - x*, G> - beta * ||x - x*||^2`` (mode ``coercive``) at every step
-    inside the ball of radius ``rho``, in the adapted inner product when
-    one is supplied (Euclidean otherwise).  A step on the trap itself
-    (``x = x*``) carries no sign and is left out.  ``project`` (rows of a
-    linear map) restricts both vectors to a subspace first, e.g. the
-    repulsive block.
+    inside the ball of radius ``rho``.  With a split that has a repulsive
+    block, both vectors are first mapped to that block's coordinates
+    (``split.P_inv[:delta_plus]``) and measured in the adapted inner product
+    of ``split.H_plus``; otherwise the full vectors are measured in the
+    Euclidean one.  A step on the trap itself (``x = x*``) carries no sign
+    and is left out.
     """
     if mode not in ("nonneg", "coercive"):
         raise ValueError(f"unknown mode {mode!r}")
     x_star = np.asarray(x_star, dtype=np.float64)
-    ns = np.arange(traj.N)
-    mask = _window_of(ns, window)
-    u = traj.states[ns[mask]] - x_star
-    g = traj.g[mask]
+    _, steps = _window(np.arange(traj.N), window)
+    u = traj.states[steps] - x_star
+    g = traj.g[steps]
     in_ball = (np.sqrt(_sq_norms(u)) < rho) & u.any(axis=-1)
     if not in_ball.any():
         return _inconclusive(f"drift_sign_{mode}", "no samples in ball")
     u, g = u[in_ball], g[in_ball]
-    if project is not None:
+    if _repulsive(split) is None:
+        S = np.eye(u.shape[1])
+    else:
+        project = split.P_inv[: split.delta_plus]
         u, g = u @ project.T, g @ project.T
-    S = adapted.S if adapted is not None else np.eye(u.shape[1])
+        S = adapted_inner_product(split.H_plus).S
     ip = np.einsum("ti,ij,tj->t", u, S, g)
     values = ip if mode == "nonneg" else ip - beta * np.einsum("ti,ij,tj->t", u, S, u)
     worst = float(np.min(values))
@@ -395,15 +407,18 @@ def check_drift_sign(
     )
 
 
-def check_rate_condition(rates: RateConstants, mu: float, nu: float) -> ConditionResult:
+def check_rate_condition(rates: RateConstants, mu: Optional[float], nu: float) -> ConditionResult:
     """The noise-decay rate beats the attraction rate by the tangency margin.
 
     ``beta = max(lambda_hat, mu)``, with ``mu`` the contraction rate at the
     trap; pass iff ``lambda_hat < 0`` and the liminf proxy of
-    ``log alpha / m`` exceeds ``beta * (1 + nu)``.
+    ``log alpha / m`` exceeds ``beta * (1 + nu)``.  Without a ``mu`` (no
+    split is admissible at the trap) the result is inconclusive.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
+    if mu is None:
+        return _inconclusive("rate_condition", "no admissible split at the trap")
     mu = float(mu)
     lam = float(rates.lambda_hat)
     liminf = float(rates.liminf_proxy)
@@ -453,19 +468,16 @@ def check_jump_moments(
     if a <= 2:
         raise ValueError("moment exponent a must exceed 2")
     ns, steps = _eps_window(summary, window)
-    if summary.ok.sum() < MIN_RUNS:
-        return _inconclusive("jump_moments", "too few runs")
+    if few := _too_few_runs(summary, "jump_moments"):
+        return few
     if len(ns) < 8:
         return _inconclusive("jump_moments", "window too short")
     (ma,) = _step_means(summary, steps, lambda eps: _sq_norms(eps) ** (a / 2.0))
-    m = ma ** (2.0 / a)
-    half = len(ns) // 2
-    sup1, sup2 = float(np.max(m[:half])), float(np.max(m[half:]))
+    sup1, sup2, grew = _halves_sup(ma ** (2.0 / a))
     sup = max(sup1, sup2)
-    diverging = not np.isfinite(sup) or sup2 > GROWTH_FACTOR * max(sup1, 1e-300)
     return ConditionResult(
         "jump_moments",
-        "fail" if diverging else "pass",
+        "fail" if grew or not np.isfinite(sup) else "pass",
         {
             "k": float(np.sqrt(sup)),
             "sup_estimate": sup,
@@ -499,9 +511,8 @@ def check_tail_noise_condition(
     if split is None:
         return _inconclusive("tail_noise_smallness", "no admissible split at the trap")
     ns, steps = _eps_window(summary, window)
-    n_runs = int(summary.ok.sum())
-    if n_runs < MIN_RUNS:
-        return _inconclusive("tail_noise_smallness", "too few runs", n_runs=n_runs)
+    if few := _too_few_runs(summary, "tail_noise_smallness"):
+        return few
     if len(ns) < 16 or np.any(np.diff(ns) != 1):
         return _inconclusive("tail_noise_smallness", "needs a contiguous window of captured steps")
     lo, hi = int(ns[0]), int(ns[-1])

@@ -33,15 +33,6 @@ __all__ = [
     "default_tolerance",
 ]
 
-_CLASSIFICATIONS = (
-    "repulsive",
-    "unstable_hyperbolic",
-    "unstable_nonhyperbolic",
-    "stable",
-    "center",
-)
-
-
 def default_tolerance(H: np.ndarray) -> float:
     """Scale-relative spectral tolerance: ``1e-8 * ||H||_F`` (floored away
     from zero so the zero matrix still classifies as a center)."""
@@ -106,8 +97,15 @@ class AdaptedNorm:
     S: np.ndarray
     lam: float
 
-    def to_dict(self) -> dict:
-        return {"S": self.S.tolist(), "lambda": float(self.lam)}
+
+def _square_finite(H) -> np.ndarray:
+    """``H`` as a float64 array; a ValueError unless it is square and finite."""
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("matrix has non-finite entries")
+    return H
 
 
 def _classify(delta_plus: int, dim: int, mu: float) -> str:
@@ -139,11 +137,7 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
     ConditioningError
         The Sylvester decoupling failed to reach the residual target.
     """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix has non-finite entries")
+    H = _square_finite(H)
     d = H.shape[0]
     if tol is None:
         tol = default_tolerance(H)
@@ -187,28 +181,13 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
         H_plus = T11.copy()
         H_minus = T22.copy()
 
-    block = np.zeros((d, d))
-    block[:k, :k] = H_plus
-    block[k:, k:] = H_minus
-    h_norm = float(np.linalg.norm(H, "fro"))
-    residual = float(np.linalg.norm(P_inv @ H @ P - block, "fro"))
-    if residual > 1e-8 * (1.0 + h_norm):
-        raise ConditioningError(
-            f"split residual {residual:.3e} exceeds 1e-8*(1+||H||_F)={1e-8 * (1 + h_norm):.3e}"
-        )
-
     if d - k == 0:
         mu = 0.0
     else:
         mu = float(np.max(np.linalg.eigvals(H_minus).real))
         if abs(mu) <= tol / 10.0:
             mu = 0.0
-    if mu > 0:
-        raise SpectrumSignError(
-            f"non-repulsive block has an eigenvalue with real part {mu} > 0"
-        )
-
-    return TrapSplit(
+    split = TrapSplit(
         P=P,
         P_inv=P_inv,
         H_plus=H_plus,
@@ -220,6 +199,18 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
         eigenvalues=eigenvalues,
         tol=float(tol),
     )
+
+    h_norm = float(np.linalg.norm(H, "fro"))
+    residual = float(np.linalg.norm(P_inv @ H @ P - split.block_diagonal(), "fro"))
+    if residual > 1e-8 * (1.0 + h_norm):
+        raise ConditioningError(
+            f"split residual {residual:.3e} exceeds 1e-8*(1+||H||_F)={1e-8 * (1 + h_norm):.3e}"
+        )
+    if mu > 0:
+        raise SpectrumSignError(
+            f"non-repulsive block has an eigenvalue with real part {mu} > 0"
+        )
+    return split
 
 
 def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
@@ -237,11 +228,7 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
         The solve's residual exceeds 1e-6, or S fails to be positive-definite
         numerically.
     """
-    H = np.asarray(H_plus, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix has non-finite entries")
+    H = _square_finite(H_plus)
     d = H.shape[0]
     if d == 0:
         raise ValueError("empty matrix has no adapted norm")

@@ -695,13 +695,7 @@ class TestCheckRecords:
         if summary.ok[0]:
             run0 = summary.trajectory(0)
             remainder = hypotheses.check_remainder(run0, "split_r", trap.nu)
-            drift = hypotheses.check_drift_sign(
-                run0,
-                trap.x_star,
-                rho=10.0,
-                adapted=spectral.adapted_inner_product(split.H_plus),
-                project=split.P_inv[: split.delta_plus],
-            )
+            drift = hypotheses.check_drift_sign(run0, trap.x_star, rho=10.0, split=split)
         else:
             with pytest.raises(BlowUpError) as blowup:
                 summary.trajectory(0)
@@ -792,6 +786,23 @@ class TestSpectralCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: matrix: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"\x00\xff\xfe", b"# no rows\n"], ids=["empty", "binary", "comment"]
+    )
+    def test_unparseable_file_exits_one(self, tmp_path, capsys, content):
+        p = tmp_path / "H.csv"
+        p.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectral", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix: ")
+        assert len(err.splitlines()) == 1
+
+    def test_inline_json_that_is_no_matrix_exits_one(self, capsys):
+        assert main(["spectral", '{"H": 1}']) == 1
+        assert capsys.readouterr().err.startswith("error: matrix: ")
 
 
 class TestExperimentCommands:

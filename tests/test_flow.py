@@ -310,6 +310,23 @@ class TestStackedRestarts:
             assert np.array_equal(stacked[:, r], alone[:, 0])
         assert not excluded.any()
 
+    def test_rows_with_zero_duration_stay_put(self):
+        seen = []
+
+        def field(x):
+            seen.append(len(x))
+            return x**2
+
+        x = np.array([[0.5, -0.25], [0.25, 0.1], [-0.0, np.inf]])
+        dt = np.array([0.3, 0.1, 0.0])
+        given = x.copy()
+        out = flow._rk4_segment(field, given, np.zeros(3), dt, 0.05)
+        singles = [flow._rk4_segment(field, row, 0.0, float(d), 0.05) for row, d in zip(x, dt)]
+        assert np.array_equal(out, np.array(singles))
+        assert np.array_equal(given, x)  # the caller's states are not written
+        assert np.array_equal(out[2], x[2]) and np.signbit(out[2, 0])
+        assert 3 not in seen  # the field never sees the row that does not move
+
     def test_field_error_excludes_only_its_restart(self):
         def raising(x):
             if np.any(x[..., 0] > 2.5):

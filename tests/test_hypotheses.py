@@ -147,6 +147,15 @@ class TestNoiseExcitation:
         res_full = check_noise_excitation(summary)
         assert res_full.verdict == "pass"
 
+    def test_split_without_repulsive_block_is_no_split(self):
+        model = LinearModel(np.diag([-1.0, -2.0]))
+        summary, _ = ensemble(model, N=100)
+        stable = split_jacobian(model.H)
+        assert stable.delta_plus == 0
+        res = check_noise_excitation(summary, split=stable)
+        assert res.verdict == "pass"
+        assert res == check_noise_excitation(summary)
+
     def test_too_few_runs_inconclusive(self):
         summary, _ = ensemble(LinearModel([[1.0]]), n_runs=10)
         res = check_noise_excitation(summary)
@@ -256,7 +265,7 @@ class TestDriftSign:
             rho=1.0,
             mode="coercive",
             beta=0.9 * adapted.lam,
-            adapted=adapted,
+            split=split_jacobian(H),
         )
         assert res.verdict == "pass"
         assert res.estimates["worst_value"] > 0.0
@@ -265,10 +274,35 @@ class TestDriftSign:
         traj = manual_circle_trajectory(np.diag([1.0, -1.0]))
         # full inner product x1^2 - x2^2 changes sign around the circle
         assert check_drift_sign(traj, [0.0, 0.0], rho=1.0).verdict == "fail"
-        res = check_drift_sign(
-            traj, [0.0, 0.0], rho=1.0, project=np.array([[1.0, 0.0]])
-        )
+        split = split_jacobian(np.diag([1.0, -1.0]))
+        res = check_drift_sign(traj, [0.0, 0.0], rho=1.0, split=split)
         assert res.verdict == "pass"
+
+    @pytest.mark.parametrize("mode", ["nonneg", "coercive"])
+    def test_split_equals_the_adapted_and_projected_form(self, mode):
+        # a non-normal repulsive block beside a stable one
+        H = np.array([[1.0, 5.0, 0.3], [0.0, 1.2, 0.5], [0.0, 0.0, -1.0]])
+        traj = run(LinearModel(H), harmonic(400), [0.05, -0.02, 0.03], 400, seed=5)
+        split = split_jacobian(H)
+        res = check_drift_sign(traj, np.zeros(3), rho=1.0, mode=mode, beta=0.3, split=split)
+        # the adapted form of H_plus on the coordinates P_inv[:delta_plus],
+        # as the check once took them apart
+        S = adapted_inner_product(split.H_plus).S
+        project = split.P_inv[: split.delta_plus]
+        u, g = traj.states[:400], traj.g
+        in_ball = (np.sqrt(hyp._sq_norms(u)) < 1.0) & u.any(axis=-1)
+        u, g = u[in_ball] @ project.T, g[in_ball] @ project.T
+        ip = np.einsum("ti,ij,tj->t", u, S, g)
+        values = ip if mode == "nonneg" else ip - 0.3 * np.einsum("ti,ij,tj->t", u, S, u)
+        assert res.estimates["n_samples"] == int(in_ball.sum()) > 0
+        assert res.estimates["worst_value"] == float(np.min(values))
+
+    def test_split_without_repulsive_block_is_no_split(self):
+        traj = manual_circle_trajectory(np.diag([1.0, -1.0]))
+        stable = split_jacobian(-np.eye(2))
+        assert stable.delta_plus == 0
+        got = check_drift_sign(traj, [0.0, 0.0], rho=1.0, split=stable)
+        assert got == check_drift_sign(traj, [0.0, 0.0], rho=1.0)
 
     def test_steps_on_the_trap_are_left_out(self):
         # the run starts on the trap, where <x - x*, G> is 0 and shows no sign
@@ -363,7 +397,9 @@ class TestJumpMoments:
 
     def test_too_few_runs_inconclusive(self):
         summary, _ = ensemble(LinearModel([[1.0]]), N=50, n_runs=10)
-        assert check_jump_moments(summary, a=4.0).verdict == "inconclusive"
+        res = check_jump_moments(summary, a=4.0)
+        assert res.verdict == "inconclusive"
+        assert res.estimates["n_runs"] == 10
 
     def test_short_window_inconclusive(self):
         caps = CaptureSpec(increment_indices=tuple(range(5)))
@@ -461,6 +497,8 @@ def _too_small(case):
             SequenceSpec("power", exponent=1.0), SequenceSpec("geometric", ratio=0.5), 1000
         )
         return check_tail_noise_condition(ensemble(two, N=1000, schedule=halving)[0], split, 1.0)
+    if case == "rate_condition-no_split":
+        return check_rate_condition(rate_constants(harmonic(10_000), (100, 10_000)), None, 1.0)
     traj = run(LinearModel([[-1.0]]), harmonic(100), [0.2], 100, seed=3)
     if case == "remainder-short_window":
         return check_remainder(traj, window=(10, 15))
@@ -486,6 +524,7 @@ class TestInconclusiveReasons:
             "tail_noise-under_a_decade",
             "tail_noise-no_split",
             "tail_noise-vanishing_alpha",
+            "rate_condition-no_split",
             "remainder-short_window",
             "remainder_split_r-short_window",
             "drift_sign-empty_ball",

@@ -176,5 +176,3 @@ def test_to_dict_serializable():
     sp = split_jacobian(np.diag([1.0, -2.0]))
     d = sp.to_dict()
     assert d["delta_plus"] == 1 and d["classification"] == "unstable_hyperbolic"
-    an = adapted_inner_product(np.eye(2))
-    assert an.to_dict()["lambda"] == pytest.approx(1.0)
