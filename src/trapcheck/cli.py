@@ -8,8 +8,8 @@ Subcommands
 ``report``    render an existing ``summary.json`` as text
 
 Exit codes: 0 all requested checks pass or are inconclusive, 2 some check
-failed (or the spectral classification cannot certify instability), 1 runtime
-or configuration error.
+failed (or the spectral classification cannot certify instability), 1 runtime,
+configuration or usage error.
 
 Everything that can vary between identical reruns (timestamps, worker count)
 lives under the ``meta`` key of ``summary.json``; the rest of the file is
@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine, flow, hypotheses, models, sequences, spectral
-from .errors import AmbiguousSpectrumError, ConfigError, TrapcheckError
+from .errors import AmbiguousSpectrumError, ConfigError, InsufficientHorizonError, TrapcheckError
 
 __all__ = [
     "ExperimentConfig",
@@ -195,9 +195,9 @@ _WINDOW = (lambda v, path: v, None)
 
 @dataclass(frozen=True)
 class _Check:
-    """One check: its fields (parser and default); ``steps(c, N)``, the part of
-    the capture plan that check ``c`` reads; ``run(c, **inputs)``, its checker
-    on the pipeline's summary, rates, split and effective mu, nu."""
+    """One check or diagnostic: its fields (parser and default); ``steps(c, N)``,
+    the part of the capture plan that entry ``c`` reads; ``run(c, **inputs)``, its
+    checker or diagnostic on the pipeline's summary, rates, split, mu, nu, field and K."""
 
     params: dict
     steps: Callable
@@ -227,6 +227,16 @@ def _contiguous_steps(c: dict, N: int) -> engine.CaptureSpec:
 
 def _run_zero(c: dict, N: int) -> engine.CaptureSpec:
     return engine.CaptureSpec(full_runs=(0,))
+
+
+#: Points of the log grid of steps at which the ensemble keeps every run's
+#: state for the diagnostics (fewer when N is smaller or steps repeat).
+_DIAG_STATE_POINTS = 1024
+
+
+def _state_grid(c: dict, N: int) -> engine.CaptureSpec:
+    grid = np.unique(np.geomspace(1, N, min(_DIAG_STATE_POINTS, N)).astype(np.int64))
+    return engine.CaptureSpec(state_indices=tuple(grid.tolist()))
 
 
 #: Every check by name.  A ``nu`` left unset is the model's; ``remainder``
@@ -293,14 +303,24 @@ _CHECKS = {
     ),
 }
 
-#: Each diagnostic's parameters: parser and default.
-_DIAGNOSTIC_PARAMS = {
-    "apt": {
-        "T": (_positive, 1.0),
-        "n_restarts": (_count, 48),
-        "normalization": (_one_of("scale", "absolute"), "scale"),
-    },
-    "manifold_rate": {},
+#: Every diagnostic by name, each a :class:`flow.EnsembleRates` on the state grid.
+_DIAGNOSTICS = {
+    "apt": _Check(
+        {
+            "T": (_positive, 1.0),
+            "n_restarts": (_count, 48),
+            "normalization": (_one_of("scale", "absolute"), "scale"),
+        },
+        _state_grid,
+        lambda c, summary, field, **_: flow.ensemble_apt_deficit(
+            summary, field, c["T"], c["normalization"], c["n_restarts"]
+        ),
+    ),
+    "manifold_rate": _Check(
+        {},
+        _state_grid,
+        lambda c, summary, K, split, **_: flow.ensemble_manifold_rate(summary, K, split),
+    ),
 }
 
 #: Each model kind's parameters.  A reinforced walk runs on the graph ``A``,
@@ -393,7 +413,7 @@ _CONFIG_PARAMS = {
     "master_seed": (lambda v, path: _integer(v, path, lo=0), ...),
     "x0": (_optional(_array_of(_finite)), None),
     "checks": (_entries({name: check.params for name, check in _CHECKS.items()}, "check"), ()),
-    "diagnostics": (_entries(_DIAGNOSTIC_PARAMS, "diagnostic"), ()),
+    "diagnostics": (_entries({n: d.params for n, d in _DIAGNOSTICS.items()}, "diagnostic"), ()),
     "theorem": (_optional(_one_of(*hypotheses.THEOREM_IDS)), None),
     "rate_window": _WINDOW,
     "near_trap_radius": (_positive, 1e-2),
@@ -553,23 +573,14 @@ def _built(path: str, build, *args):
 # ---------------------------------------------------------------------------
 
 
-#: Points of the log grid of steps at which the ensemble keeps every run's
-#: state for the diagnostics (fewer when N is smaller or steps repeat).
-_DIAG_STATE_POINTS = 1024
-
-
-def _diag_state_grid(N: int) -> np.ndarray:
-    return np.unique(np.geomspace(1, N, min(_DIAG_STATE_POINTS, N)).astype(np.int64))
-
-
 def _capture_plan(config: ExperimentConfig):
-    """What the ensemble keeps: the diagnostics' state grid, the union of the
-    steps and full runs the checks read, and the runs whose CSVs are written."""
+    """What the ensemble keeps: the union of the states, steps and full runs
+    the checks and diagnostics read, and the runs whose CSVs are written."""
     parts = [_CHECKS[c["name"]].steps(c, config.N) for c in config.checks]
-    states = _diag_state_grid(config.N).tolist() if config.diagnostics else ()
+    parts += [_DIAGNOSTICS[d["name"]].steps(d, config.N) for d in config.diagnostics]
     written = range(min(config.output["trajectories"], config.n_runs))
     return engine.CaptureSpec(
-        state_indices=tuple(states),
+        state_indices=tuple(sorted({n for p in parts for n in p.state_indices})),
         increment_indices=tuple(sorted({n for p in parts for n in p.increment_indices})),
         full_runs=tuple(sorted({*written, *(r for p in parts for r in p.full_runs)})),
     )
@@ -625,10 +636,10 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
     return model.initial_state()
 
 
-def _run_diagnostics(config, model, summary, split, ddir):
+def _run_diagnostics(config, summary, ddir, **inputs):
     """The diagnostics' medians over the ensemble; with a directory ``ddir``,
-    ``apt.csv`` and ``manifold_rate.csv`` there hold the rows of the first run
-    that did not blow up, named ``csv_run`` unless it is run 0 (null if none)."""
+    ``<name>.csv`` there holds the columns of the first run that did not blow
+    up in the diagnostic's result, named ``csv_run`` unless it is run 0 (null if none)."""
     csv_run = int(np.argmax(summary.ok)) if summary.ok.any() else None
     named = {} if ddir is None or csv_run == 0 else {"csv_run": csv_run}
     ddir = None if csv_run is None else ddir  # no run has rows to write
@@ -637,35 +648,16 @@ def _run_diagnostics(config, model, summary, split, ddir):
     out = {}
     for dg in config.diagnostics:
         name = dg["name"]
-        if name == "apt":
-            res = flow.ensemble_apt_deficit(
-                summary,
-                model.field,
-                T=dg["T"],
-                normalization=dg["normalization"],
-                n_restarts=dg["n_restarts"],
-            )
-            out[name] = {"n_excluded_restarts": res.n_excluded}
-            if ddir is not None:
-                rows = ["t", "deficit"], [res.t_values, res.deficits[0]]
-        elif name == "manifold_rate":
-            use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
-            K = model.manifold_K if use_split is None else None
-            if use_split is None and K is None:
-                out[name] = {"error": "model declares no invariant set"}
-                continue
-            res = flow.ensemble_manifold_rate(summary, K, use_split)
-            out[name] = {}
-            if ddir is not None:
-                states = summary.captured_states[csv_run]
-                dist = flow._distances_to_K(states, K, use_split, summary.trap_point)
-                logs = np.log(np.maximum(dist, flow._DISTANCE_FLOOR))
-                rows = ["t", "distance", "log_distance"], [res.t_values, dist, logs]
-        out[name].update(
-            median_rate=res.median, n_rates=int(np.count_nonzero(~np.isnan(res.rates))), **named
-        )
+        res = _DIAGNOSTICS[name].run(dg, summary=summary, **inputs)
+        if res is None:  # nothing to measure against
+            out[name] = {"error": "model declares no invariant set"}
+            continue
+        n_rates = int(np.count_nonzero(~np.isnan(res.rates)))
+        out[name] = {"median_rate": res.median, "n_rates": n_rates, **named}
+        if res.deficits is not None:  # the shadow deficit names the restarts it excluded
+            out[name]["n_excluded_restarts"] = res.n_excluded
         if ddir is not None:
-            engine._write_csv(ddir / f"{name}.csv", *rows)
+            engine._write_csv(ddir / f"{name}.csv", res.first_run, [*res.first_run.values()])
     return out
 
 
@@ -709,6 +701,13 @@ def run_experiment(
                 "N",
             )
     capture = _capture_plan(config)
+    for i, dg in enumerate(config.diagnostics):
+        if "T" in dg:  # a window that fits nowhere on the state grid's clock fails now
+            clock = schedule.partial_drift_sum(np.asarray(capture.state_indices, np.float64))
+            try:
+                flow.restart_positions(clock, dg["T"], None, dg["n_restarts"])
+            except InsufficientHorizonError as exc:
+                raise ConfigError(str(exc), f"diagnostics[{i}].T") from exc
     out = Path(out_dir if out_dir is not None else config.output["dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -762,7 +761,8 @@ def run_experiment(
         timings["checks"] = lap()
         write = config.output["write_diagnostics"] and config.diagnostics
         ddir = out / "diagnostics" if write else None
-        doc["diagnostics"] = _run_diagnostics(config, model, summary, split, ddir)
+        inputs = {"field": model.field, "K": model.manifold_K, "split": split}
+        doc["diagnostics"] = _run_diagnostics(config, summary, ddir, **inputs)
         timings["diagnostics"] = lap()
         if report.verdict == "fail":
             exit_code = 2
@@ -844,7 +844,8 @@ def _cmd_spectral(args) -> int:
         print(f"ambiguous spectrum: {exc}", file=sys.stderr)
         return 2
     except (TrapcheckError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        path = "" if isinstance(exc, ConfigError) else "matrix: "  # a ConfigError names its own
+        print(f"error: {path}{exc}", file=sys.stderr)
         return 1
     lam = None
     if split.delta_plus >= 1:
@@ -953,7 +954,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="render an existing summary.json")
     p.add_argument("summary", help="summary.json path or its directory")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2, the code of a failed check
+        raise SystemExit(1 if exc.code == 2 else exc.code) from None
     if args.command in ("simulate", "check"):
         return _cmd_experiment(args, with_checks=args.command == "check")
     if args.command == "spectral":

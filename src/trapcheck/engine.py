@@ -579,7 +579,7 @@ def monte_carlo(
         merged = take_kept(_chunk_worker(*args[0]))
     else:
         merged = dict.fromkeys(_PER_RUN)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, *a) for a in args]
             # chunks are consecutive slices of the run range: each part goes
             # into its own slice, so the bits never depend on scheduling; the

@@ -38,6 +38,7 @@ __all__ = [
     "integrate_flow",
     "flow_path",
     "time_change",
+    "restart_positions",
     "apt_deficit",
     "manifold_rate",
     "EnsembleRates",
@@ -87,14 +88,15 @@ class EnsembleRates:
 
     One row per run the diagnostic kept.  ``deficits`` is the shadow
     diagnostic's (runs, restarts) deficit matrix, row i the deficits at
-    ``t_values`` that :func:`apt_deficit` gives on that run alone; None for
-    the manifold rate.
+    ``t_values`` that :func:`apt_deficit` gives on that run alone, None for
+    the manifold rate; ``first_run`` the first kept run's CSV columns by name.
     """
 
     rates: np.ndarray
     t_values: np.ndarray
     n_excluded: int
     deficits: Optional[np.ndarray] = None
+    first_run: Optional[dict] = None
 
     @property
     def median(self) -> float:
@@ -224,8 +226,9 @@ def _captured_path(summary: EnsembleSummary) -> TimeChangedPath:
 # ---------------------------------------------------------------------------
 
 
-def _restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.ndarray:
-    """Grid positions to restart from; every window [t, t+T] must fit."""
+def restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.ndarray:
+    """Grid positions to restart a window T from (``t_grid``, else up to
+    ``n_restarts`` log-spaced ones); every window [t, t+T] must fit."""
     limit = s[-1] - T
     if t_grid is not None:
         ts = np.asarray(t_grid, dtype=np.float64)
@@ -377,13 +380,12 @@ def apt_deficit(
         raise ValueError(f"unknown normalization {normalization!r}")
     s = path.s_grid
     X = path.states.reshape((-1,) + path.states.shape[-2:])
-    pos = _restart_positions(s, T, t_grid, n_restarts)
+    pos = restart_positions(s, T, t_grid, n_restarts)
     deficits, excluded = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
     keep = ~excluded
     slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], TAIL_FRACTION)
-    return EnsembleRates(
-        rates=slopes, t_values=s[pos], n_excluded=int(excluded.sum()), deficits=deficits
-    )
+    first = {"t": s[pos], "deficit": deficits[0]} if len(deficits) else None
+    return EnsembleRates(slopes, s[pos], int(excluded.sum()), deficits, first)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +436,19 @@ def manifold_rate(
     k = _tail_count(R, TAIL_FRACTION)
     tail = np.empty((int(ok.sum()), k))
     on_K = np.empty(len(tail), dtype=bool)
-    j = 0
+    first, j = None, 0
     for r in range(0, len(X), _RUN_CHUNK):
         rows = slice(r, r + _RUN_CHUNK)
         dist = _distances_to_K(_kept_rows(X[rows], ok[rows]), K, split, x_star)
+        if first is None and len(dist):
+            log = np.log(np.maximum(dist[0], _DISTANCE_FLOOR))
+            first = {"t": s, "distance": dist[0], "log_distance": log}
         tail[j : j + len(dist)] = dist[:, R - k :]
         on_K[j : j + len(dist)] = np.all(dist == 0.0, axis=1)
         j += len(dist)
     slopes = _tail_slopes(s[R - k :], tail, 1.0)
     slopes[on_K] = -np.inf
-    return EnsembleRates(rates=slopes, t_values=s, n_excluded=0)
+    return EnsembleRates(rates=slopes, t_values=s, n_excluded=0, first_run=first)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +475,10 @@ def ensemble_manifold_rate(
     summary: EnsembleSummary,
     K: Optional[ManifoldK] = None,
     split: Optional[TrapSplit] = None,
-) -> EnsembleRates:
-    """:func:`manifold_rate` of the runs that did not blow up, over the
-    captured state grid, a split's coordinates centred at the ensemble's trap."""
+) -> Optional[EnsembleRates]:
+    """:func:`manifold_rate` of the unblown runs on the captured state grid, in a ``split``'s
+    coordinates centred at the trap when it has both blocks, else to ``K``; None with neither."""
+    split = split if split is not None and 1 <= split.delta_plus < split.dim else None
+    if split is None and K is None:
+        return None
     return manifold_rate(_captured_path(summary), K, split, summary.trap_point, ok=summary.ok)

@@ -23,7 +23,7 @@ from trapcheck import cli, engine, flow, hypotheses, sequences, spectral
 from trapcheck.cli import (
     _CHECKS,
     _CONFIG_PARAMS,
-    _DIAGNOSTIC_PARAMS,
+    _DIAGNOSTICS,
     _MODEL_PARAMS,
     _SCHEDULE_PARAMS,
     _SEQUENCE_PARAMS,
@@ -31,7 +31,6 @@ from trapcheck.cli import (
     _build_model,
     _build_schedule,
     _capture_plan,
-    _diag_state_grid,
     _resolve_split_and_constants,
     canonical_json,
     config_hash,
@@ -43,6 +42,11 @@ from trapcheck.flow import apt_deficit, time_change
 from trapcheck.spectral import project_pm
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _state_grid(N):
+    """The diagnostics' state grid: 1024 log-spaced steps of [1, N] at most."""
+    return np.unique(np.geomspace(1, N, min(1024, N)).astype(np.int64))
 
 
 def _manifold_csv(path, t, states, split, x_star):
@@ -430,7 +434,7 @@ class TestRunExperiment:
             got = (tmp_path / "out" / "trajectories" / f"run_{i}.csv").read_bytes()
             assert got == (ref / f"run_{i}.csv").read_bytes()
             if i == 0:
-                path = time_change(traj, indices=_diag_state_grid(cfg.N))
+                path = time_change(traj, indices=_state_grid(cfg.N))
                 res = apt_deficit(path, model.field, T=0.5)
                 engine._write_csv(ref / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]])
         got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
@@ -444,7 +448,7 @@ class TestRunExperiment:
         schedule = _build_schedule(cfg.schedule, model)
         summary = engine.monte_carlo(
             model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
-            captures=engine.CaptureSpec(state_indices=tuple(_diag_state_grid(cfg.N))),
+            captures=engine.CaptureSpec(state_indices=tuple(_state_grid(cfg.N))),
         )
         return model, summary
 
@@ -566,7 +570,7 @@ def _frozen_capture_plan(config):
     inc_idx: set = set()
     full_runs = set(range(min(config.output["trajectories"], config.n_runs)))
     if config.diagnostics:
-        state_idx.update(_diag_state_grid(N).tolist())
+        state_idx.update(_state_grid(N).tolist())
     for c in config.checks:
         name = c["name"]
         lo, hi = c.get("window") or (max(1, N // 10), N)
@@ -607,7 +611,8 @@ def _plan_configs(draw):
             lo = draw(st.integers(0, N - 1))
             c["window"] = [lo, draw(st.integers(lo + 1, N))]
         checks.append(c)
-    diagnostics = [{"name": "apt"}] if draw(st.booleans()) else []
+    names = draw(st.lists(st.sampled_from(sorted(_DIAGNOSTICS)), max_size=3))
+    diagnostics = [{"name": name} for name in names]
     return ExperimentConfig.from_dict(
         base_config(
             N=N,
@@ -743,6 +748,122 @@ class TestCheckRecords:
         assert estimates[0] == estimates[1]
 
 
+def _frozen_run_diagnostics(config, model, summary, split, ddir):
+    """The diagnostics as one chain on diagnostic names ran them before each
+    diagnostic had its own record, recomputing the manifold CSV's distances;
+    the records must give the same entries and CSV bytes."""
+    csv_run = int(np.argmax(summary.ok)) if summary.ok.any() else None
+    named = {} if ddir is None or csv_run == 0 else {"csv_run": csv_run}
+    ddir = None if csv_run is None else ddir
+    if ddir is not None:
+        ddir.mkdir(parents=True, exist_ok=True)
+    out = {}
+    for dg in config.diagnostics:
+        name = dg["name"]
+        if name == "apt":
+            res = flow.ensemble_apt_deficit(
+                summary,
+                model.field,
+                T=dg["T"],
+                normalization=dg["normalization"],
+                n_restarts=dg["n_restarts"],
+            )
+            out[name] = {"n_excluded_restarts": res.n_excluded}
+            if ddir is not None:
+                rows = ["t", "deficit"], [res.t_values, res.deficits[0]]
+        elif name == "manifold_rate":
+            use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
+            K = model.manifold_K if use_split is None else None
+            if use_split is None and K is None:
+                out[name] = {"error": "model declares no invariant set"}
+                continue
+            res = flow.ensemble_manifold_rate(summary, K, use_split)
+            out[name] = {}
+            if ddir is not None:
+                states = summary.captured_states[csv_run]
+                dist = flow._distances_to_K(states, K, use_split, summary.trap_point)
+                logs = np.log(np.maximum(dist, flow._DISTANCE_FLOOR))
+                rows = ["t", "distance", "log_distance"], [res.t_values, dist, logs]
+        out[name].update(
+            median_rate=res.median, n_rates=int(np.count_nonzero(~np.isnan(res.rates))), **named
+        )
+        if ddir is not None:
+            engine._write_csv(ddir / f"{name}.csv", *rows)
+    return out
+
+
+_MANIFOLD = {"diagnostics": [{"name": "manifold_rate"}]}
+_SYNTHETIC = {
+    "model": {"kind": "synthetic", "mu": -1.0, "nu": 1.0, "dim": 3, "delta_plus": 1},
+    "x0": [0.0, 0.3, 0.2],
+    **_MANIFOLD,
+}
+
+
+class TestDiagnosticRecords:
+    @pytest.mark.parametrize(
+        "overrides, split_of",
+        [
+            ({"diagnostics": [{"name": "apt"}]}, "model"),
+            (
+                {"diagnostics": [{"name": "apt", "T": 0.3, "n_restarts": 7}], "master_seed": 4},
+                "model",
+            ),
+            (
+                {"diagnostics": [{"name": "apt", "T": 2.0, "normalization": "absolute"}]},
+                "model",
+            ),
+            # a linear model declares no K: the split alone gives the distances
+            (_MANIFOLD, "model"),
+            (_SYNTHETIC, "model"),
+            # no config reaches K alone: every model with a K has a usable split
+            (_SYNTHETIC, None),
+            # neither: the split of a 1-D saddle has no non-repulsive block
+            ({"model": {"kind": "linear"}, "x0": [0.1], **_MANIFOLD}, "model"),
+            ({"diagnostics": [{"name": "manifold_rate"}, {"name": "apt"}]}, None),
+            # seed 3 blows up runs 0, 1 and 6 of 8: the CSVs are run 2's
+            (
+                {
+                    "model": {"kind": "linear", "H": [[4.0, 0.0], [0.0, -1.0]]},
+                    "x0": [0.0, 0.0],
+                    "N": 100,
+                    "n_runs": 8,
+                    "master_seed": 3,
+                    "max_blowup_fraction": 0.9,
+                    "diagnostics": [{"name": "apt", "T": 0.5}, {"name": "manifold_rate"}],
+                },
+                "model",
+            ),
+        ],
+        ids=[
+            "apt-default", "apt-short", "apt-absolute", "manifold-split", "manifold-synthetic",
+            "manifold-K", "manifold-1d", "neither-and-apt", "run-0-blown",
+        ],
+    )
+    def test_records_equal_the_chain(self, tmp_path, overrides, split_of):
+        saddle = {"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]}
+        cfg = base_config(model=saddle, x0=[0.1, 0.1], N=500, n_runs=6)
+        cfg = ExperimentConfig.from_dict(dict(cfg, **overrides))
+        model = _build_model(cfg.model)
+        schedule = _build_schedule(cfg.schedule, model)
+        summary = engine.monte_carlo(
+            model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
+            captures=_capture_plan(cfg),
+        )
+        split = _resolve_split_and_constants(model)[0] if split_of == "model" else None
+        for write in (False, True):
+            dirs = [tmp_path / f"{side}_{write}" if write else None for side in ("got", "want")]
+            inputs = {"field": model.field, "K": model.manifold_K, "split": split}
+            got = cli._run_diagnostics(cfg, summary, dirs[0], **inputs)
+            want = _frozen_run_diagnostics(cfg, model, summary, split, dirs[1])
+            assert canonical_json(got) == canonical_json(want)
+            if write:
+                names = sorted(p.name for p in dirs[1].iterdir())
+                assert sorted(p.name for p in dirs[0].iterdir()) == names
+                for name in names:
+                    assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # command-line entry points
 # ---------------------------------------------------------------------------
@@ -788,6 +909,18 @@ class TestSpectralCommand:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "token, why",
+        [
+            ("[1, 2]", "expected a square matrix, got shape (2,)"),
+            ("[[NaN]]", "matrix has non-finite entries"),
+        ],
+        ids=["not-square", "nan"],
+    )
+    def test_matrix_the_split_rejects_exits_one_at_its_path(self, capsys, token, why):
+        assert main(["spectral", token]) == 1
+        assert capsys.readouterr().err == f"error: matrix: {why}\n"
+
+    @pytest.mark.parametrize(
         "content", [b"", b"\x00\xff\xfe", b"# no rows\n"], ids=["empty", "binary", "comment"]
     )
     def test_unparseable_file_exits_one(self, tmp_path, capsys, content):
@@ -806,6 +939,49 @@ class TestSpectralCommand:
 
 
 class TestExperimentCommands:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["check", "--config", "config.json", "--workers", "abc"], "--workers"),
+            (["check"], "--config"),
+            (["frobnicate"], "frobnicate"),
+            ([], "command"),
+        ],
+        ids=["workers-abc", "config-missing", "unknown-command", "command-missing"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and named in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert "usage: trapcheck" in capsys.readouterr().out
+
+    def test_apt_window_beyond_the_clock_fails_before_the_simulation(self, tmp_path, capsys):
+        # harmonic steps from N = 200: the drift clock ends at 5.878
+        cfg = base_config(
+            model={"kind": "synthetic"},
+            x0=None,
+            N=200,
+            checks=[{"name": "remainder"}],
+            diagnostics=[{"name": "manifold_rate"}, {"name": "apt", "T": 100}],
+        )
+        p = write_config(tmp_path, cfg)
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            code = main(["check", "--config", str(p), "--out", str(tmp_path / "out")])
+        simulate.assert_not_called()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: diagnostics[1].T: the drift clock ends at 5.878: "
+            "window T = 100 leaves no admissible restart point\n"
+        )
+        assert not (tmp_path / "out").exists()
     def test_tail_noise_on_vanishing_alpha_is_inconclusive(self, tmp_path, capsys):
         # c_n = 2^-n: alpha(t) is 0.0 in floating point inside the default window
         p = write_config(
@@ -1394,7 +1570,7 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     _PARAMS = [("checks", name, key) for name, check in _CHECKS.items() for key in check.params]
-    _PARAMS += [("diagnostics", name, key) for name, keys in _DIAGNOSTIC_PARAMS.items() for key in keys]
+    _PARAMS += [("diagnostics", name, key) for name, dg in _DIAGNOSTICS.items() for key in dg.params]
     _NESTED = [("model", kind, key) for kind, keys in _MODEL_PARAMS.items() for key in keys]
     _NESTED += [
         ("schedule", kind, key)
@@ -1502,8 +1678,9 @@ def _frozen_from_dict(cfg):
         if c.get("window") is not None:
             c["window"] = cli._window(c["window"], 0, N, f"checks[{i}].window")
         checks.append(c)
+    diag_tables = {name: dg.params for name, dg in _DIAGNOSTICS.items()}
     diags = tuple(
-        cli._entry(dg, f"diagnostics[{i}]", _DIAGNOSTIC_PARAMS, "diagnostic")
+        cli._entry(dg, f"diagnostics[{i}]", diag_tables, "diagnostic")
         for i, dg in enumerate(cli._typed(cfg.get("diagnostics", []), cli._ARRAY, "diagnostics"))
     )
     theorem = cfg.get("theorem")

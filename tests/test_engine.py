@@ -1,3 +1,4 @@
+import concurrent.futures
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from trapcheck import (
     TrapInfo,
     VrrwConfig,
     VrrwWalkModel,
+    canonical_json,
     combine_increment,
     control_models,
     monte_carlo,
@@ -161,6 +163,40 @@ class TestMonteCarlo:
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
             assert np.array_equal(outs[0].captured_eps, other.captured_eps)
+
+    def test_pool_starts_one_process_per_chunk(self):
+        # the executor forks all its processes at the first submit, so a
+        # pool sized by workers forks 64 for these 4 runs; this one runs each
+        # task in-process and records the size asked for
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
+        s = harmonic(300)
+        cap = CaptureSpec(state_indices=(1, 300), increment_indices=(5, 6), full_runs=(3,))
+        args = (m, s, np.array([0.0, 0.3]), 300, 4)
+        ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+            got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
+        assert sizes == [4]
+        assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
+        for name in ("terminal_states", "sup_tail_distance", "captured_states", "captured_eps"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert np.array_equal(got.trajectory(3).states, ref.trajectory(3).states)
 
     def test_sequential_equals_batch(self):
         m = LinearModel([[1.0]])

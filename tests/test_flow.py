@@ -301,7 +301,7 @@ class TestStackedRestarts:
         s = path.s_grid
         # three "runs": the path and two vertex relabellings of it
         X = np.stack([path.states] + [np.roll(path.states, k, axis=1) for k in (1, 2)])
-        pos = flow._restart_positions(s, 1.0, None, 48)
+        pos = flow.restart_positions(s, 1.0, None, 48)
         stacked, excluded = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
         for r in range(len(pos)):
             alone, _ = flow._batch_deficits(
@@ -599,7 +599,7 @@ class TestEnsembleDiagnosticsBits:
         model, _, sched, summary = skewed_ensemble
         summary = _blown(summary, blown)
         s, X = _whole_array(summary, sched)
-        pos = flow._restart_positions(s, 1.0, None, 48)
+        pos = flow.restart_positions(s, 1.0, None, 48)
         deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
         want = _frozen_tail_slopes(s[pos[~hard]], deficits[:, ~hard])
         got = ensemble_apt_deficit(summary, model.field, T=1.0)
