@@ -197,11 +197,14 @@ _WINDOW = (lambda v, path: v, None)
 class _Check:
     """One check or diagnostic: its fields (parser and default); ``steps(c, N)``,
     the part of the capture plan that entry ``c`` reads; ``run(c, **inputs)``, its
-    checker or diagnostic on the pipeline's summary, rates, split, mu, nu, field and K."""
+    checker or diagnostic on the pipeline's summary, rates, split, mu, nu, field and
+    K; ``projections(split)``, the projections whose squared noise norms it reads
+    at its steps (:func:`hypotheses.projection`)."""
 
     params: dict
     steps: Callable
     run: Callable
+    projections: Callable = lambda split: ()
 
 
 def _capture_window(c: dict, N: int) -> tuple:
@@ -253,6 +256,7 @@ _CHECKS = {
         lambda c, summary, split, **_: hypotheses.check_noise_excitation(
             summary, split, c["k"], c["a"], c["window"], c["threshold"]
         ),
+        lambda split: (hypotheses.projection(split, "plus"), None),
     ),
     "remainder": _Check(
         {
@@ -293,6 +297,7 @@ _CHECKS = {
         {"a": (_moment_exponent, 4.0), "window": _WINDOW},
         _sampled_steps,
         lambda c, summary, **_: hypotheses.check_jump_moments(summary, c["a"], c["window"]),
+        lambda split: (None,),
     ),
     "tail_noise": _Check(
         {"nu": (_positive, None), "window": _WINDOW},
@@ -300,6 +305,8 @@ _CHECKS = {
         lambda c, summary, split, nu, **_: hypotheses.check_tail_noise_condition(
             summary, split, c["nu"] or nu or 1.0, c["window"]
         ),
+        # without a split the check reads nothing
+        lambda split: () if split is None else (hypotheses.projection(split, "minus"),),
     ),
 }
 
@@ -573,16 +580,19 @@ def _built(path: str, build, *args):
 # ---------------------------------------------------------------------------
 
 
-def _capture_plan(config: ExperimentConfig):
-    """What the ensemble keeps: the union of the states, steps and full runs
-    the checks and diagnostics read, and the runs whose CSVs are written."""
-    parts = [_CHECKS[c["name"]].steps(c, config.N) for c in config.checks]
-    parts += [_DIAGNOSTICS[d["name"]].steps(d, config.N) for d in config.diagnostics]
+def _capture_plan(config: ExperimentConfig, split):
+    """What the ensemble keeps: the union of the states, steps, full runs and
+    noise-norm projections of ``split`` the checks and diagnostics read, and
+    the runs whose CSVs are written."""
+    records = [(_CHECKS[c["name"]], c) for c in config.checks]
+    records += [(_DIAGNOSTICS[d["name"]], d) for d in config.diagnostics]
+    parts = [record.steps(c, config.N) for record, c in records]
     written = range(min(config.output["trajectories"], config.n_runs))
     return engine.CaptureSpec(
         state_indices=tuple(sorted({n for p in parts for n in p.state_indices})),
         increment_indices=tuple(sorted({n for p in parts for n in p.increment_indices})),
         full_runs=tuple(sorted({*written, *(r for p in parts for r in p.full_runs)})),
+        projections=tuple(dict.fromkeys(p for r, _ in records for p in r.projections(split))),
     )
 
 
@@ -643,8 +653,6 @@ def _run_diagnostics(config, summary, ddir, **inputs):
     csv_run = int(np.argmax(summary.ok)) if summary.ok.any() else None
     named = {} if ddir is None or csv_run == 0 else {"csv_run": csv_run}
     ddir = None if csv_run is None else ddir  # no run has rows to write
-    if ddir is not None:
-        ddir.mkdir(parents=True, exist_ok=True)
     out = {}
     for dg in config.diagnostics:
         name = dg["name"]
@@ -656,7 +664,8 @@ def _run_diagnostics(config, summary, ddir, **inputs):
         out[name] = {"median_rate": res.median, "n_rates": n_rates, **named}
         if res.deficits is not None:  # the shadow deficit names the restarts it excluded
             out[name]["n_excluded_restarts"] = res.n_excluded
-        if ddir is not None:
+        if ddir is not None:  # the directory comes with its first CSV
+            ddir.mkdir(parents=True, exist_ok=True)
             engine._write_csv(ddir / f"{name}.csv", res.first_run, [*res.first_run.values()])
     return out
 
@@ -700,7 +709,9 @@ def run_experiment(
                 f"default rate window ({lo}, {hi}) is empty; set rate_window or N > {lo}",
                 "N",
             )
-    capture = _capture_plan(config)
+    # the split needs only the model; the capture plan projects on it
+    split, mu, nu = _resolve_split_and_constants(model) if with_checks else (None, None, None)
+    capture = _capture_plan(config, split)
     for i, dg in enumerate(config.diagnostics):
         if "T" in dg:  # a window that fits nowhere on the state grid's clock fails now
             clock = schedule.partial_drift_sum(np.asarray(capture.state_indices, np.float64))
@@ -746,7 +757,6 @@ def run_experiment(
     exit_code = 0
     if with_checks:
         rates = sequences.rate_constants(schedule, (lo, hi))
-        split, mu, nu = _resolve_split_and_constants(model)
         doc["rates"] = rates.to_dict()
         doc["split"] = split.to_dict() if split is not None else None
         conds = _run_checks(config, summary, rates=rates, split=split, mu=mu, nu=nu)

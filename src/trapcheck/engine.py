@@ -58,6 +58,28 @@ SUP_TAIL_FRACTION = 0.25
 #: Levels of the terminal-distance quantiles in ``summary.json``.
 _DISTANCE_LEVELS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
+#: Captured steps reduced per pass, into squared noise norms by the engine
+#: and into their cross-run means by the checkers (a last chunk may hold one
+#: more): it bounds their temporaries to a few ``_STEP_CHUNK * n_runs * d``
+#: arrays.  At least 2.
+_STEP_CHUNK = 1024
+
+#: Runs whose norms :func:`_reduce_chunk` computes at a time: its temporaries
+#: are a few ``_PRODUCT_RUNS * _STEP_CHUNK * d`` arrays, not the chunk's.
+_PRODUCT_RUNS = 32
+
+
+def _step_chunks(start: int, stop: int):
+    """``(j, end)`` per chunk of the captured steps ``[start, stop)``,
+    ``_STEP_CHUNK`` steps at a time.  A lone last step joins the chunk before
+    it: a one-step chunk takes other paths, with other bits, through matmul
+    and through a mean over runs."""
+    j = start
+    while j < stop:
+        end = j + _STEP_CHUNK if stop - j > _STEP_CHUNK + 1 else stop
+        yield j, end
+        j = end
+
 
 def _write_csv(path, header, columns) -> None:
     """A CSV with the named ``header`` row, then ``columns`` (1-D arrays or
@@ -125,22 +147,26 @@ class CaptureSpec:
         Times n at which every run's state is stored (for diagnostics),
         runs first: ``(n_runs, len(state_indices), d)``.
     increment_indices:
-        Step indices at which every run's martingale noise ``eps`` is stored
-        (for hypothesis checks needing cross-run means at fixed n; ``g`` and
-        ``rem`` are not kept).  It is stored step-major,
-        ``(len(increment_indices), n_runs, d)``, so a captured step is one
-        contiguous write and the checkers, which reduce it a chunk of steps
-        at a time, take per-step means over runs along a contiguous axis;
-        :class:`EnsembleSummary` shows it runs-first.
+        Step indices at which every run's martingale noise ``eps`` is
+        reduced to the squared norms ``||eps @ R.T||^2`` of each projection
+        in ``projections`` (the hypothesis checks need only cross-run means
+        of their powers at fixed n; ``eps`` itself, ``g`` and ``rem`` are
+        not kept).
     full_runs:
         Run indices whose full record is kept, as :func:`run` returns it:
         every state and every step's (g, eps, rem), ``(4N+1) * d`` doubles
         (``(4N+1) * d * 8`` bytes) per kept run.
+    projections:
+        The rows ``R`` of each projection, as a tuple of row tuples, or None
+        for the full vector ``eps``: ``len(projections) * len(increment_indices)
+        * n_runs * 8`` bytes in all, stored step-major (see
+        :class:`EnsembleSummary`).  Unset, the full vector alone.
     """
 
     state_indices: tuple = ()
     increment_indices: tuple = ()
     full_runs: tuple = ()
+    projections: tuple = (None,)
 
     @staticmethod
     def normalize(obj, N: int) -> "CaptureSpec":
@@ -157,7 +183,10 @@ class CaptureSpec:
         if len(r) and r[0] < 0:
             raise ValueError("full_runs must be nonnegative run indices")
         return CaptureSpec(
-            state_indices=tuple(s), increment_indices=tuple(i), full_runs=tuple(r)
+            state_indices=tuple(s),
+            increment_indices=tuple(i),
+            full_runs=tuple(r),
+            projections=tuple(dict.fromkeys(obj.projections)),
         )
 
 
@@ -165,9 +194,11 @@ class CaptureSpec:
 class EnsembleSummary:
     """Order-insensitive reduction of an ensemble (arrays indexed by run).
 
-    ``captured_eps`` has shape ``(n_runs, len(increment_indices), d)`` but
-    is a transposed view of step-major storage (see :class:`CaptureSpec`);
-    ``captured_states`` is stored runs-first.
+    ``captured_norms[p, k, r]`` is run r's squared noise norm under
+    ``projections[p]`` at step ``increment_indices[k]`` (see
+    :class:`CaptureSpec`), stored step-major and C-contiguous, so a captured
+    step is one contiguous row of runs; ``captured_states`` is stored
+    runs-first.
 
     ``sup_tail_distance[r]`` is run r's sup of ``||X_n - x*||`` over
     ``n in [tail_from, N]`` — the finite-horizon stand-in for "the run
@@ -189,12 +220,13 @@ class EnsembleSummary:
     capture_times: np.ndarray
     captured_states: Optional[np.ndarray]  # (n_runs, len(capture_times), d)
     increment_indices: np.ndarray
-    captured_eps: Optional[np.ndarray]  # (n_runs, len(increment_indices), d) view
+    projections: tuple
+    captured_norms: Optional[np.ndarray]  # (len(projections), len(increment_indices), n_runs)
     blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
     full_runs: dict = field(default_factory=dict)  # run index -> Trajectory
 
     # never captured; kept readable because perfbench/invoke.py sums their sizes
-    captured_g = captured_rem = None
+    captured_g = captured_eps = captured_rem = None
 
     @property
     def ok(self) -> np.ndarray:
@@ -327,11 +359,21 @@ def _drive(
     gam, cs = schedule.gamma_values, schedule.c_values
 
     state_idx = np.asarray(capture.state_indices, dtype=np.int64)
-    inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
+    # without a projection, no norm is kept at any step
+    inc_idx = np.asarray(capture.increment_indices if capture.projections else (), np.int64)
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
-    cap_eps = np.empty((len(inc_idx), B, d)) if len(inc_idx) else None  # step-major
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
-    inc_pos = {int(t): k for k, t in enumerate(inc_idx)}
+    # eps is kept a chunk of captured steps at a time, then reduced to norms;
+    # k counts the captured steps, and the next one is at step inc_idx[k]
+    projections = [
+        None if rows is None else np.array(rows, dtype=np.float64).reshape(-1, d).T
+        for rows in capture.projections
+    ]
+    cap_norms = np.empty((len(projections), len(inc_idx), B)) if len(inc_idx) else None
+    chunk_ends = {end for _, end in _step_chunks(0, len(inc_idx))}
+    eps_chunk = np.empty((min(len(inc_idx), _STEP_CHUNK + 1), B, d))
+    k = chunk_start = 0
+    next_inc = int(inc_idx[0]) if len(inc_idx) else -1
 
     keep = np.asarray(keep, dtype=np.int64)
     K = len(keep)
@@ -375,8 +417,14 @@ def _drive(
                 any_blown = True
                 x[blown] = trap_point  # park blown rows somewhere benign
 
-            if n in inc_pos:
-                cap_eps[inc_pos[n]] = eps
+            if n == next_inc:
+                eps_chunk[k - chunk_start] = eps
+                k += 1
+                if k in chunk_ends:
+                    _reduce_chunk(eps_chunk[: k - chunk_start], projections,
+                                  cap_norms[:, chunk_start:k])
+                    chunk_start = k
+                next_inc = int(inc_idx[k]) if k < len(inc_idx) else -1
             if (n + 1) in state_pos:
                 cap_states[:, state_pos[n + 1]] = x
             if n + 1 >= tail_from:
@@ -391,10 +439,27 @@ def _drive(
         "blown": blown,
         "blowup_step": blowup_step,
         "cap_states": cap_states,
-        "cap_eps": cap_eps,
+        "cap_norms": cap_norms,
         "kept": (states, parts),
     }
     return out
+
+
+def _reduce_chunk(eps: np.ndarray, projections, out: np.ndarray) -> None:
+    """Write ``_sq_norms(eps @ M)`` per projection ``M`` (None: ``eps``
+    itself) into ``out[p]`` for the captured steps of ``eps`` (step-major,
+    ``(steps, B, d)``).  The product runs on the runs-first view, one
+    ``(steps, d) @ M`` per run: the expression the checkers once reduced
+    their eps chunks with, so every norm keeps its bits.  A run's norms do
+    not depend on the other runs, so ``_PRODUCT_RUNS`` runs go at a time."""
+    for r in range(0, eps.shape[1], _PRODUCT_RUNS):
+        runs = slice(r, r + _PRODUCT_RUNS)
+        part = eps[:, runs]
+        for M, norms in zip(projections, out):
+            if M is None:
+                norms[:, runs] = _sq_norms(part)
+            else:
+                norms[:, runs] = _sq_norms(part.transpose(1, 0, 2) @ M).T
 
 
 def _kept_trajectories(model, schedule, kept, seeds) -> list:
@@ -511,17 +576,17 @@ def _chunk_worker(
 
 
 #: ``_drive``'s per-run outputs, which ``monte_carlo`` merges over chunks
-_PER_RUN = ("x", "sup_tail", "blown", "blowup_step", "cap_states", "cap_eps")
+_PER_RUN = ("x", "sup_tail", "blown", "blowup_step", "cap_states", "cap_norms")
 
 
 def _copy_runs(merged: dict, part: dict, runs: slice, n_runs: int) -> None:
     """Copy ``part``'s per-run outputs into their slice ``runs`` of ``merged``,
-    allocated at the first part; the step-major eps capture has runs on axis 1."""
+    allocated at the first part; the step-major norms have runs on axis 2."""
     for key in _PER_RUN:
         val = part[key]
         if val is None:
             continue
-        axis = int(key == "cap_eps")
+        axis = 2 if key == "cap_norms" else 0
         if merged[key] is None:
             merged[key] = np.empty(val.shape[:axis] + (n_runs,) + val.shape[axis + 1 :], val.dtype)
         merged[key].swapaxes(0, axis)[runs] = val.swapaxes(0, axis)
@@ -602,7 +667,8 @@ def monte_carlo(
         capture_times=np.asarray(capture.state_indices, dtype=np.int64),
         captured_states=merged["cap_states"],
         increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
-        captured_eps=None if merged["cap_eps"] is None else merged["cap_eps"].transpose(1, 0, 2),
+        projections=capture.projections,
+        captured_norms=merged["cap_norms"],
         blowup_step=merged["blowup_step"],
         full_runs=full_runs,
     )

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import EnsembleSummary, Trajectory
+from .engine import EnsembleSummary, Trajectory, _step_chunks
 from .errors import InsufficientRecordsError
 from .models import _sq_norms
 from .sequences import RateConstants
@@ -42,6 +42,7 @@ __all__ = [
     "HypothesisReport",
     "THEOREM_IDS",
     "make_constants",
+    "projection",
     "check_noise_excitation",
     "check_remainder",
     "check_drift_sign",
@@ -75,11 +76,6 @@ _LAMBDA_TREND_RATIO = 0.8
 
 #: Points of the log grid on which the tail-noise ratio is compared.
 TAIL_GRID_POINTS = 16
-
-#: Captured steps the ensemble checkers reduce per pass (a last chunk may
-#: hold one more): it bounds their temporaries to a few
-#: ``_STEP_CHUNK * n_runs * d`` arrays.  At least 2.
-_STEP_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def _window(ns, window):
 
 def _eps_window(summary: EnsembleSummary, window):
     """:func:`_window` of the captured increment steps."""
-    if summary.captured_eps is None:
+    if summary.captured_norms is None:
         raise InsufficientRecordsError("ensemble was run without increment captures")
     return _window(summary.increment_indices, window)
 
@@ -212,42 +208,45 @@ def _halves_sup(values):
     return sup1, sup2, not sup2 <= GROWTH_FACTOR * max(sup1, 1e-300)
 
 
-def _eps_chunks(summary: EnsembleSummary, steps: slice):
-    """The eps capture at ``steps`` and the non-blown runs, ``_STEP_CHUNK``
-    steps at a time, each chunk of shape (runs, steps in chunk, d).
-
-    Each chunk is a runs-first view of step-major memory, the layout the
-    checkers' reductions were written against (the per-step means over runs
-    then reduce along a contiguous axis, and their bits depend on it; every
-    step's mean sees the same layout whichever chunk holds it).  The engine
-    stores captures that way, so a chunk is a slice, not a copy, unless some
-    run blew up; captures held runs-first are copied into it.
-    """
-    by_step = summary.captured_eps.transpose(1, 0, 2)
-    ok = summary.ok if summary.blown_up.any() else None
-    j = steps.start
-    while j < steps.stop:
-        # a lone last step joins the chunk before it: matmul takes another
-        # path, with other bits, for a one-step chunk than for a longer one
-        end = j + _STEP_CHUNK if steps.stop - j > _STEP_CHUNK + 1 else steps.stop
-        chunk = by_step[j:end]
-        if ok is not None:
-            chunk = np.compress(ok, chunk, axis=1)  # C order: no second copy
-        yield np.ascontiguousarray(chunk).transpose(1, 0, 2)
-        j = end
+def projection(split: Optional[TrapSplit], block: str):
+    """The projection whose squared noise norms a check of ``block`` of
+    ``split`` reads, as :class:`engine.CaptureSpec` names it: for ``"plus"``
+    the rows ``P_inv[:delta_plus]``, or None (the full vector) when the split
+    has no repulsive block; for ``"minus"`` the rows ``P_inv[delta_plus:]``."""
+    if block == "plus":
+        if _repulsive(split) is None:
+            return None
+        rows = split.P_inv[: split.delta_plus]
+    else:
+        rows = split.P_inv[split.delta_plus :]
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _step_means(summary: EnsembleSummary, steps: slice, *stats):
-    """Per function in ``stats``, the cross-run mean of ``stat(eps)`` at each
-    captured step of ``steps``: row i of the result is
-    ``np.mean(stats[i](eps), axis=0)`` over the window, reduced one chunk of
-    steps at a time so no window-sized temporary is built."""
+    """Per ``(projection, power)`` in ``stats``, the cross-run mean of that
+    projection's captured squared noise norm raised to ``power`` (None: the
+    norm itself) at each captured step of ``steps``, over the runs that did
+    not blow up.  It is reduced one chunk of steps at a time, so no
+    window-sized temporary is built.
+
+    The bits of a mean over runs depend on the layout it reduces, so each
+    chunk is laid out runs-first as the noise vectors' chunks were when the
+    checkers took these norms themselves: the full vector's norms with runs
+    contiguous (numpy then sums them pairwise), a projection's one run per
+    row, as a matmul wrote them (numpy then adds the rows in order).
+    """
+    try:
+        norms = [summary.captured_norms[summary.projections.index(key)] for key, _ in stats]
+    except ValueError:
+        raise InsufficientRecordsError("ensemble kept no noise norms of this projection") from None
+    ok = summary.ok if summary.blown_up.any() else None
     out = np.empty((len(stats), steps.stop - steps.start))
-    j = 0
-    for eps in _eps_chunks(summary, steps):
-        for row, stat in zip(out, stats):
-            row[j : j + eps.shape[1]] = np.mean(stat(eps), axis=0)
-        j += eps.shape[1]
+    for j, end in _step_chunks(steps.start, steps.stop):
+        cols = slice(j - steps.start, end - steps.start)
+        for row, sq, (key, power) in zip(out, norms, stats):
+            chunk = np.ascontiguousarray(sq[j:end]) if ok is None else np.compress(ok, sq[j:end], 1)
+            chunk = chunk.T if key is None else np.ascontiguousarray(chunk.T)
+            row[cols] = np.mean(chunk if power is None else chunk**power, axis=0)
     return out
 
 
@@ -284,13 +283,8 @@ def check_noise_excitation(
             "noise_excitation", f"no {k} consecutive captured steps in window", threshold
         )
 
-    plus = None if _repulsive(split) is None else split.P_inv[: split.delta_plus].T
-    m2, ma = _step_means(  # per-n means over runs
-        summary,
-        steps,
-        lambda eps: _sq_norms(eps if plus is None else eps @ plus),
-        lambda eps: _sq_norms(eps) ** (a / 2.0),
-    )
+    # per-n means over runs
+    m2, ma = _step_means(summary, steps, (projection(split, "plus"), None), (None, a / 2.0))
     sums = sliding_window_view(m2, k)[starts].sum(axis=1)  # np.sum(m2[i:i+k]) bits
     liminf_proxy = float(np.min(sums))
     limsup_proxy = float(np.max(ma))
@@ -472,7 +466,7 @@ def check_jump_moments(
         return few
     if len(ns) < 8:
         return _inconclusive("jump_moments", "window too short")
-    (ma,) = _step_means(summary, steps, lambda eps: _sq_norms(eps) ** (a / 2.0))
+    (ma,) = _step_means(summary, steps, (None, a / 2.0))
     sup1, sup2, grew = _halves_sup(ma ** (2.0 / a))
     sup = max(sup1, sup2)
     return ConditionResult(
@@ -522,10 +516,7 @@ def check_tail_noise_condition(
     alphas = np.asarray(summary.schedule.tail_l2(ts.astype(float)))
     if not alphas.all():
         return _inconclusive("tail_noise_smallness", "alpha(t) is 0 on the grid")
-    minus = split.P_inv[split.delta_plus :].T
-    (mean_pow,) = _step_means(
-        summary, steps, lambda eps: _sq_norms(eps @ minus) ** ((1.0 + nu) / 2.0)
-    )
+    (mean_pow,) = _step_means(summary, steps, (projection(split, "minus"), (1.0 + nu) / 2.0))
     terms = summary.schedule.c_values[ns + 1] ** (1.0 + nu) * mean_pow
     suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
     ratios = suffix[ts - lo] / alphas

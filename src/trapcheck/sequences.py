@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy  # scipy.special (zeta) loads on first use, not at import
 
 from .errors import (
     DegenerateScheduleError,
@@ -39,6 +38,62 @@ _KINDS = ("power", "geometric", "const", "custom")
 #: Points of the log-spaced grid on which :func:`rate_constants` evaluates
 #: ``alpha`` and ``m`` (fewer when integer times repeat).
 RATE_GRID_POINTS = 512
+
+#: The Euler-Maclaurin coefficients ``(2k)! / B_2k`` of cephes' Hurwitz zeta.
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+
+#: cephes' machine epsilon, ``2**-53``.
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """``sum_{n >= 0} (n + q)**-x`` for ``x > 1`` and ``q > 0``, by the
+    algorithm of cephes' ``zeta`` (which ``scipy.special.zeta`` runs), one
+    float operation for each of its own, so the bits are scipy's: a direct
+    sum of at least ten terms, on until ``n + q`` passes 9, that stops early
+    once a term falls below ``_MACHEP`` of the sum; then the Euler-Maclaurin
+    correction.  For ``q > 1e8``, the first two terms of the asymptotic
+    expansion."""
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q**-x
+    a, b, i = q, 0.0, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 @dataclass(frozen=True)
@@ -116,9 +171,7 @@ class SequenceSpec:
                 raise DivergentTailError(
                     f"tail of squares diverges for power exponent {self.exponent} <= 1/2"
                 )
-            return float(
-                self.scale**2 * scipy.special.zeta(2.0 * self.exponent, n_min + self.offset)
-            )
+            return float(self.scale**2 * _hurwitz_zeta(2.0 * self.exponent, n_min + self.offset))
         if self.kind == "geometric":
             if self.ratio >= 1.0:
                 raise DivergentTailError(

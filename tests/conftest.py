@@ -1,5 +1,6 @@
 """Shared fixtures and deterministic random-matrix generators."""
 
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,25 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+class InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs each task in this
+    process as it is submitted, so a pooled ensemble starts no process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -645,7 +646,29 @@ class TestCheckRecords:
         )
     )
     def test_merged_plan_equals_the_chain(self, config):
-        assert _capture_plan(config) == _frozen_capture_plan(config)
+        plan = _capture_plan(config, None)
+        assert dataclasses.replace(plan, projections=(None,)) == _frozen_capture_plan(config)
+        # without a split, the noise checks read the full vector, and
+        # tail_noise reads nothing
+        reads = {"noise_excitation", "jump_moments"} & {c["name"] for c in config.checks}
+        assert plan.projections == ((None,) if reads else ())
+
+    def test_plan_keeps_the_norms_each_check_reads(self):
+        split = spectral.split_jacobian(np.diag([1.0, -1.0, -2.0]))
+        plus, minus = (hypotheses.projection(split, block) for block in ("plus", "minus"))
+
+        def projections(*names, split=split):
+            cfg = ExperimentConfig.from_dict(base_config(checks=[{"name": n} for n in names]))
+            return _capture_plan(cfg, split).projections
+
+        assert projections("noise_excitation") == (plus, None)
+        assert projections("jump_moments") == (None,)
+        assert projections("tail_noise") == (minus,)
+        assert projections("tail_noise", "jump_moments", "noise_excitation") == (minus, None, plus)
+        assert projections("remainder", "drift_sign", "rate_condition") == ()
+        # without a repulsive block, noise_excitation reads the full vector
+        stable = spectral.split_jacobian(np.diag([-1.0, -2.0]))
+        assert projections("noise_excitation", "jump_moments", split=stable) == (None,)
 
     #: A synthetic saddle with every check, on a model ``nu`` that no default
     #: equals: the remainder in ``split_r`` mode, a tail window that ends
@@ -848,7 +871,7 @@ class TestDiagnosticRecords:
         schedule = _build_schedule(cfg.schedule, model)
         summary = engine.monte_carlo(
             model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
-            captures=_capture_plan(cfg),
+            captures=_capture_plan(cfg, None),
         )
         split = _resolve_split_and_constants(model)[0] if split_of == "model" else None
         for write in (False, True):
@@ -858,8 +881,11 @@ class TestDiagnosticRecords:
             want = _frozen_run_diagnostics(cfg, model, summary, split, dirs[1])
             assert canonical_json(got) == canonical_json(want)
             if write:
+                # the chain made the directory also for no CSV; the records
+                # make it with the first CSV
                 names = sorted(p.name for p in dirs[1].iterdir())
-                assert sorted(p.name for p in dirs[0].iterdir()) == names
+                assert dirs[0].exists() == bool(names)
+                assert sorted(p.name for p in dirs[0].glob("*")) == names
                 for name in names:
                     assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
@@ -1055,6 +1081,22 @@ class TestExperimentCommands:
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["report"] is None
         assert doc["diagnostics"] == {}
+        assert not (tmp_path / "out" / "diagnostics").exists()
+
+    def test_diagnostic_without_a_csv_makes_no_directory(self, tmp_path):
+        # a 1-D model declares no invariant set, and its split has no
+        # non-repulsive block: manifold_rate has nothing to measure against
+        p = write_config(
+            tmp_path,
+            base_config(
+                model={"kind": "linear", "H": [[1.0]]},
+                diagnostics=[{"name": "manifold_rate"}],
+                output={"write_diagnostics": True},
+            ),
+        )
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["diagnostics"] == {"manifold_rate": {"error": "model declares no invariant set"}}
         assert not (tmp_path / "out" / "diagnostics").exists()
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import concurrent.futures
 from unittest import mock
 
 import numpy as np
@@ -27,6 +26,9 @@ from trapcheck import (
     monte_carlo,
     run,
 )
+from trapcheck.models import _sq_norms
+
+from conftest import InProcessPool
 
 
 def harmonic(horizon):
@@ -151,7 +153,9 @@ class TestMonteCarlo:
         m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
         s = harmonic(600)
         cap = CaptureSpec(
-            state_indices=(1, 10, 100, 600), increment_indices=tuple(range(50, 66))
+            state_indices=(1, 10, 100, 600),
+            increment_indices=tuple(range(50, 66)),
+            projections=(None, ((0.5, -1.25),), ((1.0, 0.0), (0.3, 2.0))),
         )
         outs = [
             monte_carlo(m, s, np.array([0.0, 0.3]), 600, 24, master_seed=5,
@@ -162,7 +166,7 @@ class TestMonteCarlo:
             assert np.array_equal(outs[0].terminal_states, other.terminal_states)
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
-            assert np.array_equal(outs[0].captured_eps, other.captured_eps)
+            assert np.array_equal(outs[0].captured_norms, other.captured_norms)
 
     def test_pool_starts_one_process_per_chunk(self):
         # the executor forks all its processes at the first submit, so a
@@ -170,31 +174,20 @@ class TestMonteCarlo:
         # task in-process and records the size asked for
         sizes = []
 
-        class InProcessPool:
+        class SizedPool(InProcessPool):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
 
         m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
         s = harmonic(300)
         cap = CaptureSpec(state_indices=(1, 300), increment_indices=(5, 6), full_runs=(3,))
         args = (m, s, np.array([0.0, 0.3]), 300, 4)
         ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", SizedPool):
             got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
         assert sizes == [4]
         assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
-        for name in ("terminal_states", "sup_tail_distance", "captured_states", "captured_eps"):
+        for name in ("terminal_states", "sup_tail_distance", "captured_states", "captured_norms"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert np.array_equal(got.trajectory(3).states, ref.trajectory(3).states)
 
@@ -271,10 +264,10 @@ class TestMonteCarlo:
     def test_martingale_sanity(self):
         m = LinearModel([[1.0]])
         s = harmonic(256)
-        cap = CaptureSpec(increment_indices=(100,))
+        cap = CaptureSpec(full_runs=tuple(range(400)))
         summary = monte_carlo(m, s, np.zeros(1), 256, 400, master_seed=123, captures=cap)
-        mean_eps = summary.captured_eps.mean(axis=0)  # (n_captures, d)
-        assert np.linalg.norm(mean_eps[0]) <= 4.0 / np.sqrt(400)
+        mean_eps = np.mean([summary.trajectory(i).eps[100] for i in range(400)], axis=0)
+        assert np.linalg.norm(mean_eps) <= 4.0 / np.sqrt(400)
 
     def test_near_trap_at_uncaptured_time_raises(self):
         m = LinearModel([[1.0]])
@@ -373,7 +366,13 @@ class TestDeterminismProperty:
         n_runs = data.draw(st.integers(3, 7), label="n_runs")
         N = 300
         m, s, x0 = _ensemble_case(kind, d, alpha, seed, N)
-        cap = CaptureSpec(state_indices=(0, 150, 300), increment_indices=(0, 63, 64, 299))
+        rows = np.linspace(-1.0, 2.0, 2 * d).reshape(2, d)
+        inc = (0, 63, 64, 299)
+        cap = CaptureSpec(
+            state_indices=(0, 150, 300),
+            increment_indices=inc,
+            projections=(None, tuple(map(tuple, rows.tolist()))),
+        )
         with (
             mock.patch.object(engine, "_RAW_BLOCK", 64),
             mock.patch.object(engine, "_DRAW_TILE", 2),
@@ -392,17 +391,20 @@ class TestDeterminismProperty:
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].blown_up, other.blown_up)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
-            assert np.array_equal(outs[0].captured_eps, other.captured_eps)
+            assert np.array_equal(outs[0].captured_norms, other.captured_norms)
         for out in outs:
-            # the checkers' bits rest on a step-major, C-contiguous eps capture
-            assert out.captured_eps.transpose(1, 0, 2).flags.c_contiguous
+            # the checkers' bits rest on step-major, C-contiguous norms
+            assert out.captured_norms.flags.c_contiguous
             assert out.captured_states.flags.c_contiguous
         ok = outs[0].ok
         assert np.array_equal(
             outs[0].terminal_states[ok], np.array([t.states[-1] for t in lone]).reshape(-1, d)
         )
-        for got, t in zip(outs[0].captured_eps[ok], lone):
-            assert np.array_equal(got, t.eps[list(cap.increment_indices)])
+        full, projected = outs[0].captured_norms[:, :, ok]
+        for r, t in enumerate(lone):
+            eps = t.eps[list(inc)]
+            assert np.array_equal(full[:, r], _sq_norms(eps))
+            assert np.array_equal(projected[:, r], _sq_norms(eps @ rows.T))
 
 
 class JumpModel(Model):

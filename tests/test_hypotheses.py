@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import trapcheck.engine as engine
 import trapcheck.hypotheses as hyp
 from trapcheck.cli import main
 from trapcheck.engine import CaptureSpec, Trajectory, monte_carlo, run
@@ -28,12 +30,13 @@ from trapcheck.models import (
     MeanFieldVrrwModel,
     VrrwConfig,
     VrrwWalkModel,
+    _sq_norms,
     control_models,
 )
 from trapcheck.sequences import Schedule, SequenceSpec, rate_constants
 from trapcheck.spectral import adapted_inner_product, split_jacobian
 
-from conftest import traced_peak
+from conftest import InProcessPool, traced_peak
 
 
 def harmonic(horizon):
@@ -44,10 +47,17 @@ def harmonic(horizon):
     )
 
 
-def ensemble(model, N=300, n_runs=40, master_seed=7, captures=None, schedule=None):
+def every_projection(split=None):
+    """The full vector and, with a split, the projections on both its blocks."""
+    if split is None:
+        return (None,)
+    return (None, hyp.projection(split, "plus"), hyp.projection(split, "minus"))
+
+
+def ensemble(model, N=300, n_runs=40, master_seed=7, captures=None, schedule=None, split=None):
     sched = schedule if schedule is not None else harmonic(N)
     caps = captures if captures is not None else CaptureSpec(
-        increment_indices=tuple(range(N))
+        increment_indices=tuple(range(N)), projections=every_projection(split)
     )
     x0 = np.full(model.dim, 0.1)
     return monte_carlo(model, sched, x0, N, n_runs, master_seed, captures=caps), sched
@@ -137,8 +147,8 @@ class TestNoiseExcitation:
 
     def test_stable_only_fails_under_split_but_not_without(self):
         model = control_models()["stable_only_noise"]
-        summary, _ = ensemble(model, n_runs=32)
         split = split_jacobian(np.diag([1.0, -1.0]))
+        summary, _ = ensemble(model, n_runs=32, split=split)
         # repulsive coordinate is never excited
         res_split = check_noise_excitation(summary, split=split)
         assert res_split.verdict == "fail"
@@ -415,8 +425,8 @@ class TestJumpMoments:
 class TestTailNoise:
     def test_bounded_noise_on_harmonic_schedule_passes(self):
         model = LinearModel(np.diag([1.0, -1.0]))
-        summary, _ = ensemble(model, N=400)
         split = split_jacobian(model.H)
+        summary, _ = ensemble(model, N=400, split=split)
         res = check_tail_noise_condition(summary, split, nu=1.0)
         assert res.verdict == "pass"
         assert res.estimates["ratio_end"] < res.estimates["ratio_decade_ago"]
@@ -428,8 +438,8 @@ class TestTailNoise:
             c=SequenceSpec("geometric", scale=1.0, ratio=0.9),
             horizon=100,
         )
-        summary, _ = ensemble(model, N=100, schedule=sched)
         split = split_jacobian(model.H)
+        summary, _ = ensemble(model, N=100, schedule=sched, split=split)
         res = check_tail_noise_condition(summary, split, nu=1.0)
         assert res.verdict == "fail"
         assert res.estimates["ratio_end"] > res.estimates["ratio_decade_ago"]
@@ -546,9 +556,25 @@ class TestInconclusiveReasons:
     )
     def test_no_capture_raises(self, check):
         summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=50, captures=CaptureSpec())
-        assert summary.captured_eps is None
+        assert summary.captured_norms is None
         with pytest.raises(InsufficientRecordsError):
             check(summary)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda s, split: check_noise_excitation(s, split),
+            lambda s, split: check_tail_noise_condition(s, split, 1.0),
+        ],
+        ids=["noise_excitation", "tail_noise"],
+    )
+    def test_projection_not_captured_raises(self, check):
+        # the full vector alone was kept: neither block of the split was
+        split = split_jacobian(np.diag([1.0, -1.0]))
+        summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=50)
+        assert summary.projections == (None,)
+        with pytest.raises(InsufficientRecordsError, match="projection"):
+            check(summary, split)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +651,60 @@ class TestHypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# capture layout and step chunks
+# squared noise norms, and the eps path they replace
 # ---------------------------------------------------------------------------
+
+
+def _eps_capture(summary):
+    """The eps capture the ensemble kept before it kept squared norms: every
+    run's eps at the increment steps, step-major ``(steps, runs, d)``,
+    rebuilt from the runs kept in full (each bitwise the ensemble's row)."""
+    inc = summary.increment_indices
+    return np.stack([summary.full_runs[r].eps[inc] for r in range(summary.n_runs)], axis=1)
+
+
+def _frozen_stat(split, key, power):
+    """The statistic of an eps chunk the checkers reduced for the norm of
+    projection ``key`` raised to ``power``, as they wrote it on ``split``."""
+    M = None
+    if key is not None:
+        plus = key == hyp.projection(split, "plus")
+        M = split.P_inv[: split.delta_plus].T if plus else split.P_inv[split.delta_plus :].T
+    if power is None:
+        return lambda eps: _sq_norms(eps if M is None else eps @ M)
+    return lambda eps: _sq_norms(eps if M is None else eps @ M) ** power
+
+
+def _frozen_eps_chunks(by_step, ok, steps):
+    """The checkers' eps chunks of ``steps``, as ``hypotheses._eps_chunks``
+    cut them from the step-major capture ``by_step``."""
+    j = steps.start
+    while j < steps.stop:
+        size = engine._STEP_CHUNK
+        end = j + size if steps.stop - j > size + 1 else steps.stop
+        chunk = by_step[j:end]
+        if ok is not None:
+            chunk = np.compress(ok, chunk, axis=1)
+        yield np.ascontiguousarray(chunk).transpose(1, 0, 2)
+        j = end
+
+
+def _frozen_step_means(split):
+    """``hypotheses._step_means`` as it was, on the eps capture, with the
+    checkers' statistics on ``split``."""
+
+    def step_means(summary, steps, *stats):
+        by_step = _eps_capture(summary)
+        ok = summary.ok if summary.blown_up.any() else None
+        out = np.empty((len(stats), steps.stop - steps.start))
+        j = 0
+        for eps in _frozen_eps_chunks(by_step, ok, steps):
+            for row, stat in zip(out, stats):
+                row[j : j + eps.shape[1]] = np.mean(_frozen_stat(split, *stat)(eps), axis=0)
+            j += eps.shape[1]
+        return out
+
+    return step_means
 
 
 def _runs_first_window(summary, steps):
@@ -634,117 +712,128 @@ def _runs_first_window(summary, steps):
     # with, kept as the reference: its result is physically step-major
     mask = np.zeros(len(summary.increment_indices), dtype=bool)
     mask[steps] = True
-    return summary.captured_eps[summary.ok][:, mask, :]
+    return _eps_capture(summary).transpose(1, 0, 2)[summary.ok][:, mask, :]
 
 
-def _reference_step_means(summary, steps, *stats):
-    eps = _runs_first_window(summary, steps)
-    return np.array([np.mean(stat(eps), axis=0) for stat in stats])
+def _reference_step_means(split):
+    """The step means on each whole window of eps, read runs-first."""
+
+    def step_means(summary, steps, *stats):
+        eps = _runs_first_window(summary, steps)
+        return np.array([np.mean(_frozen_stat(split, *stat)(eps), axis=0) for stat in stats])
+
+    return step_means
+
+
+def _walk_ensemble(workers=1):
+    """A VRRW walk ensemble with a gapped head and a contiguous tail of
+    increment captures, every run kept in full, and the norms of a split
+    with a repulsive block to project on."""
+    model = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
+    N = 600
+    split = split_jacobian(np.diag([1.0, -1.0, -2.0]))
+    head = np.unique(np.geomspace(1, 39, 20).astype(int))
+    caps = CaptureSpec(
+        increment_indices=tuple(head) + tuple(range(40, N)),
+        full_runs=tuple(range(48)),
+        projections=every_projection(split),
+    )
+    with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        summary = monte_carlo(model, model.natural_schedule(N), model.initial_state(), N, 48, 11,
+                              workers=workers, captures=caps)
+    return summary, split
+
+
+def _with_blown(summary, blown):
+    """``summary`` with runs 3, 17 and 40 marked blown up, or with none."""
+    marked = np.isin(np.arange(summary.n_runs), [3, 17, 40]) if blown else summary.blown_up & False
+    return dataclasses.replace(summary, blown_up=marked)
 
 
 @pytest.fixture(scope="module")
 def walk_captures():
-    """A VRRW walk ensemble with a gapped head and a contiguous tail of
-    increment captures, and three runs marked blown up."""
-    model = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
-    N = 600
-    sched = model.natural_schedule(N)
-    head = np.unique(np.geomspace(1, 39, 20).astype(int))
-    caps = CaptureSpec(increment_indices=tuple(head) + tuple(range(40, N)))
-    summary = monte_carlo(model, sched, model.initial_state(), N, 48, 11, captures=caps)
-    blown = summary.blown_up.copy()
-    blown[[3, 17, 40]] = True
-    split = split_jacobian(np.diag([1.0, -1.0, -2.0]))  # a repulsive block to project on
-    return dataclasses.replace(summary, blown_up=blown), sched, split
+    """:func:`_walk_ensemble` with three runs marked blown up."""
+    summary, split = _walk_ensemble()
+    return _with_blown(summary, True), split
 
 
-def _eps_checks(summary, split):
+def _eps_checks(summary, split, tail_windows=((40, 600), (100, 500))):
     out = []
     for window in (None, (100, 500)):
         out.append(check_noise_excitation(summary, split=split, window=window))
         out.append(check_noise_excitation(summary, window=window))
         out.append(check_noise_excitation(summary, split=split, k=3, window=window))
         out.append(check_jump_moments(summary, a=4.0, window=window))
-    for window in ((40, 600), (100, 500)):
+    for window in tail_windows:
         out.append(check_tail_noise_condition(summary, split, 1.0, window=window))
     return [r.to_dict() for r in out]
 
 
-def _with_blown(summary, blown):
-    if blown:
-        return summary
-    return dataclasses.replace(summary, blown_up=np.zeros(summary.n_runs, dtype=bool))
-
-
 class TestCaptureLayout:
     def test_captures_are_step_major_views(self, walk_captures):
-        summary, _, _ = walk_captures
-        arr = summary.captured_eps
-        assert arr.shape == (48, len(summary.increment_indices), 3)
-        assert arr.transpose(1, 0, 2).flags.c_contiguous
+        summary, _ = walk_captures
+        arr = summary.captured_norms
+        assert arr.shape == (3, len(summary.increment_indices), 48)  # full, plus, minus
+        assert arr.flags.c_contiguous
+        assert summary.captured_eps is None
 
     def test_checkers_ignore_capture_layout(self, walk_captures):
-        summary, _, split = walk_captures
-        runs_first = dataclasses.replace(
-            summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
-        )
-        assert _eps_checks(summary, split) == _eps_checks(runs_first, split)
+        summary, split = walk_captures
+        runs_first = np.ascontiguousarray(summary.captured_norms.transpose(0, 2, 1))
+        other = dataclasses.replace(summary, captured_norms=runs_first.transpose(0, 2, 1))
+        assert _eps_checks(summary, split) == _eps_checks(other, split)
 
     def test_checkers_equal_runs_first_fancy_indexing(self, walk_captures, monkeypatch):
-        summary, _, split = walk_captures
+        summary, split = walk_captures
         got = _eps_checks(summary, split)
-        monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
+        monkeypatch.setattr(hyp, "_step_means", _reference_step_means(split))
         assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("chunk", [7, 10_000])
     @pytest.mark.parametrize("blown", [True, False])
-    def test_chunk_boundaries_keep_every_bit(self, walk_captures, monkeypatch, blown, chunk):
-        # at 7 steps a chunk boundary falls inside every window, and the
-        # 400-step window (100, 500) ends in a lone step (400 = 57 * 7 + 1);
-        # at 10,000 each window is one chunk
-        summary, _, split = walk_captures
+    def test_chunk_boundaries_keep_every_bit(self, monkeypatch, blown, chunk):
+        # at 7 steps the engine's and the checkers' chunk boundaries fall
+        # inside every window, and the 400-step window (100, 500) ends in a
+        # lone step (400 = 57 * 7 + 1); at 10,000 each window is one chunk
+        monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+        summary, split = _walk_ensemble()
         summary = _with_blown(summary, blown)
-        monkeypatch.setattr(hyp, "_STEP_CHUNK", chunk)
         got = _eps_checks(summary, split)
-        monkeypatch.setattr(hyp, "_step_means", _reference_step_means)
+        monkeypatch.setattr(hyp, "_step_means", _reference_step_means(split))
         assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("blown", [True, False])
     @pytest.mark.parametrize("window", [None, (100, 500)])
     def test_window_has_the_reference_layout(self, walk_captures, monkeypatch, blown, window):
-        # the per-step means over runs round differently unless the runs
-        # axis of every chunk is laid out as the reference lays it out
-        summary = _with_blown(walk_captures[0], blown)
-        runs_first = dataclasses.replace(
-            summary, captured_eps=np.ascontiguousarray(summary.captured_eps)
-        )
-        monkeypatch.setattr(hyp, "_STEP_CHUNK", 7)
+        # the per-step means over runs round differently unless each chunk
+        # of norms is laid out as the reference's norms are: runs contiguous
+        # for the full vector, one run per row for a projection
+        summary, split = walk_captures
+        summary = _with_blown(summary, blown)
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 7)
         ns, steps = hyp._eps_window(summary, window)
         if window is not None:
             assert np.array_equal(ns, np.arange(*window))
         ref = _runs_first_window(summary, steps)
-        for s in (summary, runs_first):
-            j = 0
-            for eps in hyp._eps_chunks(s, steps):
-                assert 2 <= eps.shape[1] <= 8
-                part = ref[:, j : j + eps.shape[1]]
-                assert eps.strides == part.strides
-                assert np.array_equal(eps, part)
-                j += eps.shape[1]
-            assert j == len(ns)
-        ref_m2 = np.mean(np.sum(ref**2, axis=-1), axis=0)
-        m2 = hyp._step_means(summary, steps, lambda eps: np.sum(eps**2, axis=-1))[0]
-        assert np.array_equal(m2, ref_m2)
+        plus = split.P_inv[: split.delta_plus].T
+        m2, mp, m4 = hyp._step_means(
+            summary, steps, (None, None), (hyp.projection(split, "plus"), None), (None, 2.0)
+        )
+        assert np.array_equal(m2, np.mean(np.sum(ref**2, axis=-1), axis=0))
+        assert np.array_equal(mp, np.mean(np.sum((ref @ plus) ** 2, axis=-1), axis=0))
+        assert np.array_equal(m4, np.mean(np.sum(ref**2, axis=-1) ** 2.0, axis=0))
 
     def test_no_blown_runs_gives_a_slice(self, walk_captures):
+        # with every run kept, the full vector's norms are reduced in place:
+        # nothing of a chunk's size is allocated
         clean = _with_blown(walk_captures[0], False)
         _, steps = hyp._eps_window(clean, (100, 500))
-        for eps in hyp._eps_chunks(clean, steps):
-            assert np.shares_memory(eps, clean.captured_eps)
+        chunk_bytes = clean.captured_norms[0, steps].nbytes
+        assert traced_peak(lambda: hyp._step_means(clean, steps, (None, None))) < chunk_bytes / 4
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_k_window_sums_equal_the_loop(self, walk_captures, k):
-        summary, _, _ = walk_captures
+        summary, _ = walk_captures
         ns = summary.increment_indices
         eps = _runs_first_window(summary, slice(None))
         m2 = np.mean(np.sum(eps**2, axis=-1), axis=0)
@@ -758,66 +847,134 @@ class TestCaptureLayout:
         assert res.estimates["excitation_liminf"] == min(sums)
 
 
+def _long_ensemble():
+    """A linear ensemble whose increment capture spans more than four step
+    chunks, the last ending in a lone step (5 * 1024 + 1 steps), every run
+    kept in full, with the norms of a split that mixes coordinates."""
+    T = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]])
+    model = LinearModel(T @ np.diag([1.0, -1.0, -2.0]) @ np.linalg.inv(T))
+    split = split_jacobian(model.H)
+    N = 5 * 1024 + 100
+    caps = CaptureSpec(
+        increment_indices=tuple(range(99, N)),
+        full_runs=tuple(range(40)),
+        projections=every_projection(split),
+    )
+    summary, _ = ensemble(model, N=N, captures=caps)
+    return summary, split
+
+
+@pytest.fixture(scope="module")
+def long_capture():
+    return _long_ensemble()
+
+
+class TestNormsEqualTheEpsPath:
+    """The checkers on the captured squared norms give the bits they gave on
+    the eps capture, through a frozen copy of that path."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("blown", [False, True])
+    def test_walk_at_any_worker_count(self, monkeypatch, workers, blown):
+        # windows that start inside the engine's chunk, k = 3, and runs
+        # marked blown up
+        summary, split = _walk_ensemble(workers)
+        summary = _with_blown(summary, blown)
+        got = _eps_checks(summary, split)
+        monkeypatch.setattr(hyp, "_step_means", _frozen_step_means(split))
+        assert got == _eps_checks(summary, split)
+
+    @pytest.mark.parametrize("blown", [False, True])
+    def test_capture_of_more_than_four_chunks(self, long_capture, monkeypatch, blown):
+        summary, split = long_capture
+        assert len(summary.increment_indices) == 5 * engine._STEP_CHUNK + 1
+        summary = _with_blown(summary, blown)
+        N = summary.N
+
+        def checks():
+            out = []
+            for window in (None, (500, N), (100, N - 1)):
+                out.append(check_noise_excitation(summary, split=split, window=window))
+                out.append(check_noise_excitation(summary, split=split, k=2, window=window))
+                out.append(check_jump_moments(summary, a=3.0, window=window))
+                out.append(check_tail_noise_condition(summary, split, 0.5, window=window))
+            return [r.to_dict() for r in out]
+
+        got = checks()
+        assert {r["verdict"] for r in got} <= {"pass", "fail"}
+        monkeypatch.setattr(hyp, "_step_means", _frozen_step_means(split))
+        assert got == checks()
+
+
 def _frozen_sq_norms(y):
     # the sum of squares the eps checkers' statistics took before the fold
     return np.sum(y**2, axis=-1)
 
 
-@pytest.fixture(scope="module", params=[2, 3, 5])
-def vrrw_captures(request):
-    """A d-vertex mean-field VRRW ensemble with every step's eps captured,
-    and a split of a fixed non-diagonal matrix, so both projections mix
+def _vrrw_ensemble(d):
+    """A d-vertex mean-field VRRW ensemble with every step's norms captured
+    on a split of a fixed non-diagonal matrix, so both projections mix
     coordinates."""
-    d = request.param
     model = MeanFieldVrrwModel(VrrwConfig.complete(d, 1.5))
     N = 600
-    sched = model.natural_schedule(N)
-    caps = CaptureSpec(increment_indices=tuple(range(N)))
-    summary = monte_carlo(model, sched, model.initial_state(), N, 40, 3, captures=caps)
     M = np.random.default_rng(d).standard_normal((d, d)) + 3.0 * np.eye(d)
     H = M @ np.diag([1.0] + [-1.0 - j for j in range(d - 1)]) @ np.linalg.inv(M)
-    return summary, sched, split_jacobian(H)
+    split = split_jacobian(H)
+    caps = CaptureSpec(increment_indices=tuple(range(N)), projections=every_projection(split))
+    summary = monte_carlo(model, model.natural_schedule(N), model.initial_state(), N, 40, 3,
+                          captures=caps)
+    return summary, split
+
+
+@pytest.fixture(scope="module", params=[2, 3, 5])
+def vrrw_captures(request):
+    return request.param, *_vrrw_ensemble(request.param)
 
 
 class TestFoldedEpsStatistics:
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_equal_the_frozen_sums(self, vrrw_captures, monkeypatch, blown):
-        summary, _, split = vrrw_captures
-        if blown:
-            summary = dataclasses.replace(summary, blown_up=np.isin(np.arange(40), [3, 17, 31]))
-        got = _eps_checks(summary, split)
+        d, summary, split = vrrw_captures
+        got = _eps_checks(_with_blown(summary, blown), split, ((40, 600), (60, 600)))
         decided = {r["name"] for r in got if r["verdict"] != "inconclusive"}
         assert decided == {"noise_excitation", "jump_moments", "tail_noise_smallness"}
-        monkeypatch.setattr(hyp, "_sq_norms", _frozen_sq_norms)
-        assert got == _eps_checks(summary, split)
-
-
-@pytest.fixture(scope="module")
-def long_capture():
-    """An ensemble whose eps capture spans more than four step chunks."""
-    model = LinearModel(np.diag([1.0, -1.0, -2.0]))
-    N = 4 * hyp._STEP_CHUNK + 200
-    caps = CaptureSpec(increment_indices=tuple(range(100, N)))
-    summary, sched = ensemble(model, N=N, captures=caps)
-    return summary, sched, split_jacobian(model.H)
+        monkeypatch.setattr(engine, "_sq_norms", _frozen_sq_norms)
+        frozen, _ = _vrrw_ensemble(d)
+        assert got == _eps_checks(_with_blown(frozen, blown), split, ((40, 600), (60, 600)))
 
 
 class TestCaptureMemory:
-    def test_only_eps_is_captured(self, long_capture):
-        summary, _, _ = long_capture
-        assert summary.captured_eps is not None
-        assert summary.captured_g is None
-        assert summary.captured_rem is None
+    def test_norms_take_two_thirds_of_the_eps_bytes(self):
+        # two projections of a d = 3 noise keep two doubles per run and step
+        # where the eps capture kept three; while it runs, the engine also
+        # buffers one chunk of eps, reads the captured steps from one int64
+        # array and builds a few objects of a few hundred bytes each (the
+        # projection matrices, the set of chunk ends)
+        model = LinearModel(np.diag([1.0, -1.0, -2.0]))
+        minus = hyp.projection(split_jacobian(model.H), "minus")
+        N, n_runs = 4 * engine._STEP_CHUNK + 200, 200
+        inc = tuple(range(100, N))
+
+        def simulate(projections):
+            caps = CaptureSpec(increment_indices=inc, projections=projections)
+            return ensemble(model, N=N, n_runs=n_runs, captures=caps)[0]
+
+        summary = simulate((None, minus))
+        assert summary.captured_g is summary.captured_eps is summary.captured_rem is None
+        eps_bytes = len(inc) * n_runs * 3 * 8
+        assert summary.captured_norms.nbytes == 2 * eps_bytes // 3
+        chunk_bytes = (engine._STEP_CHUNK + 1) * n_runs * 3 * 8
+        extra = traced_peak(lambda: simulate((None, minus))) - traced_peak(lambda: simulate(()))
+        assert extra <= 2 * eps_bytes // 3 + chunk_bytes + len(inc) * 8 + 4096
 
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_build_no_window_sized_temporary(self, long_capture, blown):
-        summary, _, split = long_capture
-        if blown:
-            summary = dataclasses.replace(summary, blown_up=np.arange(summary.n_runs) == 5)
+        summary, split = long_capture
+        summary = _with_blown(summary, blown)
         window = (100, summary.N)
         _, steps = hyp._eps_window(summary, window)
-        assert steps.stop - steps.start >= 4 * hyp._STEP_CHUNK
-        window_bytes = summary.captured_eps[:, steps].nbytes
+        assert steps.stop - steps.start >= 4 * engine._STEP_CHUNK
+        window_bytes = summary.captured_norms[0, steps].nbytes
         checks = [
             lambda: check_tail_noise_condition(summary, split, 1.0, window=window),
             lambda: check_noise_excitation(summary, split=split, window=window),

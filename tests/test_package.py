@@ -33,7 +33,7 @@ def test_package_exports_every_module_name_once():
 
 
 # ---------------------------------------------------------------------------
-# scipy's submodules load on first use
+# scipy.linalg loads on first use, scipy.special never
 # ---------------------------------------------------------------------------
 # The test process has scipy.special and scipy.linalg loaded already, so each
 # case runs in a fresh interpreter.
@@ -114,7 +114,8 @@ def test_spectral_and_check_load_them_with_unchanged_output(tmp_path, capsys):
                           "code": code, "after_check": loaded()}}))
     """)
     assert "scipy.linalg" in out["after_spectral"]
-    assert out["after_check"] == ["scipy", *_SUBMODULES]
+    # the exact tails of power sequences use trapcheck's own Hurwitz zeta
+    assert out["after_check"] == ["scipy", "scipy.linalg"]
     capsys.readouterr()
     assert out["spectral"] == [main(["spectral", matrix, "--json"]), capsys.readouterr().out]
     code = main(["check", "--config", str(tmp_path / "config.json"),

@@ -13,6 +13,7 @@ from trapcheck import (
     rate_constants,
 )
 from trapcheck.cli import ExperimentConfig, _build_schedule
+from trapcheck.sequences import _hurwitz_zeta
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -104,6 +105,27 @@ class TestTailL2:
         for t in (1, 7, 100, 2500):
             lhs = s.tail_l2(t) ** 2 + np.sum(c[1 : t + 1] ** 2)
             assert_allclose(lhs, s.tail_l2(0) ** 2, rtol=1e-12)
+
+
+class TestHurwitzZeta:
+    """The port runs scipy's algorithm float for float, so it equals
+    ``scipy.special.zeta``, which only this test imports, bit for bit."""
+
+    def test_equals_scipy_bitwise(self):
+        from scipy.special import zeta
+
+        xs = np.linspace(1.02, 4.0, 24)
+        base = np.concatenate([np.arange(1.0, 40.0), np.geomspace(40.0, 1e9, 60)])
+        # the offsets in use, and q on both sides of the asymptotic branch
+        qs = np.concatenate([base, base + 0.5, base + 1e-3, [1e8, np.nextafter(1e8, 0.0), 1e8 + 1]])
+        got = np.array([[_hurwitz_zeta(x, q) for q in qs.tolist()] for x in xs.tolist()])
+        want = zeta(xs[:, None], qs[None, :])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_power_tail_is_the_zeta_tail(self):
+        spec = SequenceSpec("power", exponent=0.75, scale=2.0, offset=1.5)
+        # sum_{n > 10} 4 (n + 1.5)^-1.5 = 4 zeta(1.5, 12.5)
+        assert spec.tail_sum_of_squares(10.3) == 4.0 * _hurwitz_zeta(1.5, 12.5)
 
 
 class TestPartialDriftSum:
