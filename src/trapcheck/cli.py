@@ -515,11 +515,10 @@ class ExperimentConfig:
     @staticmethod
     def load(path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                cfg = json.load(fh)
+            cfg = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}", str(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc), str(path))
         return ExperimentConfig.from_dict(cfg)
 
@@ -646,13 +645,13 @@ def _x0_of(config: ExperimentConfig, model: models.Model) -> np.ndarray:
     return model.initial_state()
 
 
-def _run_diagnostics(config, summary, ddir, **inputs):
-    """The diagnostics' medians over the ensemble; with a directory ``ddir``,
-    ``<name>.csv`` there holds the columns of the first run that did not blow
-    up in the diagnostic's result, named ``csv_run`` unless it is run 0 (null if none)."""
+def _run_diagnostics(config, summary, files, **inputs):
+    """The diagnostics' medians over the ensemble; with ``write_diagnostics``, ``files``
+    gains ``diagnostics/<name>.csv``: the columns of the first run that did not blow up
+    in the diagnostic's result, named ``csv_run`` unless it is run 0 (null if none)."""
     csv_run = int(np.argmax(summary.ok)) if summary.ok.any() else None
-    named = {} if ddir is None or csv_run == 0 else {"csv_run": csv_run}
-    ddir = None if csv_run is None else ddir  # no run has rows to write
+    write = config.output["write_diagnostics"]
+    named = {"csv_run": csv_run} if write and csv_run != 0 else {}
     out = {}
     for dg in config.diagnostics:
         name = dg["name"]
@@ -664,10 +663,35 @@ def _run_diagnostics(config, summary, ddir, **inputs):
         out[name] = {"median_rate": res.median, "n_rates": n_rates, **named}
         if res.deficits is not None:  # the shadow deficit names the restarts it excluded
             out[name]["n_excluded_restarts"] = res.n_excluded
-        if ddir is not None:  # the directory comes with its first CSV
-            ddir.mkdir(parents=True, exist_ok=True)
-            engine._write_csv(ddir / f"{name}.csv", res.first_run, [*res.first_run.values()])
+        if write and csv_run is not None:  # else no run has rows to write
+            csv = (engine._write_csv, res.first_run, [*res.first_run.values()])
+            files[f"diagnostics/{name}.csv"] = csv
     return out
+
+
+def _write_artifacts(out: Path, files: dict, doc: dict) -> None:
+    """Remove what an earlier run wrote (``summary.json``, ``trajectories/run_*.csv``,
+    each diagnostic's CSV and a subdirectory left empty; no other file), write each
+    ``files[name] = (writer, *args)`` as ``writer(out / name, *args)``, and last, since it
+    marks a complete run, ``doc`` as ``summary.json`` with these seconds as its ``io``."""
+    start = time.perf_counter()
+    old = [out / "summary.json", *out.glob("trajectories/run_*.csv")]
+    old += [out / "diagnostics" / f"{name}.csv" for name in _DIAGNOSTICS]
+    try:
+        # existing paths first: a file in the way fails before anything changes
+        for path in sorted({(out / n).parent for n in files}, key=Path.exists, reverse=True):
+            path.mkdir(exist_ok=True)
+        for path in filter(Path.is_file, old):
+            path.unlink()
+        for name, (writer, *args) in files.items():
+            writer(out / name, *args)
+        for path in (out / "trajectories", out / "diagnostics"):
+            if path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
+        doc["meta"]["timings_s"]["io"] = time.perf_counter() - start
+        (out / "summary.json").write_text(canonical_json(doc))
+    except OSError as exc:  # its message names the file when the OS does
+        raise ConfigError(f"cannot write the run's files: {exc}", str(out)) from exc
 
 
 def run_experiment(
@@ -677,14 +701,14 @@ def run_experiment(
     with_checks: bool = True,
 ) -> tuple[int, dict]:
     """Execute a config end to end; returns (exit_code, summary dict) and
-    writes ``summary.json`` (plus optional trajectory/diagnostic CSVs).
+    then writes ``summary.json`` (plus optional trajectory/diagnostic CSVs).
     ``with_checks=False`` (``simulate``) runs the ensemble alone: the
     config's checks and diagnostics are ignored.
 
     ``meta.timings_s`` holds the wall seconds of each stage that ran:
     ``simulate`` (building the model and the ensemble), ``checks`` and
-    ``diagnostics`` (with their CSVs; ``check`` only), and ``io`` (the
-    trajectory CSVs; ``summary.json`` is written after it).
+    ``diagnostics`` (``check`` only), and ``io`` (removing the last run's
+    files and writing every CSV; ``summary.json`` is written after it).
     """
     marks = [time.perf_counter()]
 
@@ -754,7 +778,7 @@ def run_experiment(
         "diagnostics": {},
     }
 
-    exit_code = 0
+    exit_code, files = 0, {}
     if with_checks:
         rates = sequences.rate_constants(schedule, (lo, hi))
         doc["rates"] = rates.to_dict()
@@ -769,28 +793,19 @@ def run_experiment(
         report = hypotheses.HypothesisReport(theorem, conds, constants)
         doc["report"] = report.to_dict()
         timings["checks"] = lap()
-        write = config.output["write_diagnostics"] and config.diagnostics
-        ddir = out / "diagnostics" if write else None
         inputs = {"field": model.field, "K": model.manifold_K, "split": split}
-        doc["diagnostics"] = _run_diagnostics(config, summary, ddir, **inputs)
+        doc["diagnostics"] = _run_diagnostics(config, summary, files, **inputs)
         timings["diagnostics"] = lap()
         if report.verdict == "fail":
             exit_code = 2
 
     for i in range(min(config.output["trajectories"], config.n_runs)):
         if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
-            tdir = out / "trajectories"
-            tdir.mkdir(exist_ok=True)
-            summary.trajectory(i).to_csv(tdir / f"run_{i}.csv")
-    timings["io"] = lap()
-    doc_meta = dict(doc)
-    doc_meta["meta"] = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "workers": int(workers),
-        "timings_s": timings,
-    }
-    (out / "summary.json").write_text(canonical_json(doc_meta))
-    return exit_code, doc_meta
+            files[f"trajectories/run_{i}.csv"] = (summary.trajectory(i).to_csv,)
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    doc["meta"] = {"timestamp": now, "workers": int(workers), "timings_s": timings}
+    _write_artifacts(out, files, doc)
+    return exit_code, doc
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +933,8 @@ def _cmd_report(args) -> int:
         p = p / "summary.json"
     try:
         doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        print(f"error: {p}: {exc}", file=sys.stderr)
         return 1
     if not isinstance(doc, dict) or type(doc.get("schema_version")) is not int:
         why = "no integer schema_version"

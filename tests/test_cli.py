@@ -38,7 +38,7 @@ from trapcheck.cli import (
     main,
     run_experiment,
 )
-from trapcheck.errors import BlowUpError, ConfigError
+from trapcheck.errors import BlowUpError, ConfigError, TrapcheckError
 from trapcheck.flow import apt_deficit, time_change
 from trapcheck.spectral import project_pm
 
@@ -874,20 +874,27 @@ class TestDiagnosticRecords:
             captures=_capture_plan(cfg, None),
         )
         split = _resolve_split_and_constants(model)[0] if split_of == "model" else None
+        inputs = {"field": model.field, "K": model.manifold_K, "split": split}
         for write in (False, True):
-            dirs = [tmp_path / f"{side}_{write}" if write else None for side in ("got", "want")]
-            inputs = {"field": model.field, "K": model.manifold_K, "split": split}
-            got = cli._run_diagnostics(cfg, summary, dirs[0], **inputs)
-            want = _frozen_run_diagnostics(cfg, model, summary, split, dirs[1])
+            config = dataclasses.replace(cfg, output=dict(cfg.output, write_diagnostics=write))
+            files = {}
+            got = cli._run_diagnostics(config, summary, files, **inputs)
+            want_dir = tmp_path / "want" / "diagnostics" if write else None
+            want = _frozen_run_diagnostics(config, model, summary, split, want_dir)
             assert canonical_json(got) == canonical_json(want)
-            if write:
-                # the chain made the directory also for no CSV; the records
-                # make it with the first CSV
-                names = sorted(p.name for p in dirs[1].iterdir())
-                assert dirs[0].exists() == bool(names)
-                assert sorted(p.name for p in dirs[0].glob("*")) == names
-                for name in names:
-                    assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+            if not write:
+                assert files == {}
+                continue
+            (tmp_path / "got").mkdir()
+            cli._write_artifacts(tmp_path / "got", files, {"meta": {"timings_s": {}}})
+            # the chain made the directory also for no CSV; the writer makes
+            # it only for a CSV
+            names = sorted(p.name for p in want_dir.iterdir())
+            got_dir = tmp_path / "got" / "diagnostics"
+            assert got_dir.exists() == bool(names)
+            assert sorted(p.name for p in got_dir.glob("*")) == names
+            for name in names:
+                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1410,6 +1417,177 @@ class TestExperimentCommands:
         capsys.readouterr()
         assert main(["report", str(tmp_path / "a")]) == 0
         assert "timings: " in capsys.readouterr().out
+
+
+def _tree(out: Path) -> dict:
+    """Every file under ``out`` by its relative path, with its bytes, and
+    every directory, as None."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in sorted(out.rglob("*"))
+    }
+
+
+_SADDLE_2D = {"model": {"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]}, "x0": [0.1, 0.1]}
+_BOTH_DIAGNOSTICS = [{"name": "apt", "T": 0.5}, {"name": "manifold_rate"}]
+
+
+class TestArtifacts:
+    """``--out`` holds the files of the last run only, written once every
+    check and diagnostic has finished, ``summary.json`` last."""
+
+    def _config(self, tmp_path, name, **overrides):
+        return write_config(tmp_path, base_config(**_SADDLE_2D, n_runs=6, **overrides), name)
+
+    @pytest.mark.parametrize(
+        "first, second, files",
+        [
+            (
+                ("check", {"diagnostics": _BOTH_DIAGNOSTICS,
+                           "output": {"trajectories": 3, "write_diagnostics": True}}),
+                ("simulate", {"master_seed": 2, "output": {"trajectories": 1}}),
+                ["summary.json", "trajectories/run_0.csv"],
+            ),
+            (
+                ("check", {"diagnostics": [{"name": "apt", "T": 0.5}],
+                           "output": {"trajectories": 2, "write_diagnostics": True}}),
+                ("check", {"diagnostics": [{"name": "manifold_rate"}],
+                           "output": {"write_diagnostics": True}}),
+                ["diagnostics/manifold_rate.csv", "summary.json"],
+            ),
+            (
+                ("check", {"diagnostics": _BOTH_DIAGNOSTICS,
+                           "output": {"trajectories": 1, "write_diagnostics": True}}),
+                ("check", {"diagnostics": _BOTH_DIAGNOSTICS}),
+                ["summary.json"],
+            ),
+            (
+                ("simulate", {}),
+                ("check", {"diagnostics": [{"name": "apt", "T": 0.5}],
+                           "output": {"trajectories": 2, "write_diagnostics": True}}),
+                ["diagnostics/apt.csv", "summary.json", "trajectories/run_0.csv",
+                 "trajectories/run_1.csv"],
+            ),
+        ],
+        ids=["fewer-runs-no-diagnostics", "other-diagnostic", "no-csv", "more-files"],
+    )
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, capsys, first, second, files):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for i, (command, overrides) in enumerate((first, second)):
+            p = self._config(tmp_path, f"{i}.json", **overrides)
+            assert main([command, "--config", str(p), "--out", str(out)]) in (0, 2)
+        assert main([command, "--config", str(p), "--out", str(fresh)]) in (0, 2)
+        capsys.readouterr()
+        tree = _tree(out)
+        # no empty directory: each one is the parent of a file
+        assert {k for k, v in tree.items() if v is None} == {
+            Path(f).parent.as_posix() for f in files if "/" in f
+        }
+        assert sorted(k for k, v in tree.items() if v is not None) == files
+        want = _tree(fresh)
+        for name in files:
+            if name != "summary.json":  # its meta differs
+                assert tree[name] == want[name]
+        docs = [json.loads(tree["summary.json"]), json.loads(want["summary.json"])]
+        assert docs[0].pop("meta")["timings_s"]["io"] >= 0.0
+        assert docs[0] == {k: v for k, v in docs[1].items() if k != "meta"}
+
+    def test_files_trapcheck_does_not_write_survive_a_rerun(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        mine = {
+            "notes.txt": b"mine",
+            "trajectories/run_0.txt": b"not a run",
+            "trajectories/plot.csv": b"1,2",
+            "diagnostics/other.csv": b"3,4",
+            "summary.json.bak": b"{}",
+        }
+        for name, data in mine.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(data)
+        check = self._config(
+            tmp_path,
+            "check.json",
+            diagnostics=_BOTH_DIAGNOSTICS,
+            output={"trajectories": 2, "write_diagnostics": True},
+        )
+        simulate = self._config(tmp_path, "simulate.json")
+        for p, command in ((check, "check"), (simulate, "simulate")):
+            assert main([command, "--config", str(p), "--out", str(out)]) in (0, 2)
+        capsys.readouterr()
+        tree = _tree(out)
+        assert {k: v for k, v in tree.items() if v is not None} == {
+            **mine, "summary.json": tree["summary.json"]
+        }
+
+    def test_failure_after_a_diagnostic_leaves_out_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        overrides = {
+            "diagnostics": _BOTH_DIAGNOSTICS,
+            "output": {"trajectories": 2, "write_diagnostics": True},
+        }
+        p = self._config(tmp_path, "config.json", **overrides)
+        assert main(["check", "--config", str(p), "--out", str(out)]) in (0, 2)
+        before = _tree(out)
+        # another seed: every file the run would write differs
+        q = self._config(tmp_path, "again.json", master_seed=9, **overrides)
+        apt = mock.patch.object(
+            flow, "ensemble_apt_deficit", wraps=flow.ensemble_apt_deficit
+        )
+        manifold = mock.patch.object(
+            flow, "ensemble_manifold_rate", side_effect=TrapcheckError("no manifold")
+        )
+        capsys.readouterr()
+        with apt as apt_ran, manifold:
+            assert main(["check", "--config", str(q), "--out", str(out)]) == 1
+        apt_ran.assert_called_once()
+        assert capsys.readouterr().err == "error: no manifold\n"
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty", "earlier-summary"])
+    def test_a_write_that_fails_is_one_error_line(self, tmp_path, capsys, earlier):
+        out = tmp_path / "out"
+        if earlier:  # a run that wrote summary.json alone
+            assert main(["simulate", "--config", str(self._config(tmp_path, "0.json")),
+                         "--out", str(out)]) == 0
+        out.mkdir(exist_ok=True)
+        (out / "trajectories").write_text("in the way")
+        before = _tree(out)
+        p = self._config(
+            tmp_path,
+            "config.json",
+            diagnostics=[{"name": "apt", "T": 0.5}],
+            output={"trajectories": 1, "write_diagnostics": True},
+        )
+        capsys.readouterr()
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot write the run's files: ")
+        assert "trajectories" in err
+        assert len(err.splitlines()) == 1
+        assert _tree(out) == before
+
+    def test_summary_is_written_last(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        p = self._config(tmp_path, "config.json", output={"trajectories": 1})
+        full = OSError(28, "No space left on device")
+        with mock.patch.object(engine.Trajectory, "to_csv", side_effect=full):
+            assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: cannot write the run's files: {full}\n"
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        p = tmp_path / "binary.json"
+        p.write_bytes(b"\xff\xfe\x00")
+        args = ["--config", str(p), "--out", str(tmp_path / "out")]
+        assert main([command, *args] if command == "simulate" else [command, str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {p}: ")
+        assert "codec can't decode" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:
