@@ -19,6 +19,7 @@ byte-stable for a fixed config and seed, for any worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -694,6 +695,26 @@ def _write_artifacts(out: Path, files: dict, doc: dict) -> None:
         raise ConfigError(f"cannot write the run's files: {exc}", str(out)) from exc
 
 
+@contextlib.contextmanager
+def _output_dir(out: Path):
+    """Create ``out`` and its missing parents for the block; if the block
+    fails, remove those of them it left empty (an ``out`` that existed stays
+    as it was)."""
+    try:
+        created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        why = exc.strerror or exc
+        raise ConfigError(f"cannot create the output directory: {why}", str(out)) from exc
+    try:
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):  # not empty: it stays
+                path.rmdir()
+        raise
+
+
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -740,71 +761,67 @@ def run_experiment(
         if "T" in dg:  # a window that fits nowhere on the state grid's clock fails now
             clock = schedule.partial_drift_sum(np.asarray(capture.state_indices, np.float64))
             try:
-                flow.restart_positions(clock, dg["T"], None, dg["n_restarts"])
+                flow.restart_positions(clock, dg["T"], dg["n_restarts"])
             except InsufficientHorizonError as exc:
                 raise ConfigError(str(exc), f"diagnostics[{i}].T") from exc
     out = Path(out_dir if out_dir is not None else config.output["dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        why = exc.strerror or exc
-        raise ConfigError(f"cannot create the output directory: {why}", str(out)) from exc
-
-    summary = engine.monte_carlo(
-        model,
-        schedule,
-        x0,
-        config.N,
-        config.n_runs,
-        config.master_seed,
-        workers=workers,
-        captures=capture,
-    )
-    if summary.blowup_count > config.max_blowup_fraction * config.n_runs:
-        raise TrapcheckError(
-            f"{summary.blowup_count}/{config.n_runs} runs blew up "
-            f"(limit {config.max_blowup_fraction:.0%})"
+    # created before the simulation, so an --out that cannot be a directory fails first
+    with _output_dir(out):
+        summary = engine.monte_carlo(
+            model,
+            schedule,
+            x0,
+            config.N,
+            config.n_runs,
+            config.master_seed,
+            workers=workers,
+            captures=capture,
         )
-    timings["simulate"] = lap()
+        if summary.blowup_count > config.max_blowup_fraction * config.n_runs:
+            raise TrapcheckError(
+                f"{summary.blowup_count}/{config.n_runs} runs blew up "
+                f"(limit {config.max_blowup_fraction:.0%})"
+            )
+        timings["simulate"] = lap()
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash(config.raw),
-        "master_seed": config.master_seed,
-        "ensemble": summary.to_dict(config.near_trap_radius),
-        "report": None,
-        "rates": None,
-        "split": None,
-        "diagnostics": {},
-    }
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "config_hash": config_hash(config.raw),
+            "master_seed": config.master_seed,
+            "ensemble": summary.to_dict(config.near_trap_radius),
+            "report": None,
+            "rates": None,
+            "split": None,
+            "diagnostics": {},
+        }
 
-    exit_code, files = 0, {}
-    if with_checks:
-        rates = sequences.rate_constants(schedule, (lo, hi))
-        doc["rates"] = rates.to_dict()
-        doc["split"] = split.to_dict() if split is not None else None
-        conds = _run_checks(config, summary, rates=rates, split=split, mu=mu, nu=nu)
-        rate = any(c["name"] == "rate_condition" for c in config.checks)
-        theorem = config.theorem or ("th5d" if rate else "th2n")
-        # the last check's moment exponent, and the longest excitation window
-        a = next((c["a"] for c in reversed(config.checks) if "a" in c), None)
-        k = max((c["k"] for c in config.checks if "k" in c), default=None)
-        constants = hypotheses.make_constants(rates.lambda_hat, mu, nu, a, k)
-        report = hypotheses.HypothesisReport(theorem, conds, constants)
-        doc["report"] = report.to_dict()
-        timings["checks"] = lap()
-        inputs = {"field": model.field, "K": model.manifold_K, "split": split}
-        doc["diagnostics"] = _run_diagnostics(config, summary, files, **inputs)
-        timings["diagnostics"] = lap()
-        if report.verdict == "fail":
-            exit_code = 2
+        exit_code, files = 0, {}
+        if with_checks:
+            rates = sequences.rate_constants(schedule, (lo, hi))
+            doc["rates"] = rates.to_dict()
+            doc["split"] = split.to_dict() if split is not None else None
+            conds = _run_checks(config, summary, rates=rates, split=split, mu=mu, nu=nu)
+            rate = any(c["name"] == "rate_condition" for c in config.checks)
+            theorem = config.theorem or ("th5d" if rate else "th2n")
+            # the last check's moment exponent, and the longest excitation window
+            a = next((c["a"] for c in reversed(config.checks) if "a" in c), None)
+            k = max((c["k"] for c in config.checks if "k" in c), default=None)
+            constants = hypotheses.make_constants(rates.lambda_hat, mu, nu, a, k)
+            report = hypotheses.HypothesisReport(theorem, conds, constants)
+            doc["report"] = report.to_dict()
+            timings["checks"] = lap()
+            inputs = {"field": model.field, "K": model.manifold_K, "split": split}
+            doc["diagnostics"] = _run_diagnostics(config, summary, files, **inputs)
+            timings["diagnostics"] = lap()
+            if report.verdict == "fail":
+                exit_code = 2
 
-    for i in range(min(config.output["trajectories"], config.n_runs)):
-        if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
-            files[f"trajectories/run_{i}.csv"] = (summary.trajectory(i).to_csv,)
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    doc["meta"] = {"timestamp": now, "workers": int(workers), "timings_s": timings}
-    _write_artifacts(out, files, doc)
+        for i in range(min(config.output["trajectories"], config.n_runs)):
+            if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
+                files[f"trajectories/run_{i}.csv"] = (summary.trajectory(i).to_csv,)
+        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        doc["meta"] = {"timestamp": now, "workers": int(workers), "timings_s": timings}
+        _write_artifacts(out, files, doc)
     return exit_code, doc
 
 

@@ -108,8 +108,6 @@ class Trajectory:
         states[n+1] == states[n] + combine_increment(gamma_{n+1}, g[n], c_{n+1}, eps[n], rem[n])
     """
 
-    model_id: str
-    seed: object
     schedule: Schedule
     states: np.ndarray
     g: np.ndarray
@@ -247,26 +245,14 @@ class EnsembleSummary:
     def terminal_distances(self) -> np.ndarray:
         return np.sqrt(_sq_norms(self.terminal_states - self.trap_point))
 
-    def near_trap_fraction(self, radius: float, t: Optional[int] = None) -> float:
-        """Fraction of (non-blown) runs within ``radius`` of the trap.
-
-        ``t=None`` uses the tail-sup statistic (strictest); an integer ``t``
-        must be a captured time or N.
-        """
+    def near_trap_fraction(self, radius: float) -> float:
+        """Fraction of (non-blown) runs whose tail-sup distance to the trap
+        is below ``radius``."""
         ok = self.ok
         denom = int(ok.sum())
         if denom == 0:
             return 0.0
-        if t is None:
-            near = self.sup_tail_distance[ok] < radius
-        elif t == self.N:
-            near = self.terminal_distances()[ok] < radius
-        else:
-            pos = np.searchsorted(self.capture_times, t)
-            if pos >= len(self.capture_times) or self.capture_times[pos] != t:
-                raise InsufficientRecordsError(f"time {t} was not captured")
-            d = np.sqrt(_sq_norms(self.captured_states[:, pos, :] - self.trap_point))
-            near = d[ok] < radius
+        near = self.sup_tail_distance[ok] < radius
         return float(near.sum()) / denom
 
     def distance_quantiles(self) -> dict:
@@ -336,7 +322,6 @@ def _drive(
     gens,
     *,
     tail_from: int,
-    trap_point: np.ndarray,
     capture: CaptureSpec,
     blowup_bound: float,
     keep=(),
@@ -347,11 +332,12 @@ def _drive(
 
     ``keep`` lists batch rows whose full record is stored: every state and
     every step's pieces.  A row's states are stored before a blow-up parks
-    it, so they are exact up to that step.  A blown row is parked at
-    ``trap_point`` after every later step, so its terminal state is the trap.
+    it, so they are exact up to that step.  A blown row is parked at the
+    model's trap after every later step, so its terminal state is the trap.
     """
     if N > schedule.horizon:
         raise InsufficientHorizonError(f"N={N} exceeds schedule horizon {schedule.horizon}")
+    trap_point = _trap_point(model)
     B = len(gens)
     d = model.dim
     x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (B, d)).copy()
@@ -462,21 +448,10 @@ def _reduce_chunk(eps: np.ndarray, projections, out: np.ndarray) -> None:
                 norms[:, runs] = _sq_norms(part.transpose(1, 0, 2) @ M).T
 
 
-def _kept_trajectories(model, schedule, kept, seeds) -> list:
+def _kept_trajectories(schedule, kept) -> list:
     """Trajectory objects for the rows ``_drive`` kept in full."""
     states, parts = kept
-    return [
-        Trajectory(
-            model_id=model.id,
-            seed=seed,
-            schedule=schedule,
-            states=states[k],
-            g=parts[0, k],
-            eps=parts[1, k],
-            rem=parts[2, k],
-        )
-        for k, seed in enumerate(seeds)
-    ]
+    return [Trajectory(schedule, states[k], *parts[:, k]) for k in range(len(states))]
 
 
 def _trap_point(model: Model) -> np.ndarray:
@@ -519,12 +494,9 @@ def run(
     Raises :class:`BlowUpError` (with the states up to that step as
     ``prefix``) if the run leaves the region.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        ss, seed_label = seed, seed
-    else:
-        ss = _seed_for_run(int(seed), 0)
-        seed_label = int(seed)
-    gens = [np.random.Generator(np.random.Philox(ss))]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _seed_for_run(int(seed), 0)
+    gens = [np.random.Generator(np.random.Philox(seed))]
     res = _drive(
         model,
         schedule,
@@ -532,12 +504,11 @@ def run(
         N,
         gens,
         tail_from=N + 1,
-        trap_point=_trap_point(model),
         capture=CaptureSpec(),
         blowup_bound=blowup_bound,
         keep=(0,),
     )
-    (traj,) = _kept_trajectories(model, schedule, res["kept"], [seed_label])
+    (traj,) = _kept_trajectories(schedule, res["kept"])
     return _checked(traj, int(res["blowup_step"][0]))
 
 
@@ -549,7 +520,6 @@ def _chunk_worker(
     master_seed,
     run_indices,
     tail_from,
-    trap_point,
     capture,
     blowup_bound,
 ):
@@ -566,7 +536,6 @@ def _chunk_worker(
         N,
         gens,
         tail_from=tail_from,
-        trap_point=trap_point,
         capture=capture,
         blowup_bound=blowup_bound,
         keep=keep,
@@ -620,7 +589,6 @@ def monte_carlo(
     capture = CaptureSpec.normalize(captures, N)
     if capture.full_runs and capture.full_runs[-1] >= n_runs:
         raise ValueError(f"full_runs must lie in [0, {n_runs - 1}]")
-    trap = _trap_point(model)
     tail_from = max(0, N - int(np.ceil(SUP_TAIL_FRACTION * N)))
     x0 = np.asarray(x0, dtype=np.float64)
 
@@ -629,15 +597,13 @@ def monte_carlo(
     chunks = np.array_split(np.arange(n_runs), min(workers, n_runs))
 
     args = [
-        (model, schedule, x0, N, master_seed, chunk, tail_from, trap, capture, blowup_bound)
+        (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound)
         for chunk in chunks
     ]
     full_runs = {}
 
     def take_kept(part):  # returns part, after taking its kept runs as trajectories
-        seeds = [_seed_for_run(master_seed, i) for i in part["kept_runs"]]
-        trajs = _kept_trajectories(model, schedule, part["kept"], seeds)
-        full_runs.update(zip(part["kept_runs"], trajs))
+        full_runs.update(zip(part["kept_runs"], _kept_trajectories(schedule, part["kept"])))
         return part
 
     if len(chunks) == 1:
@@ -659,7 +625,7 @@ def monte_carlo(
         N=N,
         master_seed=int(master_seed),
         schedule=schedule,
-        trap_point=trap,
+        trap_point=_trap_point(model),
         tail_from=tail_from,
         terminal_states=merged["x"],
         sup_tail_distance=merged["sup_tail"],

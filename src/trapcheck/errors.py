@@ -88,17 +88,7 @@ class InsufficientRecordsError(TrapcheckError, ValueError):
 
 
 class DomainExitError(TrapcheckError, ArithmeticError):
-    """The flow integrator left the field's admissible domain.
-
-    Attributes
-    ----------
-    exit_time : float
-        Integration time at which evaluation first failed.
-    """
-
-    def __init__(self, message: str, exit_time: float):
-        super().__init__(message)
-        self.exit_time = exit_time
+    """The flow integrator left the field's admissible domain."""
 
 
 class DegenerateTimeChangeError(TrapcheckError, ValueError):

@@ -48,6 +48,9 @@ __all__ = [
 
 _DISTANCE_FLOOR = 1e-300
 
+#: RK4 step size of the shadow deficit's flow integration.
+_APT_STEP = 5e-3
+
 #: Share of a diagnostic's grid, at the end, that its rate fit reads.
 TAIL_FRACTION = 1.0 / 3.0
 
@@ -77,10 +80,6 @@ class TimeChangedPath:
                 "s_grid must be strictly increasing (gamma vanishes on a clock segment)"
             )
 
-    @property
-    def duration(self) -> float:
-        return float(self.s_grid[-1] - self.s_grid[0])
-
 
 @dataclass(frozen=True, eq=False)
 class EnsembleRates:
@@ -109,39 +108,35 @@ class EnsembleRates:
 # ---------------------------------------------------------------------------
 
 
-def _eval_field(f: Callable, x: np.ndarray, t_now) -> np.ndarray:
+def _eval_field(f: Callable, x: np.ndarray) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
             v = np.asarray(f(x), dtype=np.float64)
     except ArithmeticError as exc:
-        t_now = float(np.max(t_now))
-        raise DomainExitError(
-            f"field evaluation failed at flow time {t_now:g}: {exc}", exit_time=t_now
-        ) from exc
+        raise DomainExitError(f"field evaluation failed: {exc}") from exc
     if v.shape != x.shape:
         raise ValueError(f"field returned shape {v.shape} for input {x.shape}")
     return v
 
 
-def _rk4_step(f: Callable, x: np.ndarray, hh, t) -> np.ndarray:
+def _rk4_step(f: Callable, x: np.ndarray, hh) -> np.ndarray:
     """One classical 4th-order step of size ``hh`` (a scalar, or one size per
     element of x); the only place the RK4 formula is written."""
-    k1 = _eval_field(f, x, t)
-    k2 = _eval_field(f, x + (0.5 * hh) * k1, t)
-    k3 = _eval_field(f, x + (0.5 * hh) * k2, t)
-    k4 = _eval_field(f, x + hh * k3, t)
+    k1 = _eval_field(f, x)
+    k2 = _eval_field(f, x + (0.5 * hh) * k1)
+    k3 = _eval_field(f, x + (0.5 * hh) * k2)
+    k4 = _eval_field(f, x + hh * k3)
     return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
+def _rk4_segment(f: Callable, x: np.ndarray, dt, h: float) -> np.ndarray:
     """Advance states by duration ``dt`` in ``ceil(dt/h)`` equal RK4 steps
     (none when ``dt`` is 0).
 
-    ``t0`` (the flow time, for error reports) and ``dt`` are scalars for
-    states (..., d), or one value per row of states (rows, d) with ``dt``
-    non-increasing.  Each row then takes its own number of steps of its own
-    size, bitwise as if advanced alone, and the rows still stepping are
-    always a prefix, which one field call covers.
+    ``dt`` is a scalar for states (..., d), or one value per row of states
+    (rows, d), non-increasing.  Each row then takes its own number of steps
+    of its own size, bitwise as if advanced alone, and the rows still
+    stepping are always a prefix, which one field call covers.
     """
     dt = np.asarray(dt, dtype=np.float64)
     n = np.maximum(np.ceil(dt / h - 1e-12), dt > 0).astype(np.int64)
@@ -149,17 +144,14 @@ def _rk4_segment(f: Callable, x: np.ndarray, t0, dt, h: float) -> np.ndarray:
     # full-shape step sizes: numpy multiplies by a (rows, 1) column over
     # short rows several times slower than elementwise
     hh = np.broadcast_to(step[..., None], x.shape).copy()
-    t = np.array(t0, dtype=np.float64)
     for m in range(int(n.max(initial=0))):  # n[0], or 0 for no rows
         live = int(np.count_nonzero(n > m))
         if live == n.size:  # every row, as at m == 0 unless some dt is 0
-            x = _rk4_step(f, x, hh, t)
-            t += step
+            x = _rk4_step(f, x, hh)
         else:
             if m == 0:
                 x = x.copy()  # the caller's rows with dt 0 stay theirs
-            x[:live] = _rk4_step(f, x[:live], hh[:live], t[:live])
-            t[:live] += step[:live]
+            x[:live] = _rk4_step(f, x[:live], hh[:live])
     return x
 
 
@@ -167,19 +159,17 @@ def integrate_flow(f: Callable, x0, h: float, T: float) -> np.ndarray:
     """``phi_T(x0)`` by fixed-step 4th-order integration (error O(h^4)).
 
     ``x0`` may be a single point (d,) or a batch (..., d); the field must
-    accept the same shape.  Raises :class:`DomainExitError` (carrying the exit
-    time) if the field fails or the state leaves the finite range.
+    accept the same shape.  Raises :class:`DomainExitError` if the field
+    fails or the state leaves the finite range.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     if T < 0:
         raise ValueError("duration T must be nonnegative")
     x = np.array(x0, dtype=np.float64)
-    out = _rk4_segment(f, x, 0.0, float(T), h)
+    out = _rk4_segment(f, x, float(T), h)
     if not np.all(np.isfinite(out)):
-        raise DomainExitError(
-            f"flow left the finite range within duration {T:g}", exit_time=float(T)
-        )
+        raise DomainExitError(f"flow left the finite range within duration {T:g}")
     return out
 
 
@@ -190,7 +180,7 @@ def flow_path(f: Callable, x0, s_grid, h: float = 1e-3) -> TimeChangedPath:
     states = np.empty((len(s),) + x.shape)
     states[0] = x
     for k in range(1, len(s)):
-        x = _rk4_segment(f, x, float(s[k - 1]), float(s[k] - s[k - 1]), h)
+        x = _rk4_segment(f, x, float(s[k] - s[k - 1]), h)
         states[k] = x
     return TimeChangedPath(s_grid=s, states=states)
 
@@ -226,24 +216,16 @@ def _captured_path(summary: EnsembleSummary) -> TimeChangedPath:
 # ---------------------------------------------------------------------------
 
 
-def restart_positions(s: np.ndarray, T: float, t_grid, n_restarts: int) -> np.ndarray:
-    """Grid positions to restart a window T from (``t_grid``, else up to
-    ``n_restarts`` log-spaced ones); every window [t, t+T] must fit."""
-    limit = s[-1] - T
-    if t_grid is not None:
-        ts = np.asarray(t_grid, dtype=np.float64)
-        if np.any(ts + T > s[-1] + 1e-12) or np.any(ts < s[0]):
-            raise ValueError("every t in t_grid must satisfy s0 <= t and t+T <= s_end")
-        pos = np.searchsorted(s, ts, side="right") - 1  # snap to grid point <= t
-    else:
-        last = int(np.searchsorted(s, limit, side="right") - 1)
-        if last < 1:
-            raise InsufficientHorizonError(
-                f"the drift clock ends at {s[-1]:.4g}: window T = {T:g} "
-                "leaves no admissible restart point"
-            )
-        pos = np.geomspace(1, last, min(n_restarts, last)).astype(np.int64)
-    pos = np.unique(np.clip(pos, 0, len(s) - 1))
+def restart_positions(s: np.ndarray, T: float, n_restarts: int) -> np.ndarray:
+    """Up to ``n_restarts`` log-spaced grid positions to restart a window T
+    from; every window [t, t+T] must fit."""
+    last = int(np.searchsorted(s, s[-1] - T, side="right") - 1)
+    if last < 1:
+        raise InsufficientHorizonError(
+            f"the drift clock ends at {s[-1]:.4g}: window T = {T:g} "
+            "leaves no admissible restart point"
+        )
+    pos = np.unique(np.geomspace(1, last, min(n_restarts, last)).astype(np.int64))
     return pos[s[pos] + T <= s[-1] + 1e-12]
 
 
@@ -296,17 +278,15 @@ def _batch_deficits(
         # longest segment first: _rk4_segment needs dt non-increasing
         order = np.argsort(s[j - 1] - s[j], kind="stable")
         act, j = act[order], j[order]
-        t0 = s[j - 1] - s[pos[act]]
         dt = s[j] - s[j - 1]
         try:
-            x = _rk4_segment(
-                f, cur[act].reshape(-1, d), np.repeat(t0, B), np.repeat(dt, B), h
-            ).reshape(len(act), B, d)
+            x = _rk4_segment(f, cur[act].reshape(-1, d), np.repeat(dt, B), h)
+            x = x.reshape(len(act), B, d)
         except DomainExitError:
             x = np.empty((len(act), B, d))
             for a, r in enumerate(act):
                 try:
-                    x[a] = _rk4_segment(f, cur[r], float(t0[a]), float(dt[a]), h)
+                    x[a] = _rk4_segment(f, cur[r], float(dt[a]), h)
                 except DomainExitError:
                     excluded[r] = True
             done = ~excluded[act]
@@ -360,8 +340,6 @@ def apt_deficit(
     path: TimeChangedPath,
     f: Callable,
     T: float,
-    t_grid=None,
-    h: float = 5e-3,
     normalization: str = "scale",
     n_restarts: int = 48,
     ok: Optional[np.ndarray] = None,
@@ -380,8 +358,8 @@ def apt_deficit(
         raise ValueError(f"unknown normalization {normalization!r}")
     s = path.s_grid
     X = path.states.reshape((-1,) + path.states.shape[-2:])
-    pos = restart_positions(s, T, t_grid, n_restarts)
-    deficits, excluded = _batch_deficits(s, X, f, T, pos, h, normalization, ok)
+    pos = restart_positions(s, T, n_restarts)
+    deficits, excluded = _batch_deficits(s, X, f, T, pos, _APT_STEP, normalization, ok)
     keep = ~excluded
     slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], TAIL_FRACTION)
     first = {"t": s[pos], "deficit": deficits[0]} if len(deficits) else None

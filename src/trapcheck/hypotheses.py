@@ -61,6 +61,10 @@ DEFAULT_EXCITATION_THRESHOLD = 1e-4
 #: Minimum ensemble size for cross-run conditional-mean estimates.
 MIN_RUNS = 30
 
+#: Fewest steps a verdict over steps rests on: the window's steps of run 0
+#: (remainder), its captured steps (jump moments) or the in-ball steps (drift sign).
+MIN_SAMPLES = 8
+
 #: Largest share of the window's sum of ``||r_n||^2`` that its second half may add.
 CAUCHY_RATIO = 1e-3
 
@@ -150,10 +154,12 @@ class HypothesisReport:
 
     @property
     def verdict(self) -> str:
+        """``fail`` if any condition fails, else ``inconclusive`` if one is
+        or none was checked, else ``pass``."""
         verdicts = [c.verdict for c in self.conditions]
         if "fail" in verdicts:
             return "fail"
-        if "inconclusive" in verdicts:
+        if "inconclusive" in verdicts or not verdicts:
             return "inconclusive"
         return "pass"
 
@@ -322,7 +328,7 @@ def check_remainder(
     if mode not in ("square_summable", "split_r"):
         raise ValueError(f"unknown mode {mode!r}")
     ns, steps = _window(np.arange(traj.N), window)
-    if len(ns) < 8:
+    if len(ns) < MIN_SAMPLES:
         return _inconclusive(f"remainder_{mode}", "window too short")
     sq = _sq_norms(traj.rem[steps])
     if mode == "square_summable":
@@ -372,7 +378,8 @@ def check_drift_sign(
     (``split.P_inv[:delta_plus]``) and measured in the adapted inner product
     of ``split.H_plus``; otherwise the full vectors are measured in the
     Euclidean one.  A step on the trap itself (``x = x*``) carries no sign
-    and is left out.
+    and is left out.  Fewer than ``MIN_SAMPLES`` steps in the ball are
+    inconclusive.
     """
     if mode not in ("nonneg", "coercive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,10 +400,14 @@ def check_drift_sign(
     ip = np.einsum("ti,ij,tj->t", u, S, g)
     values = ip if mode == "nonneg" else ip - beta * np.einsum("ti,ij,tj->t", u, S, u)
     worst = float(np.min(values))
+    estimates = {"worst_value": worst, "n_samples": len(values), "beta": float(beta)}
+    if len(values) < MIN_SAMPLES:
+        reason = "too few samples in ball"
+        return _inconclusive(f"drift_sign_{mode}", reason, -DRIFT_SLACK, **estimates)
     return ConditionResult(
         f"drift_sign_{mode}",
         "pass" if worst >= -DRIFT_SLACK else "fail",
-        {"worst_value": worst, "n_samples": int(in_ball.sum()), "beta": float(beta)},
+        estimates,
         -DRIFT_SLACK,
     )
 
@@ -464,7 +475,7 @@ def check_jump_moments(
     ns, steps = _eps_window(summary, window)
     if few := _too_few_runs(summary, "jump_moments"):
         return few
-    if len(ns) < 8:
+    if len(ns) < MIN_SAMPLES:
         return _inconclusive("jump_moments", "window too short")
     (ma,) = _step_means(summary, steps, (None, a / 2.0))
     sup1, sup2, grew = _halves_sup(ma ** (2.0 / a))

@@ -42,6 +42,8 @@ from trapcheck.errors import BlowUpError, ConfigError, TrapcheckError
 from trapcheck.flow import apt_deficit, time_change
 from trapcheck.spectral import project_pm
 
+from conftest import InProcessPool
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -1291,6 +1293,23 @@ class TestExperimentCommands:
         assert cond["verdict"] == "inconclusive"
         assert cond["estimates"] == {"n_runs": 0, "reason": "too few runs"}
 
+    def test_an_empty_check_list_is_inconclusive(self, tmp_path, capsys):
+        # every run stays on the trap, yet no condition backs a verdict
+        cfg = {
+            "model": {"kind": "control", "which": "degenerate_noise"},
+            "schedule": {"kind": "harmonic"},
+            "N": 200,
+            "n_runs": 40,
+            "master_seed": 1,
+            "theorem": "th5d",
+            "checks": [],
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "near-trap fraction 1.0," in out
+        assert "theorem: th5d    overall: inconclusive\n" in out
+
     def test_report_command_renders_summary(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict(
             base_config(n_runs=4, checks=[{"name": "remainder"}])
@@ -1588,6 +1607,175 @@ class TestArtifacts:
         assert "codec can't decode" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    #: Every run blows up, so the command fails after it made ``--out``.
+    _BLOWN = {
+        "model": {"kind": "linear", "H": [[4.0]]},
+        "schedule": {"kind": "harmonic"},
+        "N": 200,
+        "n_runs": 8,
+        "master_seed": 8,
+    }
+
+    @pytest.mark.parametrize("out", ["fresh", "a/b/out"])
+    def test_a_failed_command_leaves_no_directory_it_made(self, tmp_path, capsys, out):
+        p = write_config(tmp_path, self._BLOWN)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == "error: 8/8 runs blew up (limit 50%)\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty", "earlier-run"])
+    def test_a_failed_command_leaves_an_existing_out_as_it_was(self, tmp_path, capsys, earlier):
+        out = tmp_path / "out"
+        out.mkdir()
+        if earlier:
+            p = self._config(tmp_path, "0.json", output={"trajectories": 1})
+            assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+            (out / "notes.txt").write_text("mine")
+        before = _tree(out)
+        p = write_config(tmp_path, self._BLOWN)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: 8/8 runs blew up (limit 50%)\n"
+        assert out.is_dir() and _tree(out) == before
+
+
+# ---------------------------------------------------------------------------
+# the contracts over random valid configs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _valid_configs(draw):
+    """A valid config of any model kind and schedule kind, with any checks
+    and diagnostics, N 60-500 and 4-40 runs; it may still fail at run time
+    (a blow-up, a window that does not fit the drift clock)."""
+    model = draw(
+        st.sampled_from(
+            [
+                {"kind": "linear", "H": [[1.0]]},
+                {"kind": "linear", "H": [[1.0, 0.5], [0.2, -1.0]], "remainder": "inv_sqrt"},
+                {"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]], "noise": "stable_only"},
+                {"kind": "synthetic"},
+                {"kind": "synthetic", "mu": -2.0, "nu": 0.5, "dim": 3},
+                {"kind": "vrrw_walk", "d": 3, "alpha": 2.0},
+                {"kind": "vrrw_meanfield", "d": 3, "alpha": 1.5},
+                {"kind": "control", "which": "degenerate_noise"},
+                {"kind": "control", "which": "stable_only_noise"},
+                {"kind": "control", "which": "bad_remainder"},
+            ]
+        )
+    )
+    schedules = [
+        {"kind": "harmonic", "offset": draw(st.sampled_from([0.0, 4.0]))},
+        {"kind": "power", "gamma_exp": 0.8, "c_exp": draw(st.sampled_from([0.6, 1.0]))},
+        {"kind": "geometric", "gamma_ratio": 0.9, "c_ratio": draw(st.sampled_from([0.5, 0.9]))},
+    ]
+    if model["kind"].startswith("vrrw_"):
+        schedules.append({"kind": "natural"})
+    N = draw(st.integers(60, 500))
+    checks = []
+    for name in draw(st.lists(st.sampled_from(sorted(_CHECKS)), max_size=4, unique=True)):
+        c = {"name": name}
+        if name == "noise_excitation":
+            c["k"] = draw(st.integers(1, 3))
+        elif name == "remainder":
+            c["mode"] = draw(st.sampled_from(["square_summable", "split_r"]))
+        elif name == "drift_sign":
+            c["mode"] = draw(st.sampled_from(["nonneg", "coercive"]))
+        if name == "drift_sign":
+            c["adapted"] = draw(st.booleans())
+        if "nu" in _CHECKS[name].params and draw(st.booleans()):
+            c["nu"] = 1.0
+        if "window" in _CHECKS[name].params and draw(st.booleans()):
+            lo = draw(st.integers(0, N - 1))
+            c["window"] = [lo, draw(st.integers(lo + 1, N))]
+        checks.append(c)
+    diagnostics = draw(
+        st.lists(
+            st.sampled_from([{"name": "apt", "T": 0.5}, {"name": "apt", "T": 2.0},
+                             {"name": "manifold_rate"}]),
+            max_size=2,
+        )
+    )
+    return {
+        "model": model,
+        "schedule": draw(st.sampled_from(schedules)),
+        "N": N,
+        "n_runs": draw(st.integers(4, 40)),
+        "master_seed": draw(st.integers(0, 2**32)),
+        "checks": checks,
+        "diagnostics": diagnostics,
+        "theorem": draw(st.sampled_from([None, *hypotheses.THEOREM_IDS])),
+        "max_blowup_fraction": draw(st.sampled_from([0.5, 1.0])),
+        "output": {
+            "trajectories": draw(st.integers(0, 2)),
+            "write_diagnostics": draw(st.booleans()),
+        },
+    }
+
+
+def _body(out: Path):
+    """:func:`_tree` of ``out`` with ``summary.json`` parsed and its ``meta``
+    dropped, or None when there is no ``out``."""
+    if not out.exists():
+        return None
+    tree = _tree(out)
+    doc = json.loads(tree["summary.json"])
+    del doc["meta"]
+    return {**tree, "summary.json": doc}
+
+
+class TestValidConfigs:
+    """The CLI's contracts on valid configs: an exit code in {0, 1, 2}; exit
+    1 with one ``error: `` line and no ``--out`` left; no traceback and no
+    warning; the same files at any worker count; run 0 as ``engine.run``
+    gives it.  Workers run in this process, so no process starts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_valid_configs(), command=st.sampled_from(["check", "simulate"]))
+    def test_contracts_hold(self, cfg, command):
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool),
+        ):
+            tmp = Path(tmp)
+            p = write_config(tmp, cfg)
+            results = []
+            for workers in (1, 2, 3):
+                out, err = tmp / f"out{workers}", io.StringIO()
+                argv = [command, "--config", str(p), "--out", str(out), "--workers", str(workers)]
+                with (
+                    warnings.catch_warnings(record=True) as caught,
+                    contextlib.redirect_stderr(err),
+                    contextlib.redirect_stdout(io.StringIO()),
+                ):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                assert caught == []
+                err = err.getvalue()
+                assert code in (0, 1, 2)
+                if code == 1:
+                    assert err.startswith("error: ") and err.count("\n") == 1
+                    assert not out.exists()
+                else:
+                    assert err == ""
+                results.append((code, err, _body(out)))
+            assert results[1] == results[0] and results[2] == results[0]
+            if code == 1 or not cfg["output"]["trajectories"]:
+                return
+            config = ExperimentConfig.from_dict(cfg)
+            model = _build_model(config.model)
+            schedule = _build_schedule(config.schedule, model)
+            x0 = cli._x0_of(config, model)
+            kept = tmp / "out1" / "trajectories" / "run_0.csv"
+            try:
+                traj = engine.run(model, schedule, x0, config.N, config.master_seed)
+            except BlowUpError:
+                assert not kept.exists()  # a blown run is listed, not written
+            else:
+                traj.to_csv(tmp / "run_0.csv")
+                assert kept.read_bytes() == (tmp / "run_0.csv").read_bytes()
 
 
 class TestConfigErrors:

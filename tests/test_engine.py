@@ -269,23 +269,6 @@ class TestMonteCarlo:
         mean_eps = np.mean([summary.trajectory(i).eps[100] for i in range(400)], axis=0)
         assert np.linalg.norm(mean_eps) <= 4.0 / np.sqrt(400)
 
-    def test_near_trap_at_uncaptured_time_raises(self):
-        m = LinearModel([[1.0]])
-        summary = monte_carlo(m, harmonic(100), np.zeros(1), 100, 4, master_seed=0)
-        with pytest.raises(InsufficientRecordsError):
-            summary.near_trap_fraction(0.1, t=50)
-
-    def test_near_trap_at_captured_time_and_at_n(self):
-        m = LinearModel([[1.0]])
-        cap = CaptureSpec(state_indices=(10, 50))
-        summary = monte_carlo(m, harmonic(100), np.zeros(1), 100, 8, master_seed=0, captures=cap)
-        d50 = np.abs(summary.captured_states[:, 1, 0])
-        dN = np.abs(summary.terminal_states[:, 0])
-        for radius in (np.median(d50), np.median(dN)):
-            assert summary.near_trap_fraction(radius, t=50) == np.mean(d50 < radius)
-            assert summary.near_trap_fraction(radius, t=100) == np.mean(dN < radius)
-        assert 0.0 < np.mean(d50 < np.median(d50)) < 1.0
-
     @pytest.mark.parametrize(
         "spec, match",
         [

@@ -170,12 +170,6 @@ class TestTimeChangedPath:
         with pytest.raises(DegenerateTimeChangeError):
             TimeChangedPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)))
 
-    def test_duration_spans_the_grid(self):
-        path = TimeChangedPath(
-            np.array([0.5, 1.0, 2.5]), np.array([[0.0, 0.0], [2.0, -4.0], [1.0, 1.0]])
-        )
-        assert path.duration == 2.0
-
 
 # ---------------------------------------------------------------------------
 # shadow deficit
@@ -192,21 +186,17 @@ class TestAptDeficit:
 
     def test_injected_jump_is_detected_absolutely(self):
         s = np.arange(10.0)
-        states = np.tile([3.0, 4.0], (10, 1))
-        states[5, 0] += 1.0
-        path = TimeChangedPath(s, states)
-        res = apt_deficit(
-            path, zero_field, T=2.0, t_grid=[s[3]], normalization="absolute"
-        )
-        assert res.deficits[0, 0] == pytest.approx(1.0, abs=1e-15)
+        X = np.tile([3.0, 4.0], (1, 10, 1))
+        X[0, 5, 0] += 1.0
+        deficits, _ = flow._batch_deficits(s, X, zero_field, 2.0, np.array([3]), 5e-3, "absolute")
+        assert deficits[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_scale_normalization_divides_by_state_size(self):
         s = np.arange(10.0)
-        states = np.tile([3.0, 4.0], (10, 1))  # norm exactly 5
-        states[5, 0] += 1.0
-        path = TimeChangedPath(s, states)
-        res = apt_deficit(path, zero_field, T=2.0, t_grid=[s[3]])
-        assert res.deficits[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-15)
+        X = np.tile([3.0, 4.0], (1, 10, 1))  # norm exactly 5
+        X[0, 5, 0] += 1.0
+        deficits, _ = flow._batch_deficits(s, X, zero_field, 2.0, np.array([3]), 5e-3, "scale")
+        assert deficits[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_exact_exponential_decay_rate(self):
         s = np.arange(40.0)
@@ -219,46 +209,42 @@ class TestAptDeficit:
     def test_escaping_restart_is_excluded(self):
         f = lambda x: x**2
         s = np.arange(8.0)
-        states = np.full((8, 1), 0.1)
-        states[3, 0] = 5.0  # flow from here escapes before T
-        path = TimeChangedPath(s, states)
-        res = apt_deficit(
-            path, f, T=1.0, h=0.05, t_grid=[1.0, 3.0], normalization="absolute"
-        )
-        assert res.n_excluded == 1
-        assert np.isinf(res.deficits).any()
+        X = np.full((1, 8, 1), 0.1)
+        X[0, 3, 0] = 5.0  # flow from here escapes before T
+        deficits, excluded = flow._batch_deficits(s, X, f, 1.0, np.array([1, 3]), 0.05, "absolute")
+        assert excluded.sum() == 1
+        assert np.isinf(deficits).any()
 
     def test_rows_of_a_batch_where_some_runs_escape_equal_each_run_alone(self):
         # x**2 escapes from 5 before T, and only run 1 holds 5 at s = 3: the
         # other runs keep that restart, and run 1's +inf there leaves its
-        # rate NaN. Alone, run 1 excludes the restart, which leaves it one
-        # restart and so no rate either
+        # rate NaN. Alone, run 1 excludes the restart, which is +inf too
         f = lambda x: x**2
         s = np.arange(8.0)
         X = np.stack([np.full((8, 1), 0.1), np.full((8, 1), 0.1), np.full((8, 1), 0.2)])
         X[1, 3, 0] = 5.0
-        kw = dict(T=1.0, h=0.05, t_grid=[1.0, 3.0], normalization="absolute")
-        batch = apt_deficit(TimeChangedPath(s, X), f, **kw)
-        assert batch.n_excluded == 0
-        assert np.isinf(batch.deficits[1, 1]) and np.isnan(batch.rates[1])
+        pos = np.array([1, 3])
+        args = (f, 1.0, pos, 0.05, "absolute")
+        batch, excluded = flow._batch_deficits(s, X, *args)
+        assert not excluded.any()
+        assert np.isinf(batch[1, 1])
+        rates = flow._tail_slopes(s[pos], batch, flow.TAIL_FRACTION)
+        assert np.isnan(rates[1]) and np.isfinite(rates[[0, 2]]).all()
         for r in range(3):
-            alone = apt_deficit(TimeChangedPath(s, X[r]), f, **kw)
-            assert np.array_equal(batch.deficits[r], alone.deficits[0])
-            assert np.array_equal(batch.rates[r], alone.rates[0], equal_nan=True)
-            assert alone.n_excluded == int(np.isinf(batch.deficits[r]).sum())
+            alone, alone_excluded = flow._batch_deficits(s, X[r : r + 1], *args)
+            assert np.array_equal(batch[r], alone[0])
+            assert alone_excluded.sum() == int(np.isinf(batch[r]).sum())
         # every run escaping at a restart excludes it from every run's fit
         X[:, 3, 0] = 5.0
-        every = apt_deficit(TimeChangedPath(s, X), f, **kw)
-        assert every.n_excluded == 1
-        assert np.isinf(every.deficits[:, 1]).all()
+        every, excluded = flow._batch_deficits(s, X, *args)
+        assert excluded.sum() == 1
+        assert np.isinf(every[:, 1]).all()
 
     def test_validation(self):
         s = np.arange(10.0)
         path = TimeChangedPath(s, np.zeros((10, 2)))
         with pytest.raises(ValueError, match="normalization"):
             apt_deficit(path, zero_field, T=1.0, normalization="bogus")
-        with pytest.raises(ValueError, match="t_grid"):
-            apt_deficit(path, zero_field, T=5.0, t_grid=[8.0])
         with pytest.raises(ValueError, match="restart"):
             apt_deficit(path, zero_field, T=100.0)
 
@@ -286,22 +272,22 @@ class TestStackedRestarts:
     @pytest.mark.parametrize("kind", ["linear", "vrrw"])
     def test_equals_one_restart_at_a_time(self, kind):
         model, path = _sample_path(kind)
-        s = path.s_grid
-        ts = s[np.unique(np.geomspace(1, np.searchsorted(s, s[-1] - 1.0) - 1, 30).astype(int))]
-        full = apt_deficit(path, model.field, T=1.0, t_grid=ts)
-        singles = [apt_deficit(path, model.field, T=1.0, t_grid=[t]) for t in ts]
-        assert full.deficits.shape == (1, len(ts)) and len(ts) > 10
-        assert np.array_equal(
-            full.deficits, np.concatenate([r.deficits for r in singles], axis=1)
-        )
-        assert np.array_equal(full.t_values, np.concatenate([r.t_values for r in singles]))
+        s, X = path.s_grid, path.states[None]
+        pos = np.unique(np.geomspace(1, np.searchsorted(s, s[-1] - 1.0) - 1, 30).astype(int))
+        full, _ = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
+        singles = [
+            flow._batch_deficits(s, X, model.field, 1.0, pos[r : r + 1], 5e-3, "scale")[0]
+            for r in range(len(pos))
+        ]
+        assert full.shape == (1, len(pos)) and len(pos) > 10
+        assert np.array_equal(full, np.concatenate(singles, axis=1))
 
     def test_ensemble_rows_equal_one_restart_at_a_time(self):
         model, path = _sample_path("vrrw")
         s = path.s_grid
         # three "runs": the path and two vertex relabellings of it
         X = np.stack([path.states] + [np.roll(path.states, k, axis=1) for k in (1, 2)])
-        pos = flow.restart_positions(s, 1.0, None, 48)
+        pos = flow.restart_positions(s, 1.0, 48)
         stacked, excluded = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
         for r in range(len(pos)):
             alone, _ = flow._batch_deficits(
@@ -320,8 +306,8 @@ class TestStackedRestarts:
         x = np.array([[0.5, -0.25], [0.25, 0.1], [-0.0, np.inf]])
         dt = np.array([0.3, 0.1, 0.0])
         given = x.copy()
-        out = flow._rk4_segment(field, given, np.zeros(3), dt, 0.05)
-        singles = [flow._rk4_segment(field, row, 0.0, float(d), 0.05) for row, d in zip(x, dt)]
+        out = flow._rk4_segment(field, given, dt, 0.05)
+        singles = [flow._rk4_segment(field, row, float(d), 0.05) for row, d in zip(x, dt)]
         assert np.array_equal(out, np.array(singles))
         assert np.array_equal(given, x)  # the caller's states are not written
         assert np.array_equal(out[2], x[2]) and np.signbit(out[2, 0])
@@ -338,15 +324,14 @@ class TestStackedRestarts:
         s = np.concatenate([np.arange(0.0, 1.0, 0.25), 1.0 + np.arange(0.0, 2.0, 0.1)])
         states = np.full((len(s), 2), 0.1)
         states[4, 0] = 2.4
-        path = TimeChangedPath(s, states)
-        ts = s[:5]
-        ok = apt_deficit(path, _rowwise_saddle, T=1.0, t_grid=ts, h=0.05)
-        res = apt_deficit(path, raising, T=1.0, t_grid=ts, h=0.05)
-        assert ok.n_excluded == 0
-        assert res.n_excluded == 1
-        assert np.isinf(res.deficits[0, 4])
-        others = np.arange(len(ts)) != 4
-        assert np.array_equal(res.deficits[0, others], ok.deficits[0, others])
+        X, pos = states[None], np.arange(5)
+        ok, ok_excluded = flow._batch_deficits(s, X, _rowwise_saddle, 1.0, pos, 0.05, "scale")
+        res, excluded = flow._batch_deficits(s, X, raising, 1.0, pos, 0.05, "scale")
+        assert not ok_excluded.any()
+        assert excluded.sum() == 1
+        assert np.isinf(res[0, 4])
+        others = pos != 4
+        assert np.array_equal(res[0, others], ok[0, others])
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +584,7 @@ class TestEnsembleDiagnosticsBits:
         model, _, sched, summary = skewed_ensemble
         summary = _blown(summary, blown)
         s, X = _whole_array(summary, sched)
-        pos = flow.restart_positions(s, 1.0, None, 48)
+        pos = flow.restart_positions(s, 1.0, 48)
         deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
         want = _frozen_tail_slopes(s[pos[~hard]], deficits[:, ~hard])
         got = ensemble_apt_deficit(summary, model.field, T=1.0)

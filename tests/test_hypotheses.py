@@ -115,8 +115,6 @@ def manual_circle_trajectory(H, radius=0.5, n_pts=64):
     g = pts @ np.asarray(H, dtype=np.float64).T
     z = np.zeros_like(g)
     return Trajectory(
-        model_id="manual",
-        seed=0,
         schedule=harmonic(n_pts),
         states=states,
         g=g,
@@ -323,6 +321,18 @@ class TestDriftSign:
         assert res.estimates["n_samples"] == 399
         assert res.estimates["worst_value"] > 0.0
 
+    def test_one_sample_is_inconclusive_and_keeps_its_estimates(self):
+        # the first step (gamma_1 = c_1 = 1) leaves the ball, and only the
+        # start lies in it
+        H = np.diag([1.0, -1.0])
+        traj = run(LinearModel(H), harmonic(2000), [0.0, 0.3], 2000, seed=3)
+        res = check_drift_sign(traj, np.zeros(2), rho=1.0, split=split_jacobian(H))
+        assert res.verdict == "inconclusive"
+        assert res.estimates["reason"] == "too few samples in ball"
+        assert res.estimates["n_samples"] == 1
+        assert res.estimates["worst_value"] == 0.0
+        assert res.estimates["beta"] == 0.0
+
     def test_window_restricts_samples(self):
         traj = manual_circle_trajectory(np.eye(2))
         res = check_drift_sign(traj, [0.0, 0.0], rho=1.0, window=(0, 10))
@@ -516,6 +526,8 @@ def _too_small(case):
         return check_remainder(traj, mode="split_r", window=(10, 15))
     if case == "drift_sign-empty_ball":
         return check_drift_sign(traj, [5.0], rho=0.1)
+    if case == "drift_sign-few_samples":
+        return check_drift_sign(traj, [0.0], rho=np.inf, window=(10, 10 + hyp.MIN_SAMPLES - 1))
     raise ValueError(case)
 
 
@@ -538,6 +550,7 @@ class TestInconclusiveReasons:
             "remainder-short_window",
             "remainder_split_r-short_window",
             "drift_sign-empty_ball",
+            "drift_sign-few_samples",
         ],
     )
     def test_every_inconclusive_result_gives_a_reason(self, case):
@@ -609,6 +622,7 @@ class TestHypothesisReport:
         assert HypothesisReport("th2n", (p, p)).verdict == "pass"
         assert HypothesisReport("th2n", (p, i)).verdict == "inconclusive"
         assert HypothesisReport("th2n", (p, i, f)).verdict == "fail"
+        assert HypothesisReport("th2n", ()).verdict == "inconclusive"  # nothing checked
 
     def test_theorem_id_validation(self):
         with pytest.raises(ValueError, match="theorem_id"):
