@@ -743,6 +743,15 @@ def run_experiment(
     timings = {}
     model = _built("model", _build_model, config.model)
     schedule = _built("schedule", _build_schedule, config.schedule, model)
+    # v_1 = e_J + (1 - gamma_1) (x0 - pi(x0)) at c_1 = 1: the first jump's
+    # vertex J, where H = A_JJ, or a point off the simplex
+    vrrw = config.model["kind"].startswith("vrrw_")
+    if vrrw and schedule.c_values[1] == 1.0 and not np.diag(model.cfg.A).all():
+        raise ConfigError(
+            "c_1 = 1 moves the occupation onto the first jump's vertex J, "
+            "where H(v) = A_JJ is 0 on this graph; use a schedule with c_1 < 1",
+            "schedule" if "kind" in config.schedule else "schedule.c",
+        )
     x0 = _x0_of(config, model)
     if model.trap is None or model.trap.nu is None:
         if any(c["name"] == "rate_condition" and c["nu"] is None for c in config.checks):

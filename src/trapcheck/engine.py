@@ -43,7 +43,8 @@ __all__ = [
 
 #: Steps per pre-drawn randomness block (counter-based streams make the
 #: blocking invisible to results; this only bounds memory: a block holds
-#: ``_RAW_BLOCK * B * n_raw`` doubles, 2 MB for 1000 rows of one draw).
+#: ``_RAW_BLOCK * B * n_raw`` doubles, 2 MB for 1000 rows of one draw, and
+#: ``_drive`` refills one such buffer for every block).
 _RAW_BLOCK = 256
 
 #: Generators whose draws ``_draw_block`` transposes into place together.
@@ -60,9 +61,10 @@ _DISTANCE_LEVELS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 #: Captured steps reduced per pass, into squared noise norms by the engine
 #: and into their cross-run means by the checkers (a last chunk may hold one
-#: more): it bounds their temporaries to a few ``_STEP_CHUNK * n_runs * d``
-#: arrays.  At least 2.
-_STEP_CHUNK = 1024
+#: more): it bounds the engine's eps buffer to ``(_STEP_CHUNK + 1) * n_runs
+#: * d`` doubles and their temporaries to a few arrays of that size.  The
+#: chunk size changes no bit of a norm or a mean.  At least 2.
+_STEP_CHUNK = 64
 
 #: Runs whose norms :func:`_reduce_chunk` computes at a time: its temporaries
 #: are a few ``_PRODUCT_RUNS * _STEP_CHUNK * d`` arrays, not the chunk's.
@@ -294,24 +296,26 @@ def _generators(master_seed: int, run_indices: Sequence[int]):
     ]
 
 
-def _draw_block(gens, length: int, n_raw: int) -> np.ndarray:
-    """Uniform draws for ``length`` steps, shape (length, B, n_raw): ``[:, b]``
-    is generator b's stream, so the draws of step j are the contiguous ``[j]``."""
-    out = np.empty((length, len(gens), n_raw))
+def _draw_block(gens, out: np.ndarray, tile: np.ndarray) -> None:
+    """Refill ``out`` (C-contiguous, shape (length, B, n_raw)) with uniform
+    draws for ``length`` steps: ``[:, b]`` is generator b's stream, so the
+    draws of step j are the contiguous ``[j]``.  ``tile`` is a flat scratch
+    buffer of at least ``min(_DRAW_TILE, B) * length * n_raw`` doubles."""
+    length, B, n_raw = out.shape
     if n_raw:
         # fill a group of generators' draws contiguously, then transpose the
         # group into place: a strided write per generator costs about 1.5x
         # as much at B = 1000.  Both sides are viewed as one opaque item of
         # n_raw doubles per (step, run), so the transpose moves a step's
         # draws for a run as one copy, not n_raw strided ones; same bytes.
-        tile = np.empty((min(_DRAW_TILE, len(gens)), length, n_raw))
-        out_rows, tile_rows = (a.view(f"V{8 * n_raw}")[..., 0] for a in (out, tile))
-        for b0 in range(0, len(gens), len(tile)):
-            group = gens[b0 : b0 + len(tile)]
-            for t, g in zip(tile, group):
+        rows = min(_DRAW_TILE, B)
+        grid = tile[: rows * length * n_raw].reshape(rows, length, n_raw)
+        out_rows, tile_rows = (a.view(f"V{8 * n_raw}")[..., 0] for a in (out, grid))
+        for b0 in range(0, B, rows):
+            group = gens[b0 : b0 + rows]
+            for t, g in zip(grid, group):
                 g.random(out=t)
             out_rows[:, b0 : b0 + len(group)] = tile_rows[: len(group)].T
-    return out
 
 
 def _drive(
@@ -376,10 +380,14 @@ def _drive(
     if 0 in state_pos:
         cap_states[:, state_pos[0]] = x
 
+    # one draw buffer and one transpose tile, refilled for every block: a
+    # model's raw is a view into it, valid during its step_parts call only
+    raws = np.empty((min(_RAW_BLOCK, N), B, model.n_raw))
+    tile = np.empty(min(_DRAW_TILE, B) * len(raws) * model.n_raw)
     n = 0
     while n < N:
         block = min(_RAW_BLOCK, N - n)
-        raws = _draw_block(gens, block, model.n_raw)
+        _draw_block(gens, raws[:block], tile)
         # the block's step sizes as Python floats: scaling an array by one
         # costs less than by a numpy scalar
         gb, cb = gam[n + 1 : n + 1 + block].tolist(), cs[n + 1 : n + 1 + block].tolist()

@@ -59,6 +59,11 @@ TAIL_FRACTION = 1.0 / 3.0
 #: ``_RUN_CHUNK * len(capture_times) * d`` arrays.
 _RUN_CHUNK = 32
 
+#: RK4 rows (restarts times kept runs) the shadow deficit integrates per
+#: pass, at least one restart: it bounds that integration's temporaries to
+#: about 20 ``_APT_ROWS * d`` arrays.
+_APT_ROWS = 16_384
+
 
 @dataclass(frozen=True, eq=False)
 class TimeChangedPath:
@@ -359,7 +364,17 @@ def apt_deficit(
     s = path.s_grid
     X = path.states.reshape((-1,) + path.states.shape[-2:])
     pos = restart_positions(s, T, n_restarts)
-    deficits, excluded = _batch_deficits(s, X, f, T, pos, _APT_STEP, normalization, ok)
+    # whole restarts at a time, _APT_ROWS rows at most: every row, deficit
+    # and exclusion is the restart's own, so the groups change no bit
+    B = len(X) if ok is None else int(np.count_nonzero(ok))
+    step = max(1, _APT_ROWS // max(B, 1))
+    deficits = np.empty((B, len(pos)))
+    excluded = np.empty(len(pos), dtype=bool)
+    for i in range(0, len(pos), step):
+        group = slice(i, i + step)
+        deficits[:, group], excluded[group] = _batch_deficits(
+            s, X, f, T, pos[group], _APT_STEP, normalization, ok
+        )
     keep = ~excluded
     slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], TAIL_FRACTION)
     first = {"t": s[pos], "deficit": deficits[0]} if len(deficits) else None

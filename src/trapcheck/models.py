@@ -165,7 +165,11 @@ class Model:
         return None
 
     def step_parts(self, x: np.ndarray, n: int, raw: np.ndarray, aux):
-        """(g, eps, rem, aux) for a batch of states x (B, d) at step n."""
+        """(g, eps, rem, aux) for a batch of states x (B, d) at step n.
+
+        ``raw`` (B, n_raw) is a view into the engine's draw buffer, which is
+        refilled every block: read it during this call and keep no
+        reference to it, in ``aux`` or elsewhere."""
         raise NotImplementedError
 
 

@@ -356,7 +356,10 @@ def rate_constants(schedule: Schedule, window: tuple[float, float]) -> RateConst
 
     ratios = np.empty_like(log_a)
     pos = ms > 0
-    ratios[pos] = log_a[pos] / ms[pos]
+    # a drift sum within a few subnormals of 0 overflows the ratio to the
+    # signed infinity that _convention_ratio gives at m == 0
+    with np.errstate(over="ignore"):
+        ratios[pos] = log_a[pos] / ms[pos]
     for i in np.nonzero(~pos)[0]:
         ratios[i] = _convention_ratio(log_a[i])
 

@@ -343,8 +343,8 @@ class TestRunExperiment:
         simulate.assert_not_called()
         assert not (tmp_path / "out").exists()
 
-    def test_walk_off_its_schedule_reports_vanishing_h(self, tmp_path, capsys):
-        # gamma_1 = c_1 = 1 puts every run on a vertex, where H(v) = 0
+    def test_walk_off_its_schedule_is_refused_at_the_schedule(self, tmp_path, capsys):
+        # gamma_1 = c_1 = 1 puts every run on a vertex, where H(v) = A_JJ = 0
         cfg = base_config(
             N=60, n_runs=4, x0=None, model={"kind": "vrrw_walk", "d": 3, "alpha": 2.0}
         )
@@ -353,7 +353,9 @@ class TestRunExperiment:
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == "error: H(v) vanished along some run\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule: c_1 = 1 ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_x0_dimension_checked(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -1640,6 +1642,58 @@ class TestArtifacts:
         assert out.is_dir() and _tree(out) == before
 
 
+class TestFirstStepOnAVertex:
+    """A reinforced walk whose first step has c_1 = 1 moves its occupation
+    onto one vertex J, where H(v) = A_JJ: on a graph with a zero diagonal
+    the config is refused before the simulation, at the schedule's path."""
+
+    _POSITIVE_DIAGONAL = [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
+
+    def _run(self, tmp_path, command, model, schedule):
+        cfg = base_config(N=60, n_runs=4, master_seed=0, x0=None, model=model, schedule=schedule)
+        p = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize(
+        "schedule, path",
+        [
+            ({"kind": "harmonic"}, "schedule"),
+            ({"kind": "power", "gamma_scale": 0.5}, "schedule"),
+            ({"gamma": {"kind": "const", "value": 0.5}, "c": {"kind": "power"}}, "schedule.c"),
+        ],
+        ids=["harmonic", "power", "explicit"],
+    )
+    @pytest.mark.parametrize("kind", ["vrrw_walk", "vrrw_meanfield"])
+    def test_refused_at_the_schedule(self, tmp_path, capsys, kind, schedule, path, command):
+        model = {"kind": kind, "d": 3, "alpha": 2.0}
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            assert self._run(tmp_path, command, model, schedule) == 1
+        simulate.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: c_1 = 1 ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "graph, schedule",
+        [
+            ({"A": _POSITIVE_DIAGONAL}, {"kind": "harmonic"}),
+            ({}, {"kind": "power", "gamma_scale": 0.999, "c_scale": 0.999}),
+            ({}, {"kind": "power", "c_scale": 0.5}),
+        ],
+        ids=["positive-diagonal", "c_1-0.999", "gamma_1-1-c_1-0.5"],
+    )
+    @pytest.mark.parametrize("kind", ["vrrw_walk", "vrrw_meanfield"])
+    def test_runs_otherwise(self, tmp_path, capsys, kind, graph, schedule):
+        model = {"kind": kind, "d": 3, "alpha": 2.0, **graph}
+        assert self._run(tmp_path, "simulate", model, schedule) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["ensemble"]["blowup_count"] == 0
+
+
 # ---------------------------------------------------------------------------
 # the contracts over random valid configs
 # ---------------------------------------------------------------------------
@@ -1994,6 +2048,8 @@ class TestConfigErrors:
     )
     # m(t) spreads over 4e-221 on the rate window: too little for polyfit
     @example(param=("sequence", "geometric", "scale"), value=4.390753739613711e-218)
+    # m(t) is a few subnormals: log(alpha) / m overflows
+    @example(param=("sequence", "power", "scale"), value=5e-324)
     def test_swapped_parameter_never_gives_a_traceback(self, param, value):
         where, name, key = param
         if where in ("checks", "diagnostics"):

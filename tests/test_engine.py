@@ -28,7 +28,7 @@ from trapcheck import (
 )
 from trapcheck.models import _sq_norms
 
-from conftest import InProcessPool
+from conftest import InProcessPool, traced_peak
 
 
 def harmonic(horizon):
@@ -308,13 +308,34 @@ class TestDrawBlock:
     @pytest.mark.parametrize("n_raw", [0, 1, 2, 3])
     def test_equals_stacked_per_generator_draws(self, n_raw, B, tile):
         gens = engine._generators(7, range(B))
+        # one buffer and one tile for both blocks, as _drive keeps them
+        out = np.full((5, B, n_raw), np.nan)
+        scratch = np.full(min(tile, B) * 5 * n_raw, np.nan)
         with mock.patch.object(engine, "_DRAW_TILE", tile):
-            # two blocks in a row: the second continues every stream
-            got = [engine._draw_block(gens, length, n_raw) for length in (5, 3)]
-        for block in got:
-            assert block.shape[1:] == (B, n_raw) and block.flags.c_contiguous
+            # two blocks in a row: the second, shorter one continues every
+            # stream in a prefix of the buffer
+            got = []
+            for length in (5, 3):
+                engine._draw_block(gens, out[:length], scratch)
+                got.append(out[:length].copy())
         want = np.stack([g.random((8, n_raw)) for g in engine._generators(7, range(B))], axis=1)
         assert np.array_equal(np.concatenate(got), want)
+
+
+class TestWorkingMemory:
+    def test_one_draw_block_at_a_time(self):
+        # the draw buffer and the transpose tile are allocated once and
+        # refilled; the runs' 1000 generators are counted apart
+        model, n_runs = LinearModel(np.diag([1.0, -1.0])), 1000
+        assert model.n_raw == 2
+        N = 3 * engine._RAW_BLOCK
+        s = harmonic(N)
+        s.gamma_values, s.c_values  # the schedule's arrays, built before the trace
+        block = engine._RAW_BLOCK * n_runs * model.n_raw * 8
+        tile = engine._DRAW_TILE * engine._RAW_BLOCK * model.n_raw * 8
+        gens = traced_peak(lambda: engine._generators(3, range(n_runs)))
+        peak = traced_peak(lambda: monte_carlo(model, s, [0.1, 0.1], N, n_runs, master_seed=3))
+        assert peak - gens <= block + tile + 2**20
 
 
 def _ensemble_case(kind, d, alpha, seed, N):

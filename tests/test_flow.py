@@ -620,6 +620,61 @@ class TestEnsembleDiagnosticsBits:
             assert np.isnan(res.median)
 
 
+def _escaping_stack():
+    """Six runs on a 40-point clock under f = x**2, whose flow escapes from 5
+    before T = 1: every kept run holds 5 at s = 10, so that restart is
+    excluded, and run 1 alone holds 5 at s = 31, so its rate is NaN.  Runs 2
+    and 4 are blown, with states no kept run has."""
+    s = np.arange(40.0)
+    X = 0.1 + 0.01 * np.random.default_rng(4).random((6, 40, 1))
+    X[:, 10, 0] = 5.0
+    X[1, 31, 0] = 5.0
+    X[[2, 4], 5:] = np.nan
+    ok = ~np.isin(np.arange(6), [2, 4])
+    return TimeChangedPath(s, X), ok
+
+
+class TestAptGroups:
+    """Restarts integrated in groups of at most ``_APT_ROWS`` rows give the
+    bits of one group holding them all."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [lambda kept: kept, lambda kept: 3 * kept + 1, lambda kept: 16_384, lambda kept: 10**18],
+        ids=["one-restart", "three-restarts", "default", "unbounded"],
+    )
+    def test_groups_change_no_bit(self, monkeypatch, rows):
+        path, ok = _escaping_stack()
+        f = lambda x: x**2
+        monkeypatch.setattr(flow, "_APT_ROWS", 10**18)
+        want = apt_deficit(path, f, T=1.0, normalization="absolute", ok=ok)
+        assert want.n_excluded == 1 and {10.0, 31.0} <= set(want.t_values)
+        assert np.isnan(want.rates[1]) and np.isfinite(np.delete(want.rates, 1)).all()
+        monkeypatch.setattr(flow, "_APT_ROWS", rows(int(ok.sum())))
+        got = apt_deficit(path, f, T=1.0, normalization="absolute", ok=ok)
+        _same_rates(got, want)
+
+    @pytest.mark.parametrize("blown", [(), (0, 3, 4, 11, 19)])
+    def test_one_restart_per_group_on_an_ensemble(self, skewed_ensemble, monkeypatch, blown):
+        model, _, _, summary = skewed_ensemble
+        summary = _blown(summary, blown)
+        monkeypatch.setattr(flow, "_APT_ROWS", 10**18)
+        want = ensemble_apt_deficit(summary, model.field, T=1.0)
+        monkeypatch.setattr(flow, "_APT_ROWS", 1)
+        _same_rates(ensemble_apt_deficit(summary, model.field, T=1.0), want)
+
+
+def _same_rates(got, want):
+    """Equal rates (NaN included), deficits, exclusions and CSV columns."""
+    assert np.array_equal(got.rates.view(np.int64), want.rates.view(np.int64))
+    assert np.array_equal(got.deficits, want.deficits)
+    assert np.array_equal(got.t_values, want.t_values)
+    assert got.n_excluded == want.n_excluded
+    assert got.first_run.keys() == want.first_run.keys()
+    for key in want.first_run:
+        assert np.array_equal(got.first_run[key], want.first_run[key])
+
+
 @pytest.fixture(scope="module")
 def wide_capture():
     """1000 runs with 1024 captured states each (16 MB): many chunks of runs,
@@ -641,9 +696,7 @@ class TestDiagnosticsMemory:
         summary = _blown(summary, blown)
         half = summary.captured_states.nbytes / 2
         diagnostics = [
-            # the RK4 batch holds about 17 (restarts, runs, d) arrays of its
-            # own: 16 restarts keep them well below the bound on the copy
-            lambda: ensemble_apt_deficit(summary, saddle_field, T=1.0, n_restarts=16),
+            lambda: ensemble_apt_deficit(summary, saddle_field, T=1.0),
             lambda: ensemble_manifold_rate(summary, split=split_jacobian(H_SADDLE)),
             lambda: ensemble_manifold_rate(
                 summary,
@@ -653,3 +706,16 @@ class TestDiagnosticsMemory:
         for diagnostic in diagnostics:
             assert np.isfinite(diagnostic().rates).sum() == summary.n_runs - len(blown)
             assert traced_peak(diagnostic) < half
+
+    @pytest.mark.parametrize("blown", [(), (5, 6, 150, 999)])
+    def test_apt_integrates_a_bounded_group_of_rows(self, wide_capture, blown):
+        # the RK4 batch holds about 20 (rows, d) arrays of its own, and a
+        # group of whole restarts holds at most _APT_ROWS rows
+        summary, _ = wide_capture
+        summary = _blown(summary, blown)
+        d = summary.captured_states.shape[-1]
+        apt = lambda: ensemble_apt_deficit(summary, saddle_field, T=1.0)
+        res = apt()
+        assert len(res.t_values) > 2 * (flow._APT_ROWS // summary.n_runs)  # 3 groups or more
+        assert res.deficits.shape == (summary.n_runs - len(blown), len(res.t_values))
+        assert traced_peak(apt) <= 20 * flow._APT_ROWS * d * 8 + res.deficits.nbytes

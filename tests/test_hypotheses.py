@@ -863,8 +863,9 @@ class TestCaptureLayout:
 
 def _long_ensemble():
     """A linear ensemble whose increment capture spans more than four step
-    chunks, the last ending in a lone step (5 * 1024 + 1 steps), every run
-    kept in full, with the norms of a split that mixes coordinates."""
+    chunks, the last ending in a lone step (5 * 1024 + 1 steps, one more
+    than a multiple of the chunk), every run kept in full, with the norms of
+    a split that mixes coordinates."""
     T = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]])
     model = LinearModel(T @ np.diag([1.0, -1.0, -2.0]) @ np.linalg.inv(T))
     split = split_jacobian(model.H)
@@ -901,7 +902,8 @@ class TestNormsEqualTheEpsPath:
     @pytest.mark.parametrize("blown", [False, True])
     def test_capture_of_more_than_four_chunks(self, long_capture, monkeypatch, blown):
         summary, split = long_capture
-        assert len(summary.increment_indices) == 5 * engine._STEP_CHUNK + 1
+        n = len(summary.increment_indices)
+        assert n > 4 * engine._STEP_CHUNK and n % engine._STEP_CHUNK == 1
         summary = _with_blown(summary, blown)
         N = summary.N
 
@@ -918,6 +920,97 @@ class TestNormsEqualTheEpsPath:
         assert {r["verdict"] for r in got} <= {"pass", "fail"}
         monkeypatch.setattr(hyp, "_step_means", _frozen_step_means(split))
         assert got == checks()
+
+
+def _frozen_1024_step_norms(summary, projections):
+    """The squared noise norms of every kept run's eps, reduced as the
+    engine did with 1024-step chunks: from the first captured step, a lone
+    last step joining the chunk before it, 32 runs per product, each chunk
+    a view of one step-major (steps, runs, d) buffer."""
+    inc = summary.increment_indices
+    eps = np.stack([summary.trajectory(r).eps[inc] for r in range(summary.n_runs)], axis=1)
+    d = eps.shape[-1]
+    Ms = [None if rows is None else np.array(rows).reshape(-1, d).T for rows in projections]
+    out = np.empty((len(Ms), len(inc), summary.n_runs))
+    j = 0
+    while j < len(inc):
+        end = j + 1024 if len(inc) - j > 1025 else len(inc)
+        for r in range(0, summary.n_runs, 32):
+            part = eps[j:end, r : r + 32]
+            for M, norms in zip(Ms, out):
+                y = part if M is None else (part.transpose(1, 0, 2) @ M).transpose(1, 0, 2)
+                norms[j:end, r : r + 32] = _sq_norms(y)
+        j = end
+    return out
+
+
+def _saddle_ensemble(d, chunk):
+    """A d-dimensional linear saddle in a skewed basis, simulated with
+    ``chunk``-step chunks: 40 runs kept in full, every step from 99 on
+    captured with the norms of its split."""
+    rng = np.random.default_rng(d)
+    S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    model = LinearModel(S @ np.diag(np.r_[1.0, -np.linspace(0.5, 2.0, d - 1)]) @ np.linalg.inv(S))
+    split = split_jacobian(model.H)
+    N = 1200
+    caps = CaptureSpec(increment_indices=tuple(range(99, N)), projections=every_projection(split))
+    with mock.patch.object(engine, "_STEP_CHUNK", chunk):
+        return ensemble(model, N=N, captures=caps)[0], split
+
+
+class TestStepChunkSize:
+    """The size of the engine's and the checkers' step chunks changes no
+    bit: norms and checker results equal those of 1024-step chunks."""
+
+    @pytest.mark.parametrize("steps", [1025, 2100])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 16])
+    def test_norms_equal_the_1024_step_chunks(self, d, steps):
+        # 2100 = 2 * 1024 + 52 ends in a short chunk at either size; 1025
+        # captured steps end in a lone step that joins the chunk before it
+        rng = np.random.default_rng(d)
+        model = LinearModel(np.diag(np.linspace(0.5, -1.5, d)))
+        projections = (None,) + tuple(
+            tuple(map(tuple, rng.standard_normal((k, d)).tolist()))
+            for k in sorted({1, max(1, d // 2), d})
+        )
+        N = steps + 40
+        caps = CaptureSpec(
+            increment_indices=tuple(range(37, 37 + steps)),
+            full_runs=tuple(range(40)),
+            projections=projections,
+        )
+        summary, _ = ensemble(model, N=N, captures=caps)
+        assert not summary.blown_up.any()
+        want = _frozen_1024_step_norms(summary, projections)
+        assert np.array_equal(summary.captured_norms, want)
+
+    @pytest.mark.parametrize("blown", [False, True])
+    @pytest.mark.parametrize("case", ["walk", "saddle-5", "saddle-8", "saddle-12"])
+    def test_checkers_equal_at_1024_and_64_steps(self, monkeypatch, case, blown):
+        # the windows start inside a chunk at either size, and the checkers
+        # reduce in chunks of the size the engine ran with
+        results = []
+        for chunk in (1024, 64):
+            if case == "walk":
+                monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+                summary, split = _walk_ensemble()
+                windows, tail_windows = (None, (100, 500)), ((40, 600), (100, 500))
+            else:
+                summary, split = _saddle_ensemble(int(case.split("-")[1]), chunk)
+                monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+                windows, tail_windows = (None, (500, 1200), (130, 1199)), (None, (100, 1200))
+            summary = _with_blown(summary, blown)
+            out = []
+            for window in windows:
+                out.append(check_noise_excitation(summary, split=split, window=window))
+                out.append(check_noise_excitation(summary, split=split, k=3, window=window))
+                out.append(check_jump_moments(summary, a=4.0, window=window))
+            for window in tail_windows:
+                out.append(check_tail_noise_condition(summary, split, 1.0, window=window))
+            results.append([r.to_dict() for r in out])
+        decided = {r["name"] for r in results[0] if r["verdict"] != "inconclusive"}
+        assert decided == {"noise_excitation", "jump_moments", "tail_noise_smallness"}
+        assert results[0] == results[1]
 
 
 def _frozen_sq_norms(y):
@@ -961,9 +1054,11 @@ class TestCaptureMemory:
     def test_norms_take_two_thirds_of_the_eps_bytes(self):
         # two projections of a d = 3 noise keep two doubles per run and step
         # where the eps capture kept three; while it runs, the engine also
-        # buffers one chunk of eps, reads the captured steps from one int64
-        # array and builds a few objects of a few hundred bytes each (the
-        # projection matrices, the set of chunk ends)
+        # buffers one chunk of eps, reduces it _PRODUCT_RUNS runs at a time
+        # (temporaries within one (_PRODUCT_RUNS, chunk, d) array), reads
+        # the captured steps from one int64 array and builds a few objects of
+        # a few hundred bytes each (the projection matrices, the set of chunk
+        # ends)
         model = LinearModel(np.diag([1.0, -1.0, -2.0]))
         minus = hyp.projection(split_jacobian(model.H), "minus")
         N, n_runs = 4 * engine._STEP_CHUNK + 200, 200
@@ -978,8 +1073,9 @@ class TestCaptureMemory:
         eps_bytes = len(inc) * n_runs * 3 * 8
         assert summary.captured_norms.nbytes == 2 * eps_bytes // 3
         chunk_bytes = (engine._STEP_CHUNK + 1) * n_runs * 3 * 8
+        product_bytes = chunk_bytes * engine._PRODUCT_RUNS // n_runs
         extra = traced_peak(lambda: simulate((None, minus))) - traced_peak(lambda: simulate(()))
-        assert extra <= 2 * eps_bytes // 3 + chunk_bytes + len(inc) * 8 + 4096
+        assert extra <= 2 * eps_bytes // 3 + chunk_bytes + product_bytes + len(inc) * 8 + 4096
 
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_build_no_window_sized_temporary(self, long_capture, blown):
