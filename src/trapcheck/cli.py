@@ -715,6 +715,30 @@ def _output_dir(out: Path):
         raise
 
 
+def _check_vrrw_schedule(c: np.ndarray, model: models.Model, spec: dict) -> None:
+    """A ConfigError unless a reinforced walk's ``c_1 .. c_N`` keep its
+    occupation on the simplex and off a vertex where ``H`` is 0."""
+    path = "schedule" if "kind" in spec else "schedule.c"
+    # the noise moves v_n by c_n (e_J - p) toward the jump's vertex J: past
+    # c_n = 1 the step overshoots J and leaves the simplex
+    over = np.flatnonzero(c > 1.0)
+    if over.size:
+        n = int(over[0]) + 1
+        raise ConfigError(
+            f"c_{n} = {float(c[n - 1])!r} > 1 takes the occupation off the probability "
+            "simplex; use a schedule with every c_n <= 1",
+            path,
+        )
+    # v_1 = e_J + (1 - gamma_1) (x0 - pi(x0)) at c_1 = 1: the first jump's
+    # vertex J, where H = A_JJ, or a point off the simplex
+    if c[0] == 1.0 and not np.diag(model.cfg.A).all():
+        raise ConfigError(
+            "c_1 = 1 moves the occupation onto the first jump's vertex J, "
+            "where H(v) = A_JJ is 0 on this graph; use a schedule with c_1 < 1",
+            path,
+        )
+
+
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -743,15 +767,8 @@ def run_experiment(
     timings = {}
     model = _built("model", _build_model, config.model)
     schedule = _built("schedule", _build_schedule, config.schedule, model)
-    # v_1 = e_J + (1 - gamma_1) (x0 - pi(x0)) at c_1 = 1: the first jump's
-    # vertex J, where H = A_JJ, or a point off the simplex
-    vrrw = config.model["kind"].startswith("vrrw_")
-    if vrrw and schedule.c_values[1] == 1.0 and not np.diag(model.cfg.A).all():
-        raise ConfigError(
-            "c_1 = 1 moves the occupation onto the first jump's vertex J, "
-            "where H(v) = A_JJ is 0 on this graph; use a schedule with c_1 < 1",
-            "schedule" if "kind" in config.schedule else "schedule.c",
-        )
+    if config.model["kind"].startswith("vrrw_"):
+        _check_vrrw_schedule(schedule.c_values[1 : config.N + 1], model, config.schedule)
     x0 = _x0_of(config, model)
     if model.trap is None or model.trap.nu is None:
         if any(c["name"] == "rate_condition" and c["nu"] is None for c in config.checks):

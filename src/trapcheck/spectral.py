@@ -9,9 +9,14 @@ uniformly coercive: ``<Hx, x>_S >= lam * <x, x>_S``.
 The split is computed by a real Schur decomposition with eigenvalue
 reordering (unstable block leading) followed by a Sylvester solve that
 annihilates the remaining coupling block — a numerically stable substitute
-for an abstract eigenbasis.  Eigenvalues too close to the imaginary axis make
-the classification unreliable; those inputs are rejected rather than guessed
-at (see ``ambiguity band`` below).
+for an abstract eigenbasis.  A diagonal ``H`` is already in real Schur
+form: its split is the permutation that sorts the entries as Schur's
+reordering does, with no coupling block, and it loads no ``scipy.linalg``.
+That submodule loads on first use: for a non-diagonal split and for
+:func:`adapted_inner_product` (adapted ``drift_sign``, the ``spectral``
+command on a split with a repulsive block).  Eigenvalues too close to the
+imaginary axis make the classification unreliable; those inputs are rejected
+rather than guessed at (see ``ambiguity band`` below).
 """
 
 from __future__ import annotations
@@ -116,14 +121,53 @@ def _classify(delta_plus: int, dim: int, mu: float) -> str:
     return "stable" if mu < 0 else "center"
 
 
+def _diagonal_blocks(H: np.ndarray, tol: float):
+    """``(P, P_inv, H_plus, H_minus)`` of a diagonal ``H``, which is already
+    in real Schur form: ``P`` is the permutation that puts the entries
+    ``>= tol`` first, each block in its order in ``H`` (the order schur's
+    ``sort`` keeps), and there is no coupling block to solve away."""
+    h = np.diagonal(H)
+    order = np.argsort(h < tol, kind="stable")
+    k = int(np.count_nonzero(h >= tol))
+    P = np.eye(H.shape[0])[:, order]
+    return P, P.T, np.diag(h[order[:k]]), np.diag(h[order[k:]])
+
+
+def _schur_blocks(H: np.ndarray, tol: float):
+    """``(P, P_inv, H_plus, H_minus)`` from a real Schur form sorted by
+    ``Re >= tol`` and a Sylvester solve that removes the coupling block."""
+    d = H.shape[0]
+    T, Q, sdim = scipy.linalg.schur(
+        H, output="real", sort=lambda x, y: x >= tol
+    )
+    k = int(sdim)
+    if k == 0 or k == d:
+        return Q, Q.T, T[:k, :k].copy(), T[k:, k:].copy()
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    # decouple: T11 Y - Y T22 = -T12  =>  [[I, Y],[0, I]] conjugation
+    try:
+        Y = scipy.linalg.solve_sylvester(T11, -T22, -T12)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"block decoupling failed: {exc}") from exc
+    R = np.eye(d)
+    R[:k, k:] = Y
+    R_inv = np.eye(d)
+    R_inv[:k, k:] = -Y
+    return Q @ R, R_inv @ Q.T, T11.copy(), T22.copy()
+
+
 def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
     """Split a Jacobian into its repulsive and non-repulsive blocks.
+
+    A diagonal ``H`` is split by a permutation (:func:`_diagonal_blocks`),
+    any other by Schur and Sylvester (:func:`_schur_blocks`); the checks
+    after the split are the same for both.
 
     Parameters
     ----------
     H : (d, d) real array
     tol : positive float, optional
-        Spectral threshold; eigenvalues with real part > tol go to the
+        Spectral threshold; eigenvalues with real part >= tol go to the
         repulsive block, real part <= tol/10 in magnitude are treated as
         exactly zero, and anything with ``|Re| strictly inside (tol/10, tol)``
         is rejected as ambiguous.  Defaults to ``1e-8 * ||H||_F``.
@@ -155,31 +199,9 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
             offenders=offenders,
         )
 
-    T, Q, sdim = scipy.linalg.schur(
-        H, output="real", sort=lambda x, y: x >= tol
-    )
-    k = int(sdim)
-
-    if k == 0 or k == d:
-        P = Q
-        P_inv = Q.T
-        H_plus = T[:k, :k].copy()
-        H_minus = T[k:, k:].copy()
-    else:
-        T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-        # decouple: T11 Y - Y T22 = -T12  =>  [[I, Y],[0, I]] conjugation
-        try:
-            Y = scipy.linalg.solve_sylvester(T11, -T22, -T12)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"block decoupling failed: {exc}") from exc
-        R = np.eye(d)
-        R[:k, k:] = Y
-        R_inv = np.eye(d)
-        R_inv[:k, k:] = -Y
-        P = Q @ R
-        P_inv = R_inv @ Q.T
-        H_plus = T11.copy()
-        H_minus = T22.copy()
+    diagonal = not H[~np.eye(d, dtype=bool)].any()
+    P, P_inv, H_plus, H_minus = (_diagonal_blocks if diagonal else _schur_blocks)(H, tol)
+    k = H_plus.shape[0]
 
     if d - k == 0:
         mu = 0.0

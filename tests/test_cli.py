@@ -1694,6 +1694,48 @@ class TestFirstStepOnAVertex:
         assert doc["ensemble"]["blowup_count"] == 0
 
 
+class TestNoiseScaleAboveOne:
+    """A reinforced walk with some c_n > 1 for n <= N would step past the
+    jump's vertex, off the probability simplex: the config is refused before
+    the simulation, at the schedule's path."""
+
+    def _run(self, tmp_path, command, kind, schedule, N=60):
+        model = {"kind": kind, "d": 3, "alpha": 2.0}
+        cfg = base_config(N=N, n_runs=4, master_seed=0, x0=None, model=model, schedule=schedule)
+        p = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize(
+        "schedule, line",
+        [
+            ({"kind": "power", "gamma_scale": 0.5, "c_scale": 1.5}, "schedule: c_1 = 1.5 > 1 "),
+            ({"kind": "power", "c_scale": 1.0001}, "schedule: c_1 = 1.0001 > 1 "),
+            ({"gamma": {"kind": "const", "value": 0.1},
+              "c": {"kind": "custom", "values": [0.5] * 9 + [1.25] + [0.5] * 50}},
+             "schedule.c: c_10 = 1.25 > 1 "),
+        ],
+        ids=["power", "power-1.0001", "explicit-c_10"],
+    )
+    @pytest.mark.parametrize("kind", ["vrrw_walk", "vrrw_meanfield"])
+    def test_refused_at_the_schedule(self, tmp_path, capsys, kind, schedule, line, command):
+        with mock.patch.object(engine, "monte_carlo") as simulate:
+            assert self._run(tmp_path, command, kind, schedule) == 1
+        simulate.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["vrrw_walk", "vrrw_meanfield"])
+    def test_a_scale_past_n_is_not_read(self, tmp_path, capsys, kind):
+        schedule = {"gamma": {"kind": "const", "value": 0.1}, "horizon": 80,
+                    "c": {"kind": "custom", "values": [0.5] * 60 + [1.25] * 20}}
+        assert self._run(tmp_path, "simulate", kind, schedule) == 0
+        assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # the contracts over random valid configs
 # ---------------------------------------------------------------------------

@@ -91,6 +91,31 @@ def test_simulate_and_report_load_no_scipy_submodule(tmp_path):
     assert out == {"codes": [0, 0], "loaded": ["scipy"]}
 
 
+_NON_DIAGONAL = {
+    "model": {"kind": "linear", "H": [[1.0, 0.5], [0.0, -2.0]]},
+    "checks": [{"name": "rate_condition", "nu": 1.0}, {"name": "noise_excitation"}],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, loaded",
+    [({}, ["scipy"]), (_NON_DIAGONAL, ["scipy", "scipy.linalg"])],
+    ids=["diagonal-saddle", "non-diagonal-linear"],
+)
+def test_check_loads_scipy_linalg_only_for_a_non_diagonal_split(tmp_path, overrides, loaded):
+    # a diagonal Jacobian is split by a permutation, any other by Schur
+    (tmp_path / "config.json").write_text(json.dumps({**_CONFIG, **overrides}))
+    out = _fresh(f"""
+        from trapcheck.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", "--config", {str(tmp_path / "config.json")!r},
+                         "--out", {str(tmp_path / "out")!r}])
+        print(json.dumps({{"code": code, "loaded": loaded()}}))
+    """)
+    assert out["loaded"] == loaded
+    assert out["code"] != 1 and (tmp_path / "out" / "summary.json").exists()
+
+
 def _body(path):
     doc = json.loads(path.read_text())
     doc.pop("meta")

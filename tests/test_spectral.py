@@ -1,5 +1,11 @@
+import contextlib
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapcheck import (
@@ -8,8 +14,11 @@ from trapcheck import (
     adapted_inner_product,
     default_tolerance,
     project_pm,
+    spectral,
     split_jacobian,
 )
+from trapcheck.cli import ExperimentConfig, run_experiment
+from trapcheck.models import _sq_norms
 from conftest import random_repulsive, random_split_matrix
 
 
@@ -176,3 +185,157 @@ def test_to_dict_serializable():
     sp = split_jacobian(np.diag([1.0, -2.0]))
     d = sp.to_dict()
     assert d["delta_plus"] == 1 and d["classification"] == "unstable_hyperbolic"
+
+
+# ---------------------------------------------------------------------------
+# a diagonal Jacobian is split without Schur, bit for bit as Schur splits it
+# ---------------------------------------------------------------------------
+
+
+def _schur_path():
+    """Every split in the block takes the Schur path, diagonal or not."""
+    return mock.patch.object(spectral, "_diagonal_blocks", spectral._schur_blocks)
+
+
+def _outcome(H, tol):
+    try:
+        return split_jacobian(H, tol)
+    except Exception as exc:  # the two paths must raise alike
+        return (type(exc), str(exc))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _assert_same_split(H, tol, seed):
+    fast = _outcome(H, tol)
+    with _schur_path():
+        slow = _outcome(H, tol)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert (fast.delta_plus, fast.delta_minus) == (slow.delta_plus, slow.delta_minus)
+    assert (fast.classification, _bits(fast.mu), _bits(fast.tol)) == (
+        slow.classification, _bits(slow.mu), _bits(slow.tol))
+    assert np.array_equal(fast.eigenvalues, slow.eigenvalues)
+    assert np.array_equal(fast.H_plus, slow.H_plus)
+    assert np.array_equal(fast.H_minus, slow.H_minus)
+    # Schur's rows may differ in sign only
+    assert np.array_equal(np.abs(fast.P_inv), np.abs(slow.P_inv))
+    rng = np.random.default_rng(seed)
+    d, k = H.shape[0], fast.delta_plus
+    eps = rng.standard_normal((33, d))
+    eps[rng.random(eps.shape) < 0.3] = 0.0
+    for rows in (slice(None, k), slice(k, None)):
+        assert _bits(_sq_norms(eps @ fast.P_inv[rows].T)) == _bits(
+            _sq_norms(eps @ slow.P_inv[rows].T))
+    x_star = np.where(rng.random(d) < 0.5, 0.0, rng.standard_normal(d))
+    for a, b in zip(project_pm(fast, eps, x_star), project_pm(slow, eps, x_star)):
+        assert _bits(_sq_norms(a)) == _bits(_sq_norms(b))
+
+
+@st.composite
+def _diagonal_jacobians(draw):
+    """A diagonal H of size 1-6 and a tol (None: the default); the entries
+    include zeros of both signs, +-tol, the dead zone's edge tol/10, repeats
+    and values in the ambiguity band.  No non-zero entry is below 1e-100 in
+    magnitude, so the largest is inside the range LAPACK's ``dgees`` does
+    not rescale (see ``test_extreme_scale_is_exact``)."""
+    tol = draw(st.sampled_from([None, 1e-3, 0.25, 1.0, 3.0]))
+    t = 1.0 if tol is None else tol
+    pool = [0.0, -0.0, t, -t, t / 10, -t / 10, t / 2, 2.5 * t, -3.0 * t, 7.0, -0.5]
+    floats = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+    entries = st.sampled_from(pool) | floats
+    h = draw(st.lists(entries, min_size=1, max_size=6))
+    return np.diag(np.asarray(h, dtype=np.float64)), tol, draw(st.integers(0, 2**32 - 1))
+
+
+class TestDiagonalSplit:
+    """A Jacobian with no non-zero entry off its diagonal is split by a
+    permutation, never by ``scipy.linalg``; every value the split hands on
+    equals the Schur path's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_diagonal_jacobians())
+    def test_equals_the_schur_path(self, case):
+        _assert_same_split(*case)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_order_of_the_signs(self, d):
+        magnitudes = np.arange(1.0, d + 1.0)
+        for signs in itertools.product([1.0, -1.0, 0.0], repeat=d):
+            _assert_same_split(np.diag(magnitudes * np.asarray(signs)), None, d)
+
+    def test_schur_is_not_called(self):
+        with mock.patch.object(spectral, "_schur_blocks") as schur:
+            sp = split_jacobian(np.diag([-2.0, 1.0, -0.5, 3.0]))
+        schur.assert_not_called()
+        assert np.array_equal(sp.H_plus, np.diag([1.0, 3.0]))
+        assert np.array_equal(sp.H_minus, np.diag([-2.0, -0.5]))
+        assert np.array_equal(sp.P_inv, np.eye(4)[[1, 3, 0, 2]])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-139, 1e139, 1e150])
+    def test_extreme_scale_is_exact(self, scale):
+        # dgees rescales a matrix whose largest entry is outside about
+        # (6.7e-139, 1.5e138), and its blocks then round; the permutation
+        # hands on the entries themselves
+        h = scale * np.array([-1.7, 2.3, 0.0, -3.1])
+        sp = split_jacobian(np.diag(h))
+        assert np.array_equal(sp.H_plus, np.diag(h[[1]]))
+        assert np.array_equal(sp.H_minus, np.diag(h[[0, 2, 3]]))
+        with _schur_path():
+            schur = split_jacobian(np.diag(h))
+        assert (sp.delta_plus, sp.classification) == (schur.delta_plus, schur.classification)
+
+    def test_empty_matrix(self):
+        sp = split_jacobian(np.zeros((0, 0)))
+        assert (sp.delta_plus, sp.delta_minus, sp.mu, sp.classification) == (0, 0, 0.0, "repulsive")
+
+    def test_off_diagonal_entry_takes_the_schur_path(self):
+        with mock.patch.object(spectral, "_diagonal_blocks") as diagonal:
+            split_jacobian(np.array([[1.0, 1e-300], [0.0, -2.0]]))
+        diagonal.assert_not_called()
+
+
+#: every check, each with enough runs and steps in the ball to read values
+_EVERY_CHECK = [
+    {"name": "noise_excitation"},
+    {"name": "remainder"},
+    {"name": "drift_sign", "adapted": True, "rho": 100.0},
+    {"name": "drift_sign", "mode": "coercive", "beta": 0.1, "adapted": True, "rho": 100.0},
+    {"name": "drift_sign", "rho": 100.0},
+    {"name": "rate_condition", "nu": 1.0},
+    {"name": "jump_moments"},
+    {"name": "tail_noise"},
+]
+
+
+@pytest.mark.parametrize(
+    "model, x0",
+    [
+        *[pytest.param({"kind": "synthetic", "dim": d, "delta_plus": k},
+                       [0.0] * k + [0.3] * (d - k), id=f"synthetic-d{d}-k{k}")
+          for d in (2, 3, 4) for k in range(1, d)],
+        pytest.param({"kind": "linear", "H": [[1.0, 0.0], [0.0, -1.0]]}, [0.0, 0.3],
+                     id="linear-diag(1,-1)"),
+        pytest.param({"kind": "linear", "H": [[-1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -2.0]]},
+                     [0.3, 0.0, -0.2], id="linear-diag(-1,0.5,-2)"),
+    ],
+)
+def test_run_experiment_equals_the_schur_path(tmp_path, model, x0):
+    cfg = ExperimentConfig.from_dict({
+        "model": model, "schedule": {"kind": "harmonic"}, "N": 300, "n_runs": 32,
+        "master_seed": 25, "x0": x0, "max_blowup_fraction": 1.0, "checks": _EVERY_CHECK,
+        "diagnostics": [{"name": "apt", "T": 0.5}, {"name": "manifold_rate"}],
+        "output": {"trajectories": 1, "write_diagnostics": True},
+    })
+    bodies = []
+    for name, path in (("fast", contextlib.nullcontext()), ("schur", _schur_path())):
+        with path:
+            code, doc = run_experiment(cfg, out_dir=tmp_path / name)
+        doc.pop("meta")
+        files = {p.relative_to(tmp_path / name).as_posix(): p.read_text()
+                 for p in sorted((tmp_path / name).rglob("*.csv"))}
+        bodies.append((code, doc, files))
+    assert bodies[0] == bodies[1]
