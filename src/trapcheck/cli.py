@@ -199,13 +199,13 @@ class _Check:
     """One check or diagnostic: its fields (parser and default); ``steps(c, N)``,
     the part of the capture plan that entry ``c`` reads; ``run(c, **inputs)``, its
     checker or diagnostic on the pipeline's summary, rates, split, mu, nu, field and
-    K; ``projections(split)``, the projections whose squared noise norms it reads
-    at its steps (:func:`hypotheses.projection`)."""
+    K; ``statistics(c, split, nu)``, the noise statistics it reads at its steps
+    (:class:`engine.CaptureSpec`)."""
 
     params: dict
     steps: Callable
     run: Callable
-    projections: Callable = lambda split: ()
+    statistics: Callable = lambda c, split, nu: ()
 
 
 def _capture_window(c: dict, N: int) -> tuple:
@@ -257,7 +257,7 @@ _CHECKS = {
         lambda c, summary, split, **_: hypotheses.check_noise_excitation(
             summary, split, c["k"], c["a"], c["window"], c["threshold"]
         ),
-        lambda split: (hypotheses.projection(split, "plus"), None),
+        lambda c, split, nu: hypotheses.excitation_statistics(split, c["a"]),
     ),
     "remainder": _Check(
         {
@@ -298,7 +298,7 @@ _CHECKS = {
         {"a": (_moment_exponent, 4.0), "window": _WINDOW},
         _sampled_steps,
         lambda c, summary, **_: hypotheses.check_jump_moments(summary, c["a"], c["window"]),
-        lambda split: (None,),
+        lambda c, split, nu: hypotheses.jump_statistics(c["a"]),
     ),
     "tail_noise": _Check(
         {"nu": (_positive, None), "window": _WINDOW},
@@ -306,8 +306,7 @@ _CHECKS = {
         lambda c, summary, split, nu, **_: hypotheses.check_tail_noise_condition(
             summary, split, c["nu"] or nu or 1.0, c["window"]
         ),
-        # without a split the check reads nothing
-        lambda split: () if split is None else (hypotheses.projection(split, "minus"),),
+        lambda c, split, nu: hypotheses.tail_statistics(split, c["nu"] or nu or 1.0),
     ),
 }
 
@@ -580,10 +579,10 @@ def _built(path: str, build, *args):
 # ---------------------------------------------------------------------------
 
 
-def _capture_plan(config: ExperimentConfig, split):
+def _capture_plan(config: ExperimentConfig, split, nu):
     """What the ensemble keeps: the union of the states, steps, full runs and
-    noise-norm projections of ``split`` the checks and diagnostics read, and
-    the runs whose CSVs are written."""
+    noise statistics (on ``split``, with the model's ``nu``) the checks and
+    diagnostics read, and the runs whose CSVs are written."""
     records = [(_CHECKS[c["name"]], c) for c in config.checks]
     records += [(_DIAGNOSTICS[d["name"]], d) for d in config.diagnostics]
     parts = [record.steps(c, config.N) for record, c in records]
@@ -592,7 +591,9 @@ def _capture_plan(config: ExperimentConfig, split):
         state_indices=tuple(sorted({n for p in parts for n in p.state_indices})),
         increment_indices=tuple(sorted({n for p in parts for n in p.increment_indices})),
         full_runs=tuple(sorted({*written, *(r for p in parts for r in p.full_runs)})),
-        projections=tuple(dict.fromkeys(p for r, _ in records for p in r.projections(split))),
+        statistics=tuple(
+            dict.fromkeys(st for r, c in records for st in r.statistics(c, split, nu))
+        ),
     )
 
 
@@ -608,7 +609,7 @@ def _resolve_split_and_constants(model: models.Model):
     that declare them derive the values exactly, and degenerate spectra (for
     which the numeric split sees only the center block) would otherwise
     misreport the contraction rate.  The numeric split is still returned for
-    projections when it certifies repulsive directions.
+    statistics' projections when it certifies repulsive directions.
     """
     trap = model.trap
     if trap is None:
@@ -782,7 +783,7 @@ def run_experiment(
             )
     # the split needs only the model; the capture plan projects on it
     split, mu, nu = _resolve_split_and_constants(model) if with_checks else (None, None, None)
-    capture = _capture_plan(config, split)
+    capture = _capture_plan(config, split, nu)
     for i, dg in enumerate(config.diagnostics):
         if "T" in dg:  # a window that fits nowhere on the state grid's clock fails now
             clock = schedule.partial_drift_sum(np.asarray(capture.state_indices, np.float64))

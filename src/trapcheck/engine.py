@@ -59,23 +59,27 @@ SUP_TAIL_FRACTION = 0.25
 #: Levels of the terminal-distance quantiles in ``summary.json``.
 _DISTANCE_LEVELS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
-#: Captured steps reduced per pass, into squared noise norms by the engine
-#: and into their cross-run means by the checkers (a last chunk may hold one
-#: more): it bounds the engine's eps buffer to ``(_STEP_CHUNK + 1) * n_runs
-#: * d`` doubles and their temporaries to a few arrays of that size.  The
-#: chunk size changes no bit of a norm or a mean.  At least 2.
+#: Captured steps reduced per pass, into squared noise norms and then into
+#: their cross-run means (a last chunk may hold one more): it bounds the
+#: engine's eps buffer to ``(_STEP_CHUNK + 1) * n_runs * d`` doubles and its
+#: temporaries to a few arrays of that size.  The chunk size changes no bit of
+#: a norm or a mean.  At least 2.
 _STEP_CHUNK = 64
 
 #: Runs whose norms :func:`_reduce_chunk` computes at a time: its temporaries
 #: are a few ``_PRODUCT_RUNS * _STEP_CHUNK * d`` arrays, not the chunk's.
 _PRODUCT_RUNS = 32
 
+#: Norms (runs times steps) whose step means :func:`_reduce_means` takes at a
+#: time: its temporaries are a few arrays of this many doubles.  A chunk of a
+#: larger batch is reduced a few steps at a time, which changes no bit.
+_MEAN_BLOCK = 2**14
+
 
 def _step_chunks(start: int, stop: int):
     """``(j, end)`` per chunk of the captured steps ``[start, stop)``,
     ``_STEP_CHUNK`` steps at a time.  A lone last step joins the chunk before
-    it: a one-step chunk takes other paths, with other bits, through matmul
-    and through a mean over runs."""
+    it: a one-step chunk takes other paths, with other bits, through matmul."""
     j = start
     while j < stop:
         end = j + _STEP_CHUNK if stop - j > _STEP_CHUNK + 1 else stop
@@ -147,26 +151,30 @@ class CaptureSpec:
         Times n at which every run's state is stored (for diagnostics),
         runs first: ``(n_runs, len(state_indices), d)``.
     increment_indices:
-        Step indices at which every run's martingale noise ``eps`` is
-        reduced to the squared norms ``||eps @ R.T||^2`` of each projection
-        in ``projections`` (the hypothesis checks need only cross-run means
-        of their powers at fixed n; ``eps`` itself, ``g`` and ``rem`` are
-        not kept).
+        Step indices at which the ensemble keeps the cross-run means of each
+        noise statistic in ``statistics`` (the hypothesis checks need only
+        those means at fixed n; ``eps`` itself, its norms, ``g`` and ``rem``
+        are not kept).
     full_runs:
         Run indices whose full record is kept, as :func:`run` returns it:
         every state and every step's (g, eps, rem), ``(4N+1) * d`` doubles
         (``(4N+1) * d * 8`` bytes) per kept run.
-    projections:
-        The rows ``R`` of each projection, as a tuple of row tuples, or None
-        for the full vector ``eps``: ``len(projections) * len(increment_indices)
-        * n_runs * 8`` bytes in all, stored step-major (see
-        :class:`EnsembleSummary`).  Unset, the full vector alone.
+    statistics:
+        ``(projection, power)`` pairs: the squared norm ``||eps @ R.T||^2``
+        of the martingale noise under the projection rows ``R`` (a tuple of
+        row tuples, or None for the full vector ``eps``), raised to ``power``
+        (None: the norm itself).  ``len(statistics) * len(increment_indices)
+        * 8`` bytes in all (see :class:`EnsembleSummary`).  Only these means
+        are kept, so a check reads the ensemble at the moment exponent and
+        ``nu`` fixed here.  Unset, the full vector's squared norm and its
+        square: what the noise checks read on the full vector at their
+        default ``a`` = 4.
     """
 
     state_indices: tuple = ()
     increment_indices: tuple = ()
     full_runs: tuple = ()
-    projections: tuple = (None,)
+    statistics: tuple = ((None, None), (None, 2.0))
 
     @staticmethod
     def normalize(obj, N: int) -> "CaptureSpec":
@@ -186,7 +194,7 @@ class CaptureSpec:
             state_indices=tuple(s),
             increment_indices=tuple(i),
             full_runs=tuple(r),
-            projections=tuple(dict.fromkeys(obj.projections)),
+            statistics=tuple(dict.fromkeys(obj.statistics)),
         )
 
 
@@ -194,11 +202,11 @@ class CaptureSpec:
 class EnsembleSummary:
     """Order-insensitive reduction of an ensemble (arrays indexed by run).
 
-    ``captured_norms[p, k, r]`` is run r's squared noise norm under
-    ``projections[p]`` at step ``increment_indices[k]`` (see
-    :class:`CaptureSpec`), stored step-major and C-contiguous, so a captured
-    step is one contiguous row of runs; ``captured_states`` is stored
-    runs-first.
+    ``noise_means[s, k]`` is the cross-run mean of noise statistic
+    ``statistics[s]`` (see :class:`CaptureSpec`) at step
+    ``increment_indices[k]``, over the ``noise_counts[k]`` runs that had not
+    blown up before that step (a run that blows up at step b counts at the
+    captured steps n < b); ``captured_states`` is stored runs-first.
 
     ``sup_tail_distance[r]`` is run r's sup of ``||X_n - x*||`` over
     ``n in [tail_from, N]`` — the finite-horizon stand-in for "the run
@@ -220,8 +228,9 @@ class EnsembleSummary:
     capture_times: np.ndarray
     captured_states: Optional[np.ndarray]  # (n_runs, len(capture_times), d)
     increment_indices: np.ndarray
-    projections: tuple
-    captured_norms: Optional[np.ndarray]  # (len(projections), len(increment_indices), n_runs)
+    statistics: tuple
+    noise_means: Optional[np.ndarray]  # (len(statistics), len(increment_indices))
+    noise_counts: Optional[np.ndarray]  # (len(increment_indices),) runs per mean
     blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
     full_runs: dict = field(default_factory=dict)  # run index -> Trajectory
 
@@ -329,10 +338,17 @@ def _drive(
     capture: CaptureSpec,
     blowup_bound: float,
     keep=(),
+    step_means: bool = True,
 ):
     """Advance a batch of runs in lockstep; the single workhorse behind both
     ``run`` and ``monte_carlo`` (so a lone run and an ensemble row share every
     floating-point operation).
+
+    At the captured increment steps the batch's noise is reduced to the
+    capture's statistics: with ``step_means`` to their cross-run means and
+    run counts (``noise_means``, ``noise_counts``), else to every run's
+    squared norm per projection (``cap_norms``, step-major ``(projections,
+    steps, B)``), which :func:`_step_means` reduces with the same bits.
 
     ``keep`` lists batch rows whose full record is stored: every state and
     every step's pieces.  A row's states are stored before a blow-up parks
@@ -349,21 +365,27 @@ def _drive(
     gam, cs = schedule.gamma_values, schedule.c_values
 
     state_idx = np.asarray(capture.state_indices, dtype=np.int64)
-    # without a projection, no norm is kept at any step
-    inc_idx = np.asarray(capture.increment_indices if capture.projections else (), np.int64)
+    # without a statistic, nothing is kept at any step
+    inc_idx = np.asarray(capture.increment_indices if capture.statistics else (), np.int64)
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
-    # eps is kept a chunk of captured steps at a time, then reduced to norms;
-    # k counts the captured steps, and the next one is at step inc_idx[k]
+    # eps is kept a chunk of captured steps at a time and reduced to squared
+    # norms per projection; with step_means those are reduced at once to the
+    # statistics' means, else every run's norms are kept for the caller to
+    # reduce; k counts the captured steps, and the next one is at inc_idx[k]
     projections = [
         None if rows is None else np.array(rows, dtype=np.float64).reshape(-1, d).T
-        for rows in capture.projections
+        for rows in _projection_keys(capture.statistics)
     ]
-    cap_norms = np.empty((len(projections), len(inc_idx), B)) if len(inc_idx) else None
-    chunk_ends = {end for _, end in _step_chunks(0, len(inc_idx))}
-    eps_chunk = np.empty((min(len(inc_idx), _STEP_CHUNK + 1), B, d))
+    n_inc = len(inc_idx)
+    norm_steps = min(n_inc, _STEP_CHUNK + 1) if step_means else n_inc
+    cap_norms = np.empty((len(projections), norm_steps, B)) if n_inc else None
+    means = np.empty((len(capture.statistics), n_inc)) if n_inc and step_means else None
+    counts = np.empty(n_inc, dtype=np.int64) if means is not None else None
+    chunk_ends = {end for _, end in _step_chunks(0, n_inc)}
+    eps_chunk = np.empty((min(n_inc, _STEP_CHUNK + 1), B, d))
     k = chunk_start = 0
-    next_inc = int(inc_idx[0]) if len(inc_idx) else -1
+    next_inc = int(inc_idx[0]) if n_inc else -1
 
     keep = np.asarray(keep, dtype=np.int64)
     K = len(keep)
@@ -415,8 +437,12 @@ def _drive(
                 eps_chunk[k - chunk_start] = eps
                 k += 1
                 if k in chunk_ends:
-                    _reduce_chunk(eps_chunk[: k - chunk_start], projections,
-                                  cap_norms[:, chunk_start:k])
+                    steps = slice(chunk_start, k)
+                    norms = cap_norms[:, : k - chunk_start] if step_means else cap_norms[:, steps]
+                    _reduce_chunk(eps_chunk[: k - chunk_start], projections, norms)
+                    if step_means:
+                        _reduce_means(norms, capture.statistics, inc_idx[steps], blowup_step,
+                                      means[:, steps], counts[steps])
                     chunk_start = k
                 next_inc = int(inc_idx[k]) if k < len(inc_idx) else -1
             if (n + 1) in state_pos:
@@ -433,7 +459,9 @@ def _drive(
         "blown": blown,
         "blowup_step": blowup_step,
         "cap_states": cap_states,
-        "cap_norms": cap_norms,
+        "cap_norms": None if step_means else cap_norms,
+        "noise_means": means,
+        "noise_counts": counts,
         "kept": (states, parts),
     }
     return out
@@ -454,6 +482,73 @@ def _reduce_chunk(eps: np.ndarray, projections, out: np.ndarray) -> None:
                 norms[:, runs] = _sq_norms(part)
             else:
                 norms[:, runs] = _sq_norms(part.transpose(1, 0, 2) @ M).T
+
+
+def _projection_keys(statistics) -> list:
+    """The distinct projections of ``statistics``, in order of first use: the
+    order of ``_drive``'s squared norms."""
+    return list(dict.fromkeys(key for key, _ in statistics))
+
+
+def _reduce_means(norms, statistics, ns, blowup_step, means, counts) -> None:
+    """Write into ``means[s]`` the cross-run mean of ``statistics[s] = (key,
+    power)`` at each captured step ``ns`` of ``norms`` (per projection of
+    :func:`_projection_keys`, step-major ``(steps, runs)``): the squared norm
+    under ``key`` raised to ``power`` (None: the norm itself).  ``counts``
+    gets the runs each mean is over, those that had not blown up before the
+    step: ``blowup_step`` 0 or above it.
+
+    A mean's bits depend on the layout numpy reduces, so these are the
+    layouts the checkers reduced before the engine did: the full vector's
+    norms with the runs that count contiguous (numpy sums each step's runs
+    pairwise) and a projection's norms one run per row (numpy adds the rows
+    in order; a run that does not count adds +0.0, which changes no sum of
+    norms).  A step's mean is thus the same in any chunk of steps.
+    """
+    steps, B = norms.shape[1:]
+    width = max(1, _MEAN_BLOCK // B)
+    if steps > width:
+        for j in range(0, steps, width):
+            part = slice(j, j + width)
+            _reduce_means(norms[:, part], statistics, ns[part], blowup_step, means[:, part],
+                          counts[part])
+        return
+    keys = _projection_keys(statistics)
+    live = (blowup_step == 0) | (ns[:, None] < blowup_step) if blowup_step.any() else None
+    if live is not None and live.all():
+        live = None
+    counts[:] = B if live is None else np.count_nonzero(live, axis=1)
+    # the full vector is compressed to the runs that count, over each stretch
+    # of steps where they stay the same
+    cuts = [0, steps]
+    if live is not None:
+        cuts[1:1] = (np.flatnonzero((live[1:] != live[:-1]).any(axis=1)) + 1).tolist()
+    with np.errstate(invalid="ignore"):  # 0/0: no run counts at a step
+        for out, (key, power) in zip(means, statistics):
+            sq = norms[keys.index(key)]
+            if key is None:
+                for a, b in zip(cuts, cuts[1:]):
+                    runs = sq[a:b] if live is None else np.compress(live[a], sq[a:b], axis=1)
+                    vals = runs.T if power is None else runs.T**power
+                    np.divide(np.add.reduce(vals, axis=0), counts[a:b], out=out[a:b])
+                continue
+            # one run per row, and a last column of zeros: numpy would sum a
+            # lone column (a one-step capture) pairwise
+            runs = np.zeros((B, steps + 1))
+            runs[:, :steps] = sq.T
+            vals = runs if power is None else runs**power
+            if live is not None:
+                vals[:, :steps][~live.T] = 0.0
+            np.divide(np.add.reduce(vals, axis=0)[:steps], counts, out=out)
+
+
+def _step_means(norms, statistics, ns, blowup_step):
+    """``(means, counts)`` of :func:`_reduce_means` at every captured step of
+    the merged ``norms``."""
+    means = np.empty((len(statistics), len(ns)))
+    counts = np.empty(len(ns), dtype=np.int64)
+    _reduce_means(norms, statistics, ns, blowup_step, means, counts)
+    return means, counts
 
 
 def _kept_trajectories(schedule, kept) -> list:
@@ -530,6 +625,7 @@ def _chunk_worker(
     tail_from,
     capture,
     blowup_bound,
+    step_means,
 ):
     # the worker derives its runs' seeds from master_seed itself: when the
     # parent built every run's SeedSequence and sent them instead, the peak
@@ -547,6 +643,7 @@ def _chunk_worker(
         capture=capture,
         blowup_bound=blowup_bound,
         keep=keep,
+        step_means=step_means,
     )
     res["kept_runs"] = [int(run_indices[k]) for k in keep]
     return res
@@ -604,8 +701,11 @@ def monte_carlo(
     # can be, and the pool pays one task per worker
     chunks = np.array_split(np.arange(n_runs), min(workers, n_runs))
 
+    # one batch reduces its noise to step means as it goes; pooled batches
+    # return every run's norms, reduced here once merged, with the same bits
+    pooled = len(chunks) > 1
     args = [
-        (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound)
+        (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound, not pooled)
         for chunk in chunks
     ]
     full_runs = {}
@@ -614,7 +714,7 @@ def monte_carlo(
         full_runs.update(zip(part["kept_runs"], _kept_trajectories(schedule, part["kept"])))
         return part
 
-    if len(chunks) == 1:
+    if not pooled:
         merged = take_kept(_chunk_worker(*args[0]))
     else:
         merged = dict.fromkeys(_PER_RUN)
@@ -626,6 +726,14 @@ def monte_carlo(
             for chunk in chunks:
                 runs = slice(chunk[0], chunk[-1] + 1)
                 _copy_runs(merged, take_kept(futures.pop(0).result()), runs, n_runs)
+        norms = merged.pop("cap_norms")
+        if norms is not None:
+            inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
+            merged["noise_means"], merged["noise_counts"] = _step_means(
+                norms, capture.statistics, inc_idx, merged["blowup_step"]
+            )
+        else:
+            merged["noise_means"] = merged["noise_counts"] = None
 
     return EnsembleSummary(
         model_id=model.id,
@@ -641,8 +749,9 @@ def monte_carlo(
         capture_times=np.asarray(capture.state_indices, dtype=np.int64),
         captured_states=merged["cap_states"],
         increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
-        projections=capture.projections,
-        captured_norms=merged["cap_norms"],
+        statistics=capture.statistics,
+        noise_means=merged["noise_means"],
+        noise_counts=merged["noise_counts"],
         blowup_step=merged["blowup_step"],
         full_runs=full_runs,
     )

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import EnsembleSummary, Trajectory, _step_chunks
+from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
 from .models import _sq_norms
 from .sequences import RateConstants
@@ -43,6 +43,9 @@ __all__ = [
     "THEOREM_IDS",
     "make_constants",
     "projection",
+    "excitation_statistics",
+    "jump_statistics",
+    "tail_statistics",
     "check_noise_excitation",
     "check_remainder",
     "check_drift_sign",
@@ -186,15 +189,16 @@ def _window(ns, window):
 
 def _eps_window(summary: EnsembleSummary, window):
     """:func:`_window` of the captured increment steps."""
-    if summary.captured_norms is None:
+    if summary.noise_means is None:
         raise InsufficientRecordsError("ensemble was run without increment captures")
     return _window(summary.increment_indices, window)
 
 
-def _too_few_runs(summary: EnsembleSummary, name: str, threshold=None):
+def _too_few_runs(summary: EnsembleSummary, steps: slice, name: str, threshold=None):
     """Check ``name``'s ``inconclusive`` result, with ``n_runs``, if fewer
-    than ``MIN_RUNS`` runs did not blow up; else None."""
-    n_runs = int(summary.ok.sum())
+    than ``MIN_RUNS`` runs count at some captured step of ``steps`` (a run
+    that blew up at step b counts at the steps before b); else None."""
+    n_runs = int(np.min(summary.noise_counts[steps], initial=summary.n_runs))
     if n_runs < MIN_RUNS:
         return _inconclusive(name, "too few runs", threshold, n_runs=n_runs)
 
@@ -216,9 +220,10 @@ def _halves_sup(values):
 
 def projection(split: Optional[TrapSplit], block: str):
     """The projection whose squared noise norms a check of ``block`` of
-    ``split`` reads, as :class:`engine.CaptureSpec` names it: for ``"plus"``
-    the rows ``P_inv[:delta_plus]``, or None (the full vector) when the split
-    has no repulsive block; for ``"minus"`` the rows ``P_inv[delta_plus:]``."""
+    ``split`` reads, as a statistic of :class:`engine.CaptureSpec` names it:
+    for ``"plus"`` the rows ``P_inv[:delta_plus]``, or None (the full vector)
+    when the split has no repulsive block; for ``"minus"`` the rows
+    ``P_inv[delta_plus:]``."""
     if block == "plus":
         if _repulsive(split) is None:
             return None
@@ -228,32 +233,37 @@ def projection(split: Optional[TrapSplit], block: str):
     return tuple(map(tuple, rows.tolist()))
 
 
-def _step_means(summary: EnsembleSummary, steps: slice, *stats):
-    """Per ``(projection, power)`` in ``stats``, the cross-run mean of that
-    projection's captured squared noise norm raised to ``power`` (None: the
-    norm itself) at each captured step of ``steps``, over the runs that did
-    not blow up.  It is reduced one chunk of steps at a time, so no
-    window-sized temporary is built.
+def excitation_statistics(split: Optional[TrapSplit], a: float) -> tuple:
+    """The noise statistics (see :class:`engine.CaptureSpec`) that
+    :func:`check_noise_excitation` reads: the squared norm on the repulsive
+    block, and the full vector's raised to ``a / 2``."""
+    return (projection(split, "plus"), None), (None, a / 2.0)
 
-    The bits of a mean over runs depend on the layout it reduces, so each
-    chunk is laid out runs-first as the noise vectors' chunks were when the
-    checkers took these norms themselves: the full vector's norms with runs
-    contiguous (numpy then sums them pairwise), a projection's one run per
-    row, as a matmul wrote them (numpy then adds the rows in order).
-    """
-    try:
-        norms = [summary.captured_norms[summary.projections.index(key)] for key, _ in stats]
-    except ValueError:
-        raise InsufficientRecordsError("ensemble kept no noise norms of this projection") from None
-    ok = summary.ok if summary.blown_up.any() else None
-    out = np.empty((len(stats), steps.stop - steps.start))
-    for j, end in _step_chunks(steps.start, steps.stop):
-        cols = slice(j - steps.start, end - steps.start)
-        for row, sq, (key, power) in zip(out, norms, stats):
-            chunk = np.ascontiguousarray(sq[j:end]) if ok is None else np.compress(ok, sq[j:end], 1)
-            chunk = chunk.T if key is None else np.ascontiguousarray(chunk.T)
-            row[cols] = np.mean(chunk if power is None else chunk**power, axis=0)
-    return out
+
+def jump_statistics(a: float) -> tuple:
+    """The noise statistic that :func:`check_jump_moments` reads."""
+    return ((None, a / 2.0),)
+
+
+def tail_statistics(split: Optional[TrapSplit], nu: float) -> tuple:
+    """The noise statistic that :func:`check_tail_noise_condition` reads:
+    none without a split."""
+    return () if split is None else ((projection(split, "minus"), (1.0 + nu) / 2.0),)
+
+
+def _noise_means(summary: EnsembleSummary, steps: slice, *stats) -> list:
+    """Per noise statistic in ``stats``, a view of the cross-run means the
+    ensemble kept at the captured steps ``steps``."""
+    missing = [stat for stat in stats if stat not in summary.statistics]
+    if missing:
+        key, power = missing[0]
+        raise InsufficientRecordsError(
+            f"ensemble kept no noise statistic (projection, power) = "
+            f"({'full vector' if key is None else key}, {power}); its moment "
+            "exponent and nu are fixed when the ensemble is captured"
+        )
+    rows = [summary.statistics.index(stat) for stat in stats]
+    return [summary.noise_means[row, steps] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +289,7 @@ def check_noise_excitation(
     needs the liminf proxy above the threshold and the moment proxy finite.
     """
     ns, steps = _eps_window(summary, window)
-    if few := _too_few_runs(summary, "noise_excitation", threshold):
+    if few := _too_few_runs(summary, steps, "noise_excitation", threshold):
         return few
     # k-windows need k consecutive captured indices
     n_starts = max(len(ns) - k + 1, 0)
@@ -290,7 +300,7 @@ def check_noise_excitation(
         )
 
     # per-n means over runs
-    m2, ma = _step_means(summary, steps, (projection(split, "plus"), None), (None, a / 2.0))
+    m2, ma = _noise_means(summary, steps, *excitation_statistics(split, a))
     sums = sliding_window_view(m2, k)[starts].sum(axis=1)  # np.sum(m2[i:i+k]) bits
     liminf_proxy = float(np.min(sums))
     limsup_proxy = float(np.max(ma))
@@ -473,11 +483,11 @@ def check_jump_moments(
     if a <= 2:
         raise ValueError("moment exponent a must exceed 2")
     ns, steps = _eps_window(summary, window)
-    if few := _too_few_runs(summary, "jump_moments"):
+    if few := _too_few_runs(summary, steps, "jump_moments"):
         return few
     if len(ns) < MIN_SAMPLES:
         return _inconclusive("jump_moments", "window too short")
-    (ma,) = _step_means(summary, steps, (None, a / 2.0))
+    (ma,) = _noise_means(summary, steps, *jump_statistics(a))
     sup1, sup2, grew = _halves_sup(ma ** (2.0 / a))
     sup = max(sup1, sup2)
     return ConditionResult(
@@ -508,15 +518,15 @@ def check_tail_noise_condition(
     ensemble's schedule, and passes iff R has not increased over the last
     decade of t.  This finite-sample rule is a convention: the asymptotic
     statement has no canonical finite test.  Without a ``split`` (none is
-    admissible at the trap), below ``MIN_RUNS`` runs that did not blow up, or
-    where ``alpha`` is 0 at a grid time, the result is inconclusive.
+    admissible at the trap), below ``MIN_RUNS`` runs at a step of the window,
+    or where ``alpha`` is 0 at a grid time, the result is inconclusive.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if split is None:
         return _inconclusive("tail_noise_smallness", "no admissible split at the trap")
     ns, steps = _eps_window(summary, window)
-    if few := _too_few_runs(summary, "tail_noise_smallness"):
+    if few := _too_few_runs(summary, steps, "tail_noise_smallness"):
         return few
     if len(ns) < 16 or np.any(np.diff(ns) != 1):
         return _inconclusive("tail_noise_smallness", "needs a contiguous window of captured steps")
@@ -527,7 +537,7 @@ def check_tail_noise_condition(
     alphas = np.asarray(summary.schedule.tail_l2(ts.astype(float)))
     if not alphas.all():
         return _inconclusive("tail_noise_smallness", "alpha(t) is 0 on the grid")
-    (mean_pow,) = _step_means(summary, steps, (projection(split, "minus"), (1.0 + nu) / 2.0))
+    (mean_pow,) = _noise_means(summary, steps, *tail_statistics(split, nu))
     terms = summary.schedule.c_values[ns + 1] ** (1.0 + nu) * mean_pow
     suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
     ratios = suffix[ts - lo] / alphas

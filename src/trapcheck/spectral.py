@@ -38,10 +38,22 @@ __all__ = [
     "default_tolerance",
 ]
 
+
+def _frobenius(H: np.ndarray) -> float:
+    """``||H||_F`` of a finite ``H``; where the plain sum of squares
+    overflows, ``s * ||H / s||_F`` with ``s = max|H|``, which does not."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(H, "fro"))
+    if np.isinf(norm):
+        scale = float(np.max(np.abs(H)))
+        norm = scale * float(np.linalg.norm(H / scale, "fro"))
+    return norm
+
+
 def default_tolerance(H: np.ndarray) -> float:
     """Scale-relative spectral tolerance: ``1e-8 * ||H||_F`` (floored away
     from zero so the zero matrix still classifies as a center)."""
-    return max(1e-8 * float(np.linalg.norm(H, "fro")), 1e-300)
+    return max(1e-8 * _frobenius(H), 1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +234,7 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
         tol=float(tol),
     )
 
-    h_norm = float(np.linalg.norm(H, "fro"))
+    h_norm = _frobenius(H)
     residual = float(np.linalg.norm(P_inv @ H @ P - split.block_diagonal(), "fro"))
     if residual > 1e-8 * (1.0 + h_norm):
         raise ConditioningError(

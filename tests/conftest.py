@@ -68,6 +68,31 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def rule_means(norms, ns, blowup_step, power=None, projected=False):
+    """The cross-run mean of ``norms`` (runs, steps) raised to ``power`` at
+    each captured step ``ns``, one step at a time, over the runs that had not
+    blown up before the step (``blowup_step`` 0 or above it): for the full
+    vector numpy's mean of their contiguous values, for a projection their
+    sum in run order over their count.  A step where no run counts has no
+    mean: NaN, as the engine's 0/0."""
+    out = []
+    for n, col in zip(ns, np.asarray(norms).T):
+        vals = np.ascontiguousarray(col[(blowup_step == 0) | (n < blowup_step)])
+        if not len(vals):
+            out.append(np.nan)
+            continue
+        if power is not None:
+            vals = vals**power
+        if projected:
+            total = 0.0
+            for v in vals.tolist():
+                total += v
+            out.append(total / len(vals))
+        else:
+            out.append(np.mean(vals))
+    return np.array(out)
+
+
 class InProcessPool:
     """A stand-in for ``ProcessPoolExecutor`` that runs each task in this
     process as it is submitted, so a pooled ensemble starts no process."""

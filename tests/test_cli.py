@@ -112,6 +112,11 @@ class TestCanonicalJson:
         )
         assert json.loads(text) == {"arr": [1.5, 2.5], "i": 3, "f": 0.5}
 
+    def test_summary_file_is_the_canonical_json(self, tmp_path):
+        cfg = base_config(checks=[{"name": "noise_excitation"}], diagnostics=[{"name": "apt"}])
+        _, doc = run_experiment(ExperimentConfig.from_dict(cfg), out_dir=tmp_path)
+        assert (tmp_path / "summary.json").read_bytes() == canonical_json(doc).encode()
+
     def test_config_hash_is_order_insensitive(self):
         h1 = config_hash({"a": 1, "b": [1, 2], "c": {"x": 0.5}})
         h2 = config_hash({"c": {"x": 0.5}, "b": [1, 2], "a": 1})
@@ -650,29 +655,41 @@ class TestCheckRecords:
         )
     )
     def test_merged_plan_equals_the_chain(self, config):
-        plan = _capture_plan(config, None)
-        assert dataclasses.replace(plan, projections=(None,)) == _frozen_capture_plan(config)
-        # without a split, the noise checks read the full vector, and
-        # tail_noise reads nothing
-        reads = {"noise_excitation", "jump_moments"} & {c["name"] for c in config.checks}
-        assert plan.projections == ((None,) if reads else ())
+        plan = _capture_plan(config, None, None)
+        unset = engine.CaptureSpec().statistics
+        assert dataclasses.replace(plan, statistics=unset) == _frozen_capture_plan(config)
+        # without a split, the noise checks read the full vector at their
+        # default moment exponent, and tail_noise reads nothing
+        reads = {"noise_excitation": ((None, None), (None, 2.0)), "jump_moments": ((None, 2.0),)}
+        want = dict.fromkeys(st for c in config.checks for st in reads.get(c["name"], ()))
+        assert plan.statistics == tuple(want)
 
     def test_plan_keeps_the_norms_each_check_reads(self):
         split = spectral.split_jacobian(np.diag([1.0, -1.0, -2.0]))
         plus, minus = (hypotheses.projection(split, block) for block in ("plus", "minus"))
 
-        def projections(*names, split=split):
-            cfg = ExperimentConfig.from_dict(base_config(checks=[{"name": n} for n in names]))
-            return _capture_plan(cfg, split).projections
+        def statistics(*checks, split=split, nu=None):
+            checks = [c if isinstance(c, dict) else {"name": c} for c in checks]
+            cfg = ExperimentConfig.from_dict(base_config(checks=checks))
+            return _capture_plan(cfg, split, nu).statistics
 
-        assert projections("noise_excitation") == (plus, None)
-        assert projections("jump_moments") == (None,)
-        assert projections("tail_noise") == (minus,)
-        assert projections("tail_noise", "jump_moments", "noise_excitation") == (minus, None, plus)
-        assert projections("remainder", "drift_sign", "rate_condition") == ()
+        assert statistics("noise_excitation") == ((plus, None), (None, 2.0))
+        assert statistics("jump_moments") == ((None, 2.0),)
+        assert statistics("tail_noise") == ((minus, 1.0),)
+        assert statistics("tail_noise", "jump_moments", "noise_excitation") == (
+            (minus, 1.0), (None, 2.0), (plus, None)
+        )
+        assert statistics("remainder", "drift_sign", "rate_condition") == ()
         # without a repulsive block, noise_excitation reads the full vector
         stable = spectral.split_jacobian(np.diag([-1.0, -2.0]))
-        assert projections("noise_excitation", "jump_moments", split=stable) == (None,)
+        assert statistics("noise_excitation", "jump_moments", split=stable) == (
+            (None, None), (None, 2.0)
+        )
+        # a check's a and nu set its powers; the model's nu is tail_noise's default
+        assert statistics({"name": "jump_moments", "a": 6.0}) == ((None, 3.0),)
+        assert statistics({"name": "tail_noise", "nu": 0.5}, nu=3.0) == ((minus, 0.75),)
+        assert statistics("tail_noise", nu=3.0) == ((minus, 2.0),)
+        assert statistics("tail_noise", split=None) == ()
 
     #: A synthetic saddle with every check, on a model ``nu`` that no default
     #: equals: the remainder in ``split_r`` mode, a tail window that ends
@@ -875,7 +892,7 @@ class TestDiagnosticRecords:
         schedule = _build_schedule(cfg.schedule, model)
         summary = engine.monte_carlo(
             model, schedule, np.array(cfg.x0), cfg.N, cfg.n_runs, cfg.master_seed,
-            captures=_capture_plan(cfg, None),
+            captures=_capture_plan(cfg, None, None),
         )
         split = _resolve_split_and_constants(model)[0] if split_of == "model" else None
         inputs = {"field": model.field, "K": model.manifold_K, "split": split}
@@ -921,6 +938,18 @@ class TestSpectralCommand:
 
     def test_center_exits_two(self, capsys):
         assert main(["spectral", "[[0,-1],[1,0]]"]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", ["[[1e200, 0], [0, -1]]", "[[1e200, 1], [0, -1]]"])
+    def test_norm_past_the_float_range_keeps_a_finite_tolerance(self, capsys, matrix):
+        # ||H||_F squared overflows; the tolerance is 1e-8 * 1e200, so the
+        # eigenvalue 1e200 is repulsive and -1 lies in the dead zone
+        assert main(["spectral", "--json", matrix]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tol"] == 1e-8 * 1e200
+        assert (doc["classification"], doc["delta_plus"], doc["mu"]) == (
+            "unstable_nonhyperbolic", 1, 0.0
+        )
 
     def test_json_output(self, capsys):
         assert main(["spectral", "--json", "[[1,0],[0,-2]]"]) == 0
@@ -1059,7 +1088,10 @@ class TestExperimentCommands:
             ]
         )
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        # --json prints the bytes summary.json holds
+        assert text == (tmp_path / "out" / "summary.json").read_text()
+        doc = json.loads(text)
         assert doc["master_seed"] == 123
         assert doc["report"]["verdict"] == "pass"
 
@@ -1820,6 +1852,44 @@ def _body(out: Path):
     doc = json.loads(tree["summary.json"])
     del doc["meta"]
     return {**tree, "summary.json": doc}
+
+
+class TestBlownRunStatistics:
+    #: A saddle whose runs blow up between steps 2,000 and 2,500: the noise
+    #: checks count each run at the steps before its blow-up, and a
+    #: tail_noise over the whole run has fewer than MIN_RUNS runs at its end.
+    _CONFIG = base_config(
+        model={"kind": "linear", "H": [[2.0, 0.5], [0.0, -1.0]]},
+        x0=[0.0, 0.0],
+        N=2500,
+        n_runs=60,
+        master_seed=3,
+        max_blowup_fraction=1.0,
+        checks=[
+            {"name": "noise_excitation", "window": [100, 2100]},
+            {"name": "jump_moments", "window": [100, 2100]},
+            {"name": "tail_noise", "window": [200, 2100]},
+            {"name": "tail_noise"},
+        ],
+    )
+
+    def test_bodies_equal_at_any_worker_count(self, tmp_path, capsys):
+        p = write_config(tmp_path, self._CONFIG)
+        bodies = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out{workers}"
+            argv = ["check", "--config", str(p), "--out", str(out), "--workers", str(workers)]
+            assert main(argv) == 0
+            doc = json.loads((out / "summary.json").read_text())
+            del doc["meta"]
+            bodies.append(canonical_json(doc))
+        capsys.readouterr()
+        assert bodies[0] == bodies[1] == bodies[2]
+        doc = json.loads(bodies[0])
+        assert 0 < doc["ensemble"]["blowup_count"] < 60
+        conds = doc["report"]["conditions"]
+        assert [c["verdict"] for c in conds] == ["pass", "pass", "pass", "inconclusive"]
+        assert conds[-1]["estimates"]["n_runs"] < hypotheses.MIN_RUNS
 
 
 class TestValidConfigs:

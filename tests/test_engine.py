@@ -28,7 +28,7 @@ from trapcheck import (
 )
 from trapcheck.models import _sq_norms
 
-from conftest import InProcessPool, traced_peak
+from conftest import InProcessPool, rule_means, traced_peak
 
 
 def harmonic(horizon):
@@ -155,7 +155,10 @@ class TestMonteCarlo:
         cap = CaptureSpec(
             state_indices=(1, 10, 100, 600),
             increment_indices=tuple(range(50, 66)),
-            projections=(None, ((0.5, -1.25),), ((1.0, 0.0), (0.3, 2.0))),
+            statistics=(
+                (None, None), (((0.5, -1.25),), 2.0), (((1.0, 0.0), (0.3, 2.0)), None),
+                (None, 1.5),
+            ),
         )
         outs = [
             monte_carlo(m, s, np.array([0.0, 0.3]), 600, 24, master_seed=5,
@@ -166,7 +169,8 @@ class TestMonteCarlo:
             assert np.array_equal(outs[0].terminal_states, other.terminal_states)
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
-            assert np.array_equal(outs[0].captured_norms, other.captured_norms)
+            assert np.array_equal(outs[0].noise_means, other.noise_means)
+            assert np.array_equal(outs[0].noise_counts, other.noise_counts)
 
     def test_pool_starts_one_process_per_chunk(self):
         # the executor forks all its processes at the first submit, so a
@@ -187,7 +191,9 @@ class TestMonteCarlo:
             got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
         assert sizes == [4]
         assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
-        for name in ("terminal_states", "sup_tail_distance", "captured_states", "captured_norms"):
+        names = ("terminal_states", "sup_tail_distance", "captured_states", "noise_means",
+                 "noise_counts")
+        for name in names:
             assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert np.array_equal(got.trajectory(3).states, ref.trajectory(3).states)
 
@@ -352,6 +358,14 @@ def _ensemble_case(kind, d, alpha, seed, N):
     return m, m.natural_schedule(N), m.initial_state()
 
 
+def _lone_eps(model, schedule, x0, N, seed, i):
+    """Run ``i`` of ``seed`` alone: its eps at every step, also past a blow-up."""
+    gens = engine._generators(seed, [i])
+    res = engine._drive(model, schedule, x0, N, gens, tail_from=N + 1, capture=CaptureSpec(),
+                        blowup_bound=engine.DEFAULT_BLOWUP_BOUND, keep=(0,))
+    return res["kept"][1][1, 0]
+
+
 _DIMS = {"linear": (1, 10), "synthetic": (2, 4), "vrrw_walk": (2, 12), "vrrw_meanfield": (2, 12)}
 
 
@@ -371,12 +385,10 @@ class TestDeterminismProperty:
         N = 300
         m, s, x0 = _ensemble_case(kind, d, alpha, seed, N)
         rows = np.linspace(-1.0, 2.0, 2 * d).reshape(2, d)
+        key = tuple(map(tuple, rows.tolist()))
         inc = (0, 63, 64, 299)
-        cap = CaptureSpec(
-            state_indices=(0, 150, 300),
-            increment_indices=inc,
-            projections=(None, tuple(map(tuple, rows.tolist()))),
-        )
+        stats = ((None, None), (key, None), (None, 1.5), (key, 2.0))
+        cap = CaptureSpec(state_indices=(0, 150, 300), increment_indices=inc, statistics=stats)
         with (
             mock.patch.object(engine, "_RAW_BLOCK", 64),
             mock.patch.object(engine, "_DRAW_TILE", 2),
@@ -390,25 +402,32 @@ class TestDeterminismProperty:
                 for i in range(n_runs)
                 if not outs[0].blown_up[i]
             ]
+            lone_eps = np.array([_lone_eps(m, s, x0, N, seed, i)[list(inc)] for i in range(n_runs)])
         for other in outs[1:]:
             assert np.array_equal(outs[0].terminal_states, other.terminal_states)
             assert np.array_equal(outs[0].sup_tail_distance, other.sup_tail_distance)
             assert np.array_equal(outs[0].blown_up, other.blown_up)
             assert np.array_equal(outs[0].captured_states, other.captured_states)
-            assert np.array_equal(outs[0].captured_norms, other.captured_norms)
+            # a step after every run blew up has no mean: NaN in each
+            assert np.array_equal(outs[0].noise_means, other.noise_means, equal_nan=True)
+            assert np.array_equal(outs[0].noise_counts, other.noise_counts)
         for out in outs:
-            # the checkers' bits rest on step-major, C-contiguous norms
-            assert out.captured_norms.flags.c_contiguous
+            assert out.noise_means.flags.c_contiguous
             assert out.captured_states.flags.c_contiguous
         ok = outs[0].ok
         assert np.array_equal(
             outs[0].terminal_states[ok], np.array([t.states[-1] for t in lone]).reshape(-1, d)
         )
-        full, projected = outs[0].captured_norms[:, :, ok]
-        for r, t in enumerate(lone):
-            eps = t.eps[list(inc)]
-            assert np.array_equal(full[:, r], _sq_norms(eps))
-            assert np.array_equal(projected[:, r], _sq_norms(eps @ rows.T))
+        # the step means are those of the lone runs' norms, each run counted
+        # before its blow-up step
+        b = outs[0].blowup_step
+        norms = {None: _sq_norms(lone_eps), key: _sq_norms(lone_eps @ rows.T)}
+        for got, (k, power) in zip(outs[0].noise_means, stats):
+            want = rule_means(norms[k], inc, b, power, k is not None)
+            assert np.array_equal(got, want, equal_nan=True)
+        live = (b == 0)[:, None] | (np.array(inc) < b[:, None])
+        assert np.array_equal(outs[0].noise_counts, live.sum(axis=0))
+        assert np.array_equal(np.isnan(outs[0].noise_means).any(axis=0), outs[0].noise_counts == 0)
 
 
 class JumpModel(Model):

@@ -36,7 +36,7 @@ from trapcheck.models import (
 from trapcheck.sequences import Schedule, SequenceSpec, rate_constants
 from trapcheck.spectral import adapted_inner_product, split_jacobian
 
-from conftest import InProcessPool, traced_peak
+from conftest import InProcessPool, rule_means, traced_peak
 
 
 def harmonic(horizon):
@@ -47,17 +47,20 @@ def harmonic(horizon):
     )
 
 
-def every_projection(split=None):
-    """The full vector and, with a split, the projections on both its blocks."""
-    if split is None:
-        return (None,)
-    return (None, hyp.projection(split, "plus"), hyp.projection(split, "minus"))
+def every_statistic(split=None, a=4.0, nu=1.0):
+    """The noise statistics the checks read at moment exponent ``a`` and
+    tail exponent ``nu``: on the full vector and, with a split, on both its
+    blocks."""
+    stats = hyp.excitation_statistics(None, a) + hyp.jump_statistics(a)
+    if split is not None:
+        stats += hyp.excitation_statistics(split, a) + hyp.tail_statistics(split, nu)
+    return tuple(dict.fromkeys(stats))
 
 
 def ensemble(model, N=300, n_runs=40, master_seed=7, captures=None, schedule=None, split=None):
     sched = schedule if schedule is not None else harmonic(N)
     caps = captures if captures is not None else CaptureSpec(
-        increment_indices=tuple(range(N)), projections=every_projection(split)
+        increment_indices=tuple(range(N)), statistics=every_statistic(split)
     )
     x0 = np.full(model.dim, 0.1)
     return monte_carlo(model, sched, x0, N, n_runs, master_seed, captures=caps), sched
@@ -178,7 +181,9 @@ class TestNoiseExcitation:
         assert res.estimates["n_windows"] == 100 - 2
 
     def test_k_window_needs_consecutive_captures(self):
-        caps = CaptureSpec(increment_indices=tuple(range(0, 100, 2)))
+        caps = CaptureSpec(
+            increment_indices=tuple(range(0, 100, 2)), statistics=every_statistic()
+        )
         summary, _ = ensemble(LinearModel([[1.0]]), N=100, captures=caps)
         res = check_noise_excitation(summary, k=2)
         assert res.verdict == "inconclusive"
@@ -422,7 +427,9 @@ class TestJumpMoments:
         assert res.estimates["n_runs"] == 10
 
     def test_short_window_inconclusive(self):
-        caps = CaptureSpec(increment_indices=tuple(range(5)))
+        caps = CaptureSpec(
+            increment_indices=tuple(range(5)), statistics=every_statistic()
+        )
         summary, _ = ensemble(LinearModel([[1.0]]), N=50, captures=caps)
         assert check_jump_moments(summary, a=4.0).verdict == "inconclusive"
 
@@ -463,7 +470,9 @@ class TestTailNoise:
 
     def test_noncontiguous_window_inconclusive(self):
         model = LinearModel(np.diag([1.0, -1.0]))
-        caps = CaptureSpec(increment_indices=tuple(range(0, 400, 2)))
+        caps = CaptureSpec(
+            increment_indices=tuple(range(0, 400, 2)), statistics=every_statistic()
+        )
         summary, _ = ensemble(model, N=400, captures=caps)
         split = split_jacobian(model.H)
         res = check_tail_noise_condition(summary, split, nu=1.0)
@@ -487,7 +496,9 @@ def _too_small(case):
     one = LinearModel([[1.0]])
     two = LinearModel(np.diag([1.0, -1.0]))
     split = split_jacobian(two.H)
-    gapped = CaptureSpec(increment_indices=tuple(range(0, 400, 2)))
+    gapped = CaptureSpec(
+        increment_indices=tuple(range(0, 400, 2)), statistics=every_statistic()
+    )
     if case == "noise_excitation-few_runs":
         return check_noise_excitation(ensemble(one, N=50, n_runs=10)[0])
     if case == "noise_excitation-short_window":
@@ -569,7 +580,7 @@ class TestInconclusiveReasons:
     )
     def test_no_capture_raises(self, check):
         summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=50, captures=CaptureSpec())
-        assert summary.captured_norms is None
+        assert summary.noise_means is None
         with pytest.raises(InsufficientRecordsError):
             check(summary)
 
@@ -585,9 +596,19 @@ class TestInconclusiveReasons:
         # the full vector alone was kept: neither block of the split was
         split = split_jacobian(np.diag([1.0, -1.0]))
         summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=50)
-        assert summary.projections == (None,)
+        assert summary.statistics == every_statistic()
         with pytest.raises(InsufficientRecordsError, match="projection"):
             check(summary, split)
+
+    def test_unset_statistics_feed_the_full_vector_checks(self):
+        # CaptureSpec's default keeps what both noise checks read on the full
+        # vector at a = 4; another a names the (projection, power) it lacks
+        caps = CaptureSpec(increment_indices=tuple(range(0, 400, 2)))
+        summary, _ = ensemble(LinearModel(np.diag([1.0, -1.0])), N=400, captures=caps)
+        assert check_noise_excitation(summary).verdict != "inconclusive"
+        assert check_jump_moments(summary, a=4.0).verdict != "inconclusive"
+        with pytest.raises(InsufficientRecordsError, match=r"\(full vector, 3\.0\)"):
+            check_jump_moments(summary, a=6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +686,25 @@ class TestHypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# squared noise norms, and the eps path they replace
+# noise statistics: the step means the engine keeps, and the paths they replace
 # ---------------------------------------------------------------------------
+
+
+class _BlowsUp:
+    """A model mixin: a run's drift is +inf, so it leaves the region, at each
+    step whose first draw is below ``P``; its noise at that step still counts
+    in the step means, and none after it does."""
+
+    P = 0.0
+
+    def step_parts(self, x, n, raw, aux):
+        g, eps, rem, aux = super().step_parts(x, n, raw, aux)
+        return np.where(raw[:, :1] < self.P, np.inf, g), eps, rem, aux
+
+
+def blowing(cls, p):
+    """Model class ``cls`` whose runs blow up at rate ``p`` per step."""
+    return type(f"Blowing{cls.__name__}", (_BlowsUp, cls), {"P": p})
 
 
 def _eps_capture(summary):
@@ -704,8 +742,8 @@ def _frozen_eps_chunks(by_step, ok, steps):
 
 
 def _frozen_step_means(split):
-    """``hypotheses._step_means`` as it was, on the eps capture, with the
-    checkers' statistics on ``split``."""
+    """``hypotheses._step_means`` as it was before the engine kept step
+    means, on the eps capture, with the checkers' statistics on ``split``."""
 
     def step_means(summary, steps, *stats):
         by_step = _eps_capture(summary)
@@ -721,6 +759,25 @@ def _frozen_step_means(split):
     return step_means
 
 
+def _rule_step_means(split):
+    """The step means of the rule for blown runs, one step at a time, on the
+    eps capture: :func:`conftest.rule_means` of each eps chunk's norms."""
+
+    def step_means(summary, steps, *stats):
+        ns = summary.increment_indices[steps]
+        out = np.empty((len(stats), len(ns)))
+        j = 0
+        for eps in _frozen_eps_chunks(_eps_capture(summary), None, steps):
+            cols = slice(j, j + eps.shape[1])
+            for row, (key, power) in zip(out, stats):
+                sq = _frozen_stat(split, key, None)(eps)
+                row[cols] = rule_means(sq, ns[cols], summary.blowup_step, power, key is not None)
+            j = cols.stop
+        return out
+
+    return step_means
+
+
 def _runs_first_window(summary, steps):
     # the runs-first fancy indexing the checkers once read whole windows
     # with, kept as the reference: its result is physically step-major
@@ -730,7 +787,8 @@ def _runs_first_window(summary, steps):
 
 
 def _reference_step_means(split):
-    """The step means on each whole window of eps, read runs-first."""
+    """The step means on each whole window of eps, read runs-first (for an
+    ensemble with no blown run)."""
 
     def step_means(summary, steps, *stats):
         eps = _runs_first_window(summary, steps)
@@ -739,18 +797,19 @@ def _reference_step_means(split):
     return step_means
 
 
-def _walk_ensemble(workers=1):
+def _walk_ensemble(workers=1, blown=False):
     """A VRRW walk ensemble with a gapped head and a contiguous tail of
-    increment captures, every run kept in full, and the norms of a split
-    with a repulsive block to project on."""
-    model = VrrwWalkModel(VrrwConfig.complete(3, 2.0))
+    increment captures, every run kept in full, and the statistics of a
+    split with a repulsive block; with ``blown``, some runs blow up."""
+    cls = blowing(VrrwWalkModel, 1 / 6000) if blown else VrrwWalkModel
+    model = cls(VrrwConfig.complete(3, 2.0))
     N = 600
     split = split_jacobian(np.diag([1.0, -1.0, -2.0]))
     head = np.unique(np.geomspace(1, 39, 20).astype(int))
     caps = CaptureSpec(
         increment_indices=tuple(head) + tuple(range(40, N)),
         full_runs=tuple(range(48)),
-        projections=every_projection(split),
+        statistics=every_statistic(split),
     )
     with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
         summary = monte_carlo(model, model.natural_schedule(N), model.initial_state(), N, 48, 11,
@@ -758,17 +817,16 @@ def _walk_ensemble(workers=1):
     return summary, split
 
 
-def _with_blown(summary, blown):
-    """``summary`` with runs 3, 17 and 40 marked blown up, or with none."""
-    marked = np.isin(np.arange(summary.n_runs), [3, 17, 40]) if blown else summary.blown_up & False
-    return dataclasses.replace(summary, blown_up=marked)
+@pytest.fixture(scope="module")
+def walk_captures():
+    """:func:`_walk_ensemble` with runs that blow up."""
+    return _walk_ensemble(blown=True)
 
 
 @pytest.fixture(scope="module")
-def walk_captures():
-    """:func:`_walk_ensemble` with three runs marked blown up."""
-    summary, split = _walk_ensemble()
-    return _with_blown(summary, True), split
+def clean_walk():
+    """:func:`_walk_ensemble` with no run that blows up."""
+    return _walk_ensemble()
 
 
 def _eps_checks(summary, split, tail_windows=((40, 600), (100, 500))):
@@ -785,69 +843,79 @@ def _eps_checks(summary, split, tail_windows=((40, 600), (100, 500))):
 
 class TestCaptureLayout:
     def test_captures_are_step_major_views(self, walk_captures):
-        summary, _ = walk_captures
-        arr = summary.captured_norms
-        assert arr.shape == (3, len(summary.increment_indices), 48)  # full, plus, minus
-        assert arr.flags.c_contiguous
+        # one C-contiguous row of step means per statistic, one run count
+        # per captured step, and no eps
+        summary, split = walk_captures
+        n = len(summary.increment_indices)
+        assert summary.statistics == every_statistic(split)
+        assert summary.noise_means.shape == (len(summary.statistics), n)
+        assert summary.noise_means.flags.c_contiguous
+        assert summary.noise_counts.shape == (n,)
         assert summary.captured_eps is None
 
     def test_checkers_ignore_capture_layout(self, walk_captures):
         summary, split = walk_captures
-        runs_first = np.ascontiguousarray(summary.captured_norms.transpose(0, 2, 1))
-        other = dataclasses.replace(summary, captured_norms=runs_first.transpose(0, 2, 1))
+        other = dataclasses.replace(summary, noise_means=np.asfortranarray(summary.noise_means))
         assert _eps_checks(summary, split) == _eps_checks(other, split)
 
-    def test_checkers_equal_runs_first_fancy_indexing(self, walk_captures, monkeypatch):
-        summary, split = walk_captures
+    def test_checkers_equal_runs_first_fancy_indexing(self, clean_walk, monkeypatch):
+        summary, split = clean_walk
         got = _eps_checks(summary, split)
-        monkeypatch.setattr(hyp, "_step_means", _reference_step_means(split))
+        monkeypatch.setattr(hyp, "_noise_means", _reference_step_means(split))
         assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("chunk", [7, 10_000])
     @pytest.mark.parametrize("blown", [True, False])
     def test_chunk_boundaries_keep_every_bit(self, monkeypatch, blown, chunk):
-        # at 7 steps the engine's and the checkers' chunk boundaries fall
-        # inside every window, and the 400-step window (100, 500) ends in a
-        # lone step (400 = 57 * 7 + 1); at 10,000 each window is one chunk
+        # at 7 steps the engine's chunk boundaries fall inside every window;
+        # at 10,000 the whole capture is one chunk
         monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
-        summary, split = _walk_ensemble()
-        summary = _with_blown(summary, blown)
+        summary, split = _walk_ensemble(blown=blown)
+        assert summary.blown_up.any() == blown
         got = _eps_checks(summary, split)
-        monkeypatch.setattr(hyp, "_step_means", _reference_step_means(split))
+        reference = _rule_step_means if blown else _reference_step_means
+        monkeypatch.setattr(hyp, "_noise_means", reference(split))
         assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("blown", [True, False])
     @pytest.mark.parametrize("window", [None, (100, 500)])
-    def test_window_has_the_reference_layout(self, walk_captures, monkeypatch, blown, window):
+    def test_window_has_the_reference_layout(self, monkeypatch, blown, window):
         # the per-step means over runs round differently unless each chunk
         # of norms is laid out as the reference's norms are: runs contiguous
         # for the full vector, one run per row for a projection
-        summary, split = walk_captures
-        summary = _with_blown(summary, blown)
         monkeypatch.setattr(engine, "_STEP_CHUNK", 7)
+        summary, split = _walk_ensemble(blown=blown)
         ns, steps = hyp._eps_window(summary, window)
         if window is not None:
             assert np.array_equal(ns, np.arange(*window))
-        ref = _runs_first_window(summary, steps)
-        plus = split.P_inv[: split.delta_plus].T
-        m2, mp, m4 = hyp._step_means(
-            summary, steps, (None, None), (hyp.projection(split, "plus"), None), (None, 2.0)
-        )
-        assert np.array_equal(m2, np.mean(np.sum(ref**2, axis=-1), axis=0))
-        assert np.array_equal(mp, np.mean(np.sum((ref @ plus) ** 2, axis=-1), axis=0))
-        assert np.array_equal(m4, np.mean(np.sum(ref**2, axis=-1) ** 2.0, axis=0))
+        stats = ((None, None), (hyp.projection(split, "plus"), None), (None, 2.0))
+        got = hyp._noise_means(summary, steps, *stats)
+        if blown:
+            want = _rule_step_means(split)(summary, steps, *stats)
+        else:
+            ref = _runs_first_window(summary, steps)
+            plus = split.P_inv[: split.delta_plus].T
+            want = [
+                np.mean(np.sum(ref**2, axis=-1), axis=0),
+                np.mean(np.sum((ref @ plus) ** 2, axis=-1), axis=0),
+                np.mean(np.sum(ref**2, axis=-1) ** 2.0, axis=0),
+            ]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
-    def test_no_blown_runs_gives_a_slice(self, walk_captures):
-        # with every run kept, the full vector's norms are reduced in place:
-        # nothing of a chunk's size is allocated
-        clean = _with_blown(walk_captures[0], False)
-        _, steps = hyp._eps_window(clean, (100, 500))
-        chunk_bytes = clean.captured_norms[0, steps].nbytes
-        assert traced_peak(lambda: hyp._step_means(clean, steps, (None, None))) < chunk_bytes / 4
+    def test_no_blown_runs_gives_a_slice(self, clean_walk):
+        # the checkers read views of the kept step means: nothing of a
+        # window's size is allocated, and every run counts at every step
+        summary, _ = clean_walk
+        _, steps = hyp._eps_window(summary, (100, 500))
+        (m2,) = hyp._noise_means(summary, steps, (None, None))
+        assert np.shares_memory(m2, summary.noise_means)
+        assert traced_peak(lambda: hyp._noise_means(summary, steps, (None, None))) < m2.nbytes / 4
+        assert (summary.noise_counts == summary.n_runs).all()
 
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_k_window_sums_equal_the_loop(self, walk_captures, k):
-        summary, _ = walk_captures
+    def test_k_window_sums_equal_the_loop(self, clean_walk, k):
+        summary, _ = clean_walk
         ns = summary.increment_indices
         eps = _runs_first_window(summary, slice(None))
         m2 = np.mean(np.sum(eps**2, axis=-1), axis=0)
@@ -861,19 +929,21 @@ class TestCaptureLayout:
         assert res.estimates["excitation_liminf"] == min(sums)
 
 
-def _long_ensemble():
+def _long_ensemble(blown=False):
     """A linear ensemble whose increment capture spans more than four step
     chunks, the last ending in a lone step (5 * 1024 + 1 steps, one more
-    than a multiple of the chunk), every run kept in full, with the norms of
-    a split that mixes coordinates."""
+    than a multiple of the chunk), every run kept in full, with the
+    statistics of a split that mixes coordinates; with ``blown``, some runs
+    blow up."""
     T = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]])
-    model = LinearModel(T @ np.diag([1.0, -1.0, -2.0]) @ np.linalg.inv(T))
+    cls = blowing(LinearModel, 2e-5) if blown else LinearModel
+    model = cls(T @ np.diag([1.0, -1.0, -2.0]) @ np.linalg.inv(T))
     split = split_jacobian(model.H)
     N = 5 * 1024 + 100
     caps = CaptureSpec(
         increment_indices=tuple(range(99, N)),
         full_runs=tuple(range(40)),
-        projections=every_projection(split),
+        statistics=every_statistic(split) + every_statistic(split, a=3.0, nu=0.5),
     )
     summary, _ = ensemble(model, N=N, captures=caps)
     return summary, split
@@ -884,27 +954,34 @@ def long_capture():
     return _long_ensemble()
 
 
+@pytest.fixture(scope="module")
+def long_blown():
+    return _long_ensemble(blown=True)
+
+
 class TestNormsEqualTheEpsPath:
-    """The checkers on the captured squared norms give the bits they gave on
-    the eps capture, through a frozen copy of that path."""
+    """The checkers on the step means the engine keeps give the bits they
+    gave on the eps capture, through a frozen copy of that path; with blown
+    runs, those of the rule for them, one step at a time."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("blown", [False, True])
     def test_walk_at_any_worker_count(self, monkeypatch, workers, blown):
         # windows that start inside the engine's chunk, k = 3, and runs
-        # marked blown up
-        summary, split = _walk_ensemble(workers)
-        summary = _with_blown(summary, blown)
+        # that blow up
+        summary, split = _walk_ensemble(workers, blown)
+        assert summary.blown_up.any() == blown
         got = _eps_checks(summary, split)
-        monkeypatch.setattr(hyp, "_step_means", _frozen_step_means(split))
+        reference = _rule_step_means if blown else _frozen_step_means
+        monkeypatch.setattr(hyp, "_noise_means", reference(split))
         assert got == _eps_checks(summary, split)
 
     @pytest.mark.parametrize("blown", [False, True])
-    def test_capture_of_more_than_four_chunks(self, long_capture, monkeypatch, blown):
-        summary, split = long_capture
+    def test_capture_of_more_than_four_chunks(self, long_capture, long_blown, monkeypatch, blown):
+        summary, split = long_blown if blown else long_capture
         n = len(summary.increment_indices)
         assert n > 4 * engine._STEP_CHUNK and n % engine._STEP_CHUNK == 1
-        summary = _with_blown(summary, blown)
+        assert summary.blown_up.any() == blown
         N = summary.N
 
         def checks():
@@ -918,23 +995,36 @@ class TestNormsEqualTheEpsPath:
 
         got = checks()
         assert {r["verdict"] for r in got} <= {"pass", "fail"}
-        monkeypatch.setattr(hyp, "_step_means", _frozen_step_means(split))
+        reference = _rule_step_means if blown else _frozen_step_means
+        monkeypatch.setattr(hyp, "_noise_means", reference(split))
         assert got == checks()
 
 
-def _frozen_1024_step_norms(summary, projections):
-    """The squared noise norms of every kept run's eps, reduced as the
-    engine did with 1024-step chunks: from the first captured step, a lone
-    last step joining the chunk before it, 32 runs per product, each chunk
-    a view of one step-major (steps, runs, d) buffer."""
-    inc = summary.increment_indices
-    eps = np.stack([summary.trajectory(r).eps[inc] for r in range(summary.n_runs)], axis=1)
+def _saddle_matrix(d):
+    """A d-dimensional linear saddle in a skewed basis; for d = 1 the
+    stable [[-1]], whose split has a non-repulsive block alone."""
+    if d == 1:
+        return np.array([[-1.0]])
+    rng = np.random.default_rng(d)
+    S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return S @ np.diag(np.r_[1.0, -np.linspace(0.5, 2.0, d - 1)]) @ np.linalg.inv(S)
+
+
+def _captured_norms(summary, keys, chunk=None):
+    """Every run's squared noise norms under each projection of ``keys``,
+    step-major ``(keys, steps, runs)``, reduced from the runs kept in full as
+    the engine reduces them: in chunks of ``chunk`` steps (the engine's
+    ``_STEP_CHUNK`` unless given) from the first captured step, a lone last
+    step joining the chunk before it, 32 runs per product, each chunk a view
+    of one step-major (steps, runs, d) buffer."""
+    chunk = chunk or engine._STEP_CHUNK
+    eps = _eps_capture(summary)
     d = eps.shape[-1]
-    Ms = [None if rows is None else np.array(rows).reshape(-1, d).T for rows in projections]
-    out = np.empty((len(Ms), len(inc), summary.n_runs))
+    Ms = [None if rows is None else np.array(rows).reshape(-1, d).T for rows in keys]
+    out = np.empty((len(Ms), eps.shape[0], summary.n_runs))
     j = 0
-    while j < len(inc):
-        end = j + 1024 if len(inc) - j > 1025 else len(inc)
+    while j < eps.shape[0]:
+        end = j + chunk if eps.shape[0] - j > chunk + 1 else eps.shape[0]
         for r in range(0, summary.n_runs, 32):
             part = eps[j:end, r : r + 32]
             for M, norms in zip(Ms, out):
@@ -944,62 +1034,185 @@ def _frozen_1024_step_norms(summary, projections):
     return out
 
 
-def _saddle_ensemble(d, chunk):
-    """A d-dimensional linear saddle in a skewed basis, simulated with
-    ``chunk``-step chunks: 40 runs kept in full, every step from 99 on
-    captured with the norms of its split."""
-    rng = np.random.default_rng(d)
-    S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
-    model = LinearModel(S @ np.diag(np.r_[1.0, -np.linspace(0.5, 2.0, d - 1)]) @ np.linalg.inv(S))
-    split = split_jacobian(model.H)
-    N = 1200
-    caps = CaptureSpec(increment_indices=tuple(range(99, N)), projections=every_projection(split))
-    with mock.patch.object(engine, "_STEP_CHUNK", chunk):
-        return ensemble(model, N=N, captures=caps)[0], split
+def _frozen_norm_step_means(summary, steps, *stats):
+    """``hypotheses._step_means`` as it was when the ensemble kept every
+    run's norms (:func:`_captured_norms`): chunks of ``_STEP_CHUNK`` steps
+    from the window's start, laid out runs-first, runs contiguous for the
+    full vector and one run per row for a projection."""
+    keys = list(dict.fromkeys(key for key, _ in stats))
+    norms = _captured_norms(summary, keys)
+    ok = summary.ok if summary.blown_up.any() else None
+    out = np.empty((len(stats), steps.stop - steps.start))
+    j = steps.start
+    while j < steps.stop:
+        end = j + engine._STEP_CHUNK if steps.stop - j > engine._STEP_CHUNK + 1 else steps.stop
+        cols = slice(j - steps.start, end - steps.start)
+        for row, (key, power) in zip(out, stats):
+            sq = norms[keys.index(key)]
+            chunk = np.ascontiguousarray(sq[j:end]) if ok is None else np.compress(ok, sq[j:end], 1)
+            chunk = chunk.T if key is None else np.ascontiguousarray(chunk.T)
+            row[cols] = np.mean(chunk if power is None else chunk**power, axis=0)
+        j = end
+    return out
 
 
-class TestStepChunkSize:
-    """The size of the engine's and the checkers' step chunks changes no
-    bit: norms and checker results equal those of 1024-step chunks."""
+class TestStreamedMeans:
+    """The step means one batch streams, and those reduced from the merged
+    norms of a pool, equal a frozen copy of the checkers' reduction of every
+    run's norms, in windows that start inside a chunk."""
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("steps", [1025, 2100])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 16])
-    def test_norms_equal_the_1024_step_chunks(self, d, steps):
-        # 2100 = 2 * 1024 + 52 ends in a short chunk at either size; 1025
-        # captured steps end in a lone step that joins the chunk before it
-        rng = np.random.default_rng(d)
-        model = LinearModel(np.diag(np.linspace(0.5, -1.5, d)))
-        projections = (None,) + tuple(
-            tuple(map(tuple, rng.standard_normal((k, d)).tolist()))
-            for k in sorted({1, max(1, d // 2), d})
-        )
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
+    def test_means_equal_the_frozen_step_means(self, d, steps, workers):
+        model = LinearModel(_saddle_matrix(d))
+        split = split_jacobian(model.H)
         N = steps + 40
         caps = CaptureSpec(
             increment_indices=tuple(range(37, 37 + steps)),
             full_runs=tuple(range(40)),
-            projections=projections,
+            statistics=every_statistic(split) + every_statistic(split, a=3.0, nu=0.5),
+        )
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+            summary = monte_carlo(model, harmonic(N), np.full(d, 0.1), N, 40, 7,
+                                  workers=workers, captures=caps)
+        assert not summary.blown_up.any()
+        for start in (0, 1, 13, engine._STEP_CHUNK + 30, steps - 70):
+            window = slice(start, steps)
+            want = _frozen_norm_step_means(summary, window, *summary.statistics)
+            assert np.array_equal(summary.noise_means[:, window], want)
+
+
+    @pytest.mark.parametrize("blown", [False, True])
+    def test_steps_reduced_a_few_at_a_time_keep_every_bit(self, monkeypatch, blown):
+        # a batch of many runs takes each chunk's means a few steps at a
+        # time, down to one
+        want, split = _walk_ensemble(blown=blown)
+        for steps in (1, 2, 7):
+            monkeypatch.setattr(engine, "_MEAN_BLOCK", 48 * steps)
+            got, _ = _walk_ensemble(blown=blown)
+            assert np.array_equal(got.noise_means, want.noise_means)
+            assert np.array_equal(got.noise_counts, want.noise_counts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("inc", [(50,), (50, 51), (10, 70, 130)])
+    def test_a_lone_captured_step_sums_in_run_order(self, inc, workers):
+        # numpy would sum the lone column of a one-step capture pairwise; a
+        # projection's mean is the sum in run order there too
+        model = LinearModel(_saddle_matrix(3))
+        split = split_jacobian(model.H)
+        caps = CaptureSpec(increment_indices=inc, full_runs=tuple(range(100)),
+                           statistics=every_statistic(split, a=3.0))
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+            summary = monte_carlo(model, harmonic(200), np.full(3, 0.1), 200, 100, 3,
+                                  workers=workers, captures=caps)
+        keys = list(dict.fromkeys(key for key, _ in summary.statistics))
+        norms = _captured_norms(summary, keys)
+        for got, (key, power) in zip(summary.noise_means, summary.statistics):
+            sq = norms[keys.index(key)].T
+            want = rule_means(sq, inc, summary.blowup_step, power, key is not None)
+            assert np.array_equal(got, want)
+
+
+class TestBlownRuns:
+    """A run that blows up at step b counts in the step means at the captured
+    steps before b, and ``MIN_RUNS`` is judged on the runs at each step."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_means_and_counts_follow_the_rule(self, workers):
+        summary, split = _walk_ensemble(workers, blown=True)
+        b, ns = summary.blowup_step, summary.increment_indices
+        # runs blow up inside the capture, so the counts fall during it
+        assert np.count_nonzero((b > ns[0]) & (b <= ns[-1])) >= 2
+        live = (b == 0)[:, None] | (ns < b[:, None])
+        assert np.array_equal(summary.noise_counts, live.sum(axis=0))
+        assert summary.noise_counts[0] > summary.noise_counts[-1] >= hyp.MIN_RUNS
+        reference = _rule_step_means(split)
+        for start in (0, 5, 100):
+            window = slice(start, len(ns))
+            want = reference(summary, window, *summary.statistics)
+            assert np.array_equal(summary.noise_means[:, window], want)
+
+    def test_min_runs_is_judged_at_each_step(self, clean_walk):
+        # one captured step with MIN_RUNS - 1 runs makes a window over it
+        # inconclusive with that count; a window that ends before it reads
+        # as it did
+        summary, split = clean_walk
+        counts = summary.noise_counts.copy()
+        counts[np.searchsorted(summary.increment_indices, 500)] = hyp.MIN_RUNS - 1
+        few = dataclasses.replace(summary, noise_counts=counts)
+        checks = [
+            lambda s, w: check_noise_excitation(s, split=split, window=w),
+            lambda s, w: check_jump_moments(s, a=4.0, window=w),
+            lambda s, w: check_tail_noise_condition(s, split, 1.0, window=w),
+        ]
+        for check in checks:
+            res = check(few, (40, 600))
+            assert res.verdict == "inconclusive"
+            assert res.estimates == {"n_runs": hyp.MIN_RUNS - 1, "reason": "too few runs"}
+            assert check(few, (40, 500)) == check(summary, (40, 500))
+            assert check(summary, (40, 500)).estimates.get("reason") != "too few runs"
+
+
+def _saddle_ensemble(d, blown=False):
+    """A d-dimensional linear saddle in a skewed basis: 40 runs kept in
+    full, every step from 99 on captured with the statistics of its split;
+    with ``blown``, some runs blow up."""
+    cls = blowing(LinearModel, 6e-5) if blown else LinearModel
+    model = cls(_saddle_matrix(d))
+    split = split_jacobian(model.H)
+    N = 1200
+    caps = CaptureSpec(increment_indices=tuple(range(99, N)), full_runs=tuple(range(40)),
+                       statistics=every_statistic(split))
+    return ensemble(model, N=N, captures=caps)[0], split
+
+
+class TestStepChunkSize:
+    """The size of the engine's step chunks changes no bit: step means and
+    checker results equal those of 1024-step chunks."""
+
+    @pytest.mark.parametrize("steps", [1025, 2100])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 16])
+    def test_norms_equal_the_1024_step_chunks(self, d, steps):
+        # the step means of the norms the engine once reduced with 1024-step
+        # chunks: 2100 = 2 * 1024 + 52 ends in a short chunk at either size,
+        # and 1025 captured steps end in a lone step that joins the chunk
+        # before it
+        rng = np.random.default_rng(d)
+        model = LinearModel(np.diag(np.linspace(0.5, -1.5, d)))
+        keys = (None,) + tuple(
+            tuple(map(tuple, rng.standard_normal((k, d)).tolist()))
+            for k in sorted({1, max(1, d // 2), d})
+        )
+        stats = tuple((key, power) for key in keys for power in (None, 1.5))
+        N = steps + 40
+        caps = CaptureSpec(
+            increment_indices=tuple(range(37, 37 + steps)),
+            full_runs=tuple(range(40)),
+            statistics=stats,
         )
         summary, _ = ensemble(model, N=N, captures=caps)
         assert not summary.blown_up.any()
-        want = _frozen_1024_step_norms(summary, projections)
-        assert np.array_equal(summary.captured_norms, want)
+        norms = _captured_norms(summary, keys, 1024)
+        ns, b = summary.increment_indices, summary.blowup_step
+        for got, (key, power) in zip(summary.noise_means, stats):
+            sq = norms[keys.index(key)].T
+            assert np.array_equal(got, rule_means(sq, ns, b, power, key is not None))
 
     @pytest.mark.parametrize("blown", [False, True])
     @pytest.mark.parametrize("case", ["walk", "saddle-5", "saddle-8", "saddle-12"])
     def test_checkers_equal_at_1024_and_64_steps(self, monkeypatch, case, blown):
-        # the windows start inside a chunk at either size, and the checkers
-        # reduce in chunks of the size the engine ran with
+        # the windows start inside a chunk at either size
         results = []
         for chunk in (1024, 64):
+            monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
             if case == "walk":
-                monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
-                summary, split = _walk_ensemble()
+                summary, split = _walk_ensemble(blown=blown)
                 windows, tail_windows = (None, (100, 500)), ((40, 600), (100, 500))
             else:
-                summary, split = _saddle_ensemble(int(case.split("-")[1]), chunk)
-                monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+                summary, split = _saddle_ensemble(int(case.split("-")[1]), blown)
                 windows, tail_windows = (None, (500, 1200), (130, 1199)), (None, (100, 1200))
-            summary = _with_blown(summary, blown)
+            assert summary.blown_up.any() == blown
             out = []
             for window in windows:
                 out.append(check_noise_excitation(summary, split=split, window=window))
@@ -1018,16 +1231,17 @@ def _frozen_sq_norms(y):
     return np.sum(y**2, axis=-1)
 
 
-def _vrrw_ensemble(d):
-    """A d-vertex mean-field VRRW ensemble with every step's norms captured
-    on a split of a fixed non-diagonal matrix, so both projections mix
-    coordinates."""
-    model = MeanFieldVrrwModel(VrrwConfig.complete(d, 1.5))
+def _vrrw_ensemble(d, blown=False):
+    """A d-vertex mean-field VRRW ensemble with every step's statistics
+    captured on a split of a fixed non-diagonal matrix, so both projections
+    mix coordinates; with ``blown``, some runs blow up."""
+    cls = blowing(MeanFieldVrrwModel, 1 / 5000) if blown else MeanFieldVrrwModel
+    model = cls(VrrwConfig.complete(d, 1.5))
     N = 600
     M = np.random.default_rng(d).standard_normal((d, d)) + 3.0 * np.eye(d)
     H = M @ np.diag([1.0] + [-1.0 - j for j in range(d - 1)]) @ np.linalg.inv(M)
     split = split_jacobian(H)
-    caps = CaptureSpec(increment_indices=tuple(range(N)), projections=every_projection(split))
+    caps = CaptureSpec(increment_indices=tuple(range(N)), statistics=every_statistic(split))
     summary = monte_carlo(model, model.natural_schedule(N), model.initial_state(), N, 40, 3,
                           captures=caps)
     return summary, split
@@ -1042,49 +1256,80 @@ class TestFoldedEpsStatistics:
     @pytest.mark.parametrize("blown", [False, True])
     def test_checkers_equal_the_frozen_sums(self, vrrw_captures, monkeypatch, blown):
         d, summary, split = vrrw_captures
-        got = _eps_checks(_with_blown(summary, blown), split, ((40, 600), (60, 600)))
+        if blown:
+            summary, _ = _vrrw_ensemble(d, blown)
+        assert summary.blown_up.any() == blown
+        got = _eps_checks(summary, split, ((40, 600), (60, 600)))
         decided = {r["name"] for r in got if r["verdict"] != "inconclusive"}
         assert decided == {"noise_excitation", "jump_moments", "tail_noise_smallness"}
         monkeypatch.setattr(engine, "_sq_norms", _frozen_sq_norms)
-        frozen, _ = _vrrw_ensemble(d)
-        assert got == _eps_checks(_with_blown(frozen, blown), split, ((40, 600), (60, 600)))
+        frozen, _ = _vrrw_ensemble(d, blown)
+        assert got == _eps_checks(frozen, split, ((40, 600), (60, 600)))
 
 
 class TestCaptureMemory:
     def test_norms_take_two_thirds_of_the_eps_bytes(self):
-        # two projections of a d = 3 noise keep two doubles per run and step
-        # where the eps capture kept three; while it runs, the engine also
-        # buffers one chunk of eps, reduces it _PRODUCT_RUNS runs at a time
-        # (temporaries within one (_PRODUCT_RUNS, chunk, d) array), reads
-        # the captured steps from one int64 array and builds a few objects of
-        # a few hundred bytes each (the projection matrices, the set of chunk
-        # ends)
+        # a pooled batch returns every run's squared norms: two projections
+        # of a d = 3 noise keep two doubles per run and step where the eps
+        # capture kept three; while it runs, the batch also buffers one chunk
+        # of eps, reduces it _PRODUCT_RUNS runs at a time (temporaries within
+        # one (_PRODUCT_RUNS, chunk, d) array), reads the captured steps from
+        # one int64 array and builds a few objects of a few hundred bytes each
+        # (the projection matrices, the set of chunk ends)
         model = LinearModel(np.diag([1.0, -1.0, -2.0]))
         minus = hyp.projection(split_jacobian(model.H), "minus")
         N, n_runs = 4 * engine._STEP_CHUNK + 200, 200
         inc = tuple(range(100, N))
+        sched = harmonic(N)
 
-        def simulate(projections):
-            caps = CaptureSpec(increment_indices=inc, projections=projections)
-            return ensemble(model, N=N, n_runs=n_runs, captures=caps)[0]
+        def batch(statistics):
+            caps = CaptureSpec(increment_indices=inc, statistics=statistics)
+            caps = CaptureSpec.normalize(caps, N)
+            return engine._chunk_worker(model, sched, np.full(3, 0.1), N, 7, np.arange(n_runs),
+                                        N, caps, engine.DEFAULT_BLOWUP_BOUND, False)
 
-        summary = simulate((None, minus))
-        assert summary.captured_g is summary.captured_eps is summary.captured_rem is None
+        stats = ((None, None), (minus, 1.0))
+        assert batch(stats)["noise_means"] is None
         eps_bytes = len(inc) * n_runs * 3 * 8
-        assert summary.captured_norms.nbytes == 2 * eps_bytes // 3
+        assert batch(stats)["cap_norms"].nbytes == 2 * eps_bytes // 3
         chunk_bytes = (engine._STEP_CHUNK + 1) * n_runs * 3 * 8
         product_bytes = chunk_bytes * engine._PRODUCT_RUNS // n_runs
-        extra = traced_peak(lambda: simulate((None, minus))) - traced_peak(lambda: simulate(()))
+        extra = traced_peak(lambda: batch(stats)) - traced_peak(lambda: batch(()))
         assert extra <= 2 * eps_bytes // 3 + chunk_bytes + product_bytes + len(inc) * 8 + 4096
 
+    def test_one_batch_keeps_step_means_not_norms(self):
+        # 200 runs captured at 19,000 steps on two projections: every run's
+        # norms would take 60.8 MB; one batch keeps three rows of step means
+        # and a run count per step, and while it runs one chunk of eps and
+        # one of norms, a few reduction temporaries of a chunk of norms each,
+        # the captured steps as one int64 array and the set of chunk ends
+        model = LinearModel(np.diag([1.0, -1.0, -2.0]))
+        minus = hyp.projection(split_jacobian(model.H), "minus")
+        N, n_runs = 19_100, 200
+        inc = tuple(range(100, N))
+        sched = harmonic(N)
+
+        def simulate(statistics):
+            caps = CaptureSpec(increment_indices=inc, statistics=statistics)
+            return monte_carlo(model, sched, np.full(3, 0.1), N, n_runs, 7, captures=caps)
+
+        stats = ((None, None), (None, 2.0), (minus, 1.0))
+        norm_bytes = 2 * len(inc) * n_runs * 8
+        means_bytes = (len(stats) + 1) * len(inc) * 8
+        chunk_norms = (engine._STEP_CHUNK + 1) * n_runs * 8
+        extra = traced_peak(lambda: simulate(stats)) - traced_peak(lambda: simulate(()))
+        assert extra <= means_bytes + 5 * 3 * chunk_norms + 2 * len(inc) * 8 + 2**16
+        assert extra < norm_bytes / 20
+
     @pytest.mark.parametrize("blown", [False, True])
-    def test_checkers_build_no_window_sized_temporary(self, long_capture, blown):
-        summary, split = long_capture
-        summary = _with_blown(summary, blown)
+    def test_checkers_build_no_window_sized_temporary(self, long_capture, long_blown, blown):
+        summary, split = long_blown if blown else long_capture
         window = (100, summary.N)
         _, steps = hyp._eps_window(summary, window)
         assert steps.stop - steps.start >= 4 * engine._STEP_CHUNK
-        window_bytes = summary.captured_norms[0, steps].nbytes
+        # a window of every run's norms, which the checkers reduced before
+        # the engine kept step means
+        window_bytes = (steps.stop - steps.start) * summary.n_runs * 8
         checks = [
             lambda: check_tail_noise_condition(summary, split, 1.0, window=window),
             lambda: check_noise_excitation(summary, split=split, window=window),

@@ -181,6 +181,28 @@ def test_default_tolerance_scales_with_norm():
     assert default_tolerance(np.zeros((2, 2))) == 1e-300
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    H=st.integers(1, 5).flatmap(
+        lambda d: st.lists(
+            st.floats(-1e300, 1e300, allow_subnormal=True), min_size=d * d, max_size=d * d
+        ).map(lambda v: np.array(v).reshape(d, d))
+    )
+)
+def test_default_tolerance_is_the_plain_norm_where_it_is_finite(H):
+    # the scaled norm is taken only where the sum of squares overflows;
+    # entries below 1e300 keep it finite, and it never warns
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(H, "fro"))
+    tol = default_tolerance(H)
+    if np.isfinite(plain):
+        assert tol == max(1e-8 * plain, 1e-300)
+    else:
+        scale = np.max(np.abs(H))
+        assert tol == 1e-8 * (scale * float(np.linalg.norm(H / scale, "fro")))
+        assert np.isfinite(tol)
+
+
 def test_to_dict_serializable():
     sp = split_jacobian(np.diag([1.0, -2.0]))
     d = sp.to_dict()
