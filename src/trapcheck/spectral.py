@@ -11,21 +11,30 @@ reordering (unstable block leading) followed by a Sylvester solve that
 annihilates the remaining coupling block — a numerically stable substitute
 for an abstract eigenbasis.  A diagonal ``H`` is already in real Schur
 form: its split is the permutation that sorts the entries as Schur's
-reordering does, with no coupling block, and it loads no ``scipy.linalg``.
-That submodule loads on first use: for a non-diagonal split and for
-:func:`adapted_inner_product` (adapted ``drift_sign``, the ``spectral``
-command on a split with a repulsive block).  Eigenvalues too close to the
-imaginary axis make the classification unreliable; those inputs are rejected
-rather than guessed at (see ``ambiguity band`` below).
+reordering does, with no coupling block and no Schur solve.  The Schur and
+Sylvester solves call LAPACK's ``dgees`` and ``dtrsyl`` through scipy's
+compiled wrapper ``scipy.linalg._flapack``, loaded alone on first use (a
+non-diagonal split, :func:`adapted_inner_product`), as ``scipy.linalg.schur``
+and ``solve_sylvester`` call them; no command imports ``scipy.linalg``,
+whose package init costs far more than the wrapper.  Eigenvalues too close
+to the imaginary axis make the classification unreliable; those inputs are
+rejected rather than guessed at (see ``ambiguity band`` below).
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Tuple
 
 import numpy as np
-import scipy  # scipy.linalg (schur, solve_sylvester) loads on first use, not at import
+# the top-level package only, and at import although its LAPACK wrapper is
+# used only on first use: perfbench/invoke.py reads
+# sys.modules["scipy"].__version__ right after importing trapcheck.cli
+import scipy
 
 from .errors import AmbiguousSpectrumError, ConditioningError, SpectrumSignError
 
@@ -133,6 +142,60 @@ def _classify(delta_plus: int, dim: int, mu: float) -> str:
     return "stable" if mu < 0 else "center"
 
 
+@functools.cache
+def _flapack():
+    """scipy's LAPACK wrapper ``scipy.linalg._flapack``, loaded from its
+    file on first use without running ``scipy/linalg/__init__.py``.  The
+    loader enters it in ``sys.modules``, so a later ``import scipy.linalg``
+    uses this module."""
+    spec = PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# _schur and _solve_sylvester follow scipy 1.17.1's scipy.linalg.schur(a,
+# output="real", sort=callable) and solve_sylvester(a, b, q) call for call on
+# a finite, non-empty float64 matrix (the only kind split_jacobian and
+# adapted_inner_product pass), so their bits and exceptions are scipy's.
+
+
+def _schur(a: np.ndarray, sort=None):
+    """``(T, Z)`` with ``a = Z T Z^T``, or ``(T, Z, sdim)`` with ``sort``:
+    the real Schur form with the eigenvalues ``sort(re, im)`` accepts first."""
+    gees = _flapack().dgees
+    result = gees(lambda x: None, a, lwork=-1)  # workspace query
+    lwork = result[-2][0].real.astype(np.int_)
+    sort_t = 0 if sort is None else 1
+    result = gees(sort or (lambda x, y=None: None), a, lwork=lwork, sort_t=sort_t)
+    info = result[-1]
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    elif info == a.shape[0] + 1:
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    elif info == a.shape[0] + 2:
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    elif info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    if sort is None:
+        return result[0], result[-3]
+    return result[0], result[-3], result[1]
+
+
+def _solve_sylvester(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``X`` with ``a X + X b = q`` (Bartels-Stewart)."""
+    r, u = _schur(a)
+    s, v = _schur(b.T)
+    f = np.dot(np.dot(u.T, q), v)
+    y, scale, info = _flapack().dtrsyl(r, s, f, tranb="C")
+    y = scale * y
+    if info < 0:
+        raise np.linalg.LinAlgError(f"Illegal value encountered in the {-info} term")
+    return np.dot(np.dot(u, y), v.T)
+
+
 def _diagonal_blocks(H: np.ndarray, tol: float):
     """``(P, P_inv, H_plus, H_minus)`` of a diagonal ``H``, which is already
     in real Schur form: ``P`` is the permutation that puts the entries
@@ -149,16 +212,14 @@ def _schur_blocks(H: np.ndarray, tol: float):
     """``(P, P_inv, H_plus, H_minus)`` from a real Schur form sorted by
     ``Re >= tol`` and a Sylvester solve that removes the coupling block."""
     d = H.shape[0]
-    T, Q, sdim = scipy.linalg.schur(
-        H, output="real", sort=lambda x, y: x >= tol
-    )
+    T, Q, sdim = _schur(H, sort=lambda x, y: x >= tol)
     k = int(sdim)
     if k == 0 or k == d:
         return Q, Q.T, T[:k, :k].copy(), T[k:, k:].copy()
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     # decouple: T11 Y - Y T22 = -T12  =>  [[I, Y],[0, I]] conjugation
     try:
-        Y = scipy.linalg.solve_sylvester(T11, -T22, -T12)
+        Y = _solve_sylvester(T11, -T22, -T12)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"block decoupling failed: {exc}") from exc
     R = np.eye(d)
@@ -274,7 +335,7 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
         )
 
     eye = np.eye(d)
-    S = scipy.linalg.solve_sylvester(H.T, H, 2.0 * eye)
+    S = _solve_sylvester(H.T, H, 2.0 * eye)
     S = 0.5 * (S + S.T)
 
     residual = float(np.linalg.norm(H.T @ S + S @ H - 2.0 * eye, "fro"))

@@ -1,12 +1,15 @@
 """The package's public surface."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -33,10 +36,12 @@ def test_package_exports_every_module_name_once():
 
 
 # ---------------------------------------------------------------------------
-# scipy.linalg loads on first use, scipy.special never
+# no command loads scipy.linalg or scipy.special
 # ---------------------------------------------------------------------------
-# The test process has scipy.special and scipy.linalg loaded already, so each
-# case runs in a fresh interpreter.
+# The Schur and Sylvester solves load scipy's LAPACK wrapper alone, not the
+# scipy.linalg package.  The test process has scipy.special and scipy.linalg
+# loaded already, so each case runs in a fresh interpreter, and its output is
+# compared with a run in this process where scipy.linalg does the solves.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _SUBMODULES = ("scipy.special", "scipy.linalg")
@@ -71,6 +76,21 @@ def _fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _scipy_linalg_solves():
+    """In the block, the split and the adapted inner product call
+    ``scipy.linalg.schur`` and ``solve_sylvester`` themselves."""
+    import scipy.linalg
+
+    from trapcheck import spectral
+
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(
+        spectral, "_schur", lambda a, sort=None: scipy.linalg.schur(a, output="real", sort=sort)))
+    stack.enter_context(mock.patch.object(
+        spectral, "_solve_sylvester", scipy.linalg.solve_sylvester))
+    return stack
+
+
 @pytest.mark.parametrize("module", ["trapcheck", "trapcheck.cli"])
 def test_import_loads_scipy_but_not_its_submodules(module):
     out = _fresh(f"import {module}\nprint(json.dumps(loaded()))")
@@ -95,25 +115,15 @@ _NON_DIAGONAL = {
     "model": {"kind": "linear", "H": [[1.0, 0.5], [0.0, -2.0]]},
     "checks": [{"name": "rate_condition", "nu": 1.0}, {"name": "noise_excitation"}],
 }
-
-
-@pytest.mark.parametrize(
-    "overrides, loaded",
-    [({}, ["scipy"]), (_NON_DIAGONAL, ["scipy", "scipy.linalg"])],
-    ids=["diagonal-saddle", "non-diagonal-linear"],
-)
-def test_check_loads_scipy_linalg_only_for_a_non_diagonal_split(tmp_path, overrides, loaded):
-    # a diagonal Jacobian is split by a permutation, any other by Schur
-    (tmp_path / "config.json").write_text(json.dumps({**_CONFIG, **overrides}))
-    out = _fresh(f"""
-        from trapcheck.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["check", "--config", {str(tmp_path / "config.json")!r},
-                         "--out", {str(tmp_path / "out")!r}])
-        print(json.dumps({{"code": code, "loaded": loaded()}}))
-    """)
-    assert out["loaded"] == loaded
-    assert out["code"] != 1 and (tmp_path / "out" / "summary.json").exists()
+_STEP = {"kind": "power", "exponent": 1.0, "offset": 1.0}
+_VRRW = {
+    "model": {"kind": "vrrw_meanfield", "d": 3, "alpha": 2.0},
+    "schedule": {"gamma": _STEP, "c": _STEP},
+    "N": 300,
+    "n_runs": 32,
+    "master_seed": 7,
+    "checks": [{"name": "noise_excitation", "k": 1}, {"name": "tail_noise", "window": [15, 300]}],
+}
 
 
 def _body(path):
@@ -122,28 +132,48 @@ def _body(path):
     return doc
 
 
-def test_spectral_and_check_load_them_with_unchanged_output(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config",
+    [_CONFIG, {**_CONFIG, **_NON_DIAGONAL}, _VRRW],
+    ids=["diagonal-saddle", "non-diagonal-linear", "vrrw-one-block"],
+)
+def test_check_loads_no_scipy_submodule_with_unchanged_output(tmp_path, config):
+    # a diagonal Jacobian is split by a permutation, the dense linear H by
+    # Schur and Sylvester, the VRRW trap's by Schur alone (one block)
     from trapcheck.cli import main
 
-    (tmp_path / "config.json").write_text(json.dumps(_CONFIG))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = _fresh(f"""
+        from trapcheck.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", "--config", {str(tmp_path / "config.json")!r},
+                         "--out", {str(tmp_path / "fresh")!r}])
+        print(json.dumps({{"code": code, "loaded": loaded()}}))
+    """)
+    assert out["loaded"] == ["scipy"]
+    assert out["code"] != 1
+    with _scipy_linalg_solves(), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["check", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "here")])
+    assert out["code"] == code
+    assert _body(tmp_path / "fresh" / "summary.json") == _body(tmp_path / "here" / "summary.json")
+
+
+def test_spectral_loads_no_scipy_submodule_with_unchanged_output(capsys):
+    # the split's Sylvester solve, and the adapted inner product behind the
+    # printed coercivity constant
+    from trapcheck.cli import main
+
     matrix = "[[1, 0.5], [0, -2]]"
     out = _fresh(f"""
         from trapcheck.cli import main
         with contextlib.redirect_stdout(io.StringIO()) as text:
             spectral = [main(["spectral", {matrix!r}, "--json"]), text.getvalue()]
-        after_spectral = loaded()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["check", "--config", {str(tmp_path / "config.json")!r},
-                         "--out", {str(tmp_path / "fresh")!r}])
-        print(json.dumps({{"spectral": spectral, "after_spectral": after_spectral,
-                          "code": code, "after_check": loaded()}}))
+        print(json.dumps({{"spectral": spectral, "loaded": loaded()}}))
     """)
-    assert "scipy.linalg" in out["after_spectral"]
-    # the exact tails of power sequences use trapcheck's own Hurwitz zeta
-    assert out["after_check"] == ["scipy", "scipy.linalg"]
+    assert out["loaded"] == ["scipy"]
+    assert "coercivity_lambda" in json.loads(out["spectral"][1])
     capsys.readouterr()
-    assert out["spectral"] == [main(["spectral", matrix, "--json"]), capsys.readouterr().out]
-    code = main(["check", "--config", str(tmp_path / "config.json"),
-                 "--out", str(tmp_path / "here")])
-    assert out["code"] == code
-    assert _body(tmp_path / "fresh" / "summary.json") == _body(tmp_path / "here" / "summary.json")
+    with _scipy_linalg_solves():
+        code = main(["spectral", matrix, "--json"])
+    assert out["spectral"] == [code, capsys.readouterr().out]

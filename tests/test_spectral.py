@@ -1,10 +1,15 @@
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -361,3 +366,111 @@ def test_run_experiment_equals_the_schur_path(tmp_path, model, x0):
                  for p in sorted((tmp_path / name).rglob("*.csv"))}
         bodies.append((code, doc, files))
     assert bodies[0] == bodies[1]
+
+
+# ---------------------------------------------------------------------------
+# the Schur and Sylvester solves reach LAPACK without scipy.linalg, bit for
+# bit as scipy.linalg.schur and solve_sylvester do
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _scaled_matrices(draw, rows, cols):
+    """A rows x cols matrix of entries in [-10, 10], some of them zero,
+    times one power of ten from 1e-150 to 1e150, which takes dgees past the
+    range it does not rescale (about 6.7e-139 to 1.5e138)."""
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-10.0, 10.0)
+    flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return scale * np.asarray(flat, dtype=np.float64).reshape(rows, cols)
+
+
+@st.composite
+def _schur_cases(draw):
+    """A square matrix of size 1-8 and a sort callable or None; the sort is
+    the split's ``re >= tol`` at a tol on the matrix's scale."""
+    a = draw(_scaled_matrices(*[draw(st.integers(1, 8))] * 2))
+    factor = draw(st.sampled_from([None, 0.0, 1e-8, 0.5, -0.5]))
+    if factor is None:
+        return a, None
+    tol = factor * float(np.max(np.abs(a)))
+    return a, lambda x, y: x >= tol
+
+
+@st.composite
+def _sylvester_cases(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return draw(_scaled_matrices(m, m)), draw(_scaled_matrices(n, n)), draw(_scaled_matrices(m, n))
+
+
+def _called(f, *args, **kwargs):
+    try:
+        return tuple(f(*args, **kwargs))
+    except Exception as exc:  # both must raise alike
+        return type(exc), str(exc)
+
+
+def _same_bits(ours, theirs):
+    assert len(ours) == len(theirs)
+    for x, y in zip(ours, theirs):
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+        else:
+            assert (type(x), x) == (type(y), y)
+
+
+class TestLapackWithoutScipyLinalg:
+    """``spectral._schur`` and ``_solve_sylvester`` call scipy's LAPACK
+    wrapper as ``scipy.linalg.schur(output="real", sort=...)`` and
+    ``solve_sylvester`` do, which this test process has loaded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_schur_cases())
+    def test_schur_equals_scipy_bitwise(self, case):
+        import scipy.linalg
+
+        a, sort = case
+        with np.errstate(all="ignore"):
+            ours = _called(spectral._schur, a, sort=sort)
+            theirs = _called(scipy.linalg.schur, a, output="real", sort=sort)
+        _same_bits(ours, theirs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sylvester_cases())
+    # trsyl scales a solution that would overflow (scale 1e-150 here) and
+    # perturbs a singular equation (info 1)
+    @example(case=(np.array([[1e-150]]), np.array([[1e-150]]), np.array([[1e150]])))
+    @example(case=(np.zeros((2, 2)), np.zeros((1, 1)), np.ones((2, 1))))
+    def test_solve_sylvester_equals_scipy_bitwise(self, case):
+        import scipy.linalg
+
+        with np.errstate(all="ignore"):
+            ours = _called(lambda *m: (spectral._solve_sylvester(*m),), *case)
+            theirs = _called(lambda *m: (scipy.linalg.solve_sylvester(*m),), *case)
+        _same_bits(ours, theirs)
+
+    def test_same_bits_when_scipy_linalg_loads_later(self):
+        # the wrapper loads first, then scipy.linalg, in a fresh interpreter
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from trapcheck import spectral
+            rng = np.random.default_rng(27)
+            a, b, q = rng.standard_normal((3, 5, 5))
+            sort = lambda x, y: x >= 0.0
+            before = spectral._schur(a, sort=sort), spectral._solve_sylvester(a, b, q)
+            assert "scipy.linalg" not in sys.modules
+            import scipy.linalg
+            ours = spectral._schur(a, sort=sort), spectral._solve_sylvester(a, b, q)
+            theirs = (scipy.linalg.schur(a, output="real", sort=sort),
+                      scipy.linalg.solve_sylvester(a, b, q))
+            for (T, Z, k), X in (before, ours, theirs):
+                print(T.tobytes().hex(), Z.tobytes().hex(), k, X.tobytes().hex())
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(spectral.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and lines[0] == lines[1] == lines[2]
