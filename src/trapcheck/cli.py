@@ -11,8 +11,8 @@ Exit codes: 0 all requested checks pass or are inconclusive, 2 some check
 failed (or the spectral classification cannot certify instability), 1 runtime,
 configuration or usage error.
 
-Everything that can vary between identical reruns (timestamps, worker count)
-lives under the ``meta`` key of ``summary.json``; the rest of the file is
+Everything that can vary between identical reruns (timestamps, worker count,
+the numeric stack) lives under the ``meta`` key of ``summary.json``; the rest of the file is
 byte-stable for a fixed config and seed, for any worker count.
 """
 
@@ -24,6 +24,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import os
 import sys
 import time
 import warnings
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import engine, flow, hypotheses, models, sequences, spectral
 from .errors import AmbiguousSpectrumError, ConfigError, InsufficientHorizonError, TrapcheckError
@@ -755,6 +757,8 @@ def run_experiment(
     ``simulate`` (building the model and the ensemble), ``checks`` and
     ``diagnostics`` (``check`` only), and ``io`` (removing the last run's
     files and writing every CSV; ``summary.json`` is written after it).
+    Next to it, ``numpy``, ``scipy`` and ``openblas_coretype`` name the
+    numeric stack the body's bits rest on (the last None when unset).
     """
     marks = [time.perf_counter()]
 
@@ -847,7 +851,11 @@ def run_experiment(
             if summary.ok[i]:  # a blown run is listed in ensemble.blowup_runs
                 files[f"trajectories/run_{i}.csv"] = (summary.trajectory(i).to_csv,)
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        doc["meta"] = {"timestamp": now, "workers": int(workers), "timings_s": timings}
+        doc["meta"] = {
+            "timestamp": now, "workers": int(workers), "timings_s": timings,
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+        }
         _write_artifacts(out, files, doc)
     return exit_code, doc
 

@@ -348,7 +348,8 @@ def _drive(
     capture's statistics: with ``step_means`` to their cross-run means and
     run counts (``noise_means``, ``noise_counts``), else to every run's
     squared norm per projection (``cap_norms``, step-major ``(projections,
-    steps, B)``), which :func:`_step_means` reduces with the same bits.
+    steps, B)``), which :func:`monte_carlo` reduces once merged with
+    :func:`_reduce_means`, the same bits.
 
     ``keep`` lists batch rows whose full record is stored: every state and
     every step's pieces.  A row's states are stored before a blow-up parks
@@ -542,15 +543,6 @@ def _reduce_means(norms, statistics, ns, blowup_step, means, counts) -> None:
             np.divide(np.add.reduce(vals, axis=0)[:steps], counts, out=out)
 
 
-def _step_means(norms, statistics, ns, blowup_step):
-    """``(means, counts)`` of :func:`_reduce_means` at every captured step of
-    the merged ``norms``."""
-    means = np.empty((len(statistics), len(ns)))
-    counts = np.empty(len(ns), dtype=np.int64)
-    _reduce_means(norms, statistics, ns, blowup_step, means, counts)
-    return means, counts
-
-
 def _kept_trajectories(schedule, kept) -> list:
     """Trajectory objects for the rows ``_drive`` kept in full."""
     states, parts = kept
@@ -729,9 +721,10 @@ def monte_carlo(
         norms = merged.pop("cap_norms")
         if norms is not None:
             inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
-            merged["noise_means"], merged["noise_counts"] = _step_means(
-                norms, capture.statistics, inc_idx, merged["blowup_step"]
-            )
+            merged["noise_means"] = np.empty((len(capture.statistics), len(inc_idx)))
+            merged["noise_counts"] = np.empty(len(inc_idx), dtype=np.int64)
+            _reduce_means(norms, capture.statistics, inc_idx, merged["blowup_step"],
+                          merged["noise_means"], merged["noise_counts"])
         else:
             merged["noise_means"] = merged["noise_counts"] = None
 

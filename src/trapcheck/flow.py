@@ -35,7 +35,6 @@ from .spectral import TrapSplit, project_pm
 
 __all__ = [
     "TimeChangedPath",
-    "integrate_flow",
     "flow_path",
     "time_change",
     "restart_positions",
@@ -160,33 +159,16 @@ def _rk4_segment(f: Callable, x: np.ndarray, dt, h: float) -> np.ndarray:
     return x
 
 
-def integrate_flow(f: Callable, x0, h: float, T: float) -> np.ndarray:
-    """``phi_T(x0)`` by fixed-step 4th-order integration (error O(h^4)).
-
-    ``x0`` may be a single point (d,) or a batch (..., d); the field must
-    accept the same shape.  Raises :class:`DomainExitError` if the field
-    fails or the state leaves the finite range.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if T < 0:
-        raise ValueError("duration T must be nonnegative")
-    x = np.array(x0, dtype=np.float64)
-    out = _rk4_segment(f, x, float(T), h)
-    if not np.all(np.isfinite(out)):
-        raise DomainExitError(f"flow left the finite range within duration {T:g}")
-    return out
-
-
 def flow_path(f: Callable, x0, s_grid, h: float = 1e-3) -> TimeChangedPath:
-    """Integrate the flow and record it on a clock grid (a noiseless path)."""
+    """Integrate the flow from a point ``x0`` (d,), or from each of a stack
+    (runs, d), and record it on a clock grid (a noiseless path)."""
     s = np.asarray(s_grid, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)
-    states = np.empty((len(s),) + x.shape)
-    states[0] = x
+    states = np.empty(x.shape[:-1] + (len(s), x.shape[-1]))
+    states[..., 0, :] = x
     for k in range(1, len(s)):
         x = _rk4_segment(f, x, float(s[k] - s[k - 1]), h)
-        states[k] = x
+        states[..., k, :] = x
     return TimeChangedPath(s_grid=s, states=states)
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "Model",
     "LinearModel",
     "SyntheticModel",
-    "synthetic_field",
     "VrrwConfig",
     "vrrw_field",
     "vrrw_jacobian",
@@ -233,66 +232,23 @@ class LinearModel(Model):
 
 
 # ---------------------------------------------------------------------------
-# the rectified synthetic model
+# the synthetic saddle
 # ---------------------------------------------------------------------------
 
 
-def synthetic_field(
-    x: np.ndarray,
-    delta_plus: int,
-    mu: float,
-    nu: float,
-    f_plus: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Piecewise-built field: repulsive head driven by the rectified vector,
-    contracting tail proportional to the coordinates themselves.
-
-    With ``y`` the rectified vector (``y_i = x_i`` for ``i < delta_plus``,
-    ``y_i = |x_i|**(1+nu)`` otherwise):
-
-        f_i(x) = F_plus_i(y)   for i < delta_plus
-        f_i(x) = mu * x_i      otherwise
-
-    The default ``F_plus`` is the identity on the head coordinates, giving
-    ``f(x) = (x_head, mu * x_tail)``.  The tail coordinates influence the head
-    only through ``|x_i|**(1+nu)``, which is what makes the exponent ``nu``
-    meaningful for the rate condition.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    k = int(delta_plus)
-    out = np.empty(x.shape)
-    if f_plus is None:
-        out[..., :k] = x[..., :k]  # the identity head never reads the rectified tail
-    else:
-        y = x.reshape(-1, x.shape[-1]).copy()
-        y[:, k:] = np.abs(y[:, k:]) ** (1.0 + nu)
-        head = np.asarray(f_plus(y), dtype=np.float64)
-        if head.shape != (y.shape[0], k):
-            raise ValueError(f"f_plus must return shape (B, {k}), got {head.shape}")
-        out[..., :k] = head.reshape(*x.shape[:-1], k)
-    np.multiply(mu, x[..., k:], out=out[..., k:])
-    return out
-
-
 class SyntheticModel(Model):
-    """SA model around the rectified synthetic field with Rademacher noise.
+    """SA model around the synthetic field ``f(x) = (x_head, mu * x_tail)``,
+    the head being the first ``delta_plus`` coordinates, with Rademacher
+    noise.
 
-    The equilibrium at 0 has Jacobian ``blockdiag(I, mu*I)`` (the
-    rectified tail contributes nothing to the head derivatives at 0), the
-    invariant set is the head-coordinate plane, and the declared constants are
-    exactly (mu, nu).  An ``f_plus`` replaces the identity head of the field,
-    not of the declared Jacobian.
+    The equilibrium at 0 has Jacobian ``blockdiag(I, mu*I)``, the invariant
+    set is the head-coordinate plane, and the declared constants are exactly
+    (mu, nu); the field does not read ``nu``.
     """
 
-    def __init__(
-        self,
-        mu: float = -1.0,
-        nu: float = 1.0,
-        dim: int = 2,
-        delta_plus: int = 1,
-        f_plus: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        id: str = "synthetic",
-    ):
+    id = "synthetic"
+
+    def __init__(self, mu: float = -1.0, nu: float = 1.0, dim: int = 2, delta_plus: int = 1):
         if not (0 < delta_plus < dim):
             raise ValueError("need 0 < delta_plus < dim")
         if mu >= 0:
@@ -303,9 +259,7 @@ class SyntheticModel(Model):
         self.nu = float(nu)
         self.dim = int(dim)
         self.delta_plus = int(delta_plus)
-        self.f_plus = f_plus
         self.n_raw = self.dim
-        self.id = id
         jac = np.zeros((dim, dim))
         jac[:delta_plus, :delta_plus] = np.eye(delta_plus)
         jac[delta_plus:, delta_plus:] = mu * np.eye(dim - delta_plus)
@@ -317,7 +271,12 @@ class SyntheticModel(Model):
         )
 
     def field(self, x):
-        return synthetic_field(x, self.delta_plus, self.mu, self.nu, self.f_plus)
+        x = np.asarray(x, dtype=np.float64)
+        k = self.delta_plus
+        out = np.empty(x.shape)
+        out[..., :k] = x[..., :k]
+        np.multiply(self.mu, x[..., k:], out=out[..., k:])
+        return out
 
     def step_parts(self, x, n, raw, aux):
         return self.field(x), _rademacher(raw), np.zeros(x.shape), aux
@@ -509,11 +468,14 @@ class _VrrwModel(Model):
     declared trap at the uniform point, the mean-field drift, the initial
     occupation measure and the natural schedule."""
 
-    def __init__(self, cfg: VrrwConfig, id: str):
+    #: the model id before the vertex count and the exponent
+    _id_prefix: str
+
+    def __init__(self, cfg: VrrwConfig):
         self.cfg = cfg
         self.dim = cfg.d
         self.n_raw = 1
-        self.id = id
+        self.id = f"{self._id_prefix}_d{cfg.d}_a{cfg.alpha:g}"
         self.trap = _vrrw_trap(cfg)
         self._vertices = np.arange(cfg.d)[:, None]
 
@@ -549,10 +511,12 @@ class VrrwWalkModel(_VrrwModel):
     ``gamma_n = c_n = 1/(n + total initial count)`` exactly.
     """
 
-    def __init__(self, cfg: VrrwConfig, start_vertex: int = 0, id: Optional[str] = None):
+    _id_prefix = "vrrw_walk"
+
+    def __init__(self, cfg: VrrwConfig, start_vertex: int = 0):
         if not (0 <= start_vertex < cfg.d):
             raise ValueError("start_vertex out of range")
-        super().__init__(cfg, id or f"vrrw_walk_d{cfg.d}_a{cfg.alpha:g}")
+        super().__init__(cfg)
         self.start_vertex = int(start_vertex)
         self._A_T = cfg._A_stack[:, :, 0]  # A by columns, C-contiguous (d, d)
 
@@ -598,8 +562,7 @@ class MeanFieldVrrwModel(_VrrwModel):
     the model family for hypothesis checks.
     """
 
-    def __init__(self, cfg: VrrwConfig, id: Optional[str] = None):
-        super().__init__(cfg, id or f"vrrw_meanfield_d{cfg.d}_a{cfg.alpha:g}")
+    _id_prefix = "vrrw_meanfield"
 
     def step_parts(self, x, n, raw, aux):
         # column form, (d, B): see the module docstring

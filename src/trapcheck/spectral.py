@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -144,15 +145,19 @@ def _classify(delta_plus: int, dim: int, mu: float) -> str:
 
 @functools.cache
 def _flapack():
-    """scipy's LAPACK wrapper ``scipy.linalg._flapack``, loaded from its
-    file on first use without running ``scipy/linalg/__init__.py``.  The
-    loader enters it in ``sys.modules``, so a later ``import scipy.linalg``
-    uses this module."""
-    spec = PathFinder.find_spec(
-        "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")]
-    )
+    """scipy's LAPACK wrapper ``scipy.linalg._flapack``: scipy's own when
+    loaded, else loaded from its file on first use without running
+    ``scipy/linalg/__init__.py``.  The entry the loader makes in
+    ``sys.modules`` is removed, so a later ``import scipy.linalg`` loads
+    the wrapper as its own and sets the package's ``_flapack``; both share
+    the LAPACK routines."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and deterministic random-matrix generators."""
 
 import concurrent.futures
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -95,7 +96,9 @@ def rule_means(norms, ns, blowup_step, power=None, projected=False):
 
 class InProcessPool:
     """A stand-in for ``ProcessPoolExecutor`` that runs each task in this
-    process as it is submitted, so a pooled ensemble starts no process."""
+    process as it is submitted, so a pooled ensemble starts no process.
+    Each task's arguments and its result cross ``pickle`` as they cross a
+    real pool, so what a real pool cannot send fails here too."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -108,7 +111,8 @@ class InProcessPool:
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
-        future.set_result(fn(*args))
+        result = fn(*pickle.loads(pickle.dumps(args)))
+        future.set_result(pickle.loads(pickle.dumps(result)))
         return future
 
 

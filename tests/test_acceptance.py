@@ -314,7 +314,7 @@ def test_criterion_07_shadowing_deficit(linear_ensemble):
 def test_criterion_08_manifold_attraction():
     """Distance to the repulsive axis decays at the contraction rate for the
     pure flow (slope -1 exactly) and at the noise-limited rate for the
-    rectified-drift ensemble (median in [-1.1, -0.4])."""
+    synthetic-saddle ensemble (median in [-1.1, -0.4])."""
     t0 = time.time()
 
     # (i) deterministic saddle flow from the contracting axis

@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -791,6 +792,25 @@ class TestCheckRecords:
             estimates.append((est["n_windows"], est["excitation_liminf"]))
         assert estimates[0] == estimates[1]
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="cli._MAX_CONTIGUOUS_WINDOW keeps the last 20,000 steps of the "
+        "default window (3000, 30000), less than a decade",
+    )
+    def test_tail_noise_default_window_gives_a_verdict_past_the_cap(self, tmp_path):
+        cfg = {
+            "model": {"kind": "synthetic"},
+            "schedule": {"kind": "harmonic"},
+            "N": 30_000,
+            "n_runs": 32,
+            "master_seed": 5,
+            "checks": [{"name": "tail_noise"}],
+        }
+        _, doc = run_experiment(ExperimentConfig.from_dict(cfg), out_dir=tmp_path)
+        (cond,) = doc["report"]["conditions"]
+        assert cond["verdict"] in ("pass", "fail"), cond["estimates"]
+
 
 def _frozen_run_diagnostics(config, model, summary, split, ddir):
     """The diagnostics as one chain on diagnostic names ran them before each
@@ -1471,6 +1491,23 @@ class TestExperimentCommands:
         assert main(["report", str(tmp_path / "a")]) == 0
         assert "timings: " in capsys.readouterr().out
 
+    def test_numeric_stack_in_meta_leaves_the_body_stable(self, tmp_path, monkeypatch):
+        p = write_config(tmp_path, base_config(n_runs=4, checks=[{"name": "noise_excitation"}]))
+        bodies = []
+        for coretype in (None, "Prescott"):
+            if coretype is None:
+                monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+            out = tmp_path / str(coretype)
+            main(["check", "--config", str(p), "--out", str(out)])
+            doc = json.loads((out / "summary.json").read_text())
+            meta = doc.pop("meta")
+            assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
+            assert meta["openblas_coretype"] == coretype
+            bodies.append(canonical_json(doc))
+        assert bodies[0] == bodies[1]
+
 
 def _tree(out: Path) -> dict:
     """Every file under ``out`` by its relative path, with its bytes, and
@@ -1843,6 +1880,16 @@ def _valid_configs(draw):
     }
 
 
+def _pooled_case(model, schedule):
+    """A config of ``model`` that captures increments (a check reads them)
+    and keeps run 0: an explicit case for a model kind the draw may miss."""
+    return {
+        "model": model, "schedule": schedule, "N": 200, "n_runs": 8, "master_seed": 3,
+        "checks": [{"name": "noise_excitation", "k": 1}], "diagnostics": [], "theorem": None,
+        "max_blowup_fraction": 1.0, "output": {"trajectories": 1, "write_diagnostics": False},
+    }
+
+
 def _body(out: Path):
     """:func:`_tree` of ``out`` with ``summary.json`` parsed and its ``meta``
     dropped, or None when there is no ``out``."""
@@ -1896,10 +1943,15 @@ class TestValidConfigs:
     """The CLI's contracts on valid configs: an exit code in {0, 1, 2}; exit
     1 with one ``error: `` line and no ``--out`` left; no traceback and no
     warning; the same files at any worker count; run 0 as ``engine.run``
-    gives it.  Workers run in this process, so no process starts."""
+    gives it.  Workers run in this process, so no process starts, but each
+    chunk's model and result cross ``pickle`` as in a real pool."""
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=_valid_configs(), command=st.sampled_from(["check", "simulate"]))
+    @example(cfg=_pooled_case({"kind": "vrrw_walk", "d": 3, "alpha": 2.0}, {"kind": "natural"}),
+             command="check")
+    @example(cfg=_pooled_case({"kind": "control", "which": "stable_only_noise"},
+                              {"kind": "harmonic"}), command="check")
     def test_contracts_hold(self, cfg, command):
         with (
             tempfile.TemporaryDirectory() as tmp,

@@ -1,6 +1,7 @@
 """Tests for the finite-sample condition checkers."""
 
 import dataclasses
+import functools
 import json
 from unittest import mock
 
@@ -692,19 +693,35 @@ class TestHypothesisReport:
 
 class _BlowsUp:
     """A model mixin: a run's drift is +inf, so it leaves the region, at each
-    step whose first draw is below ``P``; its noise at that step still counts
+    step whose first draw is below ``p``; its noise at that step still counts
     in the step means, and none after it does."""
 
-    P = 0.0
+    def __init__(self, *args, p):
+        super().__init__(*args)
+        self.p = p
 
     def step_parts(self, x, n, raw, aux):
         g, eps, rem, aux = super().step_parts(x, n, raw, aux)
-        return np.where(raw[:, :1] < self.P, np.inf, g), eps, rem, aux
+        return np.where(raw[:, :1] < self.p, np.inf, g), eps, rem, aux
+
+
+class _BlowingLinearModel(_BlowsUp, LinearModel):
+    pass
+
+
+class _BlowingVrrwWalkModel(_BlowsUp, VrrwWalkModel):
+    pass
+
+
+class _BlowingMeanFieldVrrwModel(_BlowsUp, MeanFieldVrrwModel):
+    pass
 
 
 def blowing(cls, p):
-    """Model class ``cls`` whose runs blow up at rate ``p`` per step."""
-    return type(f"Blowing{cls.__name__}", (_BlowsUp, cls), {"P": p})
+    """Model class ``cls`` whose runs blow up at rate ``p`` per step: its
+    subclass above, defined at module level, so its models cross ``pickle``
+    as a pool's do."""
+    return functools.partial(globals()[f"_Blowing{cls.__name__}"], p=p)
 
 
 def _eps_capture(summary):

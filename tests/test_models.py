@@ -14,7 +14,6 @@ from trapcheck import (
     VrrwConfig,
     VrrwWalkModel,
     control_models,
-    synthetic_field,
     vrrw_field,
     vrrw_jacobian,
 )
@@ -268,19 +267,11 @@ class TestVrrwModels:
 
 class TestSyntheticField:
     def test_default_instance(self):
-        f = synthetic_field(np.array([0.3, 0.4]), 1, -1.0, 1.0)
+        f = SyntheticModel().field(np.array([0.3, 0.4]))
         assert_allclose(f, [0.3, -0.4], atol=1e-15)
 
     def test_zero_is_equilibrium(self):
-        assert_allclose(synthetic_field(np.zeros(2), 1, -1.0, 1.0), [0.0, 0.0])
-
-    def test_coupled_head(self):
-        f = synthetic_field(
-            np.array([0.1, 0.2]), 1, -1.0, 1.0,
-            f_plus=lambda y: (y[:, 0] + y[:, 1])[:, None],
-        )
-        assert f[0] == pytest.approx(0.14, abs=1e-15)
-        assert f[1] == pytest.approx(-0.2, abs=1e-15)
+        assert_allclose(SyntheticModel().field(np.zeros(2)), [0.0, 0.0])
 
     def test_jacobian_rectification(self):
         m = SyntheticModel(mu=-1.0, nu=1.0)
@@ -517,15 +508,10 @@ def _ref_linear_step(model, x, n, raw):
     return _ref_apply_matrix(model.H, x), eps, rem
 
 
-def _ref_synthetic_field(x, k, mu, nu, f_plus):
+def _ref_synthetic_field(x, k, mu):
     xb = x.reshape(-1, x.shape[-1])
     out = np.empty_like(xb)
-    if f_plus is None:
-        out[:, :k] = xb[:, :k]
-    else:
-        y = xb.copy()
-        y[:, k:] = np.abs(xb[:, k:]) ** (1.0 + nu)
-        out[:, :k] = f_plus(y)
+    out[:, :k] = xb[:, :k]
     np.multiply(mu, xb[:, k:], out=out[:, k:])
     return out.reshape(x.shape)
 
@@ -572,17 +558,12 @@ class TestLeanSteps:
             _assert_same_bits(got, _ref_linear_step(model, x, n, raw), order == "C")
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("custom", [False, True])
-    def test_synthetic_step_equals_replaced_formulas(self, custom, order):
-        def f_plus(y):
-            return np.stack([y[:, 0] - y[:, 2], -y[:, 1]], axis=1)
-
-        fp = f_plus if custom else None
-        model = SyntheticModel(mu=-1.5, nu=0.5, dim=3, delta_plus=2, f_plus=fp)
+    def test_synthetic_step_equals_replaced_formulas(self, order):
+        model = SyntheticModel(mu=-1.5, nu=0.5, dim=3, delta_plus=2)
         x, raw = _edge_inputs(3, order=order)
         got = model.step_parts(x, 0, raw, None)[:3]
         want = (
-            _ref_synthetic_field(x, 2, -1.5, 0.5, fp),
+            _ref_synthetic_field(x, 2, -1.5),
             _ref_rademacher(raw),
             np.zeros_like(x),
         )
@@ -592,8 +573,8 @@ class TestLeanSteps:
     def test_fields_keep_shape_and_bits(self, shape):
         x = _edge_inputs(3)[0][: int(np.prod(shape[:-1]))].reshape(shape)
         H = np.array([[1.0, -0.5, 0.0], [0.0, -2.0, 0.25], [-0.0, 3.0, -1.0]])
-        got = LinearModel(H).field(x), synthetic_field(x, 1, -1.0, 1.0)
-        want = _ref_apply_matrix(H, x), _ref_synthetic_field(x, 1, -1.0, 1.0, None)
+        got = LinearModel(H).field(x), SyntheticModel(dim=3).field(x)
+        want = _ref_apply_matrix(H, x), _ref_synthetic_field(x, 1, -1.0)
         _assert_same_bits(got, want, True)
 
 

@@ -474,3 +474,32 @@ class TestLapackWithoutScipyLinalg:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 3 and lines[0] == lines[1] == lines[2]
+
+    def test_scipy_linalg_keeps_its_wrapper_in_either_import_order(self):
+        # scipy.linalg loaded after the split, or before it: the package has
+        # its _flapack attribute, a wrapper scipy loaded is reused, and the
+        # split's P has the same bits
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            if sys.argv[1] == "scipy-first":
+                import scipy.linalg
+            from trapcheck import spectral
+            H = np.array([[1.0, 0.5, 0.0], [0.2, -1.0, 0.3], [0.0, 0.4, -2.0]])
+            P = spectral.split_jacobian(H).P
+            assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "scipy-first")
+            import scipy.linalg
+            assert isinstance(scipy.linalg._flapack, type(sys))
+            if sys.argv[1] == "scipy-first":
+                assert spectral._flapack() is scipy.linalg._flapack
+            print(P.tobytes().hex())
+        """)
+        outputs = []
+        for order in ("trapcheck-first", "scipy-first"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, order], capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(spectral.__file__).parents[1])},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] != ""
