@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -31,6 +30,11 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for it
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 on
+    from _sha2 import sha256
 
 import numpy as np
 import scipy
@@ -473,7 +477,7 @@ def canonical_json(obj) -> str:
 
 def config_hash(cfg: dict) -> str:
     compact = json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(compact.encode()).hexdigest()
+    return sha256(compact.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +760,8 @@ def run_experiment(
     ``meta.timings_s`` holds the wall seconds of each stage that ran:
     ``simulate`` (building the model and the ensemble), ``checks`` and
     ``diagnostics`` (``check`` only), and ``io`` (removing the last run's
-    files and writing every CSV; ``summary.json`` is written after it).
+    files and writing every CSV; ``summary.json`` is written after it),
+    and ``run_steps_per_s`` N times n_runs over the ``simulate`` seconds.
     Next to it, ``numpy``, ``scipy`` and ``openblas_coretype`` name the
     numeric stack the body's bits rest on (the last None when unset).
     """
@@ -853,6 +858,7 @@ def run_experiment(
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         doc["meta"] = {
             "timestamp": now, "workers": int(workers), "timings_s": timings,
+            "run_steps_per_s": config.N * config.n_runs / timings["simulate"],
             "numpy": np.__version__, "scipy": scipy.__version__,
             "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         }

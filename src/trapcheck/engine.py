@@ -14,10 +14,12 @@ Each run gets its own counter-based stream: ``Philox`` seeded by
 ``SeedSequence(master_seed, spawn_key=(run_index,))``.  A run consumes
 ``model.n_raw`` uniform doubles per step, drawn in step-major blocks (one
 step's draws for the whole batch are one contiguous slab); counter-based
-streams make the block boundaries irrelevant.  Models compute row-wise with
-elementwise operations only, so a run's floating-point path is identical
-whether executed alone, inside a batch, or on any worker split — ensembles
-are bit-reproducible for every worker count.
+streams make the block boundaries irrelevant.  A model whose ``raw_dtype``
+is bool reads only ``u >= 0.5`` of each draw, and the block keeps that, one
+byte per draw: the streams consume the same words.  Models compute row-wise
+with elementwise operations only, so a run's floating-point path is
+identical whether executed alone, inside a batch, or on any worker split —
+ensembles are bit-reproducible for every worker count.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ __all__ = [
 
 #: Steps per pre-drawn randomness block (counter-based streams make the
 #: blocking invisible to results; this only bounds memory: a block holds
-#: ``_RAW_BLOCK * B * n_raw`` doubles, 2 MB for 1000 rows of one draw, and
-#: ``_drive`` refills one such buffer for every block).
+#: ``_RAW_BLOCK * B * n_raw`` draws, 2 MB for 1000 rows of one double draw
+#: and 256 kB of one bool draw, and ``_drive`` refills one such buffer for
+#: every block).
 _RAW_BLOCK = 256
 
 #: Generators whose draws ``_draw_block`` transposes into place together.
@@ -307,24 +310,29 @@ def _generators(master_seed: int, run_indices: Sequence[int]):
 
 def _draw_block(gens, out: np.ndarray, tile: np.ndarray) -> None:
     """Refill ``out`` (C-contiguous, shape (length, B, n_raw)) with uniform
-    draws for ``length`` steps: ``[:, b]`` is generator b's stream, so the
-    draws of step j are the contiguous ``[j]``.  ``tile`` is a flat scratch
-    buffer of at least ``min(_DRAW_TILE, B) * length * n_raw`` doubles."""
+    draws for ``length`` steps, or for a bool ``out`` with ``u >= 0.5`` of
+    each: ``[:, b]`` is generator b's stream, so the draws of step j are the
+    contiguous ``[j]``.  ``tile`` is a flat scratch buffer of at least
+    ``min(_DRAW_TILE, B) * length * n_raw`` doubles."""
     length, B, n_raw = out.shape
     if n_raw:
         # fill a group of generators' draws contiguously, then transpose the
         # group into place: a strided write per generator costs about 1.5x
         # as much at B = 1000.  Both sides are viewed as one opaque item of
-        # n_raw doubles per (step, run), so the transpose moves a step's
+        # n_raw draws per (step, run), so the transpose moves a step's
         # draws for a run as one copy, not n_raw strided ones; same bytes.
         rows = min(_DRAW_TILE, B)
         grid = tile[: rows * length * n_raw].reshape(rows, length, n_raw)
-        out_rows, tile_rows = (a.view(f"V{8 * n_raw}")[..., 0] for a in (out, grid))
+        item = f"V{out.itemsize * n_raw}"
+        out_rows = out.view(item)[..., 0]
         for b0 in range(0, B, rows):
             group = gens[b0 : b0 + rows]
             for t, g in zip(grid, group):
                 g.random(out=t)
-            out_rows[:, b0 : b0 + len(group)] = tile_rows[: len(group)].T
+            drawn = grid[: len(group)]
+            if out.dtype == bool:
+                drawn = drawn >= 0.5
+            out_rows[:, b0 : b0 + len(group)] = drawn.view(item)[..., 0].T
 
 
 def _drive(
@@ -405,7 +413,7 @@ def _drive(
 
     # one draw buffer and one transpose tile, refilled for every block: a
     # model's raw is a view into it, valid during its step_parts call only
-    raws = np.empty((min(_RAW_BLOCK, N), B, model.n_raw))
+    raws = np.empty((min(_RAW_BLOCK, N), B, model.n_raw), model.raw_dtype)
     tile = np.empty(min(_DRAW_TILE, B) * len(raws) * model.n_raw)
     n = 0
     while n < N:

@@ -60,7 +60,7 @@ _RUN_CHUNK = 32
 
 #: RK4 rows (restarts times kept runs) the shadow deficit integrates per
 #: pass, at least one restart: it bounds that integration's temporaries to
-#: about 20 ``_APT_ROWS * d`` arrays.
+#: about 12 ``_APT_ROWS * d`` arrays.
 _APT_ROWS = 16_384
 
 
@@ -125,12 +125,24 @@ def _eval_field(f: Callable, x: np.ndarray) -> np.ndarray:
 
 def _rk4_step(f: Callable, x: np.ndarray, hh) -> np.ndarray:
     """One classical 4th-order step of size ``hh`` (a scalar, or one size per
-    element of x); the only place the RK4 formula is written."""
-    k1 = _eval_field(f, x)
-    k2 = _eval_field(f, x + (0.5 * hh) * k1)
-    k3 = _eval_field(f, x + (0.5 * hh) * k2)
-    k4 = _eval_field(f, x + hh * k3)
-    return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    element of x); the only place the RK4 formula is written.
+
+    Its bits are those of ``x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 +
+    k4)`` with ``k2 = f(x + (0.5 * hh) * k1)`` and so on (IEEE ``+`` and
+    ``*`` commute, and ``1.0 * y`` is ``y``), but the sum is kept as it goes
+    and each stage is dropped once used: a few arrays of x's size live."""
+    k = _eval_field(f, x)
+    acc = np.array(k)
+    for a, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        y = a * hh * k
+        y += x
+        del k
+        k = _eval_field(f, y)
+        del y
+        acc += w * k
+    acc *= hh / 6.0
+    acc += x
+    return acc
 
 
 def _rk4_segment(f: Callable, x: np.ndarray, dt, h: float) -> np.ndarray:
@@ -297,25 +309,27 @@ def _tail_count(R: int, tail_fraction: float) -> int:
 
 def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float):
     """Least-squares slope of log(ys) vs ts over the last ``tail_fraction``
-    of the points, per row.
-
-    Rows with any non-finite log value in the tail get slope NaN.  Builds
-    one (rows, tail points) array and works in it in place, so ys may be
-    large.  That array is C-ordered whatever the layout of ys: the mean and
-    the product over it round by layout.
-    """
+    of the points, per row: :func:`_log_slopes` on a C-ordered copy of that
+    tail, so ys may be in any layout and stays as it is."""
     R = len(ts)
     k = _tail_count(R, tail_fraction)
-    if k == 0:
-        return np.full(ys.shape[0], np.nan)
-    t = ts[R - k :]
-    L = np.maximum(ys[:, R - k :], _DISTANCE_FLOOR, order="C")
+    return _log_slopes(ts[R - k :], np.array(ys[:, R - k :], order="C"))
+
+
+def _log_slopes(t: np.ndarray, L: np.ndarray):
+    """Least-squares slope of log(L) vs t per row of the C-ordered L (rows,
+    len(t)), which it overwrites: the mean and the product over it round by
+    layout.  NaN for every row when t has fewer than 2 points, and for rows
+    with any non-finite log value."""
+    if len(t) < 2:
+        return np.full(L.shape[0], np.nan)
+    np.maximum(L, _DISTANCE_FLOOR, out=L)
     with np.errstate(divide="ignore"):
         np.log(L, out=L)
     tc = t - t.mean()
     denom = float(np.sum(tc**2))
     good = np.all(np.isfinite(L), axis=1)
-    slopes = np.full(ys.shape[0], np.nan)
+    slopes = np.full(L.shape[0], np.nan)
     if denom > 0 and good.any():
         Lg = L if good.all() else L[good]
         Lg -= Lg.mean(axis=1, keepdims=True)
@@ -421,7 +435,7 @@ def manifold_rate(
         tail[j : j + len(dist)] = dist[:, R - k :]
         on_K[j : j + len(dist)] = np.all(dist == 0.0, axis=1)
         j += len(dist)
-    slopes = _tail_slopes(s[R - k :], tail, 1.0)
+    slopes = _log_slopes(s[R - k :], tail)
     slopes[on_K] = -np.inf
     return EnsembleRates(rates=slopes, t_values=s, n_excluded=0, first_run=first)
 

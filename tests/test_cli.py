@@ -125,6 +125,28 @@ class TestCanonicalJson:
         assert len(h1) == 64
         assert config_hash({"a": 2}) != config_hash({"a": 1})
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=st.dictionaries(
+            st.text(max_size=8),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+                | st.floats(allow_nan=False, allow_infinity=False),
+                lambda inner: st.lists(inner, max_size=4)
+                | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+                max_leaves=12,
+            ),
+            max_size=6,
+        )
+    )
+    def test_config_hash_is_hashlib_sha256(self, cfg):
+        # CPython's own SHA-256 gives hashlib's digest; hashlib stays out of
+        # the package, which would load OpenSSL's libcrypto for it
+        import hashlib
+
+        compact = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(compact.encode()).hexdigest()
+
 
 # ---------------------------------------------------------------------------
 # configuration validation
@@ -1505,6 +1527,21 @@ class TestExperimentCommands:
             meta = doc.pop("meta")
             assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
             assert meta["openblas_coretype"] == coretype
+            bodies.append(canonical_json(doc))
+        assert bodies[0] == bodies[1]
+
+    def test_run_steps_per_s_in_meta_leaves_the_body_stable(self, tmp_path):
+        # the throughput of the simulate stage varies between runs, the body
+        # does not
+        p = write_config(tmp_path, base_config(n_runs=6))
+        bodies = []
+        for cmd, workers in (("simulate", 1), ("simulate", 2), ("check", 1)):
+            out = tmp_path / f"{cmd}{workers}"
+            with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+                main([cmd, "--config", str(p), "--out", str(out), "--workers", str(workers)])
+            doc = json.loads((out / "summary.json").read_text())
+            meta = doc.pop("meta")
+            assert meta["run_steps_per_s"] == 400 * 6 / meta["timings_s"]["simulate"]
             bodies.append(canonical_json(doc))
         assert bodies[0] == bodies[1]
 

@@ -308,36 +308,54 @@ class TestMonteCarlo:
         assert traj.states.min() >= -1e-12
 
 
+def _two_draw_blocks(n_raw, B, tile, dtype):
+    """Two blocks of draws in a row, the second, shorter one continuing
+    every stream in a prefix of one buffer with one tile, as ``_drive``
+    keeps them; and the 8 doubles per stream they come from."""
+    gens = engine._generators(7, range(B))
+    out = np.full((5, B, n_raw), np.nan).astype(dtype)  # True, in a bool buffer
+    scratch = np.full(min(tile, B) * 5 * n_raw, np.nan)
+    with mock.patch.object(engine, "_DRAW_TILE", tile):
+        got = []
+        for length in (5, 3):
+            engine._draw_block(gens, out[:length], scratch)
+            got.append(out[:length].copy())
+    want = np.stack([g.random((8, n_raw)) for g in engine._generators(7, range(B))], axis=1)
+    return np.concatenate(got), want
+
+
 class TestDrawBlock:
     @pytest.mark.parametrize("tile", [2, 128])
     @pytest.mark.parametrize("B", [1, 127, 128, 129, 300])
     @pytest.mark.parametrize("n_raw", [0, 1, 2, 3])
     def test_equals_stacked_per_generator_draws(self, n_raw, B, tile):
-        gens = engine._generators(7, range(B))
-        # one buffer and one tile for both blocks, as _drive keeps them
-        out = np.full((5, B, n_raw), np.nan)
-        scratch = np.full(min(tile, B) * 5 * n_raw, np.nan)
-        with mock.patch.object(engine, "_DRAW_TILE", tile):
-            # two blocks in a row: the second, shorter one continues every
-            # stream in a prefix of the buffer
-            got = []
-            for length in (5, 3):
-                engine._draw_block(gens, out[:length], scratch)
-                got.append(out[:length].copy())
-        want = np.stack([g.random((8, n_raw)) for g in engine._generators(7, range(B))], axis=1)
-        assert np.array_equal(np.concatenate(got), want)
+        got, want = _two_draw_blocks(n_raw, B, tile, np.float64)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tile", [2, 128])
+    @pytest.mark.parametrize("B", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n_raw", [0, 1, 2, 3])
+    def test_bool_buffer_holds_the_halves_of_the_stacked_draws(self, n_raw, B, tile):
+        # a sign-only model's buffer: u >= 0.5 of the same draws, one byte
+        # each, and the streams go on as they would after doubles
+        got, want = _two_draw_blocks(n_raw, B, tile, bool)
+        assert got.dtype == bool and np.array_equal(got, want >= 0.5)
 
 
 class TestWorkingMemory:
     def test_one_draw_block_at_a_time(self):
-        # the draw buffer and the transpose tile are allocated once and
-        # refilled; the runs' 1000 generators are counted apart
+        # the draw buffer, one byte per sign, and the transpose tile are
+        # allocated once and refilled; the runs' 1000 generators are counted
+        # apart
         model, n_runs = LinearModel(np.diag([1.0, -1.0])), 1000
-        assert model.n_raw == 2
+        assert model.n_raw == 2 and model.raw_dtype == np.bool_
         N = 3 * engine._RAW_BLOCK
         s = harmonic(N)
         s.gamma_values, s.c_values  # the schedule's arrays, built before the trace
-        block = engine._RAW_BLOCK * n_runs * model.n_raw * 8
+        # and what a first ensemble in the process imports (np.unique loads
+        # numpy.ma), so the bound holds whichever tests ran before
+        monte_carlo(model, s, [0.1, 0.1], N, 2, master_seed=3)
+        block = engine._RAW_BLOCK * n_runs * model.n_raw
         tile = engine._DRAW_TILE * engine._RAW_BLOCK * model.n_raw * 8
         gens = traced_peak(lambda: engine._generators(3, range(n_runs)))
         peak = traced_peak(lambda: monte_carlo(model, s, [0.1, 0.1], N, n_runs, master_seed=3))
@@ -428,6 +446,74 @@ class TestDeterminismProperty:
         live = (b == 0)[:, None] | (np.array(inc) < b[:, None])
         assert np.array_equal(outs[0].noise_counts, live.sum(axis=0))
         assert np.array_equal(np.isnan(outs[0].noise_means).any(axis=0), outs[0].noise_counts == 0)
+
+
+class _DoubleDrawLinear(LinearModel):
+    """The linear model as it drew before its bool draws: one double per
+    sign in the engine's buffer, and the copysign formula on it."""
+
+    raw_dtype = np.float64
+
+    def step_parts(self, x, n, raw, aux):
+        eps = np.copysign(1.0, raw - 0.5)
+        if self.noise_kind == "stable_only":
+            eps[..., : self.unstable_dims] = 0.0
+        if self.remainder_kind == "inv_sqrt":
+            rem = np.full(x.shape, 1.0 / np.sqrt(n + 1.0))
+        else:
+            rem = np.zeros(x.shape)
+        return self.field(x), eps, rem, aux
+
+
+class _DoubleDrawSynthetic(SyntheticModel):
+    """The synthetic saddle as it drew before its bool draws."""
+
+    raw_dtype = np.float64
+
+    def step_parts(self, x, n, raw, aux):
+        return self.field(x), np.copysign(1.0, raw - 0.5), np.zeros(x.shape), aux
+
+
+class TestSignDraws:
+    """The sign-only models draw one byte per sign, with every bit of the
+    ensemble they gave on a buffer of doubles."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("linear", [[1.0, 0.5], [0.0, -2.0]], {}),
+            ("linear", np.diag([1.0, -1.0]), {"noise_kind": "stable_only"}),
+            ("linear", [[4.0]], {"remainder_kind": "inv_sqrt"}),  # some runs blow up
+            ("synthetic", None, {"dim": 3, "delta_plus": 2}),
+        ],
+        ids=["rademacher", "stable_only", "inv_sqrt", "synthetic"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_equals_the_double_draws(self, args, workers):
+        kind, H, kw = args
+        new, old = (
+            (LinearModel(H, **kw), _DoubleDrawLinear(H, **kw)) if kind == "linear"
+            else (SyntheticModel(**kw), _DoubleDrawSynthetic(**kw))
+        )
+        assert new.raw_dtype == np.bool_
+        N, d = 600, new.dim
+        cap = CaptureSpec(state_indices=(0, 300, 600), increment_indices=(0, 255, 256, 599),
+                          full_runs=(0, 4))
+        x0 = np.full(d, 0.1)
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+            got, want = (monte_carlo(m, harmonic(N), x0, N, 7, master_seed=11, workers=workers,
+                                     captures=cap) for m in (new, old))
+        if "remainder_kind" in kw:
+            assert got.blowup_count
+        assert canonical_json(got.to_dict()) == canonical_json(want.to_dict())
+        for name in ("terminal_states", "sup_tail_distance", "blowup_step", "captured_states",
+                     "noise_means", "noise_counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+        for r in (0, 4):
+            for a, b in zip(got.full_runs[r].__dict__.values(), want.full_runs[r].__dict__.values()):
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 class JumpModel(Model):

@@ -94,6 +94,30 @@ class TestIntegrateFlow:
         singles = [phi(saddle_field, p, h=1e-3, T=0.3) for p in pts]
         assert_allclose(batch, np.array(singles), rtol=1e-12)
 
+    @pytest.mark.parametrize("field", ["cubic", "identity", "read-only"])
+    @pytest.mark.parametrize("sizes", ["scalar", "per-element"])
+    def test_rk4_step_keeps_the_formula_bits(self, field, sizes):
+        # the stages and the sum are built in place: the bits of the formula
+        # as written, also for a field that returns its own input (the
+        # stages must not write into it) or an array it keeps
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 3))
+        x[::5] = -0.0
+        kept = rng.standard_normal(x.shape)
+        kept.flags.writeable = False
+        f = {"cubic": lambda y: y**3 - np.roll(y, 1, axis=-1),
+             "identity": lambda y: y, "read-only": lambda y: kept}[field]
+        hh = 0.37 if sizes == "scalar" else rng.uniform(1e-3, 0.5, x.shape)
+        k1 = f(x)
+        k2 = f(x + (0.5 * hh) * k1)
+        k3 = f(x + (0.5 * hh) * k2)
+        k4 = f(x + hh * k3)
+        want = x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        before = x.copy()
+        got = flow._rk4_step(f, x, hh)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
     def test_flow_path_records_grid(self):
         s = np.linspace(0.0, 2.0, 21)
         path = flow_path(saddle_field, [1.0, 1.0], s, h=1e-3)
@@ -701,7 +725,7 @@ class TestDiagnosticsMemory:
 
     @pytest.mark.parametrize("blown", [(), (5, 6, 150, 999)])
     def test_apt_integrates_a_bounded_group_of_rows(self, wide_capture, blown):
-        # the RK4 batch holds about 20 (rows, d) arrays of its own, and a
+        # the RK4 batch holds about 12 (rows, d) arrays of its own, and a
         # group of whole restarts holds at most _APT_ROWS rows
         summary, _ = wide_capture
         summary = _blown(summary, blown)
@@ -710,4 +734,14 @@ class TestDiagnosticsMemory:
         res = apt()
         assert len(res.t_values) > 2 * (flow._APT_ROWS // summary.n_runs)  # 3 groups or more
         assert res.deficits.shape == (summary.n_runs - len(blown), len(res.t_values))
-        assert traced_peak(apt) <= 20 * flow._APT_ROWS * d * 8 + res.deficits.nbytes
+        assert traced_peak(apt) <= 13 * flow._APT_ROWS * d * 8 + res.deficits.nbytes
+
+    def test_manifold_rate_fits_its_tail_in_place(self, wide_capture):
+        # the tail of every run's distances, which the fit overwrites, and a
+        # few arrays of one chunk of runs
+        summary, _ = wide_capture
+        R, d = summary.captured_states.shape[1:]
+        tail = summary.n_runs * flow._tail_count(R, flow.TAIL_FRACTION) * 8
+        manifold = lambda: ensemble_manifold_rate(summary, split=split_jacobian(H_SADDLE))
+        manifold()
+        assert traced_peak(manifold) <= tail + 4 * flow._RUN_CHUNK * R * d * 8

@@ -696,12 +696,16 @@ class _BlowsUp:
     step whose first draw is below ``p``; its noise at that step still counts
     in the step means, and none after it does."""
 
+    raw_dtype = np.float64  # the blow-up reads the first draw itself
+
     def __init__(self, *args, p):
         super().__init__(*args)
         self.p = p
 
     def step_parts(self, x, n, raw, aux):
-        g, eps, rem, aux = super().step_parts(x, n, raw, aux)
+        # the model's own draws: u itself, or u >= 0.5 for a sign-only one
+        own = raw >= 0.5 if super().raw_dtype == np.bool_ else raw
+        g, eps, rem, aux = super().step_parts(x, n, own, aux)
         return np.where(raw[:, :1] < self.p, np.inf, g), eps, rem, aux
 
 

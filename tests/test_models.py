@@ -296,10 +296,17 @@ class TestModelContracts:
         J = np.asarray(model.trap.jacobian)
         assert np.linalg.norm(J_fd - J) <= 1e-5 * (1 + np.linalg.norm(J))
 
+    def test_only_the_sign_models_draw_bools(self):
+        # the linear and synthetic noise reads u >= 0.5 alone, the walks u
+        cfg = VrrwConfig.complete(3, 2.0)
+        assert LinearModel([[1.0]]).raw_dtype == SyntheticModel().raw_dtype == np.bool_
+        assert VrrwWalkModel(cfg).raw_dtype == MeanFieldVrrwModel(cfg).raw_dtype == np.float64
+
     def test_noise_conditional_mean(self):
         m = LinearModel([[1.0]])
         rng = np.random.default_rng(3)
-        draws = m.step_parts(np.zeros((100_000, 1)), 0, rng.random((100_000, 1)), None)[1]
+        raw = rng.random((100_000, 1)) >= 0.5
+        draws = m.step_parts(np.zeros((100_000, 1)), 0, raw, None)[1]
         assert abs(draws.mean()) <= 4.0 / np.sqrt(100_000)
 
     def test_manifold_distance(self):
@@ -320,14 +327,14 @@ class TestControls:
 
     def test_stable_only_leaves_unstable_coordinate_alone(self):
         m = control_models()["stable_only_noise"]
-        raw = np.array([[0.3, 0.8], [0.6, 0.1]])
+        raw = np.array([[0.3, 0.8], [0.6, 0.1]]) >= 0.5
         eps = m.step_parts(np.zeros((2, 2)), 1, raw, None)[1]
         assert np.all(eps[:, 0] == 0.0)
         assert np.all(np.abs(eps[:, 1]) == 1.0)
 
     def test_bad_remainder_values(self):
         m = control_models()["bad_remainder"]
-        r = m.step_parts(np.zeros((1, 1)), 3, np.zeros((1, 1)), None)[2]  # r_{n+1}, n=3
+        r = m.step_parts(np.zeros((1, 1)), 3, np.zeros((1, 1), bool), None)[2]  # r_{n+1}, n=3
         assert r[0, 0] == pytest.approx(1.0 / 2.0, abs=1e-15)  # 1/sqrt(4)
 
 
@@ -491,6 +498,7 @@ def _ref_apply_matrix(M, x):
 
 
 def _ref_rademacher(raw):
+    # on the uniform doubles the engine drew before it kept u >= 0.5 alone
     return np.where(raw < 0.5, -1.0, 1.0)
 
 
@@ -543,7 +551,10 @@ def _assert_same_bits(got, want, c_ordered):
 class TestLeanSteps:
     def test_rademacher_at_the_half(self):
         raw = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)])
-        assert np.array_equal(_bits(_rademacher(raw)), _bits(np.array([-1.0, -1.0, 1.0, 1.0])))
+        want = _bits(np.array([-1.0, -1.0, 1.0, 1.0]))
+        assert np.array_equal(_bits(_rademacher(raw >= 0.5)), want)
+        # the formula the double draws went through: u - 0.5 is never -0.0
+        assert np.array_equal(_bits(np.copysign(1.0, raw - 0.5)), want)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("remainder", ["none", "inv_sqrt"])
@@ -554,14 +565,14 @@ class TestLeanSteps:
         x, raw = _edge_inputs(3, order=order)
         raw = raw[:, : model.n_raw]
         for n in (0, 7):
-            got = model.step_parts(x, n, raw, None)[:3]
+            got = model.step_parts(x, n, raw >= 0.5, None)[:3]
             _assert_same_bits(got, _ref_linear_step(model, x, n, raw), order == "C")
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_synthetic_step_equals_replaced_formulas(self, order):
         model = SyntheticModel(mu=-1.5, nu=0.5, dim=3, delta_plus=2)
         x, raw = _edge_inputs(3, order=order)
-        got = model.step_parts(x, 0, raw, None)[:3]
+        got = model.step_parts(x, 0, raw >= 0.5, None)[:3]
         want = (
             _ref_synthetic_field(x, 2, -1.5),
             _ref_rademacher(raw),

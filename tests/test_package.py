@@ -111,6 +111,22 @@ def test_simulate_and_report_load_no_scipy_submodule(tmp_path):
     assert out == {"codes": [0, 0], "loaded": ["scipy"]}
 
 
+def test_pooled_simulate_parent_never_loads_openssl(tmp_path):
+    # config_hash is CPython's own SHA-256, and the parent of a pool draws
+    # nothing itself, so neither hashlib nor numpy.random loads _hashlib
+    # (OpenSSL's libcrypto) there; the workers load numpy.random
+    (tmp_path / "config.json").write_text(json.dumps(_CONFIG))
+    out = _fresh(f"""
+        import trapcheck.cli
+        after_import = "_hashlib" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = trapcheck.cli.main(["simulate", "--config", {str(tmp_path / "config.json")!r},
+                                       "--out", {str(tmp_path / "out")!r}, "--workers", "2"])
+        print(json.dumps([code, after_import, "_hashlib" in sys.modules]))
+    """)
+    assert out == [0, False, False]
+
+
 _NON_DIAGONAL = {
     "model": {"kind": "linear", "H": [[1.0, 0.5], [0.0, -2.0]]},
     "checks": [{"name": "rate_condition", "nu": 1.0}, {"name": "noise_excitation"}],
