@@ -52,9 +52,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Hard cap on contiguous increment-capture windows (memory guard).
-_MAX_CONTIGUOUS_WINDOW = 20_000
-
 
 _ARRAY = (list, tuple)  # a JSON array, or a tuple from a programmatic caller
 _JSON_TYPE_NAMES = {dict: "an object", _ARRAY: "an array", str: "a string"}
@@ -229,9 +226,8 @@ def _sampled_steps(c: dict, N: int) -> engine.CaptureSpec:
 
 
 def _contiguous_steps(c: dict, N: int) -> engine.CaptureSpec:
-    """Every step of the window, its last ``_MAX_CONTIGUOUS_WINDOW`` at most."""
+    """Every step of the window."""
     lo, hi = _capture_window(c, N)
-    lo = max(lo, hi - _MAX_CONTIGUOUS_WINDOW)
     return engine.CaptureSpec(increment_indices=tuple(range(lo, hi)))
 
 
@@ -857,7 +853,8 @@ def run_experiment(
                 files[f"trajectories/run_{i}.csv"] = (summary.trajectory(i).to_csv,)
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         doc["meta"] = {
-            "timestamp": now, "workers": int(workers), "timings_s": timings,
+            "timestamp": now, "workers": int(workers), "chunks": summary.chunks,
+            "timings_s": timings,
             "run_steps_per_s": config.N * config.n_runs / timings["simulate"],
             "numpy": np.__version__, "scipy": scipy.__version__,
             "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),

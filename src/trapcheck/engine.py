@@ -20,6 +20,11 @@ byte per draw: the streams consume the same words.  Models compute row-wise
 with elementwise operations only, so a run's floating-point path is
 identical whether executed alone, inside a batch, or on any worker split —
 ensembles are bit-reproducible for every worker count.
+
+An ensemble is cut into one contiguous chunk of runs per worker, each a
+lockstep batch in its own process, unless it keeps noise statistics: those
+are reduced to cross-run step means as one batch goes, so such an ensemble
+runs as one batch at any worker count (see :func:`monte_carlo`).
 """
 
 from __future__ import annotations
@@ -235,6 +240,7 @@ class EnsembleSummary:
     noise_means: Optional[np.ndarray]  # (len(statistics), len(increment_indices))
     noise_counts: Optional[np.ndarray]  # (len(increment_indices),) runs per mean
     blowup_step: np.ndarray  # first out-of-region step per run, 0 if none
+    chunks: int  # lockstep batches the runs were cut into (see monte_carlo)
     full_runs: dict = field(default_factory=dict)  # run index -> Trajectory
 
     # never captured; kept readable because perfbench/invoke.py sums their sizes
@@ -346,18 +352,14 @@ def _drive(
     capture: CaptureSpec,
     blowup_bound: float,
     keep=(),
-    step_means: bool = True,
 ):
     """Advance a batch of runs in lockstep; the single workhorse behind both
     ``run`` and ``monte_carlo`` (so a lone run and an ensemble row share every
     floating-point operation).
 
     At the captured increment steps the batch's noise is reduced to the
-    capture's statistics: with ``step_means`` to their cross-run means and
-    run counts (``noise_means``, ``noise_counts``), else to every run's
-    squared norm per projection (``cap_norms``, step-major ``(projections,
-    steps, B)``), which :func:`monte_carlo` reduces once merged with
-    :func:`_reduce_means`, the same bits.
+    capture's statistics, a chunk of steps at a time: to their cross-run means
+    and run counts (``noise_means``, ``noise_counts``).
 
     ``keep`` lists batch rows whose full record is stored: every state and
     every step's pieces.  A row's states are stored before a blow-up parks
@@ -379,18 +381,16 @@ def _drive(
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
     state_pos = {int(t): k for k, t in enumerate(state_idx)}
     # eps is kept a chunk of captured steps at a time and reduced to squared
-    # norms per projection; with step_means those are reduced at once to the
-    # statistics' means, else every run's norms are kept for the caller to
-    # reduce; k counts the captured steps, and the next one is at inc_idx[k]
+    # norms per projection, and those at once to the statistics' means; k
+    # counts the captured steps, and the next one is at inc_idx[k]
     projections = [
         None if rows is None else np.array(rows, dtype=np.float64).reshape(-1, d).T
         for rows in _projection_keys(capture.statistics)
     ]
     n_inc = len(inc_idx)
-    norm_steps = min(n_inc, _STEP_CHUNK + 1) if step_means else n_inc
-    cap_norms = np.empty((len(projections), norm_steps, B)) if n_inc else None
-    means = np.empty((len(capture.statistics), n_inc)) if n_inc and step_means else None
-    counts = np.empty(n_inc, dtype=np.int64) if means is not None else None
+    chunk_norms = np.empty((len(projections), min(n_inc, _STEP_CHUNK + 1), B))
+    means = np.empty((len(capture.statistics), n_inc)) if n_inc else None
+    counts = np.empty(n_inc, dtype=np.int64) if n_inc else None
     chunk_ends = {end for _, end in _step_chunks(0, n_inc)}
     eps_chunk = np.empty((min(n_inc, _STEP_CHUNK + 1), B, d))
     k = chunk_start = 0
@@ -447,11 +447,10 @@ def _drive(
                 k += 1
                 if k in chunk_ends:
                     steps = slice(chunk_start, k)
-                    norms = cap_norms[:, : k - chunk_start] if step_means else cap_norms[:, steps]
+                    norms = chunk_norms[:, : k - chunk_start]
                     _reduce_chunk(eps_chunk[: k - chunk_start], projections, norms)
-                    if step_means:
-                        _reduce_means(norms, capture.statistics, inc_idx[steps], blowup_step,
-                                      means[:, steps], counts[steps])
+                    _reduce_means(norms, capture.statistics, inc_idx[steps], blowup_step,
+                                  means[:, steps], counts[steps])
                     chunk_start = k
                 next_inc = int(inc_idx[k]) if k < len(inc_idx) else -1
             if (n + 1) in state_pos:
@@ -468,7 +467,6 @@ def _drive(
         "blown": blown,
         "blowup_step": blowup_step,
         "cap_states": cap_states,
-        "cap_norms": None if step_means else cap_norms,
         "noise_means": means,
         "noise_counts": counts,
         "kept": (states, parts),
@@ -625,7 +623,6 @@ def _chunk_worker(
     tail_from,
     capture,
     blowup_bound,
-    step_means,
 ):
     # the worker derives its runs' seeds from master_seed itself: when the
     # parent built every run's SeedSequence and sent them instead, the peak
@@ -643,27 +640,25 @@ def _chunk_worker(
         capture=capture,
         blowup_bound=blowup_bound,
         keep=keep,
-        step_means=step_means,
     )
     res["kept_runs"] = [int(run_indices[k]) for k in keep]
     return res
 
 
 #: ``_drive``'s per-run outputs, which ``monte_carlo`` merges over chunks
-_PER_RUN = ("x", "sup_tail", "blown", "blowup_step", "cap_states", "cap_norms")
+_PER_RUN = ("x", "sup_tail", "blown", "blowup_step", "cap_states")
 
 
 def _copy_runs(merged: dict, part: dict, runs: slice, n_runs: int) -> None:
     """Copy ``part``'s per-run outputs into their slice ``runs`` of ``merged``,
-    allocated at the first part; the step-major norms have runs on axis 2."""
+    allocated at the first part."""
     for key in _PER_RUN:
         val = part[key]
         if val is None:
             continue
-        axis = 2 if key == "cap_norms" else 0
         if merged[key] is None:
-            merged[key] = np.empty(val.shape[:axis] + (n_runs,) + val.shape[axis + 1 :], val.dtype)
-        merged[key].swapaxes(0, axis)[runs] = val.swapaxes(0, axis)
+            merged[key] = np.empty((n_runs,) + val.shape[1:], val.dtype)
+        merged[key][runs] = val
 
 
 def monte_carlo(
@@ -684,8 +679,12 @@ def monte_carlo(
     for every ``workers`` value and chunking.  The sup-distance statistic
     covers the last ``SUP_TAIL_FRACTION`` of the steps.
     The runs are cut into one contiguous chunk per worker, each advanced as
-    one lockstep batch.  Runs named in ``captures.full_runs`` come back
-    whole, through :meth:`EnsembleSummary.trajectory`.
+    one lockstep batch, except when the capture keeps noise statistics (both
+    ``increment_indices`` and ``statistics``): then every run goes in one
+    batch at any ``workers``, which reduces the noise to its step means as
+    it goes (``EnsembleSummary.chunks`` is the number of batches).  Runs
+    named in ``captures.full_runs`` come back whole, through
+    :meth:`EnsembleSummary.trajectory`.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -698,14 +697,13 @@ def monte_carlo(
     x0 = np.asarray(x0, dtype=np.float64)
 
     # one contiguous chunk per worker: the lockstep batch is as large as it
-    # can be, and the pool pays one task per worker
-    chunks = np.array_split(np.arange(n_runs), min(workers, n_runs))
-
-    # one batch reduces its noise to step means as it goes; pooled batches
-    # return every run's norms, reduced here once merged, with the same bits
-    pooled = len(chunks) > 1
+    # can be, and the pool pays one task per worker.  Noise statistics keep
+    # one batch, whose step means are a few doubles per captured step: a
+    # pooled batch would have to return every run's norms to be reduced here
+    keeps_noise = bool(capture.increment_indices and capture.statistics)
+    chunks = np.array_split(np.arange(n_runs), 1 if keeps_noise else min(workers, n_runs))
     args = [
-        (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound, not pooled)
+        (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound)
         for chunk in chunks
     ]
     full_runs = {}
@@ -714,10 +712,11 @@ def monte_carlo(
         full_runs.update(zip(part["kept_runs"], _kept_trajectories(schedule, part["kept"])))
         return part
 
-    if not pooled:
+    if len(chunks) == 1:
         merged = take_kept(_chunk_worker(*args[0]))
     else:
-        merged = dict.fromkeys(_PER_RUN)
+        # a pooled capture keeps no noise statistics
+        merged = dict.fromkeys(_PER_RUN + ("noise_means", "noise_counts"))
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, *a) for a in args]
             # chunks are consecutive slices of the run range: each part goes
@@ -726,15 +725,6 @@ def monte_carlo(
             for chunk in chunks:
                 runs = slice(chunk[0], chunk[-1] + 1)
                 _copy_runs(merged, take_kept(futures.pop(0).result()), runs, n_runs)
-        norms = merged.pop("cap_norms")
-        if norms is not None:
-            inc_idx = np.asarray(capture.increment_indices, dtype=np.int64)
-            merged["noise_means"] = np.empty((len(capture.statistics), len(inc_idx)))
-            merged["noise_counts"] = np.empty(len(inc_idx), dtype=np.int64)
-            _reduce_means(norms, capture.statistics, inc_idx, merged["blowup_step"],
-                          merged["noise_means"], merged["noise_counts"])
-        else:
-            merged["noise_means"] = merged["noise_counts"] = None
 
     return EnsembleSummary(
         model_id=model.id,
@@ -754,5 +744,6 @@ def monte_carlo(
         noise_means=merged["noise_means"],
         noise_counts=merged["noise_counts"],
         blowup_step=merged["blowup_step"],
+        chunks=len(chunks),
         full_runs=full_runs,
     )

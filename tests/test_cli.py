@@ -615,7 +615,6 @@ def _frozen_capture_plan(config):
             for b in base:
                 inc_idx.update(range(int(b), min(int(b) + k, N)))
         elif name == "tail_noise":
-            lo = max(lo, hi - 20_000)
             inc_idx.update(range(lo, min(hi, N)))
         elif name in ("remainder", "drift_sign"):
             full_runs.add(0)
@@ -629,18 +628,14 @@ def _frozen_capture_plan(config):
 @st.composite
 def _plan_configs(draw):
     """A config with random checks, windows, ``k``, diagnostics and kept
-    trajectories; a ``tail_noise`` window may be longer than the 20,000
-    steps the capture keeps of it."""
+    trajectories."""
     N = draw(st.integers(1, 200_000))
     checks = []
     for name in draw(st.lists(st.sampled_from(sorted(_CHECKS)), max_size=6)):
         c = {"name": name}
         if name == "noise_excitation":
             c["k"] = draw(st.integers(1, 80))
-        if name == "tail_noise" and N > 20_001 and draw(st.booleans()):
-            lo = draw(st.integers(0, N - 20_001))
-            c["window"] = [lo, draw(st.integers(lo + 20_001, N))]
-        elif "window" in _CHECKS[name].params and draw(st.booleans()):
+        if "window" in _CHECKS[name].params and draw(st.booleans()):
             lo = draw(st.integers(0, N - 1))
             c["window"] = [lo, draw(st.integers(lo + 1, N))]
         checks.append(c)
@@ -660,7 +655,7 @@ def _plan_configs(draw):
 class TestCheckRecords:
     @settings(max_examples=200, deadline=None)
     @given(config=_plan_configs())
-    # tail windows the cap shortens: the default one past N = 22,222, and a
+    # long tail windows, kept whole: the default one at N = 10^5, and a
     # given one next to sampled steps
     @example(
         config=ExperimentConfig.from_dict(base_config(N=10**5, checks=[{"name": "tail_noise"}]))
@@ -814,13 +809,9 @@ class TestCheckRecords:
             estimates.append((est["n_windows"], est["excitation_liminf"]))
         assert estimates[0] == estimates[1]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="cli._MAX_CONTIGUOUS_WINDOW keeps the last 20,000 steps of the "
-        "default window (3000, 30000), less than a decade",
-    )
     def test_tail_noise_default_window_gives_a_verdict_past_the_cap(self, tmp_path):
+        # the whole default window (3000, 30000) is captured: a capture cut
+        # to its last 20,000 steps spans less than a decade
         cfg = {
             "model": {"kind": "synthetic"},
             "schedule": {"kind": "harmonic"},
@@ -1545,6 +1536,26 @@ class TestExperimentCommands:
             bodies.append(canonical_json(doc))
         assert bodies[0] == bodies[1]
 
+    def test_chunks_in_meta_leave_the_body_stable(self, tmp_path):
+        # a capture with noise statistics keeps one batch at any worker
+        # count; one without them pools, one chunk per worker
+        noise = {"checks": [{"name": "noise_excitation"}, {"name": "tail_noise"}]}
+        run_zero = {"checks": [{"name": "remainder"}], "output": {"trajectories": 1}}
+        for extra, chunks in ((noise, (1, 1, 1)), (run_zero, (1, 2, 3))):
+            p = write_config(tmp_path, base_config(n_runs=6, **extra))
+            bodies = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"out{workers}"
+                with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor",
+                                       InProcessPool):
+                    main(["check", "--config", str(p), "--out", str(out), "--workers",
+                          str(workers)])
+                doc = json.loads((out / "summary.json").read_text())
+                meta = doc.pop("meta")
+                assert (meta["workers"], meta["chunks"]) == (workers, chunks[workers - 1])
+                bodies.append(canonical_json(doc))
+            assert bodies[0] == bodies[1] == bodies[2]
+
 
 def _tree(out: Path) -> dict:
     """Every file under ``out`` by its relative path, with its bytes, and
@@ -1918,11 +1929,12 @@ def _valid_configs(draw):
 
 
 def _pooled_case(model, schedule):
-    """A config of ``model`` that captures increments (a check reads them)
-    and keeps run 0: an explicit case for a model kind the draw may miss."""
+    """A config of ``model`` whose capture still pools (it keeps run 0 and
+    no noise statistics), so each chunk's model crosses ``pickle``: an
+    explicit case for a model kind the draw may miss."""
     return {
         "model": model, "schedule": schedule, "N": 200, "n_runs": 8, "master_seed": 3,
-        "checks": [{"name": "noise_excitation", "k": 1}], "diagnostics": [], "theorem": None,
+        "checks": [{"name": "remainder"}], "diagnostics": [], "theorem": None,
         "max_blowup_fraction": 1.0, "output": {"trajectories": 1, "write_diagnostics": False},
     }
 

@@ -175,7 +175,8 @@ class TestMonteCarlo:
     def test_pool_starts_one_process_per_chunk(self):
         # the executor forks all its processes at the first submit, so a
         # pool sized by workers forks 64 for these 4 runs; this one runs each
-        # task in-process and records the size asked for
+        # task in-process and records the size asked for.  Without noise
+        # statistics the increment steps keep nothing, and the runs pool
         sizes = []
 
         class SizedPool(InProcessPool):
@@ -184,18 +185,48 @@ class TestMonteCarlo:
 
         m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
         s = harmonic(300)
-        cap = CaptureSpec(state_indices=(1, 300), increment_indices=(5, 6), full_runs=(3,))
+        cap = CaptureSpec(state_indices=(1, 300), increment_indices=(5, 6), full_runs=(3,),
+                          statistics=())
         args = (m, s, np.array([0.0, 0.3]), 300, 4)
         ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
         with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", SizedPool):
             got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
         assert sizes == [4]
+        assert (ref.chunks, got.chunks) == (1, 4)
+        assert got.noise_means is None and ref.noise_means is None
         assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
-        names = ("terminal_states", "sup_tail_distance", "captured_states", "noise_means",
-                 "noise_counts")
+        names = ("terminal_states", "sup_tail_distance", "captured_states")
         for name in names:
             assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert np.array_equal(got.trajectory(3).states, ref.trajectory(3).states)
+
+    def test_noise_statistics_keep_one_batch(self):
+        # a capture that keeps noise statistics reduces them as one batch
+        # goes, at any worker count: no pool is started
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("a capture with noise statistics started a pool")
+
+        m = LinearModel(np.diag([1.0, -1.0]), id="lin2")
+        s = harmonic(300)
+        cap = CaptureSpec(state_indices=(1, 300), increment_indices=tuple(range(5, 140)),
+                          full_runs=(0, 3), statistics=((None, None), (((0.5, -1.25),), 2.0)))
+        args = (m, s, np.array([0.0, 0.3]), 300, 6)
+        ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
+        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", NoPool):
+            got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
+        assert got.chunks == ref.chunks == 1
+        assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
+        names = ("terminal_states", "sup_tail_distance", "blowup_step", "captured_states",
+                 "noise_means", "noise_counts")
+        for name in names:
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert got.noise_means.shape == (2, 135)
+        assert sorted(got.full_runs) == [0, 3]
+        for i in (0, 3):
+            for part in ("states", "g", "eps", "rem"):
+                assert np.array_equal(getattr(got.trajectory(i), part),
+                                      getattr(ref.trajectory(i), part))
 
     def test_sequential_equals_batch(self):
         m = LinearModel([[1.0]])

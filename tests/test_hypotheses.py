@@ -1289,56 +1289,33 @@ class TestFoldedEpsStatistics:
 
 
 class TestCaptureMemory:
-    def test_norms_take_two_thirds_of_the_eps_bytes(self):
-        # a pooled batch returns every run's squared norms: two projections
-        # of a d = 3 noise keep two doubles per run and step where the eps
-        # capture kept three; while it runs, the batch also buffers one chunk
-        # of eps, reduces it _PRODUCT_RUNS runs at a time (temporaries within
-        # one (_PRODUCT_RUNS, chunk, d) array), reads the captured steps from
-        # one int64 array and builds a few objects of a few hundred bytes each
-        # (the projection matrices, the set of chunk ends)
-        model = LinearModel(np.diag([1.0, -1.0, -2.0]))
-        minus = hyp.projection(split_jacobian(model.H), "minus")
-        N, n_runs = 4 * engine._STEP_CHUNK + 200, 200
-        inc = tuple(range(100, N))
-        sched = harmonic(N)
-
-        def batch(statistics):
-            caps = CaptureSpec(increment_indices=inc, statistics=statistics)
-            caps = CaptureSpec.normalize(caps, N)
-            return engine._chunk_worker(model, sched, np.full(3, 0.1), N, 7, np.arange(n_runs),
-                                        N, caps, engine.DEFAULT_BLOWUP_BOUND, False)
-
-        stats = ((None, None), (minus, 1.0))
-        assert batch(stats)["noise_means"] is None
-        eps_bytes = len(inc) * n_runs * 3 * 8
-        assert batch(stats)["cap_norms"].nbytes == 2 * eps_bytes // 3
-        chunk_bytes = (engine._STEP_CHUNK + 1) * n_runs * 3 * 8
-        product_bytes = chunk_bytes * engine._PRODUCT_RUNS // n_runs
-        extra = traced_peak(lambda: batch(stats)) - traced_peak(lambda: batch(()))
-        assert extra <= 2 * eps_bytes // 3 + chunk_bytes + product_bytes + len(inc) * 8 + 4096
-
-    def test_one_batch_keeps_step_means_not_norms(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_batch_keeps_step_means_not_norms(self, workers):
         # 200 runs captured at 19,000 steps on two projections: every run's
         # norms would take 60.8 MB; one batch keeps three rows of step means
         # and a run count per step, and while it runs one chunk of eps and
         # one of norms, a few reduction temporaries of a chunk of norms each,
-        # the captured steps as one int64 array and the set of chunk ends
+        # the captured steps as one int64 array and the set of chunk ends.
+        # More workers keep one batch: a pooled one would return its norms
         model = LinearModel(np.diag([1.0, -1.0, -2.0]))
         minus = hyp.projection(split_jacobian(model.H), "minus")
         N, n_runs = 19_100, 200
         inc = tuple(range(100, N))
         sched = harmonic(N)
 
-        def simulate(statistics):
+        def simulate(statistics, workers=1):
             caps = CaptureSpec(increment_indices=inc, statistics=statistics)
-            return monte_carlo(model, sched, np.full(3, 0.1), N, n_runs, 7, captures=caps)
+            with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor",
+                                   InProcessPool):
+                return monte_carlo(model, sched, np.full(3, 0.1), N, n_runs, 7, workers,
+                                   captures=caps)
 
         stats = ((None, None), (None, 2.0), (minus, 1.0))
         norm_bytes = 2 * len(inc) * n_runs * 8
         means_bytes = (len(stats) + 1) * len(inc) * 8
         chunk_norms = (engine._STEP_CHUNK + 1) * n_runs * 8
-        extra = traced_peak(lambda: simulate(stats)) - traced_peak(lambda: simulate(()))
+        simulate(())  # the first ensemble of a process imports numpy.random
+        extra = traced_peak(lambda: simulate(stats, workers)) - traced_peak(lambda: simulate(()))
         assert extra <= means_bytes + 5 * 3 * chunk_norms + 2 * len(inc) * 8 + 2**16
         assert extra < norm_bytes / 20
 
