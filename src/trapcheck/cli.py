@@ -220,15 +220,15 @@ def _sampled_steps(c: dict, N: int) -> engine.CaptureSpec:
     """``k`` consecutive steps (1 without ``k``) from 64 log-spaced starts in the window."""
     lo, hi = _capture_window(c, N)
     k = c.get("k", 1)
-    starts = np.unique(np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64))
-    steps = (n for b in starts.tolist() for n in range(b, min(b + k, N)))
-    return engine.CaptureSpec(increment_indices=tuple(steps))
+    starts = np.geomspace(max(lo, 1), max(hi - k, lo + 1), 64).astype(np.int64)
+    steps = (starts[:, None] + np.arange(k)).ravel()
+    return engine.CaptureSpec(increment_indices=steps[steps < N])
 
 
 def _contiguous_steps(c: dict, N: int) -> engine.CaptureSpec:
     """Every step of the window."""
     lo, hi = _capture_window(c, N)
-    return engine.CaptureSpec(increment_indices=tuple(range(lo, hi)))
+    return engine.CaptureSpec(increment_indices=np.arange(lo, hi))
 
 
 def _run_zero(c: dict, N: int) -> engine.CaptureSpec:
@@ -241,8 +241,8 @@ _DIAG_STATE_POINTS = 1024
 
 
 def _state_grid(c: dict, N: int) -> engine.CaptureSpec:
-    grid = np.unique(np.geomspace(1, N, min(_DIAG_STATE_POINTS, N)).astype(np.int64))
-    return engine.CaptureSpec(state_indices=tuple(grid.tolist()))
+    grid = np.geomspace(1, N, min(_DIAG_STATE_POINTS, N)).astype(np.int64)
+    return engine.CaptureSpec(state_indices=grid)
 
 
 #: Every check by name.  A ``nu`` left unset is the model's; ``remainder``
@@ -589,14 +589,15 @@ def _capture_plan(config: ExperimentConfig, split, nu):
     records += [(_DIAGNOSTICS[d["name"]], d) for d in config.diagnostics]
     parts = [record.steps(c, config.N) for record, c in records]
     written = range(min(config.output["trajectories"], config.n_runs))
-    return engine.CaptureSpec(
-        state_indices=tuple(sorted({n for p in parts for n in p.state_indices})),
-        increment_indices=tuple(sorted({n for p in parts for n in p.increment_indices})),
-        full_runs=tuple(sorted({*written, *(r for p in parts for r in p.full_runs)})),
-        statistics=tuple(
-            dict.fromkeys(st for r, c in records for st in r.statistics(c, split, nu))
-        ),
+    parts.append(engine.CaptureSpec(full_runs=written))
+    # one array per field, which normalize sorts and deduplicates, and the
+    # statistics in order of first use
+    fields = ("state_indices", "increment_indices", "full_runs")
+    merged = engine.CaptureSpec(
+        *(np.concatenate([np.asarray(getattr(p, f), np.int64) for p in parts]) for f in fields),
+        statistics=tuple(st for r, c in records for st in r.statistics(c, split, nu)),
     )
+    return engine.CaptureSpec.normalize(merged, config.N)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ runs as one batch at any worker count (see :func:`monte_carlo`).
 from __future__ import annotations
 
 import concurrent.futures
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import BlowUpError, InsufficientHorizonError, InsufficientRecordsError
 from .models import Model, _sq_norms
-from .sequences import Schedule
+from .sequences import Schedule, _unique
 
 __all__ = [
     "Trajectory",
@@ -151,9 +152,14 @@ class Trajectory:
         _write_csv(path, header, [ns, self.states[:-1], self.g, self.eps, self.rem])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaptureSpec:
     """What an ensemble keeps besides its summary statistics.
+
+    The three index fields take any sequence of integers;
+    :meth:`normalize` makes each a sorted int64 array of distinct values,
+    8 bytes per index (a window of a million steps is 8 MB, not the 36 MB
+    or more of a tuple of Python ints).  Specs compare by identity.
 
     state_indices:
         Times n at which every run's state is stored (for diagnostics),
@@ -179,9 +185,9 @@ class CaptureSpec:
         default ``a`` = 4.
     """
 
-    state_indices: tuple = ()
-    increment_indices: tuple = ()
-    full_runs: tuple = ()
+    state_indices: Sequence[int] = ()
+    increment_indices: Sequence[int] = ()
+    full_runs: Sequence[int] = ()
     statistics: tuple = ((None, None), (None, 2.0))
 
     @staticmethod
@@ -189,7 +195,7 @@ class CaptureSpec:
         if obj is None:
             obj = CaptureSpec()
         s, i, r = (
-            np.unique(np.asarray(v, dtype=np.int64))
+            _unique(np.asarray(v, dtype=np.int64))
             for v in (obj.state_indices, obj.increment_indices, obj.full_runs)
         )
         if len(s) and (s[0] < 0 or s[-1] > N):
@@ -199,9 +205,9 @@ class CaptureSpec:
         if len(r) and r[0] < 0:
             raise ValueError("full_runs must be nonnegative run indices")
         return CaptureSpec(
-            state_indices=tuple(s),
-            increment_indices=tuple(i),
-            full_runs=tuple(r),
+            state_indices=s,
+            increment_indices=i,
+            full_runs=r,
             statistics=tuple(dict.fromkeys(obj.statistics)),
         )
 
@@ -303,13 +309,32 @@ class EnsembleSummary:
 # ---------------------------------------------------------------------------
 
 
+def _random():
+    """``numpy.random``, imported on first use without OpenSSL's libcrypto
+    (3.4 MB of RSS), which its ``secrets``, ``hmac`` and ``hashlib`` load
+    through ``_hashlib`` for nothing a seeded stream uses.  A ``None`` entry
+    for ``_hashlib`` makes them fall back to CPython's own code; then the
+    entries that import made are removed, so a later ``import hashlib``
+    loads the full module."""
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        made = [m for m in ("_hashlib", "hashlib", "hmac", "secrets") if m not in sys.modules]
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            for m in made:
+                sys.modules.pop(m, None)
+    return np.random
+
+
 def _seed_for_run(master_seed: int, run_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(int(master_seed), spawn_key=(int(run_index),))
+    return _random().SeedSequence(int(master_seed), spawn_key=(int(run_index),))
 
 
 def _generators(master_seed: int, run_indices: Sequence[int]):
+    random = _random()
     return [
-        np.random.Generator(np.random.Philox(_seed_for_run(master_seed, i)))
+        random.Generator(random.Philox(_seed_for_run(master_seed, i)))
         for i in run_indices
     ]
 
@@ -379,7 +404,6 @@ def _drive(
     # without a statistic, nothing is kept at any step
     inc_idx = np.asarray(capture.increment_indices if capture.statistics else (), np.int64)
     cap_states = np.empty((B, len(state_idx), d)) if len(state_idx) else None
-    state_pos = {int(t): k for k, t in enumerate(state_idx)}
     # eps is kept a chunk of captured steps at a time and reduced to squared
     # norms per projection, and those at once to the statistics' means; k
     # counts the captured steps, and the next one is at inc_idx[k]
@@ -394,7 +418,7 @@ def _drive(
     chunk_ends = {end for _, end in _step_chunks(0, n_inc)}
     eps_chunk = np.empty((min(n_inc, _STEP_CHUNK + 1), B, d))
     k = chunk_start = 0
-    next_inc = int(inc_idx[0]) if n_inc else -1
+    next_inc = _index_at(inc_idx, 0)
 
     keep = np.asarray(keep, dtype=np.int64)
     K = len(keep)
@@ -408,8 +432,11 @@ def _drive(
     blown = np.zeros(B, dtype=bool)
     blowup_step = np.zeros(B, dtype=np.int64)
     any_blown = False  # while no row has blown, no per-step re-parking
-    if 0 in state_pos:
-        cap_states[:, state_pos[0]] = x
+    # s counts the stored states, and the next one is at state_idx[s]
+    s = int(_index_at(state_idx, 0) == 0)
+    if s:
+        cap_states[:, 0] = x
+    next_state = _index_at(state_idx, s)
 
     # one draw buffer and one transpose tile, refilled for every block: a
     # model's raw is a view into it, valid during its step_parts call only
@@ -452,9 +479,11 @@ def _drive(
                     _reduce_means(norms, capture.statistics, inc_idx[steps], blowup_step,
                                   means[:, steps], counts[steps])
                     chunk_start = k
-                next_inc = int(inc_idx[k]) if k < len(inc_idx) else -1
-            if (n + 1) in state_pos:
-                cap_states[:, state_pos[n + 1]] = x
+                next_inc = _index_at(inc_idx, k)
+            if n + 1 == next_state:
+                cap_states[:, s] = x
+                s += 1
+                next_state = _index_at(state_idx, s)
             if n + 1 >= tail_from:
                 # ||x - x*|| per row, one operation per coordinate column
                 dist = _sq_norms(x - trap_point)
@@ -472,6 +501,11 @@ def _drive(
         "kept": (states, parts),
     }
     return out
+
+
+def _index_at(indices: np.ndarray, k: int) -> int:
+    """``indices[k]`` as a Python int, or -1 past the end."""
+    return int(indices[k]) if k < len(indices) else -1
 
 
 def _reduce_chunk(eps: np.ndarray, projections, out: np.ndarray) -> None:
@@ -595,9 +629,10 @@ def run(
     Raises :class:`BlowUpError` (with the states up to that step as
     ``prefix``) if the run leaves the region.
     """
-    if not isinstance(seed, np.random.SeedSequence):
+    random = _random()
+    if not isinstance(seed, random.SeedSequence):
         seed = _seed_for_run(int(seed), 0)
-    gens = [np.random.Generator(np.random.Philox(seed))]
+    gens = [random.Generator(random.Philox(seed))]
     res = _drive(
         model,
         schedule,
@@ -691,7 +726,7 @@ def monte_carlo(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     capture = CaptureSpec.normalize(captures, N)
-    if capture.full_runs and capture.full_runs[-1] >= n_runs:
+    if len(capture.full_runs) and capture.full_runs[-1] >= n_runs:
         raise ValueError(f"full_runs must lie in [0, {n_runs - 1}]")
     tail_from = max(0, N - int(np.ceil(SUP_TAIL_FRACTION * N)))
     x0 = np.asarray(x0, dtype=np.float64)
@@ -700,7 +735,7 @@ def monte_carlo(
     # can be, and the pool pays one task per worker.  Noise statistics keep
     # one batch, whose step means are a few doubles per captured step: a
     # pooled batch would have to return every run's norms to be reduced here
-    keeps_noise = bool(capture.increment_indices and capture.statistics)
+    keeps_noise = bool(len(capture.increment_indices) and capture.statistics)
     chunks = np.array_split(np.arange(n_runs), 1 if keeps_noise else min(workers, n_runs))
     args = [
         (model, schedule, x0, N, master_seed, chunk, tail_from, capture, blowup_bound)
@@ -737,9 +772,9 @@ def monte_carlo(
         terminal_states=merged["x"],
         sup_tail_distance=merged["sup_tail"],
         blown_up=merged["blown"],
-        capture_times=np.asarray(capture.state_indices, dtype=np.int64),
+        capture_times=capture.state_indices,
         captured_states=merged["cap_states"],
-        increment_indices=np.asarray(capture.increment_indices, dtype=np.int64),
+        increment_indices=capture.increment_indices,
         statistics=capture.statistics,
         noise_means=merged["noise_means"],
         noise_counts=merged["noise_counts"],

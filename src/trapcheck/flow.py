@@ -31,6 +31,7 @@ import numpy as np
 from .engine import EnsembleSummary, Trajectory
 from .errors import DegenerateTimeChangeError, DomainExitError, InsufficientHorizonError
 from .models import ManifoldK, _sq_norms
+from .sequences import _unique
 from .spectral import TrapSplit, project_pm
 
 __all__ = [
@@ -195,7 +196,7 @@ def time_change(traj: Trajectory, indices=None) -> TimeChangedPath:
     if indices is None:
         indices = np.arange(traj.N + 1)
     else:
-        indices = np.unique(np.asarray(indices, dtype=np.int64))
+        indices = _unique(np.asarray(indices, dtype=np.int64))
         if indices[0] < 0 or indices[-1] > traj.N:
             raise ValueError("indices out of trajectory range")
     m = np.asarray(traj.schedule.partial_drift_sum(indices.astype(np.float64)))
@@ -224,7 +225,7 @@ def restart_positions(s: np.ndarray, T: float, n_restarts: int) -> np.ndarray:
             f"the drift clock ends at {s[-1]:.4g}: window T = {T:g} "
             "leaves no admissible restart point"
         )
-    pos = np.unique(np.geomspace(1, last, min(n_restarts, last)).astype(np.int64))
+    pos = _unique(np.geomspace(1, last, min(n_restarts, last)).astype(np.int64))
     return pos[s[pos] + T <= s[-1] + 1e-12]
 
 

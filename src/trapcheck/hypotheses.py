@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .engine import EnsembleSummary, Trajectory
 from .errors import InsufficientRecordsError
 from .models import _sq_norms
-from .sequences import RateConstants
+from .sequences import RateConstants, _unique
 from .spectral import TrapSplit, adapted_inner_product
 
 __all__ = [
@@ -533,7 +533,7 @@ def check_tail_noise_condition(
     lo, hi = int(ns[0]), int(ns[-1])
     if hi + 1 < 10 * max(lo, 1):  # hi + 1: the window's end, past its last step
         return _inconclusive("tail_noise_smallness", "window shorter than one decade")
-    ts = np.unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, TAIL_GRID_POINTS).astype(int))
+    ts = _unique(np.geomspace(max(hi // 10, lo + 1), hi - 1, TAIL_GRID_POINTS).astype(int))
     alphas = np.asarray(summary.schedule.tail_l2(ts.astype(float)))
     if not alphas.all():
         return _inconclusive("tail_noise_smallness", "alpha(t) is 0 on the grid")

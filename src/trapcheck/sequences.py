@@ -59,6 +59,15 @@ _ZETA_A = (
 _MACHEP = 1.11022302462515654042e-16
 
 
+def _unique(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, as ``np.unique`` gives them, from
+    a sort and a neighbour comparison: ``np.unique`` imports ``numpy.ma``."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _hurwitz_zeta(x: float, q: float) -> float:
     """``sum_{n >= 0} (n + q)**-x`` for ``x > 1`` and ``q > 0``, by the
     algorithm of cephes' ``zeta`` (which ``scipy.special.zeta`` runs), one
@@ -344,7 +353,7 @@ def rate_constants(schedule: Schedule, window: tuple[float, float]) -> RateConst
         raise InsufficientHorizonError(
             f"window end {hi} beyond schedule horizon {schedule.horizon}"
         )
-    ts = np.unique(np.geomspace(lo, hi, RATE_GRID_POINTS).astype(np.int64)).astype(np.float64)
+    ts = _unique(np.geomspace(lo, hi, RATE_GRID_POINTS).astype(np.int64)).astype(np.float64)
     alphas = np.asarray(schedule.tail_l2(ts))
     ms = np.asarray(schedule.partial_drift_sum(ts))
 

@@ -201,6 +201,11 @@ def _solve_sylvester(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.dot(np.dot(u, y), v.T)
 
 
+def _is_diagonal(H: np.ndarray) -> bool:
+    """No non-zero entry of the square ``H`` lies off its diagonal."""
+    return not H[~np.eye(H.shape[0], dtype=bool)].any()
+
+
 def _diagonal_blocks(H: np.ndarray, tol: float):
     """``(P, P_inv, H_plus, H_minus)`` of a diagonal ``H``, which is already
     in real Schur form: ``P`` is the permutation that puts the entries
@@ -277,8 +282,7 @@ def split_jacobian(H: np.ndarray, tol: float | None = None) -> TrapSplit:
             offenders=offenders,
         )
 
-    diagonal = not H[~np.eye(d, dtype=bool)].any()
-    P, P_inv, H_plus, H_minus = (_diagonal_blocks if diagonal else _schur_blocks)(H, tol)
+    P, P_inv, H_plus, H_minus = (_diagonal_blocks if _is_diagonal(H) else _schur_blocks)(H, tol)
     k = H_plus.shape[0]
 
     if d - k == 0:
@@ -318,7 +322,9 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
 
     Solves ``H^T S + S H = 2 I`` with the Sylvester solver the split uses
     (Bartels-Stewart, O(d^3)) and returns ``S`` together with the coercivity
-    constant ``lam = 1/lambda_max(S)``.
+    constant ``lam = 1/lambda_max(S)``.  A diagonal ``H`` gets ``S =
+    diag(1/h)`` with no solve, so its entries may span more than the 1/eps
+    the solve tolerates.
 
     Raises
     ------
@@ -340,11 +346,14 @@ def adapted_inner_product(H_plus: np.ndarray) -> AdaptedNorm:
         )
 
     eye = np.eye(d)
-    S = _solve_sylvester(H.T, H, 2.0 * eye)
-    S = 0.5 * (S + S.T)
-
-    residual = float(np.linalg.norm(H.T @ S + S @ H - 2.0 * eye, "fro"))
-    if residual > 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):  # an S past the float range: NaN
+        if _is_diagonal(H):
+            S = np.diag(1.0 / np.diagonal(H))
+        else:
+            S = _solve_sylvester(H.T, H, 2.0 * eye)
+            S = 0.5 * (S + S.T)
+        residual = float(np.linalg.norm(H.T @ S + S @ H - 2.0 * eye, "fro"))
+    if not residual <= 1e-6:  # NaN fails too
         raise ConditioningError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-6 (ill-conditioned spectrum?)"
         )

@@ -43,7 +43,7 @@ from trapcheck.errors import BlowUpError, ConfigError, TrapcheckError
 from trapcheck.flow import apt_deficit, time_change
 from trapcheck.spectral import project_pm
 
-from conftest import InProcessPool
+from conftest import InProcessPool, traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -674,13 +674,32 @@ class TestCheckRecords:
     )
     def test_merged_plan_equals_the_chain(self, config):
         plan = _capture_plan(config, None, None)
-        unset = engine.CaptureSpec().statistics
-        assert dataclasses.replace(plan, statistics=unset) == _frozen_capture_plan(config)
+        frozen = _frozen_capture_plan(config)
+        for name in ("state_indices", "increment_indices", "full_runs"):
+            got = getattr(plan, name)
+            assert got.dtype == np.int64
+            assert np.all(got[1:] > got[:-1])
+            assert np.array_equal(got, getattr(frozen, name))
         # without a split, the noise checks read the full vector at their
         # default moment exponent, and tail_noise reads nothing
         reads = {"noise_excitation": ((None, None), (None, 2.0)), "jump_moments": ((None, 2.0),)}
         want = dict.fromkeys(st for c in config.checks for st in reads.get(c["name"], ()))
         assert plan.statistics == tuple(want)
+
+    def test_plan_allocates_a_few_int64_arrays_per_window(self):
+        # the default tail_noise window at N = 2*10^5 holds 180,000 steps:
+        # the plan and its normalized form peak at about four int64 arrays
+        # of it; as sets and tuples of Python ints they peaked at 19.8 MB,
+        # 110 bytes a step
+        N = 200_000
+        config = ExperimentConfig.from_dict(base_config(N=N, checks=[{"name": "tail_noise"}]))
+
+        def plan():
+            return engine.CaptureSpec.normalize(_capture_plan(config, None, None), N)
+
+        steps = len(plan().increment_indices)
+        assert steps == N - N // 10
+        assert traced_peak(plan) <= 5 * 8 * steps
 
     def test_plan_keeps_the_norms_each_check_reads(self):
         split = spectral.split_jacobian(np.diag([1.0, -1.0, -2.0]))

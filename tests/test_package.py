@@ -114,7 +114,8 @@ def test_simulate_and_report_load_no_scipy_submodule(tmp_path):
 def test_pooled_simulate_parent_never_loads_openssl(tmp_path):
     # config_hash is CPython's own SHA-256, and the parent of a pool draws
     # nothing itself, so neither hashlib nor numpy.random loads _hashlib
-    # (OpenSSL's libcrypto) there; the workers load numpy.random
+    # (OpenSSL's libcrypto) there; the workers import numpy.random through
+    # engine, which keeps _hashlib out of them too
     (tmp_path / "config.json").write_text(json.dumps(_CONFIG))
     out = _fresh(f"""
         import trapcheck.cli
@@ -175,6 +176,41 @@ def test_check_loads_no_scipy_submodule_with_unchanged_output(tmp_path, config):
     assert _body(tmp_path / "fresh" / "summary.json") == _body(tmp_path / "here" / "summary.json")
 
 
+def test_check_loads_no_openssl_and_leaves_hashlib_whole(tmp_path):
+    # engine imports numpy.random with _hashlib blocked, then drops the
+    # secrets, hmac and hashlib that import made: a later import hashlib is
+    # the full module, backed by OpenSSL
+    (tmp_path / "config.json").write_text(json.dumps(_VRRW))
+    out = _fresh(f"""
+        from trapcheck.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", "--config", {str(tmp_path / "config.json")!r},
+                         "--out", {str(tmp_path / "out")!r}, "--workers", "1"])
+        after_check = "_hashlib" in sys.modules
+        import hashlib
+        print(json.dumps([code, after_check, hasattr(hashlib, "pbkdf2_hmac"),
+                          "_hashlib" in sys.modules]))
+    """)
+    assert out[0] != 1
+    assert out[1:] == [False, True, True]
+
+
+def test_chunk_worker_loads_no_openssl():
+    # what each pool worker runs: its runs' generators, and one batch
+    out = _fresh("""
+        import numpy as np
+        from trapcheck import engine, models, sequences
+        spec = sequences.SequenceSpec("power", exponent=1.0)
+        capture = engine.CaptureSpec.normalize(
+            engine.CaptureSpec(state_indices=(0, 50), increment_indices=range(10, 100)), 100)
+        res = engine._chunk_worker(models.LinearModel(np.diag([1.0, -1.0])),
+                                   sequences.Schedule(spec, spec, 100), np.zeros(2), 100, 7,
+                                   np.arange(4), 75, capture, 1e6)
+        print(json.dumps([res["noise_means"].shape[1], "_hashlib" in sys.modules]))
+    """)
+    assert out == [90, False]
+
+
 def test_spectral_loads_no_scipy_submodule_with_unchanged_output(capsys):
     # the split's Sylvester solve, and the adapted inner product behind the
     # printed coercivity constant
@@ -193,3 +229,17 @@ def test_spectral_loads_no_scipy_submodule_with_unchanged_output(capsys):
     with _scipy_linalg_solves():
         code = main(["spectral", matrix, "--json"])
     assert out["spectral"] == [code, capsys.readouterr().out]
+
+
+def test_spectral_of_a_diagonal_matrix_loads_no_lapack():
+    # the split permutes a diagonal matrix, and the coercivity constant of
+    # its repulsive block is 1/max(S) for S = diag(1/h)
+    out = _fresh("""
+        from trapcheck import spectral
+        from trapcheck.cli import main
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = main(["spectral", "[[0.001, 0, 0], [0, 2, 0], [0, 0, -2]]", "--json"])
+        doc = json.loads(text.getvalue())
+        print(json.dumps([code, doc["coercivity_lambda"], spectral._flapack.cache_info().misses]))
+    """)
+    assert out == [0, 0.001, 0]

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from trapcheck import (
     AmbiguousSpectrumError,
+    ConditioningError,
     SpectrumSignError,
     adapted_inner_product,
     default_tolerance,
@@ -120,6 +121,19 @@ class TestAdaptedInnerProduct:
         an = adapted_inner_product(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert_allclose(an.S, [[1.0, -0.5], [-0.5, 1.5]], atol=1e-12)
         assert an.lam == pytest.approx(0.552786404500042, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [[1.0, 1e-17], [2.0, 2.0, 1e-300]])
+    def test_diagonal_entries_may_span_past_one_over_eps(self, h):
+        # S = diag(1/h), with no solve: the Sylvester solve's residual check
+        # failed on these
+        an = adapted_inner_product(np.diag(h))
+        assert np.array_equal(an.S, np.diag(1.0 / np.array(h)))
+        assert an.lam == pytest.approx(min(h), rel=1e-15)
+
+    def test_diagonal_past_the_float_range_is_ill_conditioned(self):
+        # 1/h overflows: the residual is NaN, which fails the check
+        with pytest.raises(ConditioningError):
+            adapted_inner_product(np.diag([1.0, 5e-324]))
 
     def test_not_repulsive_rejected(self):
         with pytest.raises(SpectrumSignError):
