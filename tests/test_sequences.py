@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapcheck import (
@@ -13,7 +15,7 @@ from trapcheck import (
     rate_constants,
 )
 from trapcheck.cli import ExperimentConfig, _build_schedule
-from trapcheck.sequences import _hurwitz_zeta
+from trapcheck.sequences import _hurwitz_zeta, _unique
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -269,3 +271,11 @@ class TestValidate:
     def test_negative_entries_rejected_at_construction(self):
         with pytest.raises(ValueError):
             SequenceSpec("custom", values=np.array([0.1, -0.1, 0.1]))
+
+
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=40))
+def test_unique_equals_numpy_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got, want = _unique(a), np.unique(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(a, np.array(values, dtype=np.int64))  # the input is left as it was
