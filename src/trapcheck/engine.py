@@ -29,7 +29,6 @@ runs as one batch at any worker count (see :func:`monte_carlo`).
 
 from __future__ import annotations
 
-import concurrent.futures
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -192,24 +191,49 @@ class CaptureSpec:
 
     @staticmethod
     def normalize(obj, N: int) -> "CaptureSpec":
+        """The spec with sorted int64 arrays of distinct indices and distinct
+        statistics, checked against the horizon N.  A spec it made before
+        is checked and returned as it is, not sorted and copied again."""
         if obj is None:
             obj = CaptureSpec()
-        s, i, r = (
-            _unique(np.asarray(v, dtype=np.int64))
-            for v in (obj.state_indices, obj.increment_indices, obj.full_runs)
-        )
+        if not isinstance(obj, _NormalizedCapture):
+            obj = _NormalizedCapture(
+                *(
+                    _unique(np.asarray(v, dtype=np.int64))
+                    for v in (obj.state_indices, obj.increment_indices, obj.full_runs)
+                ),
+                statistics=tuple(dict.fromkeys(obj.statistics)),
+            )
+        s, i, r = obj.state_indices, obj.increment_indices, obj.full_runs
         if len(s) and (s[0] < 0 or s[-1] > N):
             raise ValueError(f"state capture indices must lie in [0, {N}]")
         if len(i) and (i[0] < 0 or i[-1] > N - 1):
             raise ValueError(f"increment capture indices must lie in [0, {N - 1}]")
         if len(r) and r[0] < 0:
             raise ValueError("full_runs must be nonnegative run indices")
-        return CaptureSpec(
-            state_indices=s,
-            increment_indices=i,
-            full_runs=r,
-            statistics=tuple(dict.fromkeys(obj.statistics)),
-        )
+        return obj
+
+
+class _NormalizedCapture(CaptureSpec):
+    """A spec that :meth:`CaptureSpec.normalize` made."""
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)`` of the sorted, NaN-free ``a``, bit for bit:
+    numpy's default linear rule, with the neighbours, weight and ``_lerp``
+    it takes (from the upper neighbour when the weight is at least 0.5);
+    NaN when ``a`` is empty.  ``np.quantile`` imports ``numpy.ma``."""
+    if not len(a):
+        return float("nan")
+    v = (len(a) - 1) * q
+    if v >= len(a) - 1:  # numpy's neighbours are then both a[-1], at index -1
+        lo = hi = float(a[-1])
+        t = v + 1
+    else:
+        i = int(np.floor(v))
+        lo, hi, t = float(a[i]), float(a[i + 1]), v - i
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +306,8 @@ class EnsembleSummary:
         return float(near.sum()) / denom
 
     def distance_quantiles(self) -> dict:
-        dist = self.terminal_distances()[self.ok]
-        if len(dist) == 0:
-            return {f"{q:g}": float("nan") for q in _DISTANCE_LEVELS}
-        return {f"{q:g}": float(np.quantile(dist, q)) for q in _DISTANCE_LEVELS}
+        dist = np.sort(self.terminal_distances()[self.ok])
+        return {f"{q:g}": _quantile(dist, q) for q in _DISTANCE_LEVELS}
 
     def to_dict(self, near_trap_radius: float = 1e-2) -> dict:
         return {
@@ -752,6 +774,8 @@ def monte_carlo(
     else:
         # a pooled capture keeps no noise statistics
         merged = dict.fromkeys(_PER_RUN + ("noise_means", "noise_counts"))
+        import concurrent.futures  # one-batch commands never load it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_chunk_worker, *a) for a in args]
             # chunks are consecutive slices of the run range: each part goes

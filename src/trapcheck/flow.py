@@ -12,7 +12,11 @@ diagnostics measure how that path relates to the flow of the drift field:
 
 Both restart/compare only at exact retained states (never at interpolated
 points: interpolating an exponentially growing path injects error that grows
-like the path itself and swamps the decaying signal).
+like the path itself and swamps the decaying signal).  Each rate is fitted
+over the last ``TAIL_FRACTION`` of its grid.  The shadow deficit integrates
+every run only over that fit window; its restarts before the window are
+integrated for the first kept run alone, whose CSV row lists them, and only
+when that row is read.
 
 The default deficit normalization is scale-relative, dividing by
 ``1 + ||X^m_t||``: on escaping trajectories the absolute one-step flow error
@@ -24,6 +28,7 @@ perturbation witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,21 +96,35 @@ class EnsembleRates:
     """Per-run diagnostic rates and their median (NaN rates excluded).
 
     One row per run the diagnostic kept.  ``deficits`` is the shadow
-    diagnostic's (runs, restarts) deficit matrix, row i the deficits at
-    ``t_values`` that :func:`apt_deficit` gives on that run alone, None for
-    the manifold rate; ``first_run`` the first kept run's CSV columns by name.
+    diagnostic's (runs, restarts) deficit matrix over its fit window, row i
+    the deficits at ``t_values`` that :func:`apt_deficit` gives on that run
+    alone, None for the manifold rate.  ``first_run`` is the first kept
+    run's CSV columns by name (None when no run was kept), which
+    ``first_run_columns`` builds on its first read.
     """
 
     rates: np.ndarray
     t_values: np.ndarray
     n_excluded: int
     deficits: Optional[np.ndarray] = None
-    first_run: Optional[dict] = None
+    first_run_columns: Optional[Callable[[], Optional[dict]]] = None
 
     @property
     def median(self) -> float:
+        """``np.median`` of the rates that are not NaN (NaN if none), bit for
+        bit: the partition and the mean it takes.  ``np.median`` imports
+        ``numpy.ma``."""
         good = self.rates[~np.isnan(self.rates)]
-        return float(np.median(good)) if len(good) else float("nan")
+        n = len(good)
+        if not n:
+            return float("nan")
+        mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+        part = np.partition(good, mid + [-1])
+        return float(np.mean(part[mid[0] : n // 2 + 1]))
+
+    @cached_property
+    def first_run(self) -> Optional[dict]:
+        return None if self.first_run_columns is None else self.first_run_columns()
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +327,6 @@ def _tail_count(R: int, tail_fraction: float) -> int:
     return 0 if R < 2 else min(R, max(2, int(np.ceil(R * tail_fraction))))
 
 
-def _tail_slopes(ts: np.ndarray, ys: np.ndarray, tail_fraction: float):
-    """Least-squares slope of log(ys) vs ts over the last ``tail_fraction``
-    of the points, per row: :func:`_log_slopes` on a C-ordered copy of that
-    tail, so ys may be in any layout and stays as it is."""
-    R = len(ts)
-    k = _tail_count(R, tail_fraction)
-    return _log_slopes(ts[R - k :], np.array(ys[:, R - k :], order="C"))
-
-
 def _log_slopes(t: np.ndarray, L: np.ndarray):
     """Least-squares slope of log(L) vs t per row of the C-ordered L (rows,
     len(t)), which it overwrites: the mean and the product over it round by
@@ -338,6 +348,22 @@ def _log_slopes(t: np.ndarray, L: np.ndarray):
     return slopes
 
 
+def _grouped_deficits(s, X, f, T, pos, normalization, ok):
+    """:func:`_batch_deficits` at the restarts ``pos``, whole restarts at a
+    time, ``_APT_ROWS`` rows at most: every row, deficit and exclusion is
+    the restart's own, so the groups change no bit."""
+    B = len(X) if ok is None else int(np.count_nonzero(ok))
+    step = max(1, _APT_ROWS // max(B, 1))
+    deficits = np.empty((B, len(pos)))
+    excluded = np.empty(len(pos), dtype=bool)
+    for i in range(0, len(pos), step):
+        group = slice(i, i + step)
+        deficits[:, group], excluded[group] = _batch_deficits(
+            s, X, f, T, pos[group], _APT_STEP, normalization, ok
+        )
+    return deficits, excluded
+
+
 def apt_deficit(
     path: TimeChangedPath,
     f: Callable,
@@ -350,32 +376,40 @@ def apt_deficit(
 
     For each restart time t (grid states only), integrates the flow from
     ``X^m_t`` and takes the sup of the deviation at all grid points within
-    ``[t, t+T]``; reports each run's deficits and the least-squares slope of
-    their logs over the last ``TAIL_FRACTION`` of the restart grid.
-    Excluded restarts (see :func:`_batch_deficits`) are recorded as +inf and
-    left out of every fit.  A stack keeps the runs the mask ``ok`` keeps
-    (every run when None).
+    ``[t, t+T]``.  Each run's rate is the least-squares slope of the logs of
+    its deficits over the fit window: the last ``TAIL_FRACTION`` of the
+    restarts as :func:`restart_positions` places them.  A stack keeps the
+    runs the mask ``ok`` keeps (every run when None).
+
+    Every kept run is integrated over the window only, which ``deficits``
+    and ``t_values`` cover.  Excluded restarts (see :func:`_batch_deficits`)
+    are recorded there as +inf, left out of every fit and counted in
+    ``n_excluded``: within the window, so restarts before it move no fit.
+    ``first_run`` covers every restart: those before the window are
+    integrated for the first kept run alone, when it is first read.  There
+    that run's deficit is its own where another run's field fails
+    (``DomainExitError``), not +inf.
     """
     if normalization not in ("scale", "absolute"):
         raise ValueError(f"unknown normalization {normalization!r}")
     s = path.s_grid
     X = path.states.reshape((-1,) + path.states.shape[-2:])
     pos = restart_positions(s, T, n_restarts)
-    # whole restarts at a time, _APT_ROWS rows at most: every row, deficit
-    # and exclusion is the restart's own, so the groups change no bit
-    B = len(X) if ok is None else int(np.count_nonzero(ok))
-    step = max(1, _APT_ROWS // max(B, 1))
-    deficits = np.empty((B, len(pos)))
-    excluded = np.empty(len(pos), dtype=bool)
-    for i in range(0, len(pos), step):
-        group = slice(i, i + step)
-        deficits[:, group], excluded[group] = _batch_deficits(
-            s, X, f, T, pos[group], _APT_STEP, normalization, ok
-        )
+    start = len(pos) - _tail_count(len(pos), TAIL_FRACTION)
+    window = pos[start:]
+    deficits, excluded = _grouped_deficits(s, X, f, T, window, normalization, ok)
     keep = ~excluded
-    slopes = _tail_slopes(s[pos[keep]], deficits[:, keep], TAIL_FRACTION)
-    first = {"t": s[pos], "deficit": deficits[0]} if len(deficits) else None
-    return EnsembleRates(slopes, s[pos], int(excluded.sum()), deficits, first)
+    # the fit overwrites a C-ordered copy, whose layout its bits depend on
+    slopes = _log_slopes(s[window[keep]], np.compress(keep, deficits, axis=1))
+
+    def first_run():
+        if not len(deficits):
+            return None
+        r = 0 if ok is None else int(np.argmax(ok))
+        before, _ = _grouped_deficits(s, X[r : r + 1], f, T, pos[:start], normalization, None)
+        return {"t": s[pos], "deficit": np.concatenate([before[0], deficits[0]])}
+
+    return EnsembleRates(slopes, s[window], int(excluded.sum()), deficits, first_run)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +472,7 @@ def manifold_rate(
         j += len(dist)
     slopes = _log_slopes(s[R - k :], tail)
     slopes[on_K] = -np.inf
-    return EnsembleRates(rates=slopes, t_values=s, n_excluded=0, first_run=first)
+    return EnsembleRates(slopes, s, 0, first_run_columns=lambda: first)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the config layer, canonical JSON output, and the CLI commands."""
 
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -469,7 +470,7 @@ class TestRunExperiment:
             if i == 0:
                 path = time_change(traj, indices=_state_grid(cfg.N))
                 res = apt_deficit(path, model.field, T=0.5)
-                engine._write_csv(ref / "apt.csv", ["t", "deficit"], [res.t_values, res.deficits[0]])
+                engine._write_csv(ref / "apt.csv", ["t", "deficit"], [*res.first_run.values()])
         got = (tmp_path / "out" / "diagnostics" / "apt.csv").read_bytes()
         assert got == (ref / "apt.csv").read_bytes()
 
@@ -503,8 +504,8 @@ class TestRunExperiment:
         assert doc["diagnostics"]["apt"]["median_rate"] == want.median
         data = np.loadtxt(tmp_path / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
         assert 2 <= len(data) <= 8
-        assert np.array_equal(data[:, 0], want.t_values)
-        assert np.array_equal(data[:, 1], want.deficits[0])
+        assert np.array_equal(data[:, 0], want.first_run["t"])
+        assert np.array_equal(data[:, 1], want.first_run["deficit"])
 
     @pytest.mark.parametrize(
         "model, x0",
@@ -564,7 +565,7 @@ class TestRunExperiment:
         model, summary = self._ensemble_of(cfg)
         apt = flow.ensemble_apt_deficit(summary, model.field, T=0.5)
         data = np.loadtxt(tmp_path / "out" / "diagnostics" / "apt.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 1], apt.deficits[0])
+        assert np.array_equal(data[:, 1], apt.first_run["deficit"])
         split, _, _ = _resolve_split_and_constants(model)
         x_star = model.trap.x_star
         rates = flow.ensemble_manifold_rate(summary, split=split)
@@ -866,7 +867,7 @@ def _frozen_run_diagnostics(config, model, summary, split, ddir):
             )
             out[name] = {"n_excluded_restarts": res.n_excluded}
             if ddir is not None:
-                rows = ["t", "deficit"], [res.t_values, res.deficits[0]]
+                rows = ["t", "deficit"], [res.first_run["t"], res.first_run["deficit"]]
         elif name == "manifold_rate":
             use_split = split if (split is not None and 1 <= split.delta_plus < model.dim) else None
             K = model.manifold_K if use_split is None else None
@@ -1547,7 +1548,7 @@ class TestExperimentCommands:
         bodies = []
         for cmd, workers in (("simulate", 1), ("simulate", 2), ("check", 1)):
             out = tmp_path / f"{cmd}{workers}"
-            with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+            with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool):
                 main([cmd, "--config", str(p), "--out", str(out), "--workers", str(workers)])
             doc = json.loads((out / "summary.json").read_text())
             meta = doc.pop("meta")
@@ -1565,7 +1566,7 @@ class TestExperimentCommands:
             bodies = []
             for workers in (1, 2, 3):
                 out = tmp_path / f"out{workers}"
-                with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor",
+                with mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
                                        InProcessPool):
                     main(["check", "--config", str(p), "--out", str(out), "--workers",
                           str(workers)])
@@ -2023,7 +2024,7 @@ class TestValidConfigs:
     def test_contracts_hold(self, cfg, command):
         with (
             tempfile.TemporaryDirectory() as tmp,
-            mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool),
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool),
         ):
             tmp = Path(tmp)
             p = write_config(tmp, cfg)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -189,7 +191,7 @@ class TestMonteCarlo:
                           statistics=())
         args = (m, s, np.array([0.0, 0.3]), 300, 4)
         ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", SizedPool):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SizedPool):
             got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
         assert sizes == [4]
         assert (ref.chunks, got.chunks) == (1, 4)
@@ -213,7 +215,7 @@ class TestMonteCarlo:
                           full_runs=(0, 3), statistics=((None, None), (((0.5, -1.25),), 2.0)))
         args = (m, s, np.array([0.0, 0.3]), 300, 6)
         ref = monte_carlo(*args, master_seed=5, workers=1, captures=cap)
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", NoPool):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", NoPool):
             got = monte_carlo(*args, master_seed=5, workers=64, captures=cap)
         assert got.chunks == ref.chunks == 1
         assert canonical_json(got.to_dict(1e-2)) == canonical_json(ref.to_dict(1e-2))
@@ -323,6 +325,24 @@ class TestMonteCarlo:
             monte_carlo(LinearModel([[1.0]]), harmonic(10), np.zeros(1), 10, 2, master_seed=0,
                         captures=spec)
 
+    def test_a_normalized_spec_is_not_copied_again(self):
+        N = 200_000
+        spec = CaptureSpec.normalize(
+            CaptureSpec(state_indices=(N, 0, 7), increment_indices=range(N // 10, N),
+                        full_runs=(1, 0, 1)),
+            N,
+        )
+        assert CaptureSpec.normalize(spec, N) is spec
+        assert traced_peak(lambda: CaptureSpec.normalize(spec, N)) < 1024
+        # it is still checked against the horizon it is given
+        with pytest.raises(ValueError, match=r"state capture indices must lie in \[0, 100\]"):
+            CaptureSpec.normalize(spec, 100)
+        small = CaptureSpec.normalize(CaptureSpec(state_indices=(9, 3), increment_indices=(4, 2)), 10)
+        summary = monte_carlo(LinearModel([[1.0]]), harmonic(10), np.zeros(1), 10, 2,
+                              master_seed=0, captures=small)
+        assert summary.capture_times is small.state_indices
+        assert summary.increment_indices is small.increment_indices
+
     @pytest.mark.parametrize("n_runs, workers, match", [(0, 1, "n_runs"), (2, 0, "workers")])
     def test_run_and_worker_counts_must_be_positive(self, n_runs, workers, match):
         with pytest.raises(ValueError, match=match):
@@ -383,14 +403,46 @@ class TestWorkingMemory:
         N = 3 * engine._RAW_BLOCK
         s = harmonic(N)
         s.gamma_values, s.c_values  # the schedule's arrays, built before the trace
-        # and what a first ensemble in the process imports (np.unique loads
-        # numpy.ma), so the bound holds whichever tests ran before
+        # and what a first ensemble in the process imports, so the bound
+        # holds whichever tests ran before
         monte_carlo(model, s, [0.1, 0.1], N, 2, master_seed=3)
         block = engine._RAW_BLOCK * n_runs * model.n_raw
         tile = engine._DRAW_TILE * engine._RAW_BLOCK * model.n_raw * 8
         gens = traced_peak(lambda: engine._generators(3, range(n_runs)))
         peak = traced_peak(lambda: monte_carlo(model, s, [0.1, 0.1], N, n_runs, master_seed=3))
         assert peak - gens <= block + tile + 2**20
+
+
+# distances: wide spreads, subnormals, and ties among a few values
+_DISTANCES = st.one_of(
+    st.floats(0.0, 1.7e308),
+    st.floats(0.0, 1e-305),
+    st.sampled_from([0.0, 5e-324, 1.0, 2.5, np.inf]),
+)
+
+
+class TestDistanceQuantiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_DISTANCES, min_size=1, max_size=40))
+    def test_equal_np_quantile_bit_for_bit(self, values):
+        a = np.array(values)
+        srt = np.sort(a)
+        for q in engine._DISTANCE_LEVELS:
+            with np.errstate(invalid="ignore"):  # inf - inf, as the port does silently
+                want = np.float64(np.quantile(a, q))
+            assert np.float64(engine._quantile(srt, q)).view(np.int64) == want.view(np.int64)
+
+    def test_summary_reads_its_unblown_runs(self):
+        m = LinearModel([[1.0]])
+        summary = monte_carlo(m, harmonic(50), np.zeros(1), 50, 9, master_seed=4)
+        for blown in ((), (0, 4), tuple(range(9))):
+            part = dataclasses.replace(summary, blown_up=np.isin(np.arange(9), blown))
+            dist = part.terminal_distances()[part.ok]
+            want = {f"{q:g}": float(np.quantile(dist, q)) if len(dist) else float("nan")
+                    for q in engine._DISTANCE_LEVELS}
+            got = part.distance_quantiles()
+            assert got.keys() == want.keys()
+            assert np.array_equal(list(got.values()), list(want.values()), equal_nan=True)
 
 
 def _ensemble_case(kind, d, alpha, seed, N):
@@ -531,7 +583,7 @@ class TestSignDraws:
         cap = CaptureSpec(state_indices=(0, 300, 600), increment_indices=(0, 255, 256, 599),
                           full_runs=(0, 4))
         x0 = np.full(d, 0.1)
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool):
             got, want = (monte_carlo(m, harmonic(N), x0, N, 7, master_seed=11, workers=workers,
                                      captures=cap) for m in (new, old))
         if "remainder_kind" in kw:

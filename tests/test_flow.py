@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapcheck import flow
 from trapcheck.engine import CaptureSpec, monte_carlo, run
 from trapcheck.errors import (
     DegenerateTimeChangeError,
+    InsufficientHorizonError,
     SingularDenominatorError,
 )
 from trapcheck.flow import (
@@ -244,7 +247,7 @@ class TestAptDeficit:
         batch, excluded = flow._batch_deficits(s, X, *args)
         assert not excluded.any()
         assert np.isinf(batch[1, 1])
-        rates = flow._tail_slopes(s[pos], batch, flow.TAIL_FRACTION)
+        rates = flow._log_slopes(s[pos], np.array(batch, order="C"))  # two restarts: all fitted
         assert np.isnan(rates[1]) and np.isfinite(rates[[0, 2]]).all()
         for r in range(3):
             alone, alone_excluded = flow._batch_deficits(s, X[r : r + 1], *args)
@@ -507,6 +510,18 @@ class TestEnsembleDiagnostics:
         assert np.isnan(empty.median)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([np.nan, -np.inf, 0.0, -0.0, 1.5]))))
+def test_median_is_np_median_bit_for_bit(rates):
+    from trapcheck.flow import EnsembleRates
+
+    r = np.array(rates, dtype=np.float64)
+    good = r[~np.isnan(r)]
+    want = np.float64(np.median(good) if len(good) else np.nan)
+    got = np.float64(EnsembleRates(rates=r, t_values=np.arange(1.0), n_excluded=0).median)
+    assert got.view(np.int64) == want.view(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # ensemble diagnostics read the capture in place
 # ---------------------------------------------------------------------------
@@ -533,6 +548,11 @@ def skewed_ensemble(request):
         captures=CaptureSpec(state_indices=_capture_grid(N, 96)),
     )
     return model, K, sched, summary
+
+
+def _fit_window(pos):
+    """The restarts of ``pos`` that the shadow deficit's rate is fitted over."""
+    return pos[len(pos) - flow._tail_count(len(pos), flow.TAIL_FRACTION) :]
 
 
 def _blown(summary, runs):
@@ -600,13 +620,14 @@ class TestEnsembleDiagnosticsBits:
         model, _, sched, summary = skewed_ensemble
         summary = _blown(summary, blown)
         s, X = _whole_array(summary, sched)
-        pos = flow.restart_positions(s, 1.0, 48)
-        deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, pos, 5e-3, "scale")
-        want = _frozen_tail_slopes(s[pos[~hard]], deficits[:, ~hard])
+        window = _fit_window(flow.restart_positions(s, 1.0, 48))
+        deficits, hard = flow._batch_deficits(s, X, model.field, 1.0, window, 5e-3, "scale")
+        want = _frozen_tail_slopes(s[window[~hard]], deficits[:, ~hard], tail_fraction=1.0)
         got = ensemble_apt_deficit(summary, model.field, T=1.0)
         assert np.isfinite(got.rates).sum() == summary.n_runs - len(blown)
         _same_bits(got, want)
-        # the fit leaves the deficit matrix as the restarts computed it
+        # the fit leaves the window's deficit matrix as the restarts computed it
+        assert np.array_equal(got.t_values, s[window])
         assert np.array_equal(got.deficits, deficits)
 
     @pytest.mark.parametrize("blown", [(), (0, 3, 4, 11, 19)])
@@ -638,12 +659,13 @@ class TestEnsembleDiagnosticsBits:
 
 def _escaping_stack():
     """Six runs on a 40-point clock under f = x**2, whose flow escapes from 5
-    before T = 1: every kept run holds 5 at s = 10, so that restart is
-    excluded, and run 1 alone holds 5 at s = 31, so its rate is NaN.  Runs 2
-    and 4 are blown, with states no kept run has."""
+    before T = 1.  The fit window restarts at s = 19, 21, .., 38: every kept
+    run holds 5 at s = 23, so that restart is excluded, and run 1 alone holds
+    5 at s = 31, so its rate is NaN.  Runs 2 and 4 are blown, with states no
+    kept run has."""
     s = np.arange(40.0)
     X = 0.1 + 0.01 * np.random.default_rng(4).random((6, 40, 1))
-    X[:, 10, 0] = 5.0
+    X[:, 23, 0] = 5.0
     X[1, 31, 0] = 5.0
     X[[2, 4], 5:] = np.nan
     ok = ~np.isin(np.arange(6), [2, 4])
@@ -664,7 +686,7 @@ class TestAptGroups:
         f = lambda x: x**2
         monkeypatch.setattr(flow, "_APT_ROWS", 10**18)
         want = apt_deficit(path, f, T=1.0, normalization="absolute", ok=ok)
-        assert want.n_excluded == 1 and {10.0, 31.0} <= set(want.t_values)
+        assert want.n_excluded == 1 and {23.0, 31.0} <= set(want.t_values)
         assert np.isnan(want.rates[1]) and np.isfinite(np.delete(want.rates, 1)).all()
         monkeypatch.setattr(flow, "_APT_ROWS", rows(int(ok.sum())))
         got = apt_deficit(path, f, T=1.0, normalization="absolute", ok=ok)
@@ -678,6 +700,133 @@ class TestAptGroups:
         want = ensemble_apt_deficit(summary, model.field, T=1.0)
         monkeypatch.setattr(flow, "_APT_ROWS", 1)
         _same_rates(ensemble_apt_deficit(summary, model.field, T=1.0), want)
+
+
+def _frozen_apt_deficit(path, f, T, normalization="scale", n_restarts=48, ok=None):
+    """``flow.apt_deficit`` as it was before it integrated every run over
+    the fit window only: every run at every restart, and each rate fitted
+    over the last ``TAIL_FRACTION`` of the kept restarts.  The rates, the
+    excluded restarts' count and the first kept run's CSV columns."""
+    s = path.s_grid
+    X = path.states.reshape((-1,) + path.states.shape[-2:])
+    pos = flow.restart_positions(s, T, n_restarts)
+    deficits, excluded = flow._batch_deficits(
+        s, X, f, T, pos, flow._APT_STEP, normalization, ok
+    )
+    keep = ~excluded
+    ts, ys = s[pos[keep]], deficits[:, keep]
+    R = len(ts)
+    k = flow._tail_count(R, flow.TAIL_FRACTION)
+    rates = flow._log_slopes(ts[R - k :], np.array(ys[:, R - k :], order="C"))
+    first = {"t": s[pos], "deficit": deficits[0]} if len(deficits) else None
+    return rates, int(excluded.sum()), first
+
+
+def _cubic(x):
+    # elementwise, so every row is computed alone whatever the batch shape
+    return x - x**3
+
+
+@st.composite
+def _stacks(draw):
+    """A random stack of runs on a random clock, with blown runs (NaN from
+    a random step on) when a mask is drawn, and the diagnostic's settings."""
+    runs, K, d = draw(st.integers(1, 6)), draw(st.integers(6, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.cumsum(rng.uniform(0.02, 0.4, K))
+    X = rng.uniform(-1.5, 1.5, (runs, K, d))
+    ok = draw(st.none() | st.lists(st.booleans(), min_size=runs, max_size=runs).map(np.array))
+    if ok is not None:
+        for r in np.nonzero(~ok)[0]:
+            X[r, rng.integers(0, K) :] = np.nan
+    kw = {
+        "T": draw(st.sampled_from([0.3, 0.7, 1.5])),
+        "normalization": draw(st.sampled_from(["scale", "absolute"])),
+        "n_restarts": draw(st.integers(1, 48)),
+        "ok": ok,
+    }
+    return TimeChangedPath(s, X), kw
+
+
+class TestAptFitWindow:
+    """Every run is integrated over the fit window only, and the restarts
+    before it for the CSV run alone, when its row is read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_stacks())
+    def test_equals_every_restart_when_none_is_excluded(self, stack):
+        path, kw = stack
+        try:
+            rates, n_excluded, first = _frozen_apt_deficit(path, _cubic, **kw)
+        except InsufficientHorizonError:
+            assume(False)
+        assume(n_excluded == 0)
+        got = apt_deficit(path, _cubic, **kw)
+        assert np.array_equal(got.rates.view(np.int64), rates.view(np.int64))
+        assert got.n_excluded == 0
+        if first is None:
+            assert got.first_run is None
+            return
+        assert got.first_run.keys() == first.keys()
+        for key in first:
+            assert np.array_equal(got.first_run[key].view(np.int64), first[key].view(np.int64))
+
+    def test_a_restart_excluded_before_the_window_moves_no_fit(self):
+        # run 1 leaves the field's domain at the first restart, which every
+        # run then excluded; that restart lies before the fit window
+        def f(x):
+            if np.any(np.abs(x) > 2.5):
+                raise SingularDenominatorError("left the field's domain")
+            return -x
+
+        s = np.arange(40.0)
+        X = 0.1 + 0.01 * np.random.default_rng(5).random((3, 40, 1))
+        X[1, 1, 0] = 3.0
+        path = TimeChangedPath(s, X)
+        pos = flow.restart_positions(s, 1.0, 16)
+        window = _fit_window(pos)
+        assert pos[0] == 1 and (len(pos), len(window)) == (13, 5)
+        rates, n_excluded, first = _frozen_apt_deficit(path, f, T=1.0, n_restarts=16)
+        got = apt_deficit(path, f, T=1.0, n_restarts=16)
+        # it was counted and left run 0's CSV row +inf there, and the fit
+        # read the last 4 of the 12 kept restarts
+        assert n_excluded == 1 and np.isinf(first["deficit"][0])
+        # the fit reads the last 5 restarts as placed, where none is excluded
+        deficits, _ = flow._batch_deficits(s, X, f, 1.0, window, flow._APT_STEP, "scale")
+        assert got.n_excluded == 0
+        assert np.array_equal(got.rates, flow._log_slopes(s[window], np.array(deficits, order="C")))
+        assert not np.array_equal(got.rates, rates)
+        # run 0's CSV row holds its own deficit there, and every other bit
+        assert np.isfinite(got.first_run["deficit"][0])
+        assert np.array_equal(got.first_run["deficit"][1:], first["deficit"][1:])
+        assert np.array_equal(got.first_run["t"], first["t"])
+
+    def test_restarts_before_the_window_run_for_the_csv_run_alone(self):
+        rows = []
+
+        def counting(x):
+            rows.append(len(x))
+            return _rowwise_saddle(x)
+
+        # run 0 is blown, so run 1 is the CSV run
+        s = np.linspace(0.0, 10.0, 60)
+        X = 0.1 + 0.01 * np.random.default_rng(6).random((5, 60, 2))
+        X[0, 10:] = np.nan
+        ok = np.arange(5) != 0
+        pos = flow.restart_positions(s, 1.0, 48)
+        window = _fit_window(pos)
+        before = pos[: len(pos) - len(window)]
+        assert len(before) > len(window)
+        res = apt_deficit(TimeChangedPath(s, X), counting, 1.0, ok=ok)
+        fitted = sum(rows)
+        res.first_run, res.first_run  # read twice, built once
+        csv = sum(rows) - fitted
+        rows.clear()
+        flow._batch_deficits(s, X, counting, 1.0, window, flow._APT_STEP, "scale", ok)
+        assert fitted == sum(rows)
+        rows.clear()
+        flow._batch_deficits(s, X[1:2], counting, 1.0, before, flow._APT_STEP, "scale")
+        assert csv == sum(rows) > 0
 
 
 def _same_rates(got, want):
@@ -724,11 +873,13 @@ class TestDiagnosticsMemory:
             assert traced_peak(diagnostic) < half
 
     @pytest.mark.parametrize("blown", [(), (5, 6, 150, 999)])
-    def test_apt_integrates_a_bounded_group_of_rows(self, wide_capture, blown):
+    def test_apt_integrates_a_bounded_group_of_rows(self, wide_capture, monkeypatch, blown):
         # the RK4 batch holds about 12 (rows, d) arrays of its own, and a
-        # group of whole restarts holds at most _APT_ROWS rows
+        # group of whole restarts holds at most _APT_ROWS rows: four
+        # restarts of every run here
         summary, _ = wide_capture
         summary = _blown(summary, blown)
+        monkeypatch.setattr(flow, "_APT_ROWS", 4 * summary.n_runs)
         d = summary.captured_states.shape[-1]
         apt = lambda: ensemble_apt_deficit(summary, saddle_field, T=1.0)
         res = apt()

@@ -1,5 +1,6 @@
 """Tests for the finite-sample condition checkers."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -832,7 +833,7 @@ def _walk_ensemble(workers=1, blown=False):
         full_runs=tuple(range(48)),
         statistics=every_statistic(split),
     )
-    with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool):
         summary = monte_carlo(model, model.natural_schedule(N), model.initial_state(), N, 48, 11,
                               workers=workers, captures=caps)
     return summary, split
@@ -1094,7 +1095,7 @@ class TestStreamedMeans:
             full_runs=tuple(range(40)),
             statistics=every_statistic(split) + every_statistic(split, a=3.0, nu=0.5),
         )
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool):
             summary = monte_carlo(model, harmonic(N), np.full(d, 0.1), N, 40, 7,
                                   workers=workers, captures=caps)
         assert not summary.blown_up.any()
@@ -1124,7 +1125,7 @@ class TestStreamedMeans:
         split = split_jacobian(model.H)
         caps = CaptureSpec(increment_indices=inc, full_runs=tuple(range(100)),
                            statistics=every_statistic(split, a=3.0))
-        with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool):
             summary = monte_carlo(model, harmonic(200), np.full(3, 0.1), 200, 100, 3,
                                   workers=workers, captures=caps)
         keys = list(dict.fromkeys(key for key, _ in summary.statistics))
@@ -1305,7 +1306,7 @@ class TestCaptureMemory:
 
         def simulate(statistics, workers=1):
             caps = CaptureSpec(increment_indices=inc, statistics=statistics)
-            with mock.patch.object(engine.concurrent.futures, "ProcessPoolExecutor",
+            with mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
                                    InProcessPool):
                 return monte_carlo(model, sched, np.full(3, 0.1), N, n_runs, 7, workers,
                                    captures=caps)

@@ -128,6 +128,24 @@ def test_pooled_simulate_parent_never_loads_openssl(tmp_path):
     assert out == [0, False, False]
 
 
+def test_check_and_a_pooled_simulate_parent_load_no_numpy_ma(tmp_path):
+    # np.unique, np.quantile and np.median import numpy.ma (1.27 MB); a
+    # command that runs as one batch also leaves concurrent.futures unloaded
+    (tmp_path / "config.json").write_text(json.dumps(_CONFIG))
+    out = _fresh(f"""
+        from trapcheck.cli import main
+        config, loaded = {str(tmp_path / "config.json")!r}, {{}}
+        for argv in (["check"], ["simulate", "--workers", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--config", config, "--out", {str(tmp_path)!r} + "/" + argv[0]])
+            loaded[argv[0]] = [code] + [m for m in ("numpy.ma", "concurrent.futures")
+                                        if m in sys.modules]
+        print(json.dumps(loaded))
+    """)
+    assert out["check"][0] != 1
+    assert out == {"check": [out["check"][0]], "simulate": [0, "concurrent.futures"]}
+
+
 _NON_DIAGONAL = {
     "model": {"kind": "linear", "H": [[1.0, 0.5], [0.0, -2.0]]},
     "checks": [{"name": "rate_condition", "nu": 1.0}, {"name": "noise_excitation"}],
@@ -240,6 +258,7 @@ def test_spectral_of_a_diagonal_matrix_loads_no_lapack():
         with contextlib.redirect_stdout(io.StringIO()) as text:
             code = main(["spectral", "[[0.001, 0, 0], [0, 2, 0], [0, 0, -2]]", "--json"])
         doc = json.loads(text.getvalue())
-        print(json.dumps([code, doc["coercivity_lambda"], spectral._flapack.cache_info().misses]))
+        print(json.dumps([code, doc["coercivity_lambda"], spectral._flapack.cache_info().misses,
+                          loaded()]))
     """)
-    assert out == [0, 0.001, 0]
+    assert out == [0, 0.001, 0, ["scipy"]]
